@@ -80,7 +80,6 @@ def apply_word(s, word, e):
 
 def inverse_word(word):
     """Inverse word: reversed, with sigma self-inverse and tau <-> tau_inv."""
-    flip = {"tau": ("tau",), "tau_inv": ("tau",)}
     out = []
     for gen in reversed(word):
         if gen[0] == "sigma":

@@ -292,12 +292,13 @@ _DIFF_PROPERTIES = (
 )
 
 
-def _vd_multiple(offset, n, e):
-    return max(1, (n - 1 - offset) // e + 1)
-
-
 def _difftest_unit(task):
-    """All property checks for the e-regular partitions of one (e, n)."""
+    """All property checks for the e-regular partitions of one (e, n).
+
+    The crystal route runs once per (partition, s), traced: the lift and
+    descent properties check the pairs recorded in its steps, and
+    involutivity looks the image up in this (e, n)'s table of images.
+    """
     e, n = task
     results = {name: [0, 0, None] for name in _DIFF_PROPERTIES}
 
@@ -310,10 +311,12 @@ def _difftest_unit(task):
             if slot[2] is None or key < slot[2][0]:
                 slot[2] = (key, message)
 
+    images = {}
     for lam in sorted(core.enumerate_e_regular(n, e)):
         tag = f"e={e} partition={format_partition(lam)}"
         xim = involution.xu(lam, e)
         kim = involution.kleshchev_oracle(lam, e)
+        is_core = core.is_strict_e_core(lam, e)
         record(
             "rank_regular",
             core.rank(xim) == n and core.is_e_regular(xim, e),
@@ -322,59 +325,40 @@ def _difftest_unit(task):
         )
         if e == 2:
             record("m2_identity", xim == lam, (e, n, lam), tag)
-        if core.is_strict_e_core(lam, e):
+        if is_core:
             record("core_conjugate", xim == core.conjugate(lam), (e, n, lam), tag)
+        lifts = {}
         for s in range(1, e):
-            cim = involution.mullineux_crystal(lam, e, s)
-            record("agreement", cim == xim == kim, (e, n, lam, s), f"{tag} s={s}")
-            record(
-                "involution",
-                involution.mullineux_crystal(cim, e, s) == lam,
-                (e, n, lam, s),
-                f"{tag} s={s}",
-            )
-        if lam:
-            k = _vd_multiple(e - 1, n, e)
-            lifted = crystal.psi(
-                theta_l2(lam, e, e - 1), (0, e - 1), (0, e - 1 + k * e), e
-            )
-            smaller, removed = involution.xu_strip(lam, e)
-            record("rim_strip_lift", lifted == ((removed,), smaller), (e, n, lam), tag)
-            k = _vd_multiple(1, n, e)
-            lifted = crystal.psi(theta_l2(lam, e, 1), (0, 1), (0, 1 + k * e), e)
-            expect = (involution.xu((len(lam),), e), core.remove_first_column(lam))
-            record("first_column_lift", lifted == expect, (e, n, lam), tag)
-        for s in range(1, e):
-            pair = theta_l2(lam, e, s)
-            k = _vd_multiple(s, n, e)
-            lifted = crystal.psi(pair, (0, s), (0, s + k * e), e)
-            record(
-                "core_empty_lift",
-                lifted[1] != () or core.is_strict_e_core(lam, e),
-                (e, n, lam, s),
-                f"{tag} s={s}",
-            )
-            if lam and not core.is_strict_e_core(lam, e):
-                record("lift_first_nonempty", lifted[0] != (), (e, n, lam, s), f"{tag} s={s}")
-            record(
-                "blockwise_lift",
-                crystal.blockwise_lift(lam, e, s) == lifted,
-                (e, n, lam, s),
-                f"{tag} s={s}",
-            )
-            relifted = crystal.psi(pair, (0, s), (0, s + (k + 1) * e), e)
-            record("lift_k_stable", relifted == lifted, (e, n, lam, s), f"{tag} s={s}")
-            if lam and not core.is_strict_e_core(lam, e):
-                nu = (involution.xu(lifted[0], e), involution.xu(lifted[1], e))
-                start = -s + _vd_multiple(-s, n, e) * e
-                target = crystal.psi(nu, (0, start), (0, e - s), e)
+            key, where = (e, n, lam, s), f"{tag} s={s}"
+            cim, steps = involution.mullineux_crystal_trace(lam, e, s)
+            images[lam, s] = cim
+            record("agreement", cim == xim == kim, key, where)
+            if is_core:
+                # The route conjugates strict cores without lifting them.
+                pair = theta_l2(lam, e, s)
+                up = (0, s + involution._very_dominant_multiple(s, n, e) * e)
+                lifted = crystal.psi(pair, (0, s), up, e)
+            else:
+                (_, _, pair), (_, up, lifted), (_, _, nu), (_, _, kappa), _ = steps
+            lifts[s] = lifted
+            record("core_empty_lift", lifted[1] != () or is_core, key, where)
+            record("blockwise_lift", crystal.blockwise_lift(lam, e, s) == lifted, key, where)
+            relifted = crystal.psi(pair, (0, s), (0, up[1] + e), e)
+            record("lift_k_stable", relifted == lifted, key, where)
+            if not is_core:
+                record("lift_first_nonempty", lifted[0] != (), key, where)
                 record(
                     "blockwise_lower",
-                    crystal.blockwise_lower(nu, e, s) == theta_inverse(target),
-                    (e, n, lam, s),
-                    f"{tag} s={s}",
+                    crystal.blockwise_lower(nu, e, s) == theta_inverse(kappa),
+                    key,
+                    where,
                 )
-        k0 = _vd_multiple(0, n, e)
+        if lam:
+            smaller, removed = involution.xu_strip(lam, e)
+            record("rim_strip_lift", lifts[e - 1] == ((removed,), smaller), (e, n, lam), tag)
+            expect = (involution.xu((len(lam),), e), core.remove_first_column(lam))
+            record("first_column_lift", lifts[1] == expect, (e, n, lam), tag)
+        k0 = involution._very_dominant_multiple(0, n, e)
         img0 = crystal.psi(theta_split(lam, e, (0, 0)), (0, 0), (0, k0 * e), e)
         record("s_zero", img0 == ((), lam), (e, n, lam), tag)
         for s in range(e):
@@ -385,6 +369,13 @@ def _difftest_unit(task):
                 and tl == theta_l2(lam, e, s)
             )
             record("theta_roundtrip", ok, (e, n, lam, s), f"{tag} s={s}")
+    for (lam, s), cim in images.items():
+        record(
+            "involution",
+            images.get((cim, s)) == lam,
+            (e, n, lam, s),
+            f"e={e} partition={format_partition(lam)} s={s}",
+        )
     return results
 
 
@@ -412,9 +403,12 @@ def cmd_difftest(args):
         raise InputError(f"--e-range must satisfy 2 <= lo <= hi, got {args.e_range!r}")
     if args.max_n < 0:
         raise InputError(f"--max-n must be nonnegative, got {args.max_n}")
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    if args.jobs is not None and args.jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     tasks = [(e, n) for e in range(lo, hi + 1) for n in range(args.max_n + 1)]
-    if jobs > 1 and len(tasks) > 1:
+    cpus = os.cpu_count() or 1
+    jobs = min(args.jobs if args.jobs is not None else cpus, len(tasks), cpus)
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_difftest_unit, tasks))
     else:

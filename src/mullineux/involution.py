@@ -3,8 +3,8 @@
 * mullineux_crystal: recursion through the splitting embedding and the
   crystal isomorphisms (split, lift to a very dominant charge, recurse on
   the two components, descend, merge).
-* xu: the truncated-rim peeling algorithm (strip the truncated e-rim,
-  recurse, put back a column).
+* xu: the truncated-rim peeling algorithm (strip truncated e-rims down to
+  the empty partition, then put their sizes back as columns).
 * kleshchev_oracle: the branching-rule recursion (peel a good removable
   node of residue i, recurse, add a good addable node of residue -i).
 
@@ -101,43 +101,45 @@ def xu_strip(lam, e):
     return tuple(p for p in out if p > 0), len(removed)
 
 
-def xu(lam, e):
-    """Mullineux image by repeated truncated-rim stripping."""
+def _regular_input(lam, e, who):
+    """The checked partition; InputError unless e >= 2 and lam is e-regular."""
     lam = check_partition(lam)
     if e < 2:
         raise InputError(f"e must be >= 2, got {e}")
     if not is_e_regular(lam, e):
-        raise InputError(f"xu needs an e-regular partition, got {lam} with e={e}")
-    return _xu(lam, e)
+        raise InputError(f"{who} needs an e-regular partition, got {lam} with e={e}")
+    return lam
 
 
-@lru_cache(maxsize=None)
-def _xu(lam, e):
-    if not lam:
-        return ()
-    smaller, removed = xu_strip(lam, e)
-    base = _xu(smaller, e)
-    width = max(len(base), removed)
-    return tuple(part(base, i) + (1 if i <= removed else 0) for i in range(1, width + 1))
+def xu(lam, e):
+    """Mullineux image by repeated truncated-rim stripping."""
+    return _xu(lam, e, None)
 
 
 def xu_trace(lam, e):
-    """(image, steps) where steps record each strip: (label, charge, state)."""
-    lam = check_partition(lam)
+    """(image, steps) where steps record each strip and each column put back."""
     steps = []
+    return _xu(lam, e, steps), steps
+
+
+def _xu(lam, e, steps):
+    """Strip truncated e-rims down to the empty partition, then put their sizes
+    back as columns, last strip first; a `steps` list receives each stage.
+    """
+    cur = _regular_input(lam, e, "xu")
     chain = []
-    cur = lam
     while cur:
-        smaller, removed = xu_strip(cur, e)
-        steps.append((f"strip {removed} nodes", (0,), (smaller,)))
+        cur, removed = xu_strip(cur, e)
         chain.append(removed)
-        cur = smaller
+        if steps is not None:
+            steps.append((f"strip {removed} nodes", (0,), (cur,)))
     img = ()
     for removed in reversed(chain):
         width = max(len(img), removed)
         img = tuple(part(img, i) + (1 if i <= removed else 0) for i in range(1, width + 1))
-        steps.append((f"add column of length {removed}", (0,), (img,)))
-    return img, steps
+        if steps is not None:
+            steps.append((f"add column of length {removed}", (0,), (img,)))
+    return img
 
 
 # ---------------------------------------------------------------------------
@@ -203,62 +205,52 @@ def kleshchev_oracle(lam, e, convention="C1"):
     Peel the good removable node of the smallest residue i carrying one,
     recurse, then add the good addable node of residue -i mod e.
     """
-    lam = check_partition(lam)
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
-    if not is_e_regular(lam, e):
-        raise InputError(f"kleshchev_oracle needs an e-regular partition, got {lam}")
-    return _kleshchev(lam, e, convention)
+    return _kleshchev(_regular_input(lam, e, "kleshchev_oracle"), e, convention)
 
 
-@lru_cache(maxsize=None)
-def _kleshchev(lam, e, convention):
-    if not lam:
-        return ()
+def _kleshchev_peel(lam, e, convention):
+    """(i, lam without its good removable i-node) for the least i carrying one."""
     for i in range(e):
         node = good_removable_node(lam, e, i, convention)
         if node is not None:
             break
     else:
         raise InternalError(f"{lam} has no good removable node mod {e}")
-    row, _ = node
     peeled = list(lam)
-    peeled[row - 1] -= 1
-    sub = _kleshchev(tuple(p for p in peeled if p > 0), e, convention)
-    target = good_addable_node(sub, e, (-i) % e, convention)
+    peeled[node[0] - 1] -= 1
+    return i, tuple(p for p in peeled if p > 0)
+
+
+def _kleshchev_grow(lam, e, i, convention):
+    """lam with its good addable node of residue -i mod e added."""
+    target = good_addable_node(lam, e, (-i) % e, convention)
     if target is None:
-        raise InternalError(f"{sub} has no good addable node of residue {(-i) % e}")
-    r2, _ = target
-    grown = list(sub) + [0] * (r2 - len(sub))
-    grown[r2 - 1] += 1
+        raise InternalError(f"{lam} has no good addable node of residue {(-i) % e}")
+    row = target[0]
+    grown = list(lam) + [0] * (row - len(lam))
+    grown[row - 1] += 1
     return tuple(grown)
+
+
+@lru_cache(maxsize=None)
+def _kleshchev(lam, e, convention):
+    if not lam:
+        return ()
+    i, peeled = _kleshchev_peel(lam, e, convention)
+    return _kleshchev_grow(_kleshchev(peeled, e, convention), e, i, convention)
 
 
 def kleshchev_trace(lam, e, convention="C1"):
     """(image, steps) where steps record each peel and regrow."""
-    lam = check_partition(lam)
+    cur = _regular_input(lam, e, "kleshchev_oracle")
     peels = []
-    cur = lam
     while cur:
-        for i in range(e):
-            node = good_removable_node(cur, e, i, convention)
-            if node is not None:
-                break
-        else:
-            raise InternalError(f"{cur} has no good removable node mod {e}")
-        row, _ = node
-        nxt = list(cur)
-        nxt[row - 1] -= 1
-        cur = tuple(p for p in nxt if p > 0)
+        i, cur = _kleshchev_peel(cur, e, convention)
         peels.append((i, cur))
     steps = [(f"peel residue {i}", (0,), (state,)) for i, state in peels]
     img = ()
     for i, _ in reversed(peels):
-        target = good_addable_node(img, e, (-i) % e, convention)
-        r2, _ = target
-        grown = list(img) + [0] * (r2 - len(img))
-        grown[r2 - 1] += 1
-        img = tuple(grown)
+        img = _kleshchev_grow(img, e, i, convention)
         steps.append((f"grow residue {(-i) % e}", (0,), (img,)))
     return img, steps
 
@@ -274,16 +266,24 @@ def mullineux_crystal(lam, e, s=None):
     recursion depth; it defaults to e - 1 and any value in 1..e-1 gives the
     same answer.
     """
-    lam = check_partition(lam)
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
-    if not is_e_regular(lam, e):
-        raise InputError(f"mullineux_crystal needs an e-regular partition, got {lam}")
+    lam, s = _crystal_input(lam, e, s)
+    return _crystal(lam, e, s)
+
+
+def mullineux_crystal_trace(lam, e, s=None):
+    """(image, steps) recording the top-level unfolding of the recursion."""
+    lam, s = _crystal_input(lam, e, s)
+    steps = []
+    return _crystal_level(lam, e, s, steps), steps
+
+
+def _crystal_input(lam, e, s):
+    lam = _regular_input(lam, e, "mullineux_crystal")
     if s is None:
         s = e - 1
     if not 1 <= s <= e - 1:
         raise InputError(f"s must be in 1..e-1, got {s}")
-    return _crystal(lam, e, s)
+    return lam, s
 
 
 def _very_dominant_multiple(offset, n, e):
@@ -313,36 +313,35 @@ def _crystal_descend(nu, e, s, n):
     return kappa, start
 
 
-@lru_cache(maxsize=None)
-def _crystal(lam, e, s):
-    if not lam:
-        return ()
-    if is_strict_e_core(lam, e):
-        return conjugate(lam)
-    _, mu, _ = _crystal_split(lam, e, s)
-    nu = (_crystal(mu[0], e, s), _crystal(mu[1], e, s))
-    kappa, _ = _crystal_descend(nu, e, s, rank(lam))
-    return theta_inverse(kappa)
+def _crystal_level(lam, e, s, steps=None):
+    """One level of the recursion; the two components recurse through the memo.
 
-
-def mullineux_crystal_trace(lam, e, s=None):
-    """(image, steps) recording the top-level unfolding of the recursion."""
-    lam = check_partition(lam)
-    if s is None:
-        s = e - 1
-    img = mullineux_crystal(lam, e, s)
-    if not lam:
-        return img, [("empty", (0,), ((),))]
-    if is_strict_e_core(lam, e):
-        return img, [("conjugate strict core", (0,), (img,))]
+    When `steps` is a list, the stages of this level are appended to it as
+    (label, charge, state).
+    """
+    if not lam or is_strict_e_core(lam, e):
+        img = conjugate(lam)
+        if steps is not None:
+            steps.append(("conjugate strict core" if lam else "empty", (0,), (img,)))
+        return img
     pair, mu, up = _crystal_split(lam, e, s)
-    steps = [("split", (0, s), pair), ("lift", up, mu)]
     nu = (_crystal(mu[0], e, s), _crystal(mu[1], e, s))
     kappa, start = _crystal_descend(nu, e, s, rank(lam))
-    steps.append(("componentwise image", start, nu))
-    steps.append(("descend", (0, e - s), kappa))
-    steps.append(("merge", (0,), (img,)))
-    return img, steps
+    img = theta_inverse(kappa)
+    if steps is not None:
+        steps += [
+            ("split", (0, s), pair),
+            ("lift", up, mu),
+            ("componentwise image", start, nu),
+            ("descend", (0, e - s), kappa),
+            ("merge", (0,), (img,)),
+        ]
+    return img
+
+
+# The memo is keyed on (lam, e, s) and holds images only; traced calls go to
+# _crystal_level directly.
+_crystal = lru_cache(maxsize=None)(_crystal_level)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from mullineux import cli
 from mullineux.cli import main
 
 
@@ -90,6 +93,16 @@ def test_mullineux_rejects_irregular(capsys):
     code, out, err = run(capsys, "mullineux", "--e", "3", "--partition", "3,3,3")
     assert code == 2
     assert "e-regular" in err
+
+
+@pytest.mark.parametrize("method", ["xu", "kleshchev"])
+@pytest.mark.parametrize("e, partition", [("3", "3,3,3"), ("1", "2")])
+def test_traced_methods_reject_bad_input(capsys, method, e, partition):
+    code, out, err = run(
+        capsys, "mullineux", "--e", e, "--partition", partition, "--method", method, "--trace"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_mullineux_rejects_bad_parse(capsys):
@@ -248,3 +261,45 @@ def test_difftest_rejects_bad_range(capsys):
     code, out, err = run(capsys, "difftest", "--e-range", "6..2", "--max-n", "3")
     assert code == 2
     assert "e-range" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_difftest_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(
+        capsys, "difftest", "--e-range", "2..2", "--max-n", "2", "--jobs", jobs
+    )
+    assert (code, out) == (2, "")
+    assert "--jobs" in err
+
+
+def test_difftest_caps_workers_at_tasks_and_cpus(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    for argv, workers in (
+        (("--e-range", "2..2", "--max-n", "2", "--jobs", "1000"), [3]),
+        (("--e-range", "2..3", "--max-n", "4", "--jobs", "1000"), [4]),
+        (("--e-range", "2..3", "--max-n", "4", "--jobs", "2"), [2]),
+        (("--e-range", "2..3", "--max-n", "4"), [4]),
+        (("--e-range", "2..3", "--max-n", "4", "--jobs", "1"), []),
+    ):
+        sizes.clear()
+        code, out, err = run(capsys, "difftest", *argv)
+        assert code == 0 and out.endswith("OK\n"), argv
+        assert sizes == workers, argv

@@ -1,5 +1,7 @@
 """Tests for the three routes to the involution and the multisegment lift."""
 
+import sys
+
 import pytest
 
 from mullineux.core import conjugate, enumerate_e_regular, is_e_regular, rank
@@ -114,6 +116,30 @@ def test_xu_trace_is_consistent():
     assert steps[-1][2] == ((9, 3, 3, 2, 2),)
 
 
+def test_xu_long_inputs_at_default_recursion_limit():
+    staircase = tuple(range(100, 0, -1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for lam, e in (((1000,), 3), ((5000,), 3), (staircase, 3), (staircase, 5)):
+            image = xu(lam, e)
+            assert xu(image, e) == lam, (lam[:3], e)
+            assert xu_trace(lam, e)[0] == image, (lam[:3], e)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_traces_validate_their_input():
+    for trace in (xu_trace, kleshchev_trace, mullineux_crystal_trace):
+        with pytest.raises(InputError):
+            trace((3, 3, 3), 3)
+        with pytest.raises(InputError):
+            trace((2,), 1)
+    for s in (0, 3):
+        with pytest.raises(InputError):
+            mullineux_crystal_trace((3,), 3, s)
+
+
 def test_kleshchev_known_images():
     for lam, e, expected in KNOWN_IMAGES:
         assert kleshchev_oracle(lam, e) == expected, (lam, e)
@@ -179,6 +205,14 @@ def test_mullineux_crystal_edge_cases():
         mullineux_crystal((3,), 3, 0)
     with pytest.raises(InputError):
         mullineux_crystal((3,), 3, 3)
+
+
+def test_mullineux_crystal_trace_without_unfolding():
+    assert mullineux_crystal_trace((), 3) == ((), [("empty", (0,), ((),))])
+    assert mullineux_crystal_trace((2,), 3) == (
+        (1, 1),
+        [("conjugate strict core", (0,), ((1, 1),))],
+    )
 
 
 def test_three_routes_agree():
