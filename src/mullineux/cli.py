@@ -22,20 +22,10 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import core, crystal, involution, multisegments
 from .errors import InputError, InternalError, MullineuxError
 from .theta import theta as theta_split, theta_inverse, theta_l2
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    """One step of a --trace transcript."""
-
-    label: str
-    charge: tuple
-    state: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -83,23 +73,11 @@ def parse_multisegment(text, e):
     segs = []
     for item in text.split(";"):
         item = item.strip()
-        if ":" in item:
-            head, _, length = item.partition(":")
-            try:
-                segs.append((int(head), int(length)))
-            except ValueError as exc:
-                raise InputError(f"cannot parse segment {item!r}") from exc
-        else:
-            try:
-                residues = [int(x) for x in item.split(",")]
-            except ValueError as exc:
-                raise InputError(f"cannot parse segment {item!r}") from exc
-            if not residues:
-                raise InputError(f"empty segment in {text!r}")
-            for a, b in zip(residues, residues[1:]):
-                if (a + 1) % e != b % e:
-                    raise InputError(f"segment {item!r} is not consecutive mod {e}")
-            segs.append((residues[0], len(residues)))
+        head, _, length = item.partition(":")
+        try:
+            segs.append((int(head), int(length)))
+        except ValueError as exc:
+            raise InputError(f"cannot parse segment {item!r}") from exc
     return multisegments.check_multisegment(segs, e)
 
 
@@ -115,47 +93,44 @@ def _emit_json(payload):
 
 def _trace_payload(steps):
     return [
-        {"label": st.label, "charge": list(st.charge), "state": format_multipartition(st.state)}
-        for st in steps
+        {"label": label, "charge": list(charge), "state": format_multipartition(state)}
+        for label, charge, state in steps
     ]
 
 
 def _print_trace(steps):
-    for st in steps:
-        print(f"[{st.label}] charge {format_charge(st.charge)}: {format_multipartition(st.state)}")
+    for label, charge, state in steps:
+        print(f"[{label}] charge {format_charge(charge)}: {format_multipartition(state)}")
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
+# Names of the plain and traced function of each method; the crystal pair also
+# takes the split charge.  They are looked up in `involution` at call time so
+# that a rebinding there (a tracing wrapper, say) is what runs.
+_METHODS = {
+    "crystal": ("mullineux_crystal", "mullineux_crystal_trace"),
+    "xu": ("xu", "xu_trace"),
+    "kleshchev": ("kleshchev_oracle", "kleshchev_trace"),
+}
+
+
 def cmd_mullineux(args):
     lam = parse_partition(args.partition)
     e = args.e
     s = args.s if args.s is not None else e - 1
+    names = tuple(_METHODS) if args.method == "all" else (args.method,)
     values = {}
     steps = []
-    if args.method in ("crystal", "all"):
-        if args.trace:
-            img, raw = involution.mullineux_crystal_trace(lam, e, s)
-            steps = [TraceStep(label, charge, state) for label, charge, state in raw]
-        else:
-            img = involution.mullineux_crystal(lam, e, s)
-        values["crystal"] = img
-    if args.method in ("xu", "all"):
-        if args.trace and args.method == "xu":
-            img, raw = involution.xu_trace(lam, e)
-            steps = [TraceStep(label, charge, state) for label, charge, state in raw]
-        else:
-            img = involution.xu(lam, e)
-        values["xu"] = img
-    if args.method in ("kleshchev", "all"):
-        if args.trace and args.method == "kleshchev":
-            img, raw = involution.kleshchev_trace(lam, e)
-            steps = [TraceStep(label, charge, state) for label, charge, state in raw]
-        else:
-            img = involution.kleshchev_oracle(lam, e)
-        values["kleshchev"] = img
+    for name in names:
+        traced = args.trace and name == names[0]
+        fn = getattr(involution, _METHODS[name][traced])
+        out = fn(lam, e, s) if name == "crystal" else fn(lam, e)
+        if traced:
+            out, steps = out
+        values[name] = out
     distinct = set(values.values())
     if len(distinct) > 1:
         raise InternalError(
@@ -336,7 +311,7 @@ def _difftest_unit(task):
             if is_core:
                 # The route conjugates strict cores without lifting them.
                 pair = theta_l2(lam, e, s)
-                up = (0, s + involution._very_dominant_multiple(s, n, e) * e)
+                up = (0, s + crystal._very_dominant_multiple(s, n, e) * e)
                 lifted = crystal.psi(pair, (0, s), up, e)
             else:
                 (_, _, pair), (_, up, lifted), (_, _, nu), (_, _, kappa), _ = steps
@@ -358,7 +333,7 @@ def _difftest_unit(task):
             record("rim_strip_lift", lifts[e - 1] == ((removed,), smaller), (e, n, lam), tag)
             expect = (involution.xu((len(lam),), e), core.remove_first_column(lam))
             record("first_column_lift", lifts[1] == expect, (e, n, lam), tag)
-        k0 = involution._very_dominant_multiple(0, n, e)
+        k0 = crystal._very_dominant_multiple(0, n, e)
         img0 = crystal.psi(theta_split(lam, e, (0, 0)), (0, 0), (0, k0 * e), e)
         record("s_zero", img0 == ((), lam), (e, n, lam), tag)
         for s in range(e):
@@ -508,7 +483,7 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MullineuxError as exc:
+    except (MullineuxError, RecursionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -97,7 +97,7 @@ def concat(*partitions):
     return tuple(sorted(merged, reverse=True))
 
 
-def node_residue(node, charge, e, *, single_charge=None):
+def node_residue(node, charge, e):
     """Residue (b - a + s_c) mod e of a node (a, b, c).
 
     `node` is (row, column) with an implied component 1, or (row, column,

@@ -21,7 +21,7 @@ from .charges import (
 )
 from .core import check_multipartition, check_partition, enumerate_multipartitions, part
 from .errors import InputError, InternalError, MalformedSymbolError
-from .symbols import build_symbol, decode_symbol, match_step
+from .symbols import _symbol, decode_symbol, match_step
 
 
 def flotw_check(mp, charge, e):
@@ -56,30 +56,29 @@ def flotw_check(mp, charge, e):
 
 def psi_sigma(mp, charge, e, c):
     """Apply the isomorphism for sigma_c: symbol matching on components c, c+1."""
-    mp = check_multipartition(mp)
-    s = check_charge(charge)
-    if not 1 <= c < len(s):
-        raise InputError(f"sigma index {c} out of range for level {len(s)}")
-    pair = (mp[c - 1], mp[c])
-    sym = build_symbol(pair, (s[c - 1], s[c]))
-    image = decode_symbol(match_step(sym))
-    out = list(mp)
-    out[c - 1], out[c] = image
-    return tuple(out), act_sigma(s, c)
+    return _step(check_multipartition(mp), check_charge(charge), ("sigma", c), e)
 
 
 def psi_tau(mp, charge, e):
     """Apply the isomorphism for tau: rotate components left."""
-    mp = check_multipartition(mp)
-    s = check_charge(charge)
-    return tuple(mp[1:]) + (mp[0],), act_tau(s, e)
+    return _step(check_multipartition(mp), check_charge(charge), ("tau",), e)
 
 
 def psi_tau_inv(mp, charge, e):
     """Apply the isomorphism for tau inverse: rotate components right."""
-    mp = check_multipartition(mp)
-    s = check_charge(charge)
-    return (mp[-1],) + tuple(mp[:-1]), act_tau_inv(s, e)
+    return _step(check_multipartition(mp), check_charge(charge), ("tau_inv",), e)
+
+
+def _step(mp, s, gen, e):
+    """One generator on a checked multipartition and charge: (image, new charge)."""
+    if gen[0] == "tau":
+        return mp[1:] + mp[:1], act_tau(s, e)
+    if gen[0] == "tau_inv":
+        return mp[-1:] + mp[:-1], act_tau_inv(s, e)
+    c = gen[1]
+    t = act_sigma(s, c)  # rejects an out-of-range c before the slices below
+    pair = decode_symbol(match_step(_symbol(mp[c - 1 : c + 1], s[c - 1 : c + 1])))
+    return mp[: c - 1] + pair + mp[c + 1 :], t
 
 
 def psi_shift_up(mp, charge, e):
@@ -113,12 +112,7 @@ def psi(mp, charge, to, e):
     if s == t:
         return mp
     for gen in path_word(s, t, e):
-        if gen[0] == "sigma":
-            mp, s = psi_sigma(mp, s, e, gen[1])
-        elif gen[0] == "tau":
-            mp, s = psi_tau(mp, s, e)
-        else:
-            mp, s = psi_tau_inv(mp, s, e)
+        mp, s = _step(mp, s, gen, e)
     if s != t:
         raise InternalError(f"isomorphism walk ended at {s}, wanted {t}")
     return mp
@@ -156,6 +150,11 @@ def enumerate_phi(n, charge, e):
     else:
         found = [psi(mp, f, s, e) for mp in enumerate_phi(n, f, e)]
     return tuple(sorted(found))
+
+
+def _very_dominant_multiple(offset, n, e):
+    """Least k >= 1 with offset + k*e very dominant over rank n at level 2."""
+    return max(1, (n - 1 - offset) // e + 1)
 
 
 def _greatest_below(candidates, c):
@@ -309,6 +308,6 @@ def blockwise_lower(pair, e, s):
     if not 0 < s < e:
         raise InputError(f"s must be in 1..e-1, got {s}")
     n = sum(nu1) + sum(nu2)
-    k = max(1, (n - 1 + s) // e + 1)
+    k = _very_dominant_multiple(-s, n, e)
     final1, final2 = blockwise_lower_pair((nu1, nu2), -s + k * e, e)
     return tuple(sorted(final1 + final2, reverse=True))

@@ -33,7 +33,7 @@ from .core import (
     part,
     rank,
 )
-from .crystal import membership, psi
+from .crystal import _very_dominant_multiple, membership, psi
 from .errors import InputError, InternalError, NoPathError, NotAdmissibleError
 from .multisegments import canonical, check_multisegment, chi, chi_inverse, is_aperiodic
 from .theta import theta_inverse, theta_l2
@@ -79,7 +79,7 @@ def truncated_e_rim(lam, e):
     members = set(rim)
     chosen = [(i, j) for (i, j) in rim if (i, j - 1) in members]
     if len(rim) % e != 0:
-        last_row = len(check_partition(lam))
+        last_row = rim[-1][0]  # the walk always ends in the last row
         extra = [(i, j) for (i, j) in rim if i == last_row and (i, j - 1) not in members]
         if len(extra) != 1:
             raise InternalError(f"expected one seed node in row {last_row}, got {extra}")
@@ -284,11 +284,6 @@ def _crystal_input(lam, e, s):
     if not 1 <= s <= e - 1:
         raise InputError(f"s must be in 1..e-1, got {s}")
     return lam, s
-
-
-def _very_dominant_multiple(offset, n, e):
-    """Least k >= 1 with offset + k*e very dominant over rank n at level 2."""
-    return max(1, (n - 1 - offset) // e + 1)
 
 
 def _crystal_split(lam, e, s):

@@ -13,7 +13,7 @@ is surjective); at other charges it is defined by transporting the
 multipartition to the fundamental representative first.
 """
 
-from .charges import check_charge, contains, fundamental_representative
+from .charges import check_charge, fundamental_representative
 from .core import check_multipartition
 from .crystal import flotw_check, psi
 from .errors import InputError, InternalError, NotAdmissibleError
@@ -142,17 +142,10 @@ def chi_inverse(ms, charge, e):
     return psi(found, f, s, e)
 
 
-def is_admissible(ms, charge, e, source=None):
-    """Whether the multisegment has a preimage at `charge`.
-
-    When the fundamental charge `source` that produced the multisegment is
-    known, this reduces to comparing residue counts of the charges;
-    otherwise chi_inverse is attempted.
-    """
+def is_admissible(ms, charge, e):
+    """Whether the multisegment has a preimage at `charge` (chi_inverse succeeds)."""
     s = check_charge(charge)
     ms = check_multisegment(ms, e)
-    if source is not None:
-        return contains(check_charge(source), s, e)
     try:
         chi_inverse(ms, s, e)
     except NotAdmissibleError:

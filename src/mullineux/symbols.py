@@ -34,29 +34,33 @@ class Symbol:
 
 def symbol_depth(bipartition, charge):
     """Minimal depth at which both components are fully visible."""
-    lam1, lam2 = (check_partition(c) for c in bipartition)
-    s1, s2 = charge
-    if s2 >= s1:
-        return max(s2 - s1, len(lam2), len(lam1) + s2 - s1)
-    return max(s1 - s2, len(lam1), len(lam2) + s1 - s2)
+    return _depth(tuple(check_partition(c) for c in bipartition), charge)
+
+
+def _depth(lam, charge):
+    """symbol_depth on two checked components."""
+    (lam1, lam2), (s1, s2) = lam, charge
+    top = max(s1, s2)
+    return max(abs(s1 - s2), len(lam1) + top - s1, len(lam2) + top - s2)
 
 
 def build_symbol(bipartition, charge, depth=None):
     """Symbol of a charged bipartition at the given (or minimal) depth."""
-    lam = tuple(check_partition(c) for c in bipartition)
-    s1, s2 = charge
-    d = symbol_depth(bipartition, charge)
+    return _symbol(tuple(check_partition(c) for c in bipartition), charge, depth)
+
+
+def _symbol(lam, charge, depth=None):
+    """build_symbol on two checked components."""
+    d = _depth(lam, charge)
     if depth is not None:
         if depth < d:
             raise InputError(f"depth {depth} below minimal depth {d}")
         d = depth
-    top = max(s1, s2)
-    rows = []
-    for c in (0, 1):
-        length = d + charge[c] - top
-        row = tuple(part(lam[c], j) - j + charge[c] for j in range(length, 0, -1))
-        rows.append(row)
-    return Symbol(charge=(s1, s2), rows=tuple(rows))
+    top = max(charge)
+    rows = tuple(
+        tuple(part(p, j) - j + s for j in range(d + s - top, 0, -1)) for p, s in zip(lam, charge)
+    )
+    return Symbol(charge=tuple(charge), rows=rows)
 
 
 def decode_symbol(symbol):

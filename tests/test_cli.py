@@ -105,6 +105,17 @@ def test_traced_methods_reject_bad_input(capsys, method, e, partition):
     assert err.startswith("error: ")
 
 
+def test_recursion_limit_exits_3_without_traceback(capsys):
+    # The branching recursion goes one call deeper per node, so a row of
+    # 1200 passes the default recursion limit.
+    code, out, err = run(
+        capsys, "mullineux", "--e", "3", "--partition", "1200", "--method", "kleshchev"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ")
+    assert err.count("\n") == 1
+
+
 def test_mullineux_rejects_bad_parse(capsys):
     code, out, err = run(capsys, "mullineux", "--e", "3", "--partition", "2,3")
     assert code == 2
@@ -189,6 +200,10 @@ def test_im_rejects_periodic(capsys):
     code, out, err = run(capsys, "im", "--e", "2", "--multisegment", "0:1;1:1")
     assert code == 2
     assert "aperiodic" in err
+    # Segments are head:length only; residue lists are not a second syntax.
+    code, out, err = run(capsys, "im", "--e", "3", "--multisegment", "0,1,2")
+    assert (code, out) == (2, "")
+    assert "cannot parse segment" in err
 
 
 def test_enumerate_partitions(capsys):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from mullineux.charges import path_word
+
 from mullineux.core import (
     enumerate_e_regular,
     enumerate_multipartitions,
@@ -23,6 +25,8 @@ from mullineux.crystal import (
     psi_tau,
     psi_tau_inv,
 )
+
+from mullineux.errors import InputError
 
 from mullineux.theta import theta_inverse, theta_l2
 
@@ -191,6 +195,42 @@ def test_psi_path_independence():
             back, charge = psi_sigma(once, charge, e, 1)
             assert (back, charge) == (mp, (0, 1))
             assert psi(back, (0, 1), (0, 4), e) == psi(mp, (0, 1), (0, 4), e)
+
+
+def test_psi_is_the_walk_of_its_generators():
+    e, s, t = 3, (0, 1), (0, 7)
+
+    def walk(mp, charge, to):
+        for gen in path_word(charge, to, e):
+            if gen[0] == "sigma":
+                mp, charge = psi_sigma(mp, charge, e, gen[1])
+            elif gen[0] == "tau":
+                mp, charge = psi_tau(mp, charge, e)
+            else:
+                mp, charge = psi_tau_inv(mp, charge, e)
+        assert charge == to
+        return mp
+
+    for n in range(6):
+        for mp in enumerate_phi(n, s, e):
+            image = psi(mp, s, t, e)
+            assert walk(mp, s, t) == image, mp
+            assert walk(image, t, s) == mp, mp
+
+
+def test_transport_rejects_non_partitions():
+    for bad in (((1, 2), ()), ((), (1, 2))):
+        for call in (
+            lambda: psi(bad, (0, 1), (0, 4), 3),
+            lambda: psi(bad, (0, 1), (0, 1), 3),
+            lambda: psi_sigma(bad, (0, 1), 3, 1),
+            lambda: psi_tau(bad, (0, 1), 3),
+            lambda: psi_tau_inv(bad, (0, 1), 3),
+            lambda: membership(bad, (0, 1), 3),
+            lambda: membership(bad, (0, 4), 3),
+        ):
+            with pytest.raises(InputError):
+                call()
 
 
 def test_psi_rejects_distinct_orbits():

@@ -57,6 +57,13 @@ def test_symbol_is_frozen_and_validated():
         Symbol((0, 1, 2), ((), (), ()))
 
 
+def test_symbol_functions_reject_non_partitions():
+    for bp in (((1, 2), ()), ((), (1, 2))):
+        for fn in (build_symbol, symbol_depth):
+            with pytest.raises(InputError):
+                fn(bp, (0, 1))
+
+
 def test_decode_symbol_table():
     for charge, rows, expected in (
         ((1, 0), ((-1, 1), (1,)), ((1,), (2,))),
