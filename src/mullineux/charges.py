@@ -166,9 +166,9 @@ def path_word(s, t, e):
     if not same_orbit(s, t, e):
         raise NoPathError(f"{s} and {t} have different residue multisets mod {e}")
     ws = normalization_word(s, e)
-    fs = apply_word(s, ws, e)
     wt = normalization_word(t, e)
-    ft = apply_word(t, wt, e)
+    fs = fundamental_representative(s, e)
+    ft = fundamental_representative(t, e)
     diff = sum(ft) - sum(fs)
     if diff % e:
         raise InternalError(f"fundamental representatives {fs}, {ft} differ off-lattice")

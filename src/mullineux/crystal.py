@@ -255,14 +255,21 @@ def blockwise_lower_pair(pair, start_charge, e):
     merged partition is guaranteed to agree, which is what blockwise_lower
     returns.
     """
-    nu1 = list(check_partition(pair[0]))
-    nu2 = list(check_partition(pair[1]))
+    nu1 = check_partition(pair[0])
+    nu2 = check_partition(pair[1])
     if e < 2:
         raise InputError(f"e must be >= 2, got {e}")
     t = int(start_charge)
     final_t = t % e
     if final_t == 0 or t < final_t:
         raise InputError(f"start charge {t} is not of the form k*e - s with 0 < s < e")
+    return _lower_pair(nu1, nu2, t, e)
+
+
+def _lower_pair(nu1, nu2, t, e):
+    """blockwise_lower_pair of checked components from a checked start charge t."""
+    nu1, nu2 = list(nu1), list(nu2)
+    final_t = t % e
     while True:
         used = set()
         for a in range(len(nu2), 0, -1):
@@ -309,5 +316,5 @@ def blockwise_lower(pair, e, s):
         raise InputError(f"s must be in 1..e-1, got {s}")
     n = sum(nu1) + sum(nu2)
     k = _very_dominant_multiple(-s, n, e)
-    final1, final2 = blockwise_lower_pair((nu1, nu2), -s + k * e, e)
+    final1, final2 = _lower_pair(nu1, nu2, -s + k * e, e)
     return tuple(sorted(final1 + final2, reverse=True))

@@ -1,0 +1,139 @@
+"""Exhaustive cross-checks of the three routes to the Mullineux involution.
+
+`PROPERTIES` names every checked property, in report order.  `check(e, n)`
+runs all of them over the e-regular partitions of rank n; `run` covers a
+range of e and n, on a process pool when asked for more than one job.  A
+result maps each property to [passes, failures, smallest failing key], where
+a key is (e, n, partition) or (e, n, partition, s).
+
+Library functions are called through their modules (`crystal.psi`, ...), so
+a rebinding of a module attribute, such as a tracing wrapper, is what runs.
+"""
+
+import os
+from importlib import import_module
+
+from . import core, crystal, involution
+
+# The package binds the name `theta` to the function, so fetch the module.
+theta = import_module(f"{__package__}.theta")
+
+PROPERTIES = (
+    "involution",
+    "agreement",
+    "rank_regular",
+    "m2_identity",
+    "core_conjugate",
+    "rim_strip_lift",
+    "first_column_lift",
+    "core_empty_lift",
+    "lift_first_nonempty",
+    "s_zero",
+    "theta_roundtrip",
+    "blockwise_lift",
+    "lift_k_stable",
+    "blockwise_lower",
+)
+
+
+def check(e, n):
+    """All property checks for the e-regular partitions of rank n.
+
+    The crystal route runs once per (partition, s), traced: the lift and
+    descent properties check the pairs recorded in its steps, and
+    involutivity looks the image up in this (e, n)'s table of images.
+    """
+    results = {name: [0, 0, None] for name in PROPERTIES}
+
+    def record(name, ok, key):
+        slot = results[name]
+        if ok:
+            slot[0] += 1
+        else:
+            slot[1] += 1
+            if slot[2] is None or key < slot[2]:
+                slot[2] = key
+
+    images = {}
+    for lam in sorted(core.enumerate_e_regular(n, e)):
+        key = (e, n, lam)
+        xim = involution.xu(lam, e)
+        kim = involution.kleshchev_oracle(lam, e)
+        is_core = core.is_strict_e_core(lam, e)
+        record("rank_regular", core.rank(xim) == n and core.is_e_regular(xim, e), key)
+        if e == 2:
+            record("m2_identity", xim == lam, key)
+        if is_core:
+            record("core_conjugate", xim == core.conjugate(lam), key)
+        lifts = {}
+        for s in range(1, e):
+            skey = (e, n, lam, s)
+            cim, steps = involution.mullineux_crystal_trace(lam, e, s)
+            images[lam, s] = cim
+            record("agreement", cim == xim == kim, skey)
+            if is_core:
+                # The route conjugates strict cores without lifting them.
+                pair = theta.theta_l2(lam, e, s)
+                up = (0, s + crystal._very_dominant_multiple(s, n, e) * e)
+                lifted = crystal.psi(pair, (0, s), up, e)
+            else:
+                (_, _, pair), (_, up, lifted), (_, _, nu), (_, _, kappa), _ = steps
+            lifts[s] = lifted
+            record("core_empty_lift", lifted[1] != () or is_core, skey)
+            record("blockwise_lift", crystal.blockwise_lift(lam, e, s) == lifted, skey)
+            # The word to (0, up + e) is the word to `up` followed by sigma_1, tau.
+            relifted, _ = crystal.psi_shift_up(lifted, up, e)
+            record("lift_k_stable", relifted == lifted, skey)
+            if not is_core:
+                record("lift_first_nonempty", lifted[0] != (), skey)
+                lowered = crystal.blockwise_lower(nu, e, s)
+                record("blockwise_lower", lowered == theta.theta_inverse(kappa), skey)
+        if lam:
+            smaller, removed = involution.xu_strip(lam, e)
+            record("rim_strip_lift", lifts[e - 1] == ((removed,), smaller), key)
+            expect = (involution.xu((len(lam),), e), core.remove_first_column(lam))
+            record("first_column_lift", lifts[1] == expect, key)
+        k0 = crystal._very_dominant_multiple(0, n, e)
+        img0 = crystal.psi(theta.theta(lam, e, (0, 0)), (0, 0), (0, k0 * e), e)
+        record("s_zero", img0 == ((), lam), key)
+        for s in range(e):
+            tl = theta.theta(lam, e, (0, s))
+            ok = (
+                theta.theta_inverse(tl) == lam
+                and crystal.flotw_check(tl, (0, s), e)
+                and tl == theta.theta_l2(lam, e, s)
+            )
+            record("theta_roundtrip", ok, (e, n, lam, s))
+    for (lam, s), cim in images.items():
+        record("involution", images.get((cim, s)) == lam, (e, n, lam, s))
+    return results
+
+
+def merge(results):
+    """Sum the counts of several results and keep the smallest failing keys."""
+    merged = {name: [0, 0, None] for name in PROPERTIES}
+    for result in results:
+        for name, (npass, nfail, key) in result.items():
+            slot = merged[name]
+            slot[0] += npass
+            slot[1] += nfail
+            if key is not None and (slot[2] is None or key < slot[2]):
+                slot[2] = key
+    return merged
+
+
+def run(lo, hi, max_n, jobs=None):
+    """Merged checks over e in lo..hi and n in 0..max_n.
+
+    The work runs on min(jobs, tasks, cpus) processes (`jobs` defaults to
+    the number of cpus), in this process when that is 1.
+    """
+    tasks = [(e, n) for e in range(lo, hi + 1) for n in range(max_n + 1)]
+    cpus = os.cpu_count() or 1
+    jobs = min(cpus if jobs is None else jobs, len(tasks), cpus)
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return merge(pool.map(check, *zip(*tasks)))
+    return merge(check(e, n) for e, n in tasks)

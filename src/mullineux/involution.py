@@ -50,7 +50,11 @@ def e_rim(lam, e):
     after every e-th node the walk jumps to the next row, skipping the rest
     of the current one.
     """
-    lam = check_partition(lam)
+    return _e_rim(check_partition(lam), e)
+
+
+def _e_rim(lam, e):
+    """e_rim of a checked partition."""
     if not lam:
         raise InputError("the e-rim of the empty partition is undefined")
     if e < 2:
@@ -75,7 +79,12 @@ def truncated_e_rim(lam, e):
     plus, when the e-rim size is not a multiple of e, the leftmost e-rim
     node of the last row.
     """
-    rim = e_rim(lam, e)
+    return _truncated_e_rim(check_partition(lam), e)
+
+
+def _truncated_e_rim(lam, e):
+    """truncated_e_rim of a checked partition."""
+    rim = _e_rim(lam, e)
     members = set(rim)
     chosen = [(i, j) for (i, j) in rim if (i, j - 1) in members]
     if len(rim) % e != 0:
@@ -91,7 +100,7 @@ def truncated_e_rim(lam, e):
 def xu_strip(lam, e):
     """Remove the truncated e-rim; returns (smaller partition, nodes removed)."""
     lam = check_partition(lam)
-    removed = truncated_e_rim(lam, e)
+    removed = _truncated_e_rim(lam, e)
     counts = {}
     for i, _ in removed:
         counts[i] = counts.get(i, 0) + 1
@@ -159,59 +168,54 @@ def _signature(lam, e, i):
     return entries
 
 
-def _reduced_signature(lam, e, i, convention):
-    """Cancel adjacent pairs: "A then R" under C1, "R then A" under C2."""
-    if convention not in ("C1", "C2"):
-        raise InputError(f"convention must be C1 or C2, got {convention!r}")
-    first, second = ("A", "R") if convention == "C1" else ("R", "A")
+def _reduced_signature(lam, e, i):
+    """The signature with adjacent "A then R" pairs cancelled."""
     stack = []
     for entry in _signature(lam, e, i):
-        if entry[0] == second and stack and stack[-1][0] == first:
+        if entry[0] == "R" and stack and stack[-1][0] == "A":
             stack.pop()
         else:
             stack.append(entry)
     return stack
 
 
-def good_removable_node(lam, e, i, convention="C1"):
+def good_removable_node(lam, e, i):
     """Good removable i-node as (row, column), or None.
 
-    Under C1 it is the lowest surviving removable node, under C2 the highest.
+    It is the lowest removable node of the reduced signature.
     """
     lam = check_partition(lam)
-    rows = [r for kind, r in _reduced_signature(lam, e, i, convention) if kind == "R"]
+    rows = [r for kind, r in _reduced_signature(lam, e, i) if kind == "R"]
     if not rows:
         return None
-    r = rows[-1] if convention == "C1" else rows[0]
-    return (r, lam[r - 1])
+    return (rows[-1], lam[rows[-1] - 1])
 
 
-def good_addable_node(lam, e, i, convention="C1"):
+def good_addable_node(lam, e, i):
     """Good addable i-node as (row, column), or None.
 
-    Under C1 it is the highest surviving addable node, under C2 the lowest.
+    It is the highest addable node of the reduced signature.
     """
     lam = check_partition(lam)
-    rows = [r for kind, r in _reduced_signature(lam, e, i, convention) if kind == "A"]
+    rows = [r for kind, r in _reduced_signature(lam, e, i) if kind == "A"]
     if not rows:
         return None
-    r = rows[0] if convention == "C1" else rows[-1]
-    return (r, part(lam, r) + 1)
+    return (rows[0], part(lam, rows[0]) + 1)
 
 
-def kleshchev_oracle(lam, e, convention="C1"):
+def kleshchev_oracle(lam, e):
     """Mullineux image by the branching recursion.
 
     Peel the good removable node of the smallest residue i carrying one,
     recurse, then add the good addable node of residue -i mod e.
     """
-    return _kleshchev(_regular_input(lam, e, "kleshchev_oracle"), e, convention)
+    return _kleshchev(_regular_input(lam, e, "kleshchev_oracle"), e)
 
 
-def _kleshchev_peel(lam, e, convention):
+def _kleshchev_peel(lam, e):
     """(i, lam without its good removable i-node) for the least i carrying one."""
     for i in range(e):
-        node = good_removable_node(lam, e, i, convention)
+        node = good_removable_node(lam, e, i)
         if node is not None:
             break
     else:
@@ -221,9 +225,9 @@ def _kleshchev_peel(lam, e, convention):
     return i, tuple(p for p in peeled if p > 0)
 
 
-def _kleshchev_grow(lam, e, i, convention):
+def _kleshchev_grow(lam, e, i):
     """lam with its good addable node of residue -i mod e added."""
-    target = good_addable_node(lam, e, (-i) % e, convention)
+    target = good_addable_node(lam, e, (-i) % e)
     if target is None:
         raise InternalError(f"{lam} has no good addable node of residue {(-i) % e}")
     row = target[0]
@@ -233,24 +237,24 @@ def _kleshchev_grow(lam, e, i, convention):
 
 
 @lru_cache(maxsize=None)
-def _kleshchev(lam, e, convention):
+def _kleshchev(lam, e):
     if not lam:
         return ()
-    i, peeled = _kleshchev_peel(lam, e, convention)
-    return _kleshchev_grow(_kleshchev(peeled, e, convention), e, i, convention)
+    i, peeled = _kleshchev_peel(lam, e)
+    return _kleshchev_grow(_kleshchev(peeled, e), e, i)
 
 
-def kleshchev_trace(lam, e, convention="C1"):
+def kleshchev_trace(lam, e):
     """(image, steps) where steps record each peel and regrow."""
     cur = _regular_input(lam, e, "kleshchev_oracle")
     peels = []
     while cur:
-        i, cur = _kleshchev_peel(cur, e, convention)
+        i, cur = _kleshchev_peel(cur, e)
         peels.append((i, cur))
     steps = [(f"peel residue {i}", (0,), (state,)) for i, state in peels]
     img = ()
     for i, _ in reversed(peels):
-        img = _kleshchev_grow(img, e, i, convention)
+        img = _kleshchev_grow(img, e, i)
         steps.append((f"grow residue {(-i) % e}", (0,), (img,)))
     return img, steps
 

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from mullineux import cli
+from mullineux import difftest
 
 from mullineux.core import enumerate_e_regular, enumerate_multipartitions
 
@@ -181,10 +181,7 @@ def test_golden_multisegment_involution():
 def difftest_merged():
     """The full differential suite over e in 2..6, ranks up to 12."""
     start = time.monotonic()
-    chunks = [
-        cli._difftest_unit((e, n)) for e in range(2, 7) for n in range(13)
-    ]
-    merged = cli._merge_results(chunks)
+    merged = difftest.run(2, 6, 12, jobs=1)
     merged["_elapsed"] = time.monotonic() - start
     return merged
 
@@ -319,7 +316,7 @@ PAPER_M_VALUES = (
 def test_calibration_gate():
     with criterion("calibration/branching-oracle"):
         for lam, e, expected in PAPER_M_VALUES:
-            assert kleshchev_oracle(lam, e, convention="C1") == expected, (lam, e)
+            assert kleshchev_oracle(lam, e) == expected, (lam, e)
         for e in range(2, 7):
             for n in range(9):
                 for lam in enumerate_e_regular(n, e):

@@ -1,10 +1,15 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mullineux import cli
+import mullineux
+from mullineux import difftest
 from mullineux.cli import main
 
 
@@ -302,11 +307,11 @@ def test_difftest_caps_workers_at_tasks_and_cpus(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(difftest.os, "cpu_count", lambda: 4)
     for argv, workers in (
         (("--e-range", "2..2", "--max-n", "2", "--jobs", "1000"), [3]),
         (("--e-range", "2..3", "--max-n", "4", "--jobs", "1000"), [4]),
@@ -318,3 +323,34 @@ def test_difftest_caps_workers_at_tasks_and_cpus(capsys, monkeypatch):
         code, out, err = run(capsys, "difftest", *argv)
         assert code == 0 and out.endswith("OK\n"), argv
         assert sizes == workers, argv
+
+
+def test_difftest_reports_the_smallest_counterexample(capsys, monkeypatch):
+    # An xu that returns its input is wrong first on (1, 1), whose image mod 3 is (2,).
+    monkeypatch.setattr(difftest.involution, "xu", lambda lam, e: tuple(lam))
+    argv = ("difftest", "--e-range", "3..3", "--max-n", "3", "--jobs", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    lines = out.splitlines()
+    assert "agreement: pass=4 fail=8 counterexample: e=3 partition=1,1 s=1" in lines
+    assert "first_column_lift: pass=3 fail=2 counterexample: e=3 partition=1,1" in lines
+    assert lines[-1] == "FAIL"
+    code, out, err = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["result"]) == (3, "fail")
+    assert payload["properties"]["agreement"]["counterexample"] == "e=3 partition=1,1 s=1"
+    assert payload["properties"]["rank_regular"]["counterexample"] is None
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = str(Path(mullineux.__file__).resolve().parent.parent)
+    code = "import sys, mullineux.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert proc.stdout == "False\n"
