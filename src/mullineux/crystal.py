@@ -8,7 +8,7 @@ shifting the charge.
 
 `blockwise_lift` and `blockwise_lower` are direct box-moving versions of the
 level-2 isomorphisms between a fundamental charge and a very dominant one;
-they are independent of the symbol route and are tested against it.
+the crystal route runs on them, with psi as their independent reference.
 """
 
 from .charges import (
@@ -83,19 +83,20 @@ def _step(mp, s, gen, e):
 
 def psi_shift_up(mp, charge, e):
     """Level-2 shortcut (s1, s2) -> (s1, s2 + e): sigma_1 then tau."""
-    if len(check_charge(charge)) != 2:
+    mp, s = check_multipartition(mp), check_charge(charge)
+    if len(mp) != 2 or len(s) != 2:
         raise InputError("psi_shift_up needs a level-2 multipartition")
-    mp, s = psi_sigma(mp, charge, e, 1)
-    return psi_tau(mp, s, e)
+    mp, s = _step(mp, s, ("sigma", 1), e)
+    return _step(mp, s, ("tau",), e)
 
 
 def psi_shift_down(mp, charge, e):
     """Level-2 shortcut (s1, s2) -> (s1, s2 - e): tau inverse then sigma_1."""
-    if len(check_charge(charge)) != 2:
+    mp, s = check_multipartition(mp), check_charge(charge)
+    if len(mp) != 2 or len(s) != 2:
         raise InputError("psi_shift_down needs a level-2 multipartition")
-    mp, s = psi_tau_inv(mp, charge, e)
-    mp, s = psi_sigma(mp, s, e, 1)
-    return mp, s
+    mp, s = _step(mp, s, ("tau_inv",), e)
+    return _step(mp, s, ("sigma", 1), e)
 
 
 def psi(mp, charge, to, e):

@@ -39,8 +39,8 @@ PROPERTIES = (
 def check(e, n):
     """All property checks for the e-regular partitions of rank n.
 
-    The crystal route runs once per (partition, s), traced: the lift and
-    descent properties check the pairs recorded in its steps, and
+    The crystal route runs once per (partition, s), traced: its lifts and
+    descents, from the box-moving engines, are checked against `psi`, and
     involutivity looks the image up in this (e, n)'s table of images.
     """
     results = {name: [0, 0, None] for name in PROPERTIES}
@@ -75,19 +75,19 @@ def check(e, n):
                 # The route conjugates strict cores without lifting them.
                 pair = theta.theta_l2(lam, e, s)
                 up = (0, s + crystal._very_dominant_multiple(s, n, e) * e)
-                lifted = crystal.psi(pair, (0, s), up, e)
+                lifted = crystal.blockwise_lift(lam, e, s)
             else:
-                (_, _, pair), (_, up, lifted), (_, _, nu), (_, _, kappa), _ = steps
+                (_, _, pair), (_, up, lifted), (_, start, nu), (_, _, kappa), _ = steps
+                record("lift_first_nonempty", lifted[0] != (), skey)
+                # psi, the slow reference, checks the route's descent here and its lift below.
+                record("blockwise_lower", crystal.psi(nu, start, (0, e - s), e) == kappa, skey)
+            reference = crystal.psi(pair, (0, s), up, e)
             lifts[s] = lifted
             record("core_empty_lift", lifted[1] != () or is_core, skey)
-            record("blockwise_lift", crystal.blockwise_lift(lam, e, s) == lifted, skey)
+            record("blockwise_lift", lifted == reference, skey)
             # The word to (0, up + e) is the word to `up` followed by sigma_1, tau.
-            relifted, _ = crystal.psi_shift_up(lifted, up, e)
-            record("lift_k_stable", relifted == lifted, skey)
-            if not is_core:
-                record("lift_first_nonempty", lifted[0] != (), skey)
-                lowered = crystal.blockwise_lower(nu, e, s)
-                record("blockwise_lower", lowered == theta.theta_inverse(kappa), skey)
+            relifted, _ = crystal.psi_shift_up(reference, up, e)
+            record("lift_k_stable", relifted == reference, skey)
         if lam:
             smaller, removed = involution.xu_strip(lam, e)
             record("rim_strip_lift", lifts[e - 1] == ((removed,), smaller), key)

@@ -2,7 +2,7 @@
 
 * mullineux_crystal: recursion through the splitting embedding and the
   crystal isomorphisms (split, lift to a very dominant charge, recurse on
-  the two components, descend, merge).
+  the two components, descend, merge), run on the box-moving engines.
 * xu: the truncated-rim peeling algorithm (strip truncated e-rims down to
   the empty partition, then put their sizes back as columns).
 * kleshchev_oracle: the branching-rule recursion (peel a good removable
@@ -33,10 +33,10 @@ from .core import (
     part,
     rank,
 )
-from .crystal import _very_dominant_multiple, membership, psi
+from .crystal import _very_dominant_multiple, blockwise_lift, blockwise_lower, membership, psi
 from .errors import InputError, InternalError, NoPathError, NotAdmissibleError
 from .multisegments import canonical, check_multisegment, chi, chi_inverse, is_aperiodic
-from .theta import theta_inverse, theta_l2
+from .theta import theta_l2
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +266,9 @@ def kleshchev_trace(lam, e):
 def mullineux_crystal(lam, e, s=None):
     """Mullineux image through the splitting embedding and the isomorphisms.
 
-    `s` picks the fundamental charge (0, s) used for the split at every
-    recursion depth; it defaults to e - 1 and any value in 1..e-1 gives the
-    same answer.
+    Lifts and descents run on the box-moving engines (`difftest` checks them
+    against `psi`).  `s` in 1..e-1 picks the split charge (0, s) at every
+    depth; it defaults to e - 1, and every choice gives the same answer.
     """
     lam, s = _crystal_input(lam, e, s)
     return _crystal(lam, e, s)
@@ -278,7 +278,7 @@ def mullineux_crystal_trace(lam, e, s=None):
     """(image, steps) recording the top-level unfolding of the recursion."""
     lam, s = _crystal_input(lam, e, s)
     steps = []
-    return _crystal_level(lam, e, s, steps), steps
+    return _crystal(lam, e, s, steps), steps
 
 
 def _crystal_input(lam, e, s):
@@ -290,57 +290,56 @@ def _crystal_input(lam, e, s):
     return lam, s
 
 
-def _crystal_split(lam, e, s):
-    """One unfolding: (pair at (0,s), lifted pair, its charge)."""
-    n = rank(lam)
-    pair = theta_l2(lam, e, s)
-    k = _very_dominant_multiple(s, n, e)
-    up = (0, s + k * e)
-    mu = psi(pair, (0, s), up, e)
-    if not mu[0]:
-        raise InternalError(f"lift of {lam} lost its first component")
-    if not mu[1]:
-        raise InternalError(f"lift of non-core {lam} has an empty second component")
-    return pair, mu, up
+# Images of the crystal route, keyed on (lam, e, s); `_crystal.cache_clear`
+# empties it, as `_kleshchev.cache_clear` empties that route's lru_cache.
+_crystal_images = {}
 
 
-def _crystal_descend(nu, e, s, n):
-    """Place the image pair very dominantly and descend to (0, e - s)."""
-    kp = _very_dominant_multiple(-s, n, e)
-    start = (0, -s + kp * e)
-    kappa = psi(nu, start, (0, e - s), e)
-    return kappa, start
+def _crystal(lam, e, s, steps=None):
+    """Image of a checked lam, unfolded on an explicit work stack.
 
-
-def _crystal_level(lam, e, s, steps=None):
-    """One level of the recursion; the two components recurse through the memo.
-
-    When `steps` is a list, the stages of this level are appended to it as
-    (label, charge, state).
+    A partition is done once both components of its lift have images.  When
+    `steps` is a list, the stages of the top level are appended to it.
     """
-    if not lam or is_strict_e_core(lam, e):
-        img = conjugate(lam)
-        if steps is not None:
-            steps.append(("conjugate strict core" if lam else "empty", (0,), (img,)))
+    lifts = {}
+    todo = [lam]
+    while todo:
+        cur = todo[-1]
+        if (cur, e, s) in _crystal_images:
+            todo.pop()
+        elif not cur or is_strict_e_core(cur, e):
+            _crystal_images[cur, e, s] = conjugate(cur)
+        elif cur in lifts:
+            nu = tuple(_crystal_images[c, e, s] for c in lifts[cur])
+            _crystal_images[cur, e, s] = blockwise_lower(nu, e, s)
+        else:
+            lifts[cur] = mu = blockwise_lift(cur, e, s)
+            if not mu[0]:
+                raise InternalError(f"lift of {cur} lost its first component")
+            if not mu[1]:
+                raise InternalError(f"lift of non-core {cur} has an empty second component")
+            todo += mu
+    img = _crystal_images[lam, e, s]
+    if steps is None:
         return img
-    pair, mu, up = _crystal_split(lam, e, s)
-    nu = (_crystal(mu[0], e, s), _crystal(mu[1], e, s))
-    kappa, start = _crystal_descend(nu, e, s, rank(lam))
-    img = theta_inverse(kappa)
-    if steps is not None:
-        steps += [
-            ("split", (0, s), pair),
-            ("lift", up, mu),
-            ("componentwise image", start, nu),
-            ("descend", (0, e - s), kappa),
-            ("merge", (0,), (img,)),
-        ]
+    if not lam or is_strict_e_core(lam, e):
+        steps.append(("conjugate strict core" if lam else "empty", (0,), (img,)))
+        return img
+    up = (0, s + _very_dominant_multiple(s, rank(lam), e) * e)
+    start = (0, -s + _very_dominant_multiple(-s, rank(lam), e) * e)
+    mu = lifts.get(lam) or blockwise_lift(lam, e, s)  # lam was memoized before this call
+    steps += [
+        ("split", (0, s), theta_l2(lam, e, s)),
+        ("lift", up, mu),
+        ("componentwise image", start, tuple(_crystal_images[c, e, s] for c in mu)),
+        # psi's descent lands on the member at (0, e - s) that merges to img.
+        ("descend", (0, e - s), theta_l2(img, e, e - s)),
+        ("merge", (0,), (img,)),
+    ]
     return img
 
 
-# The memo is keyed on (lam, e, s) and holds images only; traced calls go to
-# _crystal_level directly.
-_crystal = lru_cache(maxsize=None)(_crystal_level)
+_crystal.cache_clear = _crystal_images.clear
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,15 @@ def test_recursion_limit_exits_3_without_traceback(capsys):
     assert err.count("\n") == 1
 
 
+def test_crystal_answers_a_long_row(capsys):
+    # The crystal route unfolds on a work stack, not the interpreter's stack.
+    code, out, err = run(
+        capsys, "mullineux", "--e", "3", "--partition", "1200", "--method", "crystal"
+    )
+    assert (code, out, err) == (0, "600,600\n", "")
+    assert mullineux.xu((1200,), 3) == (600, 600)
+
+
 def test_mullineux_rejects_bad_parse(capsys):
     code, out, err = run(capsys, "mullineux", "--e", "3", "--partition", "2,3")
     assert code == 2

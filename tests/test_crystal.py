@@ -1,6 +1,9 @@
 """Tests for charged-set membership and the charge-transport isomorphisms."""
 
 import pytest
+from hypothesis import given
+
+import hypothesis.strategies as st
 
 from mullineux.charges import path_word
 
@@ -9,6 +12,7 @@ from mullineux.core import (
     enumerate_multipartitions,
     is_strict_e_core,
     multirank,
+    rank,
 )
 
 from mullineux.crystal import (
@@ -27,6 +31,8 @@ from mullineux.crystal import (
 )
 
 from mullineux.errors import InputError
+
+from mullineux.involution import mullineux_crystal, xu
 
 from mullineux.theta import theta_inverse, theta_l2
 
@@ -150,6 +156,13 @@ def test_psi_shift_round_trip_members():
                     assert (down, down_charge) == (mp, (0, s)), (mp, s, e)
 
 
+def test_psi_shift_needs_level_two():
+    for mp, charge in ((((1,), (1,), ()), (0, 1)), (((1,), ()), (0, 1, 2))):
+        for shift in (psi_shift_up, psi_shift_down):
+            with pytest.raises(InputError):
+                shift(mp, charge, 3)
+
+
 def test_psi_examples():
     for mp, charge, to, e, expected in (
         (((1,), (2,)), (0, 1), (0, 4), 3, ((), (2, 1))),
@@ -226,6 +239,8 @@ def test_transport_rejects_non_partitions():
             lambda: psi_sigma(bad, (0, 1), 3, 1),
             lambda: psi_tau(bad, (0, 1), 3),
             lambda: psi_tau_inv(bad, (0, 1), 3),
+            lambda: psi_shift_up(bad, (0, 1), 3),
+            lambda: psi_shift_down(bad, (0, 4), 3),
             lambda: membership(bad, (0, 1), 3),
             lambda: membership(bad, (0, 4), 3),
         ):
@@ -329,8 +344,6 @@ def test_blockwise_lower_flagship():
 
 def test_blockwise_lower_matches_transport():
     # The descended pair merges to the same partition the transport gives.
-    from mullineux.involution import xu
-
     for e in (2, 3, 4):
         for n in range(9):
             for lam in enumerate_e_regular(n, e):
@@ -347,3 +360,50 @@ def test_blockwise_lower_matches_transport():
                         e,
                         s,
                     )
+
+
+def assert_engines_match_psi(lam, e, s):
+    """The box-moving lift and descent of a non-core lam agree with psi.
+
+    The lift must equal psi's walk from (0, s) to the very dominant charge;
+    psi's descent of the componentwise images (by xu) to (0, e - s) must be
+    the member that splits the merged partition blockwise_lower returns.
+    """
+    n = rank(lam)
+    k = lift_charge_multiple(n, e, s)
+    lifted = psi(theta_l2(lam, e, s), (0, s), (0, s + k * e), e)
+    assert blockwise_lift(lam, e, s) == lifted, (lam, e, s)
+    nu = (xu(lifted[0], e), xu(lifted[1], e))
+    start = -s + max(1, (n - 1 + s) // e + 1) * e
+    descended = psi(nu, (0, start), (0, e - s), e)
+    assert descended == theta_l2(blockwise_lower(nu, e, s), e, e - s), (lam, e, s)
+
+
+def test_engines_match_psi_exhaustively():
+    for e in range(2, 7):
+        for n in range(13, 17):
+            for lam in enumerate_e_regular(n, e):
+                if not is_strict_e_core(lam, e):
+                    for s in range(1, e):
+                        assert_engines_match_psi(lam, e, s)
+
+
+@st.composite
+def regular_inputs(draw, max_rank=80):
+    """(lam, e, s): an e-regular partition of rank at most max_rank and s in 1..e-1."""
+    e = draw(st.integers(2, 6))
+    mults = draw(st.dictionaries(st.integers(1, 30), st.integers(1, e - 1), max_size=10))
+    lam = []
+    for value in sorted(mults, reverse=True):
+        for _ in range(mults[value]):
+            if rank(lam) + value <= max_rank:
+                lam.append(value)
+    return tuple(lam), e, draw(st.integers(1, e - 1))
+
+
+@given(regular_inputs())
+def test_engines_match_psi_on_larger_partitions(case):
+    lam, e, s = case
+    if not is_strict_e_core(lam, e):
+        assert_engines_match_psi(lam, e, s)
+    assert mullineux_crystal(lam, e, s) == xu(lam, e), (lam, e, s)

@@ -129,6 +129,27 @@ def test_xu_long_inputs_at_default_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
+def test_crystal_long_inputs_at_default_recursion_limit():
+    staircase = tuple(range(60, 0, -1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for lam, e in (((1200,), 3), (staircase, 3), (staircase, 5)):
+            assert mullineux_crystal(lam, e) == xu(lam, e), (lam[:3], e)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_crystal_memo_has_cache_clear():
+    # Memo-clearing callers (a cold benchmark call, say) look for `cache_clear`.
+    from mullineux import involution
+
+    mullineux_crystal((5, 3, 1), 3)
+    assert involution._crystal_images
+    involution._crystal.cache_clear()
+    assert not involution._crystal_images
+
+
 def test_traces_validate_their_input():
     for trace in (xu_trace, kleshchev_trace, mullineux_crystal_trace):
         with pytest.raises(InputError):
