@@ -149,6 +149,8 @@ def enumerate_multipartitions(n, levels):
     """Yield all `levels`-component multipartitions of total rank n."""
     if levels < 1:
         raise InputError(f"need at least one component, got {levels}")
+    if n < 0:
+        raise InputError(f"rank must be nonnegative, got {n}")
     if levels == 1:
         for lam in enumerate_partitions(n):
             yield (lam,)

@@ -11,6 +11,8 @@ level-2 isomorphisms between a fundamental charge and a very dominant one;
 the crystal route runs on them, with psi as their independent reference.
 """
 
+import operator
+
 from .charges import (
     act_sigma,
     act_tau,
@@ -158,6 +160,22 @@ def _very_dominant_multiple(offset, n, e):
     return max(1, (n - 1 - offset) // e + 1)
 
 
+def _int_arg(name, x):
+    """x as an int, read with operator.index as check_charge reads charge entries."""
+    try:
+        return operator.index(x)
+    except TypeError as exc:
+        raise InputError(f"{name} must be an int, got {x!r}") from exc
+
+
+def _check_e(e):
+    """e as an int; InputError unless it is an int >= 2."""
+    e = _int_arg("e", e)
+    if e < 2:
+        raise InputError(f"e must be >= 2, got {e}")
+    return e
+
+
 def _greatest_below(candidates, c):
     """Index attaining the greatest rightmost content < c, or None."""
     best = None
@@ -186,8 +204,7 @@ def blockwise_lift(lam, e, s):
     appended to mu.  Returns (lam1, mu).
     """
     lam = check_partition(lam)
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
+    e, s = _check_e(e), _int_arg("s", s)
     if not 0 <= s < e:
         raise InputError(f"s must be in 0..e-1, got {s}")
     lam1 = list(lam[: e - s])
@@ -242,14 +259,20 @@ def blockwise_lift(lam, e, s):
 def blockwise_lower_pair(pair, start_charge, e):
     """Box-moving descent of (nu1 at 0, nu2 at start_charge) to a fundamental charge.
 
-    Rounds run at t = start_charge, start_charge - e, ..., down to
-    start_charge mod e (which must be nonzero).  Each round scans nu2
-    bottom-up; a row with rightmost content r donates its boxes above
-    content c to the lowest nu1 row not yet used as a target this round
-    whose rightmost content c is below r, falling back to the next row up
-    whenever the donation would break nu2's shape.  nu1 never gains rows.
-    The move must keep nu2 a partition at every moment; nu1 may pass through
-    non-partition shapes inside a round.  Returns the final (nu1, nu2).
+    Rounds run at charges t = start_charge, start_charge - e, ..., down to
+    start_charge mod e (which must be nonzero), except that a round which
+    would move no box is skipped, since it changes nothing.  Row a of nu2
+    (part p, next part b) gives boxes to row j of nu1 (rightmost content c)
+    in the round at t exactly when c + a - p < t <= c + a - b.  So at the
+    start, and after a round that moved nothing, t jumps down to the next
+    charge inside one of these windows; the descent ends when none is left.
+    Each round scans nu2 bottom-up; a row with rightmost content r donates
+    its boxes above content c to the lowest nu1 row not yet used as a target
+    this round whose rightmost content c is below r, falling back to the
+    next row up whenever the donation would break nu2's shape.  nu1 never
+    gains rows.  The move must keep nu2 a partition at every moment; nu1 may
+    pass through non-partition shapes inside a round.  Returns the final
+    (nu1, nu2).
 
     The final pair is in general *not* the image of the input under the
     symbol-route isomorphism (which lands inside the member set); only the
@@ -258,9 +281,7 @@ def blockwise_lower_pair(pair, start_charge, e):
     """
     nu1 = check_partition(pair[0])
     nu2 = check_partition(pair[1])
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
-    t = int(start_charge)
+    e, t = _check_e(e), _int_arg("start charge", start_charge)
     final_t = t % e
     if final_t == 0 or t < final_t:
         raise InputError(f"start charge {t} is not of the form k*e - s with 0 < s < e")
@@ -271,7 +292,12 @@ def _lower_pair(nu1, nu2, t, e):
     """blockwise_lower_pair of checked components from a checked start charge t."""
     nu1, nu2 = list(nu1), list(nu2)
     final_t = t % e
+    moved = False
     while True:
+        if not moved:
+            t = _next_move(nu1, nu2, t, e, final_t)
+            if t is None:
+                break
         used = set()
         for a in range(len(nu2), 0, -1):
             if nu2[a - 1] == 0:
@@ -290,6 +316,7 @@ def _lower_pair(nu1, nu2, t, e):
                     nu1[j - 1] += k
                     used.add(j)
                     break
+        moved = bool(used)
         while nu2 and nu2[-1] == 0:
             nu2.pop()
         if any(x < y for x, y in zip(nu1, nu1[1:])):
@@ -302,6 +329,29 @@ def _lower_pair(nu1, nu2, t, e):
     return tuple(p for p in nu1 if p > 0), tuple(nu2)
 
 
+def _next_move(nu1, nu2, t, e, final_t):
+    """Largest charge t' <= t, t' = t mod e, t' >= final_t whose round moves a box.
+
+    Until a round's first move no target is used, so at t' row a of nu2
+    (part p, next part b) gives boxes to row j of nu1 (rightmost content c)
+    exactly when c + a - p < t' <= c + a - b.  None when no such t' is left.
+    """
+    best = final_t - e
+    for a, p in enumerate(nu2, start=1):
+        b = nu2[a] if a < len(nu2) else 0
+        if p == b:
+            continue
+        for j, q in enumerate(nu1, start=1):
+            hi = q - j + a - b
+            if hi <= best:
+                break  # contents fall with j, so every later window ends lower
+            hi = min(hi, t)
+            top = hi - (hi - t) % e
+            if top > best and top > q - j + a - p:
+                best = top
+    return best if best >= final_t else None
+
+
 def blockwise_lower(pair, e, s):
     """Merged partition from the box-moving descent of a very dominant pair.
 
@@ -311,8 +361,7 @@ def blockwise_lower(pair, e, s):
     """
     nu1 = check_partition(pair[0])
     nu2 = check_partition(pair[1])
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
+    e, s = _check_e(e), _int_arg("s", s)
     if not 0 < s < e:
         raise InputError(f"s must be in 1..e-1, got {s}")
     n = sum(nu1) + sum(nu2)

@@ -237,6 +237,14 @@ def test_enumerate_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("charge", [None, "0", "0,1", "0,1,2", "0,3"])
+def test_enumerate_rejects_negative_rank(capsys, charge):
+    argv = ["enumerate", "--e", "3", "--n", "-1"] + (["--charge", charge] if charge else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "rank must be nonnegative" in err
+
+
 def test_enumerate_json(capsys):
     code, out, err = run(capsys, "enumerate", "--e", "3", "--n", "2", "--format", "json")
     payload = json.loads(out)

@@ -275,6 +275,12 @@ def test_enumerate_multipartitions_levels():
     assert len(list(enumerate_multipartitions(3, 1))) == PARTITION_COUNTS[3]
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_enumerate_multipartitions_rejects_negative_rank(levels):
+    with pytest.raises(InputError):
+        list(enumerate_multipartitions(-1, levels))
+
+
 def test_check_multipartition_rejects():
     for mp in (((1, 2), ()), ((3,), (1, 2)), ((), (0, 1))):
         with pytest.raises(InputError):

@@ -5,6 +5,8 @@ from hypothesis import given
 
 import hypothesis.strategies as st
 
+from conftest import bipartitions
+
 from mullineux.charges import path_word
 
 from mullineux.core import (
@@ -30,7 +32,7 @@ from mullineux.crystal import (
     psi_tau_inv,
 )
 
-from mullineux.errors import InputError
+from mullineux.errors import InputError, InternalError
 
 from mullineux.involution import mullineux_crystal, xu
 
@@ -319,6 +321,113 @@ def test_blockwise_lower_pair_worked_examples():
         (17, 9),
         (7, 6, 3, 3),
     )
+
+
+def stepwise_lower_pair(pair, t, e):
+    """Reference descent: a round at every t, t - e, ..., t mod e, moving or not.
+
+    This is the loop blockwise_lower_pair ran before it skipped the rounds
+    that move no box; it must return the same final pair and raise the same
+    errors.
+    """
+    nu1, nu2 = list(pair[0]), list(pair[1])
+    final_t = t % e
+    while True:
+        used = set()
+        for a in range(len(nu2), 0, -1):
+            if nu2[a - 1] == 0:
+                continue
+            r = nu2[a - 1] - a + t
+            for j in range(len(nu1), 0, -1):
+                if j in used:
+                    continue
+                c = nu1[j - 1] - j
+                if c >= r:
+                    break
+                k = r - c
+                below = nu2[a] if a < len(nu2) else 0
+                if k <= nu2[a - 1] and nu2[a - 1] - k >= below:
+                    nu2[a - 1] -= k
+                    nu1[j - 1] += k
+                    used.add(j)
+                    break
+        while nu2 and nu2[-1] == 0:
+            nu2.pop()
+        if any(x < y for x, y in zip(nu1, nu1[1:])):
+            raise InternalError(f"first component left a round malformed: {nu1}")
+        if any(x < y for x, y in zip(nu2, nu2[1:])):
+            raise InternalError(f"second component left a round malformed: {nu2}")
+        if t == final_t:
+            break
+        t -= e
+    return tuple(p for p in nu1 if p > 0), tuple(nu2)
+
+
+def outcome(lower, pair, t, e):
+    """The final pair, or the InternalError's text when the descent raises."""
+    try:
+        return lower(pair, t, e)
+    except InternalError as exc:
+        return str(exc)
+
+
+def start_charges(n, e):
+    """Every start charge k*e - s, from k = 1 to 2 past the very dominant multiple."""
+    for s in range(1, e):
+        for k in range(1, lift_charge_multiple(n, e, -s) + 3):
+            yield k * e - s
+
+
+def test_blockwise_lower_pair_matches_stepwise_reference_exhaustively():
+    for e in range(2, 7):
+        for n in range(9):
+            for pair in enumerate_multipartitions(n, 2):
+                for t in start_charges(n, e):
+                    expected = outcome(stepwise_lower_pair, pair, t, e)
+                    got = outcome(blockwise_lower_pair, pair, t, e)
+                    assert got == expected, (pair, t, e)
+
+
+@st.composite
+def descent_inputs(draw, max_rank=80):
+    """(pair, t, e): a pair of total rank at most max_rank and a start charge."""
+    e = draw(st.integers(2, 6))
+    budget = max_rank
+    pair = []
+    for comp in draw(bipartitions(max_part=40, max_len=10)):
+        kept = []
+        for p in comp:
+            if p <= budget:
+                kept.append(p)
+                budget -= p
+        pair.append(tuple(kept))
+    t = draw(st.sampled_from(list(start_charges(multirank(pair), e))))
+    return tuple(pair), t, e
+
+
+@given(descent_inputs())
+def test_blockwise_lower_pair_matches_stepwise_reference_on_larger_pairs(case):
+    pair, t, e = case
+    assert outcome(blockwise_lower_pair, pair, t, e) == outcome(stepwise_lower_pair, pair, t, e)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: blockwise_lift((3, 2, 1), 3.0, 1),
+        lambda: blockwise_lift((3, 2, 1), 3, 1.0),
+        lambda: blockwise_lift((3, 2, 1), "3", 1),
+        lambda: blockwise_lower_pair(((10,), (14, 7, 7, 3, 3, 1)), 19.5, 4),
+        lambda: blockwise_lower_pair(((10,), (14, 7, 7, 3, 3, 1)), 19, 4.0),
+        lambda: blockwise_lower_pair(((10,), (14, 7, 7, 3, 3, 1)), "19", 4),
+        lambda: blockwise_lower(((1, 1), (2, 2)), 3.0, 2),
+        lambda: blockwise_lower(((1, 1), (2, 2)), 3, 2.0),
+        lambda: blockwise_lower(((1, 1), (2, 2)), 3, None),
+    ],
+)
+def test_engines_reject_non_integer_arguments(call):
+    with pytest.raises(InputError, match="must be an int"):
+        call()
 
 
 def test_blockwise_lower_flagship():

@@ -1,5 +1,6 @@
 """Tests for the three routes to the involution and the multisegment lift."""
 
+import random
 import sys
 
 import pytest
@@ -129,12 +130,26 @@ def test_xu_long_inputs_at_default_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
+def seeded_regular_partition(n, e, seed):
+    """A random e-regular partition of rank exactly n, fixed by the seed."""
+    rng = random.Random(seed)
+    lam = []
+    for p in sorted((rng.randint(1, 60) for _ in range(n // 25)), reverse=True):
+        if lam.count(p) < e - 1 and rank(lam) + p <= n:
+            lam.append(p)
+    lam[0] += n - rank(lam)
+    return tuple(lam)
+
+
 def test_crystal_long_inputs_at_default_recursion_limit():
     staircase = tuple(range(60, 0, -1))
+    random_4_regular = seeded_regular_partition(2000, 4, seed=6)
+    assert rank(random_4_regular) == 2000 and is_e_regular(random_4_regular, 4)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        for lam, e in (((1200,), 3), (staircase, 3), (staircase, 5)):
+        cases = (((1200,), 3), ((5000,), 3), (staircase, 3), (staircase, 5), (random_4_regular, 4))
+        for lam, e in cases:
             assert mullineux_crystal(lam, e) == xu(lam, e), (lam[:3], e)
     finally:
         sys.setrecursionlimit(limit)
