@@ -6,7 +6,9 @@
 * xu: the truncated-rim peeling algorithm (strip truncated e-rims down to
   the empty partition, then put their sizes back as columns).
 * kleshchev_oracle: the branching-rule recursion (peel a good removable
-  node of residue i, recurse, add a good addable node of residue -i).
+  node of residue i, recurse, add a good addable node of residue -i).  Each
+  step reads the good nodes of every residue off one pass over the corners
+  of the partition, the top and bottom rows of its blocks of equal parts.
 
 ak_mullineux transports the componentwise involution between charged
 multipartition sets along the crystal isomorphisms, and im_sharp conjugates
@@ -33,7 +35,15 @@ from .core import (
     part,
     rank,
 )
-from .crystal import _very_dominant_multiple, blockwise_lift, blockwise_lower, membership, psi
+from .crystal import (
+    _check_e,
+    _int_arg,
+    _very_dominant_multiple,
+    blockwise_lift,
+    blockwise_lower,
+    membership,
+    psi,
+)
 from .errors import InputError, InternalError, NoPathError, NotAdmissibleError
 from .multisegments import canonical, check_multisegment, chi, chi_inverse, is_aperiodic
 from .theta import theta_l2
@@ -50,15 +60,13 @@ def e_rim(lam, e):
     after every e-th node the walk jumps to the next row, skipping the rest
     of the current one.
     """
-    return _e_rim(check_partition(lam), e)
+    return _e_rim(check_partition(lam), _check_e(e))
 
 
 def _e_rim(lam, e):
-    """e_rim of a checked partition."""
+    """e_rim of a checked partition and e."""
     if not lam:
         raise InputError("the e-rim of the empty partition is undefined")
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
     nodes = []
     count = 0
     depth = len(lam)
@@ -79,11 +87,11 @@ def truncated_e_rim(lam, e):
     plus, when the e-rim size is not a multiple of e, the leftmost e-rim
     node of the last row.
     """
-    return _truncated_e_rim(check_partition(lam), e)
+    return _truncated_e_rim(check_partition(lam), _check_e(e))
 
 
 def _truncated_e_rim(lam, e):
-    """truncated_e_rim of a checked partition."""
+    """truncated_e_rim of a checked partition and e."""
     rim = _e_rim(lam, e)
     members = set(rim)
     chosen = [(i, j) for (i, j) in rim if (i, j - 1) in members]
@@ -99,7 +107,7 @@ def _truncated_e_rim(lam, e):
 
 def xu_strip(lam, e):
     """Remove the truncated e-rim; returns (smaller partition, nodes removed)."""
-    lam = check_partition(lam)
+    lam, e = check_partition(lam), _check_e(e)
     removed = _truncated_e_rim(lam, e)
     counts = {}
     for i, _ in removed:
@@ -111,13 +119,11 @@ def xu_strip(lam, e):
 
 
 def _regular_input(lam, e, who):
-    """The checked partition; InputError unless e >= 2 and lam is e-regular."""
-    lam = check_partition(lam)
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
+    """The checked (lam, e); InputError unless e is an int >= 2 and lam is e-regular."""
+    lam, e = check_partition(lam), _check_e(e)
     if not is_e_regular(lam, e):
         raise InputError(f"{who} needs an e-regular partition, got {lam} with e={e}")
-    return lam
+    return lam, e
 
 
 def xu(lam, e):
@@ -135,7 +141,7 @@ def _xu(lam, e, steps):
     """Strip truncated e-rims down to the empty partition, then put their sizes
     back as columns, last strip first; a `steps` list receives each stage.
     """
-    cur = _regular_input(lam, e, "xu")
+    cur, e = _regular_input(lam, e, "xu")
     chain = []
     while cur:
         cur, removed = xu_strip(cur, e)
@@ -155,28 +161,45 @@ def _xu(lam, e, steps):
 # Branching-rule route
 # ---------------------------------------------------------------------------
 
-def _signature(lam, e, i):
-    """Addable/removable i-nodes top-to-bottom: list of (kind, row)."""
-    entries = []
-    depth = len(lam)
-    for r in range(1, depth + 2):
-        cur = part(lam, r)
-        if (r == 1 or cur < part(lam, r - 1)) and (cur + 1 - r) % e == i:
-            entries.append(("A", r))
-        if r <= depth and cur > part(lam, r + 1) and (cur - r) % e == i:
-            entries.append(("R", r))
-    return entries
+def _good_nodes(lam, e):
+    """Rows of the good removable and good addable i-nodes of a checked lam,
+    as two lists indexed by the residue i, with 0 where there is none.
+
+    One pass over the corners: a block of equal parts has its addable node at
+    its top row and its removable node at its bottom row, and the row below
+    the last part is the top of a block of zeros.  Read top to bottom, a
+    removable i-node cancels the nearest addable i-node above it not yet
+    cancelled.  The good removable i-node is the lowest one that cancelled
+    nothing; the good addable i-node is the highest addable i-node left, the
+    first one read since the count of those left was last 0.
+    """
+    adds = [0] * e
+    first_add = [0] * e
+    removable = [0] * e
+    prev = None
+    for r, p in enumerate(lam + (0,)):
+        if p == prev:
+            continue
+        if r:  # the block of parts prev ends in row r
+            i = (prev - r) % e
+            if adds[i]:
+                adds[i] -= 1
+            else:
+                removable[i] = r
+        i = (p - r) % e  # a block of parts p starts in row r + 1
+        if not adds[i]:
+            first_add[i] = r + 1
+        adds[i] += 1
+        prev = p
+    return removable, [row if n else 0 for row, n in zip(first_add, adds)]
 
 
-def _reduced_signature(lam, e, i):
-    """The signature with adjacent "A then R" pairs cancelled."""
-    stack = []
-    for entry in _signature(lam, e, i):
-        if entry[0] == "R" and stack and stack[-1][0] == "A":
-            stack.pop()
-        else:
-            stack.append(entry)
-    return stack
+def _good_node_input(lam, e, i):
+    """The checked (lam, e, i); InputError unless e >= 2 and i is in 0..e-1."""
+    lam, e, i = check_partition(lam), _check_e(e), _int_arg("i", i)
+    if not 0 <= i < e:
+        raise InputError(f"i must be in 0..{e - 1}, got {i}")
+    return lam, e, i
 
 
 def good_removable_node(lam, e, i):
@@ -184,11 +207,9 @@ def good_removable_node(lam, e, i):
 
     It is the lowest removable node of the reduced signature.
     """
-    lam = check_partition(lam)
-    rows = [r for kind, r in _reduced_signature(lam, e, i) if kind == "R"]
-    if not rows:
-        return None
-    return (rows[-1], lam[rows[-1] - 1])
+    lam, e, i = _good_node_input(lam, e, i)
+    row = _good_nodes(lam, e)[0][i]
+    return (row, lam[row - 1]) if row else None
 
 
 def good_addable_node(lam, e, i):
@@ -196,11 +217,9 @@ def good_addable_node(lam, e, i):
 
     It is the highest addable node of the reduced signature.
     """
-    lam = check_partition(lam)
-    rows = [r for kind, r in _reduced_signature(lam, e, i) if kind == "A"]
-    if not rows:
-        return None
-    return (rows[0], part(lam, rows[0]) + 1)
+    lam, e, i = _good_node_input(lam, e, i)
+    row = _good_nodes(lam, e)[1][i]
+    return (row, part(lam, row) + 1) if row else None
 
 
 def kleshchev_oracle(lam, e):
@@ -209,31 +228,26 @@ def kleshchev_oracle(lam, e):
     Peel the good removable node of the smallest residue i carrying one,
     recurse, then add the good addable node of residue -i mod e.
     """
-    return _kleshchev(_regular_input(lam, e, "kleshchev_oracle"), e)
+    return _kleshchev(*_regular_input(lam, e, "kleshchev_oracle"))
 
 
 def _kleshchev_peel(lam, e):
     """(i, lam without its good removable i-node) for the least i carrying one."""
-    for i in range(e):
-        node = good_removable_node(lam, e, i)
-        if node is not None:
+    for i, row in enumerate(_good_nodes(lam, e)[0]):
+        if row:
             break
     else:
         raise InternalError(f"{lam} has no good removable node mod {e}")
-    peeled = list(lam)
-    peeled[node[0] - 1] -= 1
-    return i, tuple(p for p in peeled if p > 0)
+    p = lam[row - 1] - 1
+    return i, lam[: row - 1] + ((p,) if p else ()) + lam[row:]
 
 
 def _kleshchev_grow(lam, e, i):
     """lam with its good addable node of residue -i mod e added."""
-    target = good_addable_node(lam, e, (-i) % e)
-    if target is None:
+    row = _good_nodes(lam, e)[1][-i % e]
+    if not row:
         raise InternalError(f"{lam} has no good addable node of residue {(-i) % e}")
-    row = target[0]
-    grown = list(lam) + [0] * (row - len(lam))
-    grown[row - 1] += 1
-    return tuple(grown)
+    return lam[: row - 1] + (part(lam, row) + 1,) + lam[row:]
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +260,7 @@ def _kleshchev(lam, e):
 
 def kleshchev_trace(lam, e):
     """(image, steps) where steps record each peel and regrow."""
-    cur = _regular_input(lam, e, "kleshchev_oracle")
+    cur, e = _regular_input(lam, e, "kleshchev_oracle")
     peels = []
     while cur:
         i, cur = _kleshchev_peel(cur, e)
@@ -270,24 +284,24 @@ def mullineux_crystal(lam, e, s=None):
     against `psi`).  `s` in 1..e-1 picks the split charge (0, s) at every
     depth; it defaults to e - 1, and every choice gives the same answer.
     """
-    lam, s = _crystal_input(lam, e, s)
+    lam, e, s = _crystal_input(lam, e, s)
     return _crystal(lam, e, s)
 
 
 def mullineux_crystal_trace(lam, e, s=None):
     """(image, steps) recording the top-level unfolding of the recursion."""
-    lam, s = _crystal_input(lam, e, s)
+    lam, e, s = _crystal_input(lam, e, s)
     steps = []
     return _crystal(lam, e, s, steps), steps
 
 
 def _crystal_input(lam, e, s):
-    lam = _regular_input(lam, e, "mullineux_crystal")
+    lam, e = _regular_input(lam, e, "mullineux_crystal")
     if s is None:
         s = e - 1
     if not 1 <= s <= e - 1:
         raise InputError(f"s must be in 1..e-1, got {s}")
-    return lam, s
+    return lam, e, s
 
 
 # Images of the crystal route, keyed on (lam, e, s); `_crystal.cache_clear`

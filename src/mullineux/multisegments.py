@@ -15,17 +15,16 @@ multipartition to the fundamental representative first.
 
 from .charges import check_charge, fundamental_representative
 from .core import check_multipartition
-from .crystal import flotw_check, psi
+from .crystal import _check_e, _int_arg, flotw_check, psi
 from .errors import InputError, InternalError, NotAdmissibleError
 
 
 def check_multisegment(ms, e):
     """Normalize to the canonical tuple of (head, length) pairs."""
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
+    e = _check_e(e)
     segs = []
     for seg in ms:
-        head, length = int(seg[0]), int(seg[1])
+        head, length = _int_arg("segment head", seg[0]), _int_arg("segment length", seg[1])
         if length < 1:
             raise InputError(f"segment length must be >= 1, got {length}")
         segs.append((head % e, length))

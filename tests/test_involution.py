@@ -4,8 +4,18 @@ import random
 import sys
 
 import pytest
+from hypothesis import given
 
-from mullineux.core import conjugate, enumerate_e_regular, is_e_regular, rank
+import hypothesis.strategies as st
+
+from mullineux.core import (
+    conjugate,
+    enumerate_e_regular,
+    enumerate_partitions,
+    is_e_regular,
+    part,
+    rank,
+)
 
 from mullineux.errors import InputError, NoPathError
 
@@ -198,6 +208,128 @@ def test_good_nodes_cancelation():
     assert good_removable_node((3, 3), 3, 1) == (2, 3)
     assert good_removable_node((3, 3), 3, 0) is None
     assert good_addable_node((3, 3), 3, 0) == (1, 4)
+
+
+def signature(lam, e, i):
+    """Addable/removable i-nodes top-to-bottom, row by row: list of (kind, row)."""
+    entries = []
+    depth = len(lam)
+    for r in range(1, depth + 2):
+        cur = part(lam, r)
+        if (r == 1 or cur < part(lam, r - 1)) and (cur + 1 - r) % e == i:
+            entries.append(("A", r))
+        if r <= depth and cur > part(lam, r + 1) and (cur - r) % e == i:
+            entries.append(("R", r))
+    return entries
+
+
+def reduced_signature(lam, e, i):
+    """The signature with adjacent "A then R" pairs cancelled."""
+    stack = []
+    for entry in signature(lam, e, i):
+        if entry[0] == "R" and stack and stack[-1][0] == "A":
+            stack.pop()
+        else:
+            stack.append(entry)
+    return stack
+
+
+def reference_good_nodes(lam, e, i):
+    """(good removable, good addable) i-node read off the reduced signature.
+
+    The row-by-row search, one signature per residue: the reference that the
+    library's one pass over the corners is checked against.
+    """
+    reduced = reduced_signature(lam, e, i)
+    removable = [r for kind, r in reduced if kind == "R"]
+    addable = [r for kind, r in reduced if kind == "A"]
+    return (
+        (removable[-1], lam[removable[-1] - 1]) if removable else None,
+        (addable[0], part(lam, addable[0]) + 1) if addable else None,
+    )
+
+
+def assert_good_nodes_match_reference(lam, e):
+    for i in range(e):
+        got = (good_removable_node(lam, e, i), good_addable_node(lam, e, i))
+        assert got == reference_good_nodes(lam, e, i), (lam, e, i)
+
+
+def test_good_nodes_match_row_by_row_reference_exhaustively():
+    # Every partition, e-regular or not: blocks of e or more equal parts
+    # put an addable and a removable node of one residue in the same block.
+    for e in range(2, 7):
+        for n in range(13):
+            for lam in enumerate_partitions(n):
+                assert_good_nodes_match_reference(lam, e)
+
+
+@st.composite
+def partitions_up_to(draw, max_rank, max_part, regular):
+    """(lam, e): a partition of rank at most max_rank, e-regular if `regular`."""
+    e = draw(st.integers(2, 6))
+    most = e - 1 if regular else 2 * e + 1
+    mults = draw(st.dictionaries(st.integers(1, max_part), st.integers(1, most), max_size=30))
+    lam = []
+    for value in sorted(mults, reverse=True):
+        for _ in range(mults[value]):
+            if rank(lam) + value <= max_rank:
+                lam.append(value)
+    return tuple(lam), e
+
+
+@given(partitions_up_to(300, 60, regular=False))
+def test_good_nodes_match_row_by_row_reference_on_larger_partitions(case):
+    assert_good_nodes_match_reference(*case)
+
+
+@given(partitions_up_to(600, 120, regular=True))
+def test_kleshchev_matches_xu_on_larger_partitions(case):
+    # Rank 600 keeps the branching recursion well inside the default limit.
+    lam, e = case
+    assert kleshchev_oracle(lam, e) == xu(lam, e), (lam, e)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: good_removable_node((3, 3), 0, 0),
+        lambda: good_removable_node((3, 3), 1, 0),
+        lambda: good_removable_node((3, 3), 3.0, 1),
+        lambda: good_removable_node((3, 3), 3, 3),
+        lambda: good_removable_node((3, 3), 3, 4),
+        lambda: good_removable_node((3, 3), 3, -1),
+        lambda: good_removable_node((3, 3), 3, 1.0),
+        lambda: good_addable_node((3, 3), 0, 0),
+        lambda: good_addable_node((3, 3), 1, 0),
+        lambda: good_addable_node((3, 3), "3", 0),
+        lambda: good_addable_node((3, 3), 3, 3),
+        lambda: good_addable_node((3, 3), 3, None),
+    ],
+)
+def test_good_nodes_reject_bad_e_and_residue(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        kleshchev_oracle,
+        kleshchev_trace,
+        xu,
+        xu_trace,
+        mullineux_crystal,
+        mullineux_crystal_trace,
+        e_rim,
+        truncated_e_rim,
+        xu_strip,
+    ],
+)
+@pytest.mark.parametrize("e", [3.0, 3.5, "3", None])
+def test_routes_reject_non_integer_e(route, e):
+    with pytest.raises(InputError, match="e must be an int"):
+        route((2, 1), e)
 
 
 def test_mullineux_crystal_known_images():

@@ -41,6 +41,22 @@ def test_check_multisegment():
             check_multisegment(bad, 3)
 
 
+@pytest.mark.parametrize(
+    "ms, e",
+    [
+        (((0, 1.5), (2.7, 1)), 3),
+        (((0, 1), (2.7, 1)), 3),
+        (((0, 1), (1, 1)), 3.0),
+        (((0, 1),), 2.5),
+        ((("0", 1),), 3),
+        (((0, None),), 3),
+    ],
+)
+def test_check_multisegment_rejects_non_integers(ms, e):
+    with pytest.raises(InputError, match="must be an int"):
+        check_multisegment(ms, e)
+
+
 def test_segment_tail():
     # The tail residue is head + length - 1 mod e.
     for seg, e, expected in (((2, 6), 3, 1), ((0, 1), 3, 0), ((1, 2), 3, 2)):
