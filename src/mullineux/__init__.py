@@ -7,11 +7,9 @@ from .charges import (
     act_tau,
     act_tau_inv,
     apply_word,
-    contains,
     fundamental_representative,
     inverse_word,
     is_fundamental,
-    is_very_dominant,
     normalization_word,
     path_word,
     residue_counts,
@@ -26,12 +24,10 @@ from .core import (
     enumerate_e_regular,
     enumerate_multipartitions,
     enumerate_partitions,
-    first_column_length,
     is_e_regular,
     is_strict_e_core,
     max_hook_length,
     multirank,
-    node_residue,
     part,
     rank,
     remove_first_column,
@@ -74,7 +70,6 @@ from .multisegments import (
     canonical,
     chi,
     chi_inverse,
-    is_admissible,
     is_aperiodic,
     multisegment_length,
     segment_tail,

@@ -13,19 +13,13 @@ left to right.  The fundamental domain consists of the charges with
 s_1 <= s_2 <= ... <= s_l < s_1 + e.
 """
 
-import operator
-
+from .core import _int_seq
 from .errors import InputError, InternalError, NoPathError
 
 
 def check_charge(s):
     """Normalize to a tuple of ints; must be nonempty."""
-    if isinstance(s, str):
-        raise InputError(f"a multicharge must be a sequence of ints, got {s!r}")
-    try:
-        t = tuple(operator.index(x) for x in s)
-    except TypeError as exc:
-        raise InputError(f"charge entries must be ints: {tuple(s)!r}") from exc
+    t = _int_seq("charge entries", s)
     if not t:
         raise InputError("a multicharge needs at least one entry")
     return t
@@ -98,11 +92,6 @@ def is_fundamental(s, e):
     return all(a <= b for a, b in zip(s, s[1:])) and s[-1] < s[0] + e
 
 
-def is_very_dominant(s, n):
-    """True when consecutive gaps all exceed n - 1."""
-    return all(b - a > n - 1 for a, b in zip(s, s[1:]))
-
-
 def residue_counts(s, e):
     """How many entries of s fall in each residue class mod e."""
     counts = [0] * e
@@ -114,13 +103,6 @@ def residue_counts(s, e):
 def same_orbit(s, t, e):
     """Two charges lie in one orbit iff their residue multisets mod e agree."""
     return len(s) == len(t) and residue_counts(s, e) == residue_counts(t, e)
-
-
-def contains(s, t, e):
-    """Componentwise residue-count comparison: every class of s fits in t."""
-    cs = residue_counts(s, e)
-    ct = residue_counts(t, e)
-    return all(a <= b for a, b in zip(cs, ct))
 
 
 def fundamental_representative(s, e):

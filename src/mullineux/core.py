@@ -3,11 +3,40 @@
 A partition is stored as a tuple of weakly decreasing positive integers;
 the empty partition is ().  Parts beyond the last stored one are 0, which
 the accessor `part` makes explicit.  Nodes of the Young diagram are
-(row, column) pairs with 1-based indices; for multipartitions a node is
-(row, column, component) with the component also 1-based.
+(row, column) pairs with 1-based indices.
+
+The public functions of the package check `e`, split charges, residues,
+partition parts and charge entries with `_int_arg` and `_int_seq`, once, at
+the boundary; internal kernels take the checked values.
 """
 
+import operator
+
 from .errors import InputError
+
+
+def _int_arg(name, x, lo=None, hi=None):
+    """x read with operator.index; InputError unless it is an int in lo..hi.
+
+    Both bounds are inclusive; `lo` alone is a lower bound, and no bound
+    checks the type only.
+    """
+    try:
+        x = operator.index(x)
+    except TypeError as exc:
+        raise InputError(f"{name} must be an int, got {x!r}") from exc
+    if (lo is not None and x < lo) or (hi is not None and x > hi):
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise InputError(f"{name} must be {bound}, got {x}")
+    return x
+
+
+def _int_seq(what, xs):
+    """The entries of xs as a tuple of ints, each read with operator.index."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError as exc:
+        raise InputError(f"{what} must be ints: {xs!r}") from exc
 
 
 def check_partition(parts):
@@ -16,7 +45,7 @@ def check_partition(parts):
     Accepts any iterable of integers that is weakly decreasing once zeros
     are removed; raises InputError otherwise.
     """
-    seq = tuple(int(p) for p in parts)
+    seq = _int_seq("parts", parts)
     while seq and seq[-1] == 0:
         seq = seq[:-1]
     for a, b in zip(seq, seq[1:]):
@@ -54,8 +83,7 @@ def multirank(mp):
 
 def is_e_regular(lam, e):
     """True when no part value occurs e or more times."""
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
+    e = _int_arg("e", e, 2)
     run = 0
     prev = None
     for p in lam:
@@ -86,7 +114,7 @@ def is_strict_e_core(lam, e):
     This is strictly stronger than having no hook of length exactly e.
     The empty partition is a strict core for every e.
     """
-    return max_hook_length(lam) < e
+    return max_hook_length(lam) < _int_arg("e", e, 2)
 
 
 def concat(*partitions):
@@ -95,28 +123,6 @@ def concat(*partitions):
     for lam in partitions:
         merged.extend(lam)
     return tuple(sorted(merged, reverse=True))
-
-
-def node_residue(node, charge, e):
-    """Residue (b - a + s_c) mod e of a node (a, b, c).
-
-    `node` is (row, column) with an implied component 1, or (row, column,
-    component).  `charge` is the multicharge tuple; for a plain partition
-    pass a 1-tuple.
-    """
-    if len(node) == 2:
-        a, b = node
-        c = 1
-    else:
-        a, b, c = node
-    if not 1 <= c <= len(charge):
-        raise InputError(f"component {c} outside multicharge of length {len(charge)}")
-    return (b - a + charge[c - 1]) % e
-
-
-def first_column_length(lam):
-    """Number of nonzero parts."""
-    return len(lam)
 
 
 def remove_first_column(lam):

@@ -11,8 +11,6 @@ level-2 isomorphisms between a fundamental charge and a very dominant one;
 the crystal route runs on them, with psi as their independent reference.
 """
 
-import operator
-
 from .charges import (
     act_sigma,
     act_tau,
@@ -21,7 +19,7 @@ from .charges import (
     fundamental_representative,
     path_word,
 )
-from .core import check_multipartition, check_partition, enumerate_multipartitions, part
+from .core import _int_arg, check_multipartition, check_partition, enumerate_multipartitions, part
 from .errors import InputError, InternalError, MalformedSymbolError
 from .symbols import _symbol, decode_symbol, match_step
 
@@ -34,8 +32,7 @@ def flotw_check(mp, charge, e):
     (3) for every part value k, the residues of the row ends of length-k rows
         do not exhaust Z/eZ.
     """
-    mp = check_multipartition(mp)
-    s = check_charge(charge)
+    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
     if len(mp) != len(s):
         raise InputError(f"{len(mp)} components vs {len(s)} charges")
     if not all(a <= b for a, b in zip(s, s[1:])) or s[-1] >= s[0] + e:
@@ -58,17 +55,20 @@ def flotw_check(mp, charge, e):
 
 def psi_sigma(mp, charge, e, c):
     """Apply the isomorphism for sigma_c: symbol matching on components c, c+1."""
-    return _step(check_multipartition(mp), check_charge(charge), ("sigma", c), e)
+    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
+    return _step(mp, s, ("sigma", _int_arg("sigma index", c)), e)
 
 
 def psi_tau(mp, charge, e):
     """Apply the isomorphism for tau: rotate components left."""
-    return _step(check_multipartition(mp), check_charge(charge), ("tau",), e)
+    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
+    return _step(mp, s, ("tau",), e)
 
 
 def psi_tau_inv(mp, charge, e):
     """Apply the isomorphism for tau inverse: rotate components right."""
-    return _step(check_multipartition(mp), check_charge(charge), ("tau_inv",), e)
+    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
+    return _step(mp, s, ("tau_inv",), e)
 
 
 def _step(mp, s, gen, e):
@@ -85,7 +85,7 @@ def _step(mp, s, gen, e):
 
 def psi_shift_up(mp, charge, e):
     """Level-2 shortcut (s1, s2) -> (s1, s2 + e): sigma_1 then tau."""
-    mp, s = check_multipartition(mp), check_charge(charge)
+    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
     if len(mp) != 2 or len(s) != 2:
         raise InputError("psi_shift_up needs a level-2 multipartition")
     mp, s = _step(mp, s, ("sigma", 1), e)
@@ -94,7 +94,7 @@ def psi_shift_up(mp, charge, e):
 
 def psi_shift_down(mp, charge, e):
     """Level-2 shortcut (s1, s2) -> (s1, s2 - e): tau inverse then sigma_1."""
-    mp, s = check_multipartition(mp), check_charge(charge)
+    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
     if len(mp) != 2 or len(s) != 2:
         raise InputError("psi_shift_down needs a level-2 multipartition")
     mp, s = _step(mp, s, ("tau_inv",), e)
@@ -108,8 +108,8 @@ def psi(mp, charge, to, e):
     MalformedSymbolError when `mp` does not belong to the source set.
     """
     mp = check_multipartition(mp)
-    s = check_charge(charge)
-    t = check_charge(to)
+    s, t = check_charge(charge), check_charge(to)
+    e = _int_arg("e", e, 2)
     if len(mp) != len(s):
         raise InputError(f"{len(mp)} components vs {len(s)} charges")
     if s == t:
@@ -128,8 +128,7 @@ def membership(mp, charge, e):
     is transported to the fundamental representative first.  Inputs that the
     transport cannot decode are reported as non-members.
     """
-    mp = check_multipartition(mp)
-    s = check_charge(charge)
+    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
     f = fundamental_representative(s, e)
     if s == f:
         return flotw_check(mp, s, e)
@@ -146,7 +145,7 @@ def enumerate_phi(n, charge, e):
     At a fundamental charge this filters all multipartitions of n through
     flotw_check; elsewhere it is the isomorphic image of the fundamental set.
     """
-    s = check_charge(charge)
+    s, e = check_charge(charge), _int_arg("e", e, 2)
     f = fundamental_representative(s, e)
     if s == f:
         found = [mp for mp in enumerate_multipartitions(n, len(s)) if flotw_check(mp, s, e)]
@@ -158,22 +157,6 @@ def enumerate_phi(n, charge, e):
 def _very_dominant_multiple(offset, n, e):
     """Least k >= 1 with offset + k*e very dominant over rank n at level 2."""
     return max(1, (n - 1 - offset) // e + 1)
-
-
-def _int_arg(name, x):
-    """x as an int, read with operator.index as check_charge reads charge entries."""
-    try:
-        return operator.index(x)
-    except TypeError as exc:
-        raise InputError(f"{name} must be an int, got {x!r}") from exc
-
-
-def _check_e(e):
-    """e as an int; InputError unless it is an int >= 2."""
-    e = _int_arg("e", e)
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
-    return e
 
 
 def _greatest_below(candidates, c):
@@ -203,10 +186,8 @@ def blockwise_lift(lam, e, s):
     least every source content); the remaining rows of lam2 are then
     appended to mu.  Returns (lam1, mu).
     """
-    lam = check_partition(lam)
-    e, s = _check_e(e), _int_arg("s", s)
-    if not 0 <= s < e:
-        raise InputError(f"s must be in 0..e-1, got {s}")
+    lam, e = check_partition(lam), _int_arg("e", e, 2)
+    s = _int_arg("s", s, 0, e - 1)
     lam1 = list(lam[: e - s])
     lam2 = list(lam[e - s :])
     t = s
@@ -281,7 +262,7 @@ def blockwise_lower_pair(pair, start_charge, e):
     """
     nu1 = check_partition(pair[0])
     nu2 = check_partition(pair[1])
-    e, t = _check_e(e), _int_arg("start charge", start_charge)
+    e, t = _int_arg("e", e, 2), _int_arg("start charge", start_charge)
     final_t = t % e
     if final_t == 0 or t < final_t:
         raise InputError(f"start charge {t} is not of the form k*e - s with 0 < s < e")
@@ -361,9 +342,8 @@ def blockwise_lower(pair, e, s):
     """
     nu1 = check_partition(pair[0])
     nu2 = check_partition(pair[1])
-    e, s = _check_e(e), _int_arg("s", s)
-    if not 0 < s < e:
-        raise InputError(f"s must be in 1..e-1, got {s}")
+    e = _int_arg("e", e, 2)
+    s = _int_arg("s", s, 1, e - 1)
     n = sum(nu1) + sum(nu2)
     k = _very_dominant_multiple(-s, n, e)
     final1, final2 = _lower_pair(nu1, nu2, -s + k * e, e)

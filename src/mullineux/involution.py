@@ -26,18 +26,17 @@ from .charges import (
     very_dominant_representative,
 )
 from .core import (
+    _int_arg,
     check_multipartition,
     check_partition,
     conjugate,
     is_e_regular,
-    is_strict_e_core,
+    max_hook_length,
     multirank,
     part,
     rank,
 )
 from .crystal import (
-    _check_e,
-    _int_arg,
     _very_dominant_multiple,
     blockwise_lift,
     blockwise_lower,
@@ -60,7 +59,7 @@ def e_rim(lam, e):
     after every e-th node the walk jumps to the next row, skipping the rest
     of the current one.
     """
-    return _e_rim(check_partition(lam), _check_e(e))
+    return _e_rim(check_partition(lam), _int_arg("e", e, 2))
 
 
 def _e_rim(lam, e):
@@ -87,7 +86,7 @@ def truncated_e_rim(lam, e):
     plus, when the e-rim size is not a multiple of e, the leftmost e-rim
     node of the last row.
     """
-    return _truncated_e_rim(check_partition(lam), _check_e(e))
+    return _truncated_e_rim(check_partition(lam), _int_arg("e", e, 2))
 
 
 def _truncated_e_rim(lam, e):
@@ -107,7 +106,7 @@ def _truncated_e_rim(lam, e):
 
 def xu_strip(lam, e):
     """Remove the truncated e-rim; returns (smaller partition, nodes removed)."""
-    lam, e = check_partition(lam), _check_e(e)
+    lam, e = check_partition(lam), _int_arg("e", e, 2)
     removed = _truncated_e_rim(lam, e)
     counts = {}
     for i, _ in removed:
@@ -120,7 +119,7 @@ def xu_strip(lam, e):
 
 def _regular_input(lam, e, who):
     """The checked (lam, e); InputError unless e is an int >= 2 and lam is e-regular."""
-    lam, e = check_partition(lam), _check_e(e)
+    lam, e = check_partition(lam), _int_arg("e", e, 2)
     if not is_e_regular(lam, e):
         raise InputError(f"{who} needs an e-regular partition, got {lam} with e={e}")
     return lam, e
@@ -196,10 +195,8 @@ def _good_nodes(lam, e):
 
 def _good_node_input(lam, e, i):
     """The checked (lam, e, i); InputError unless e >= 2 and i is in 0..e-1."""
-    lam, e, i = check_partition(lam), _check_e(e), _int_arg("i", i)
-    if not 0 <= i < e:
-        raise InputError(f"i must be in 0..{e - 1}, got {i}")
-    return lam, e, i
+    lam, e = check_partition(lam), _int_arg("e", e, 2)
+    return lam, e, _int_arg("i", i, 0, e - 1)
 
 
 def good_removable_node(lam, e, i):
@@ -297,10 +294,7 @@ def mullineux_crystal_trace(lam, e, s=None):
 
 def _crystal_input(lam, e, s):
     lam, e = _regular_input(lam, e, "mullineux_crystal")
-    if s is None:
-        s = e - 1
-    if not 1 <= s <= e - 1:
-        raise InputError(f"s must be in 1..e-1, got {s}")
+    s = e - 1 if s is None else _int_arg("s", s, 1, e - 1)
     return lam, e, s
 
 
@@ -321,7 +315,7 @@ def _crystal(lam, e, s, steps=None):
         cur = todo[-1]
         if (cur, e, s) in _crystal_images:
             todo.pop()
-        elif not cur or is_strict_e_core(cur, e):
+        elif max_hook_length(cur) < e:  # a strict core, or empty
             _crystal_images[cur, e, s] = conjugate(cur)
         elif cur in lifts:
             nu = tuple(_crystal_images[c, e, s] for c in lifts[cur])
@@ -336,7 +330,7 @@ def _crystal(lam, e, s, steps=None):
     img = _crystal_images[lam, e, s]
     if steps is None:
         return img
-    if not lam or is_strict_e_core(lam, e):
+    if max_hook_length(lam) < e:
         steps.append(("conjugate strict core" if lam else "empty", (0,), (img,)))
         return img
     up = (0, s + _very_dominant_multiple(s, rank(lam), e) * e)

@@ -14,19 +14,17 @@ multipartition to the fundamental representative first.
 """
 
 from .charges import check_charge, fundamental_representative
-from .core import check_multipartition
-from .crystal import _check_e, _int_arg, flotw_check, psi
+from .core import _int_arg, check_multipartition
+from .crystal import flotw_check, psi
 from .errors import InputError, InternalError, NotAdmissibleError
 
 
 def check_multisegment(ms, e):
     """Normalize to the canonical tuple of (head, length) pairs."""
-    e = _check_e(e)
+    e = _int_arg("e", e, 2)
     segs = []
     for seg in ms:
-        head, length = _int_arg("segment head", seg[0]), _int_arg("segment length", seg[1])
-        if length < 1:
-            raise InputError(f"segment length must be >= 1, got {length}")
+        head, length = _int_arg("segment head", seg[0]), _int_arg("segment length", seg[1], 1)
         segs.append((head % e, length))
     return canonical(segs)
 
@@ -39,7 +37,7 @@ def canonical(segments):
 def segment_tail(seg, e):
     """Residue of the last entry of the segment."""
     head, length = seg
-    return (head + length - 1) % e
+    return (head + length - 1) % _int_arg("e", e, 2)
 
 
 def multisegment_length(ms):
@@ -49,6 +47,7 @@ def multisegment_length(ms):
 
 def is_aperiodic(ms, e):
     """No length L has segments of that length realizing every tail residue."""
+    e = _int_arg("e", e, 2)
     tails = {}
     for seg in ms:
         tails.setdefault(seg[1], set()).add(segment_tail(seg, e))
@@ -57,8 +56,7 @@ def is_aperiodic(ms, e):
 
 def chi(mp, charge, e):
     """Multisegment of a charged multipartition (rows read as segments)."""
-    mp = check_multipartition(mp)
-    s = check_charge(charge)
+    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
     if len(mp) != len(s):
         raise InputError(f"{len(mp)} components vs {len(s)} charges")
     f = fundamental_representative(s, e)
@@ -139,14 +137,3 @@ def chi_inverse(ms, charge, e):
     if s == f:
         return found
     return psi(found, f, s, e)
-
-
-def is_admissible(ms, charge, e):
-    """Whether the multisegment has a preimage at `charge` (chi_inverse succeeds)."""
-    s = check_charge(charge)
-    ms = check_multisegment(ms, e)
-    try:
-        chi_inverse(ms, s, e)
-    except NotAdmissibleError:
-        return False
-    return True

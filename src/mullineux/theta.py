@@ -13,7 +13,7 @@ between component 2 and component 1.
 """
 
 from .charges import check_charge, is_fundamental
-from .core import check_partition, concat, is_e_regular
+from .core import _int_arg, check_partition, concat, is_e_regular
 from .errors import InputError
 
 
@@ -21,8 +21,7 @@ def theta(lam, e, charge):
     """Split an e-regular partition over the components of a fundamental charge."""
     lam = check_partition(lam)
     s = check_charge(charge)
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
+    e = _int_arg("e", e, 2)
     if not is_fundamental(s, e):
         raise InputError(f"theta needs a fundamental multicharge, got {s}")
     if not is_e_regular(lam, e):
@@ -62,11 +61,8 @@ def _wrap(x, l):
 
 def theta_l2(lam, e, s):
     """Level-2 block rule for charge (0, s): alternate blocks of e parts."""
-    lam = check_partition(lam)
-    if e < 2:
-        raise InputError(f"e must be >= 2, got {e}")
-    if not 0 <= s < e:
-        raise InputError(f"s must be in 0..e-1, got {s}")
+    lam, e = check_partition(lam), _int_arg("e", e, 2)
+    s = _int_arg("s", s, 0, e - 1)
     if not is_e_regular(lam, e):
         raise InputError(f"theta needs an e-regular partition, got {lam} with e={e}")
     comp1 = list(lam[: e - s])

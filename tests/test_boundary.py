@@ -1,0 +1,173 @@
+"""The public boundary: the exported names, and the integer checks that the
+public functions make on `e`, split charges and residues."""
+
+import importlib
+import inspect
+
+import pytest
+
+import mullineux
+from mullineux import (
+    InputError,
+    ak_mullineux,
+    blockwise_lift,
+    blockwise_lower,
+    blockwise_lower_pair,
+    chi,
+    chi_inverse,
+    e_rim,
+    enumerate_e_regular,
+    enumerate_phi,
+    flotw_check,
+    good_addable_node,
+    good_removable_node,
+    im_sharp,
+    is_aperiodic,
+    is_e_regular,
+    is_strict_e_core,
+    kleshchev_oracle,
+    membership,
+    mullineux_crystal,
+    psi,
+    psi_shift_down,
+    psi_shift_up,
+    psi_sigma,
+    psi_tau,
+    psi_tau_inv,
+    segment_tail,
+    theta,
+    theta_l2,
+    truncated_e_rim,
+    xu,
+    xu_strip,
+)
+from mullineux.involution import kleshchev_trace, mullineux_crystal_trace, xu_trace
+from mullineux.multisegments import check_multisegment
+
+PUBLIC_NAMES = [
+    "InputError", "InternalError", "MalformedSymbolError", "MullineuxError",
+    "NoPathError", "NotAdmissibleError", "Symbol", "act_shift", "act_sigma",
+    "act_tau", "act_tau_inv", "ak_mullineux", "apply_word", "blockwise_lift",
+    "blockwise_lower", "blockwise_lower_pair", "build_symbol", "canonical",
+    "charges", "chi", "chi_inverse", "concat", "conjugate", "core", "crystal",
+    "decode_symbol", "e_rim", "enumerate_e_regular", "enumerate_multipartitions",
+    "enumerate_partitions", "enumerate_phi", "errors", "flotw_check",
+    "fundamental_representative", "good_addable_node", "good_removable_node",
+    "im_sharp", "inverse_word", "involution", "is_aperiodic", "is_e_regular",
+    "is_fundamental", "is_strict_e_core", "kleshchev_oracle", "match_step",
+    "max_hook_length", "membership", "mullineux_crystal", "multirank",
+    "multisegment_length", "multisegments", "normalization_word", "part",
+    "path_word", "psi", "psi_shift_down", "psi_shift_up", "psi_sigma", "psi_tau",
+    "psi_tau_inv", "rank", "remove_first_column", "residue_counts", "same_orbit",
+    "segment_tail", "sharp_very_dominant", "symbol_depth", "symbols", "theta",
+    "theta_inverse", "theta_l2", "transpose_charge", "truncated_e_rim",
+    "very_dominant_representative", "xu", "xu_strip",
+]
+
+
+def test_public_surface_is_pinned():
+    # A new public name has to be added here on purpose.
+    assert sorted(mullineux.__all__) == PUBLIC_NAMES
+
+
+LAM = (2, 1)
+BIP = ((1,), ())
+PAIR = ((1,), (1,))
+MS = ((0, 1),)
+
+# One call per public function that takes e, valid at e = 3.
+E_CALLS = {
+    "core.is_e_regular": lambda e: is_e_regular(LAM, e),
+    "core.is_strict_e_core": lambda e: is_strict_e_core(LAM, e),
+    "core.enumerate_e_regular": lambda e: list(enumerate_e_regular(3, e)),
+    "theta.theta": lambda e: theta(LAM, e, (0, 1)),
+    "theta.theta_l2": lambda e: theta_l2(LAM, e, 1),
+    "crystal.flotw_check": lambda e: flotw_check(BIP, (0, 1), e),
+    "crystal.psi_sigma": lambda e: psi_sigma(BIP, (0, 1), e, 1),
+    "crystal.psi_tau": lambda e: psi_tau(BIP, (0, 1), e),
+    "crystal.psi_tau_inv": lambda e: psi_tau_inv(BIP, (0, 1), e),
+    "crystal.psi_shift_up": lambda e: psi_shift_up(BIP, (0, 1), e),
+    "crystal.psi_shift_down": lambda e: psi_shift_down(BIP, (0, 4), e),
+    "crystal.psi": lambda e: psi(BIP, (0, 1), (0, 4), e),
+    "crystal.membership": lambda e: membership(BIP, (0, 1), e),
+    "crystal.enumerate_phi": lambda e: enumerate_phi(2, (0, 1), e),
+    "crystal.blockwise_lift": lambda e: blockwise_lift(LAM, e, 1),
+    "crystal.blockwise_lower_pair": lambda e: blockwise_lower_pair(PAIR, 5, e),
+    "crystal.blockwise_lower": lambda e: blockwise_lower(PAIR, e, 1),
+    "multisegments.check_multisegment": lambda e: check_multisegment(MS, e),
+    "multisegments.segment_tail": lambda e: segment_tail(MS[0], e),
+    "multisegments.is_aperiodic": lambda e: is_aperiodic(MS, e),
+    "multisegments.chi": lambda e: chi(BIP, (0, 1), e),
+    "multisegments.chi_inverse": lambda e: chi_inverse(MS, (0, 1), e),
+    "involution.e_rim": lambda e: e_rim(LAM, e),
+    "involution.truncated_e_rim": lambda e: truncated_e_rim(LAM, e),
+    "involution.xu_strip": lambda e: xu_strip(LAM, e),
+    "involution.xu": lambda e: xu(LAM, e),
+    "involution.xu_trace": lambda e: xu_trace(LAM, e),
+    "involution.good_removable_node": lambda e: good_removable_node(LAM, e, 0),
+    "involution.good_addable_node": lambda e: good_addable_node(LAM, e, 0),
+    "involution.kleshchev_oracle": lambda e: kleshchev_oracle(LAM, e),
+    "involution.kleshchev_trace": lambda e: kleshchev_trace(LAM, e),
+    "involution.mullineux_crystal": lambda e: mullineux_crystal(LAM, e),
+    "involution.mullineux_crystal_trace": lambda e: mullineux_crystal_trace(LAM, e),
+    "involution.ak_mullineux": lambda e: ak_mullineux(BIP, (0, 1), (-1, 0), e),
+    "involution.im_sharp": lambda e: im_sharp(MS, e),
+}
+
+
+def test_e_table_covers_every_public_function_taking_e():
+    found = set()
+    for short in ("core", "theta", "crystal", "multisegments", "involution"):
+        module = importlib.import_module(f"mullineux.{short}")
+        for name, fn in vars(module).items():
+            if (
+                inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+                and not name.startswith("_")
+                and "e" in inspect.signature(fn).parameters
+            ):
+                found.add(f"{short}.{name}")
+    assert found == set(E_CALLS)
+
+
+@pytest.mark.parametrize("label", sorted(E_CALLS))
+def test_sample_call_is_valid_at_e_3(label):
+    E_CALLS[label](3)
+
+
+@pytest.mark.parametrize("e", [0, 1, 2.5, 3.0])
+@pytest.mark.parametrize("label", sorted(E_CALLS))
+def test_bad_e_is_an_input_error(label, e):
+    with pytest.raises(InputError, match="^e must be"):
+        E_CALLS[label](e)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: theta_l2(LAM, 3, 1.0),
+        # A strict core never reaches the engines that read s.
+        lambda: mullineux_crystal((2,), 3, 1.0),
+        lambda: mullineux_crystal_trace((2,), 3, 1.0),
+        lambda: psi_sigma(BIP, (0, 1), 3, 1.0),
+    ],
+)
+def test_non_integer_arguments_are_input_errors(call):
+    with pytest.raises(InputError, match="must be an int"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: theta_l2(LAM, 3, 3), "s must be in 0..2, got 3"),
+        (lambda: blockwise_lift(LAM, 3, -1), "s must be in 0..2, got -1"),
+        (lambda: blockwise_lower(PAIR, 3, 0), "s must be in 1..2, got 0"),
+        (lambda: mullineux_crystal((2,), 3, 3), "s must be in 1..2, got 3"),
+        (lambda: good_removable_node(LAM, 3, 3), "i must be in 0..2, got 3"),
+        (lambda: check_multisegment(((0, 0),), 3), "segment length must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_arguments_name_their_range(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()

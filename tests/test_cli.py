@@ -130,6 +130,24 @@ def test_crystal_answers_a_long_row(capsys):
     assert mullineux.xu((1200,), 3) == (600, 600)
 
 
+@pytest.mark.parametrize("e", ["0", "1", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mullineux", "--partition", "2"),
+        ("crystal-iso", "--charge", "0,1", "--to", "0,4", "--bipartition", "1|-"),
+        ("theta", "--charge", "0,1", "--partition", "2"),
+        ("im", "--multisegment", "0:1"),
+        ("enumerate", "--n", "2"),
+        ("enumerate", "--n", "2", "--charge", "0,1"),
+    ],
+)
+def test_every_subcommand_rejects_a_bad_modulus(capsys, argv, e):
+    code, out, err = run(capsys, *argv, "--e", e)
+    assert (code, out) == (2, "")
+    assert err == f"error: e must be >= 2, got {e}\n"
+
+
 def test_mullineux_rejects_bad_parse(capsys):
     code, out, err = run(capsys, "mullineux", "--e", "3", "--partition", "2,3")
     assert code == 2

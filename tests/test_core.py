@@ -1,4 +1,4 @@
-"""Tests for partition primitives: validation, conjugation, cores, residues."""
+"""Tests for partition primitives: validation, conjugation, cores, enumeration."""
 
 import pytest
 
@@ -15,12 +15,10 @@ from mullineux.core import (
     enumerate_e_regular,
     enumerate_multipartitions,
     enumerate_partitions,
-    first_column_length,
     is_e_regular,
     is_strict_e_core,
     max_hook_length,
     multirank,
-    node_residue,
     part,
     rank,
     remove_first_column,
@@ -62,7 +60,7 @@ def test_check_partition_normalizes():
 
 
 def test_check_partition_rejects():
-    for raw in ((1, 2), (2, -1), (-1,), (2, 3, 1), (1, 0, 1)):
+    for raw in ((1, 2), (2, -1), (-1,), (2, 3, 1), (1, 0, 1), (2.5, 1), "31", (3, None), 3):
         with pytest.raises(InputError):
             check_partition(raw)
 
@@ -177,27 +175,6 @@ def test_concat_is_sorted_union(lam, mu):
     out = concat(lam, mu)
     assert out == tuple(sorted(lam + mu, reverse=True))
     assert rank(out) == rank(lam) + rank(mu)
-
-
-def test_node_residue_table():
-    # Nodes are (row, column, component); components are 1-based.
-    for node, charge, e, expected in (
-        ((2, 1, 1), (0,), 4, 3),
-        ((1, 1, 1), (0,), 4, 0),
-        ((1, 2, 1), (0,), 4, 1),
-        ((3, 1, 2), (0, 1), 3, 2),
-        ((1, 4, 1), (2,), 3, 2),
-    ):
-        assert node_residue(node, charge, e) == expected, (node, charge, e)
-
-
-def test_first_column_length():
-    for lam, expected in (
-        ((17, 9, 7, 6, 3, 3), 6),
-        ((), 0),
-        ((1,), 1),
-    ):
-        assert first_column_length(lam) == expected, lam
 
 
 def test_remove_first_column():

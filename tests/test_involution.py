@@ -305,6 +305,7 @@ def test_kleshchev_matches_xu_on_larger_partitions(case):
         lambda: good_addable_node((3, 3), "3", 0),
         lambda: good_addable_node((3, 3), 3, 3),
         lambda: good_addable_node((3, 3), 3, None),
+        lambda: good_addable_node((3, 3), 3, 1.0),
     ],
 )
 def test_good_nodes_reject_bad_e_and_residue(call):

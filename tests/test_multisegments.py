@@ -13,7 +13,6 @@ from mullineux.multisegments import (
     check_multisegment,
     chi,
     chi_inverse,
-    is_admissible,
     is_aperiodic,
     multisegment_length,
     segment_tail,
@@ -111,15 +110,6 @@ def test_chi_inverse_after_splitting():
 def test_chi_inverse_not_admissible():
     with pytest.raises(NotAdmissibleError):
         chi_inverse(MS_334, (0, 0), 3)
-
-
-def test_is_admissible_table():
-    for ms, charge, e, expected in (
-        (MS_334, (0, 1), 3, True),
-        (MS_334, (0, 0), 3, False),
-        ((), (0, 1), 3, True),
-    ):
-        assert is_admissible(ms, charge, e) is expected, (ms, charge)
 
 
 def test_chi_round_trip_members():
