@@ -13,7 +13,7 @@ left to right.  The fundamental domain consists of the charges with
 s_1 <= s_2 <= ... <= s_l < s_1 + e.
 """
 
-from .core import _int_seq
+from .core import _int_arg, _int_seq
 from .errors import InputError, InternalError, NoPathError
 
 
@@ -27,6 +27,7 @@ def check_charge(s):
 
 def act_sigma(s, c):
     """Swap entries c and c+1 (1-based); requires 1 <= c < len(s)."""
+    c = _int_arg("sigma index", c)
     if not 1 <= c < len(s):
         raise InputError(f"sigma index {c} out of range for level {len(s)}")
     t = list(s)
@@ -36,6 +37,7 @@ def act_sigma(s, c):
 
 def act_shift(s, i, e):
     """Add e to entry i (1-based)."""
+    i, e = _int_arg("shift index", i), _int_arg("e", e, 2)
     if not 1 <= i <= len(s):
         raise InputError(f"shift index {i} out of range for level {len(s)}")
     t = list(s)
@@ -45,30 +47,40 @@ def act_shift(s, i, e):
 
 def act_tau(s, e):
     """Rotate left, adding e to the entry that wraps: (s_2,...,s_l,s_1+e)."""
-    return tuple(s[1:]) + (s[0] + e,)
+    return _apply(s, ("tau",), _int_arg("e", e, 2))
 
 
 def act_tau_inv(s, e):
     """Inverse of act_tau: (s_l - e, s_1, ..., s_{l-1})."""
-    return (s[-1] - e,) + tuple(s[:-1])
+    return _apply(s, ("tau_inv",), _int_arg("e", e, 2))
 
 
 def apply_generator(s, gen, e):
     """Apply a single generator ("sigma", c) / ("tau",) / ("tau_inv",)."""
+    return _apply(s, gen, _int_arg("e", e, 2))
+
+
+def _apply(s, gen, e):
+    """apply_generator with a checked e."""
     if gen[0] == "sigma":
         return act_sigma(s, gen[1])
     if gen[0] == "tau":
-        return act_tau(s, e)
+        return tuple(s[1:]) + (s[0] + e,)
     if gen[0] == "tau_inv":
-        return act_tau_inv(s, e)
+        return (s[-1] - e,) + tuple(s[:-1])
     raise InputError(f"unknown generator {gen!r}")
 
 
 def apply_word(s, word, e):
     """Apply a word of generators left to right."""
+    return _apply_word(s, word, _int_arg("e", e, 2))
+
+
+def _apply_word(s, word, e):
+    """apply_word with a checked e."""
     t = tuple(s)
     for gen in word:
-        t = apply_generator(t, gen, e)
+        t = _apply(t, gen, e)
     return t
 
 
@@ -89,11 +101,13 @@ def inverse_word(word):
 
 def is_fundamental(s, e):
     """True when s_1 <= ... <= s_l < s_1 + e."""
+    e = _int_arg("e", e, 2)
     return all(a <= b for a, b in zip(s, s[1:])) and s[-1] < s[0] + e
 
 
 def residue_counts(s, e):
     """How many entries of s fall in each residue class mod e."""
+    e = _int_arg("e", e, 2)
     counts = [0] * e
     for x in s:
         counts[x % e] += 1
@@ -107,6 +121,7 @@ def same_orbit(s, t, e):
 
 def fundamental_representative(s, e):
     """The fundamental charge with the same residues, anchored at min(s)."""
+    e = _int_arg("e", e, 2)
     m = min(s)
     return tuple(sorted(m + ((x - m) % e) for x in s))
 
@@ -118,6 +133,7 @@ def normalization_word(s, e):
     whenever the sorted charge still spans e or more.  The minimum entry is
     invariant and the sum drops by e at each tau_inv, so this terminates.
     """
+    e = _int_arg("e", e, 2)
     t = list(s)
     word = []
     l = len(t)
@@ -145,6 +161,7 @@ def path_word(s, t, e):
     """
     s = check_charge(s)
     t = check_charge(t)
+    e = _int_arg("e", e, 2)
     if not same_orbit(s, t, e):
         raise NoPathError(f"{s} and {t} have different residue multisets mod {e}")
     ws = normalization_word(s, e)
@@ -157,7 +174,7 @@ def path_word(s, t, e):
     j = diff // e
     bridge = [("tau",)] * j if j >= 0 else [("tau_inv",)] * (-j)
     word = ws + bridge + inverse_word(wt)
-    if apply_word(s, word, e) != t:
+    if _apply_word(s, word, e) != t:
         raise InternalError(f"path from {s} to {t} missed its target")
     return word
 
@@ -173,7 +190,7 @@ def sharp_very_dominant(s, n, e):
     Entry 1 is the representative of -s_1 in {0..e-1}; each later entry is
     the least value >= previous + n in the class of -s_{i+1}.
     """
-    s = check_charge(s)
+    s, n, e = check_charge(s), _int_arg("n", n, 0), _int_arg("e", e, 2)
     out = [(-s[0]) % e]
     for i in range(1, len(s)):
         base = out[-1] + n
@@ -188,7 +205,7 @@ def very_dominant_representative(s, n, e):
     Keeps entry 1 of the fundamental representative and pushes each later
     entry up by multiples of e until the gap exceeds n - 1.
     """
-    s = check_charge(s)
+    s, n, e = check_charge(s), _int_arg("n", n, 0), _int_arg("e", e, 2)
     f = fundamental_representative(s, e)
     out = [f[0]]
     for i in range(1, len(f)):

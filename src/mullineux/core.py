@@ -6,8 +6,8 @@ the accessor `part` makes explicit.  Nodes of the Young diagram are
 (row, column) pairs with 1-based indices.
 
 The public functions of the package check `e`, split charges, residues,
-partition parts and charge entries with `_int_arg` and `_int_seq`, once, at
-the boundary; internal kernels take the checked values.
+ranks, partition parts and charge entries with `_int_arg` and `_int_seq`,
+once, at the boundary; internal kernels take the checked values.
 """
 
 import operator
@@ -132,15 +132,25 @@ def remove_first_column(lam):
 
 def enumerate_partitions(n, max_part=None):
     """Yield all partitions of n in decreasing lexicographic order."""
+    n = _rank_arg(n)
+    yield from _partitions(n, n if max_part is None else _int_arg("max_part", max_part))
+
+
+def _rank_arg(n):
+    """A rank argument read with _int_arg; InputError when negative."""
+    n = _int_arg("rank", n)
     if n < 0:
         raise InputError(f"rank must be nonnegative, got {n}")
+    return n
+
+
+def _partitions(n, max_part):
+    """enumerate_partitions with a checked n and max_part."""
     if n == 0:
         yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in enumerate_partitions(n - first, first):
+    for first in range(min(max_part, n), 0, -1):
+        for rest in _partitions(n - first, first):
             yield (first,) + rest
 
 
@@ -153,15 +163,19 @@ def enumerate_e_regular(n, e):
 
 def enumerate_multipartitions(n, levels):
     """Yield all `levels`-component multipartitions of total rank n."""
+    levels = _int_arg("levels", levels)
     if levels < 1:
         raise InputError(f"need at least one component, got {levels}")
-    if n < 0:
-        raise InputError(f"rank must be nonnegative, got {n}")
+    yield from _multipartitions(_rank_arg(n), levels)
+
+
+def _multipartitions(n, levels):
+    """enumerate_multipartitions with a checked n and levels."""
     if levels == 1:
-        for lam in enumerate_partitions(n):
+        for lam in _partitions(n, n):
             yield (lam,)
         return
     for k in range(n + 1):
-        for first in enumerate_partitions(k):
-            for rest in enumerate_multipartitions(n - k, levels - 1):
+        for first in _partitions(k, k):
+            for rest in _multipartitions(n - k, levels - 1):
                 yield (first,) + rest

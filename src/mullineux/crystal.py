@@ -2,26 +2,28 @@
 
 Membership (the FLOTW conditions) is defined at fundamental multicharges and
 transported elsewhere along the isomorphisms.  The isomorphism psi follows a
-word in the charge group: sigma_c acts on components c, c+1 through the
-two-row symbol matching, tau and its inverse rotate the components while
-shifting the charge.
+word in the charge group, with each component held as its charged β-set for
+the whole word (`_walk`): sigma_c runs the two-row symbol matching on the
+β-sets of components c, c+1, tau and its inverse rotate the β-sets while
+shifting the charge, and the β-sets are read back as partitions once, at the
+end.  psi and the one-generator maps psi_sigma, psi_tau, ... share that walk.
 
 `blockwise_lift` and `blockwise_lower` are direct box-moving versions of the
 level-2 isomorphisms between a fundamental charge and a very dominant one;
 the crystal route runs on them, with psi as their independent reference.
 """
 
-from .charges import (
-    act_sigma,
-    act_tau,
-    act_tau_inv,
-    check_charge,
-    fundamental_representative,
-    path_word,
+from .charges import act_sigma, check_charge, fundamental_representative, path_word
+from .core import (
+    _int_arg,
+    _rank_arg,
+    check_multipartition,
+    check_partition,
+    enumerate_multipartitions,
+    part,
 )
-from .core import _int_arg, check_multipartition, check_partition, enumerate_multipartitions, part
 from .errors import InputError, InternalError, MalformedSymbolError
-from .symbols import _symbol, decode_symbol, match_step
+from .symbols import _match
 
 
 def flotw_check(mp, charge, e):
@@ -53,34 +55,32 @@ def flotw_check(mp, charge, e):
     return all(len(seen) < e for seen in residues.values())
 
 
+def _generator_input(mp, charge, e):
+    """Checked (mp, s, e) for one generator; the component and charge counts agree."""
+    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
+    if len(mp) != len(s):
+        raise InputError(f"{len(mp)} components vs {len(s)} charges")
+    return mp, s, e
+
+
 def psi_sigma(mp, charge, e, c):
     """Apply the isomorphism for sigma_c: symbol matching on components c, c+1."""
-    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
-    return _step(mp, s, ("sigma", _int_arg("sigma index", c)), e)
+    mp, s, e = _generator_input(mp, charge, e)
+    c = _int_arg("sigma index", c)
+    act_sigma(s, c)  # rejects an out-of-range c
+    return _walk(mp, s, (("sigma", c),), e)
 
 
 def psi_tau(mp, charge, e):
     """Apply the isomorphism for tau: rotate components left."""
-    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
-    return _step(mp, s, ("tau",), e)
+    mp, s, e = _generator_input(mp, charge, e)
+    return _walk(mp, s, (("tau",),), e)
 
 
 def psi_tau_inv(mp, charge, e):
     """Apply the isomorphism for tau inverse: rotate components right."""
-    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
-    return _step(mp, s, ("tau_inv",), e)
-
-
-def _step(mp, s, gen, e):
-    """One generator on a checked multipartition and charge: (image, new charge)."""
-    if gen[0] == "tau":
-        return mp[1:] + mp[:1], act_tau(s, e)
-    if gen[0] == "tau_inv":
-        return mp[-1:] + mp[:-1], act_tau_inv(s, e)
-    c = gen[1]
-    t = act_sigma(s, c)  # rejects an out-of-range c before the slices below
-    pair = decode_symbol(match_step(_symbol(mp[c - 1 : c + 1], s[c - 1 : c + 1])))
-    return mp[: c - 1] + pair + mp[c + 1 :], t
+    mp, s, e = _generator_input(mp, charge, e)
+    return _walk(mp, s, (("tau_inv",),), e)
 
 
 def psi_shift_up(mp, charge, e):
@@ -88,8 +88,7 @@ def psi_shift_up(mp, charge, e):
     mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
     if len(mp) != 2 or len(s) != 2:
         raise InputError("psi_shift_up needs a level-2 multipartition")
-    mp, s = _step(mp, s, ("sigma", 1), e)
-    return _step(mp, s, ("tau",), e)
+    return _walk(mp, s, (("sigma", 1), ("tau",)), e)
 
 
 def psi_shift_down(mp, charge, e):
@@ -97,8 +96,51 @@ def psi_shift_down(mp, charge, e):
     mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
     if len(mp) != 2 or len(s) != 2:
         raise InputError("psi_shift_down needs a level-2 multipartition")
-    mp, s = _step(mp, s, ("tau_inv",), e)
-    return _step(mp, s, ("sigma", 1), e)
+    return _walk(mp, s, (("tau_inv",), ("sigma", 1)), e)
+
+
+def _walk(mp, s, word, e):
+    """Transport a checked multipartition along a word: (image, end charge).
+
+    Component c travels as its charged β-set, stored as the ascending row of
+    lam_j - j + s_c for j = 1..len(lam); every integer below the row's floor
+    s_c - len(row) belongs to the set too.  tau and tau inverse rotate the
+    rows and shift the wrapped one by +-e, which moves its floor with its
+    charge.  sigma_c pads rows c and c+1 down to their common floor, which
+    makes them the minimal-depth symbol of the pair, runs the symbol
+    matching on them and trims each new row back to the entries above the
+    run its floor implies.  A new row that repeats an entry or reaches below
+    its floor raises MalformedSymbolError, as `decode_symbol` does on the
+    same symbol.  The rows are decoded once, at the end.
+    """
+    rows = [tuple([p - j + s_c for j, p in enumerate(lam, 1)][::-1]) for lam, s_c in zip(mp, s)]
+    s = list(s)
+    for gen in word:
+        if gen[0] == "tau":
+            rows.append(tuple([x + e for x in rows.pop(0)]))
+            s.append(s.pop(0) + e)
+        elif gen[0] == "tau_inv":
+            rows.insert(0, tuple([x - e for x in rows.pop()]))
+            s.insert(0, s.pop() - e)
+        else:
+            c = gen[1]
+            a, b = s[c - 1], s[c]
+            row1, row2 = rows[c - 1], rows[c]
+            floor = min(a - len(row1), b - len(row2))
+            pad1, pad2 = range(floor, a - len(row1)), range(floor, b - len(row2))
+            new = _match(a, b, [*pad1, *row1], [*pad2, *row2])
+            for k, row in enumerate(new):
+                if len(set(row)) != len(row):
+                    raise MalformedSymbolError(f"row {k + 1} not strictly increasing: {row}")
+                if row and row[0] < floor:
+                    raise MalformedSymbolError(f"row {k + 1} decodes to a negative part")
+                top = 0
+                while top < len(row) and row[top] == floor + top:
+                    top += 1
+                rows[c - 1 + k] = row[top:]
+            s[c - 1], s[c] = b, a
+    decoded = (tuple([x + j - s_c for j, x in enumerate(reversed(row), 1)]) for row, s_c in zip(rows, s))
+    return tuple(decoded), tuple(s)
 
 
 def psi(mp, charge, to, e):
@@ -114,10 +156,9 @@ def psi(mp, charge, to, e):
         raise InputError(f"{len(mp)} components vs {len(s)} charges")
     if s == t:
         return mp
-    for gen in path_word(s, t, e):
-        mp, s = _step(mp, s, gen, e)
-    if s != t:
-        raise InternalError(f"isomorphism walk ended at {s}, wanted {t}")
+    mp, end = _walk(mp, s, path_word(s, t, e), e)
+    if end != t:
+        raise InternalError(f"isomorphism walk ended at {end}, wanted {t}")
     return mp
 
 
@@ -145,7 +186,7 @@ def enumerate_phi(n, charge, e):
     At a fundamental charge this filters all multipartitions of n through
     flotw_check; elsewhere it is the isomorphic image of the fundamental set.
     """
-    s, e = check_charge(charge), _int_arg("e", e, 2)
+    n, s, e = _rank_arg(n), check_charge(charge), _int_arg("e", e, 2)
     f = fundamental_representative(s, e)
     if s == f:
         found = [mp for mp in enumerate_multipartitions(n, len(s)) if flotw_check(mp, s, e)]

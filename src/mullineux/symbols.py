@@ -11,30 +11,49 @@ producing the symbol of the image bipartition at the swapped charge
 (s2, s1).  Decoding a symbol back to a bipartition fails with
 MalformedSymbolError when a row is not strictly increasing or would decode
 to a negative part.
+
+The pairing itself is `_match`, on two bare rows.  `crystal.psi` keeps each
+component as a β-set row for its whole walk and calls `_match` on two rows
+padded to a common floor, which is exactly the minimal-depth symbol, so it
+builds, matches and decodes no `Symbol`.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .core import check_partition, part
+from .charges import check_charge
+from .core import _int_arg, check_partition, part
 from .errors import InputError, MalformedSymbolError
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(namedtuple("Symbol", "charge rows")):
     """Charged two-row symbol; rows are ascending tuples."""
 
-    charge: tuple
-    rows: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.charge) != 2 or len(self.rows) != 2:
+    def __new__(cls, charge, rows):
+        if len(charge) != 2 or len(rows) != 2:
             raise InputError("a symbol has exactly two rows and two charges")
+        return super().__new__(cls, charge, rows)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so that _replace runs the same check."""
+        return cls(*iterable)
 
 
 def symbol_depth(bipartition, charge):
     """Minimal depth at which both components are fully visible."""
-    return _depth(tuple(check_partition(c) for c in bipartition), charge)
+    return _depth(*_bipartition_input(bipartition, charge))
+
+
+def _bipartition_input(bipartition, charge):
+    """The checked components and charge of a charged bipartition."""
+    lam = tuple(check_partition(c) for c in bipartition)
+    s = check_charge(charge)
+    if len(lam) != 2 or len(s) != 2:
+        raise InputError(f"a symbol needs two components and two charges, got {len(lam)} and {len(s)}")
+    return lam, s
 
 
 def _depth(lam, charge):
@@ -46,21 +65,18 @@ def _depth(lam, charge):
 
 def build_symbol(bipartition, charge, depth=None):
     """Symbol of a charged bipartition at the given (or minimal) depth."""
-    return _symbol(tuple(check_partition(c) for c in bipartition), charge, depth)
-
-
-def _symbol(lam, charge, depth=None):
-    """build_symbol on two checked components."""
-    d = _depth(lam, charge)
+    lam, s = _bipartition_input(bipartition, charge)
+    d = _depth(lam, s)
     if depth is not None:
+        depth = _int_arg("depth", depth)
         if depth < d:
             raise InputError(f"depth {depth} below minimal depth {d}")
         d = depth
-    top = max(charge)
+    top = max(s)
     rows = tuple(
-        tuple(part(p, j) - j + s for j in range(d + s - top, 0, -1)) for p, s in zip(lam, charge)
+        tuple(part(p, j) - j + s_c for j in range(d + s_c - top, 0, -1)) for p, s_c in zip(lam, s)
     )
-    return Symbol(charge=tuple(charge), rows=rows)
+    return Symbol(s, rows)
 
 
 def decode_symbol(symbol):
@@ -90,25 +106,23 @@ def match_step(symbol):
     the image at the swapped charge (s2, s1).
     """
     s1, s2 = symbol.charge
-    row1, row2 = symbol.rows
+    return Symbol((s2, s1), _match(s1, s2, *symbol.rows))
+
+
+def _match(s1, s2, row1, row2):
+    """match_step on bare ascending rows charged (s1, s2): the two new rows."""
     if s2 >= s1:
         pool = list(row2)
         grabbed = []
         for x in row1:
             idx = bisect_right(pool, x) - 1
-            if idx < 0:
-                idx = len(pool) - 1
             grabbed.append(pool.pop(idx))
-        new_row1 = tuple(sorted(pool + list(row1)))
-        new_row2 = tuple(sorted(grabbed))
-    else:
-        pool = list(row1)
-        grabbed = []
-        for x in row2:
-            idx = bisect_left(pool, x)
-            if idx >= len(pool):
-                idx = 0
-            grabbed.append(pool.pop(idx))
-        new_row1 = tuple(sorted(grabbed))
-        new_row2 = tuple(sorted(pool + list(row2)))
-    return Symbol(charge=(s2, s1), rows=(new_row1, new_row2))
+        pool += row1
+        return tuple(sorted(pool)), tuple(sorted(grabbed))
+    pool = list(row1)
+    grabbed = []
+    for x in row2:
+        idx = bisect_left(pool, x)
+        grabbed.append(pool.pop(idx if idx < len(pool) else 0))
+    pool += row2
+    return tuple(sorted(grabbed)), tuple(sorted(pool))

@@ -16,7 +16,10 @@ from mullineux import (
     chi,
     chi_inverse,
     e_rim,
+    build_symbol,
     enumerate_e_regular,
+    enumerate_multipartitions,
+    enumerate_partitions,
     enumerate_phi,
     flotw_check,
     good_addable_node,
@@ -40,6 +43,22 @@ from mullineux import (
     truncated_e_rim,
     xu,
     xu_strip,
+)
+from mullineux.charges import (
+    act_shift,
+    act_sigma,
+    act_tau,
+    act_tau_inv,
+    apply_generator,
+    apply_word,
+    fundamental_representative,
+    is_fundamental,
+    normalization_word,
+    path_word,
+    residue_counts,
+    same_orbit,
+    sharp_very_dominant,
+    very_dominant_representative,
 )
 from mullineux.involution import kleshchev_trace, mullineux_crystal_trace, xu_trace
 from mullineux.multisegments import check_multisegment
@@ -74,9 +93,23 @@ LAM = (2, 1)
 BIP = ((1,), ())
 PAIR = ((1,), (1,))
 MS = ((0, 1),)
+S = (0, 1)
 
 # One call per public function that takes e, valid at e = 3.
 E_CALLS = {
+    "charges.act_shift": lambda e: act_shift(S, 1, e),
+    "charges.act_tau": lambda e: act_tau(S, e),
+    "charges.act_tau_inv": lambda e: act_tau_inv(S, e),
+    "charges.apply_generator": lambda e: apply_generator(S, ("tau",), e),
+    "charges.apply_word": lambda e: apply_word(S, [("tau",)], e),
+    "charges.is_fundamental": lambda e: is_fundamental(S, e),
+    "charges.residue_counts": lambda e: residue_counts(S, e),
+    "charges.same_orbit": lambda e: same_orbit(S, (0, 4), e),
+    "charges.fundamental_representative": lambda e: fundamental_representative(S, e),
+    "charges.normalization_word": lambda e: normalization_word(S, e),
+    "charges.path_word": lambda e: path_word(S, (0, 4), e),
+    "charges.sharp_very_dominant": lambda e: sharp_very_dominant(S, 3, e),
+    "charges.very_dominant_representative": lambda e: very_dominant_representative(S, 3, e),
     "core.is_e_regular": lambda e: is_e_regular(LAM, e),
     "core.is_strict_e_core": lambda e: is_strict_e_core(LAM, e),
     "core.enumerate_e_regular": lambda e: list(enumerate_e_regular(3, e)),
@@ -117,7 +150,7 @@ E_CALLS = {
 
 def test_e_table_covers_every_public_function_taking_e():
     found = set()
-    for short in ("core", "theta", "crystal", "multisegments", "involution"):
+    for short in ("charges", "core", "theta", "crystal", "multisegments", "involution"):
         module = importlib.import_module(f"mullineux.{short}")
         for name, fn in vars(module).items():
             if (
@@ -150,6 +183,16 @@ def test_bad_e_is_an_input_error(label, e):
         lambda: mullineux_crystal((2,), 3, 1.0),
         lambda: mullineux_crystal_trace((2,), 3, 1.0),
         lambda: psi_sigma(BIP, (0, 1), 3, 1.0),
+        lambda: act_sigma(S, 1.0),
+        lambda: act_shift(S, 1.0, 3),
+        lambda: sharp_very_dominant(S, 2.5, 3),
+        lambda: very_dominant_representative(S, 2.5, 3),
+        lambda: list(enumerate_partitions(2.5)),
+        lambda: list(enumerate_partitions(3, 1.5)),
+        lambda: list(enumerate_multipartitions(2.5, 2)),
+        lambda: list(enumerate_multipartitions(2, 1.5)),
+        lambda: enumerate_phi(2.5, (0, 1), 3),
+        lambda: build_symbol(BIP, (0, 1), depth=2.5),
     ],
 )
 def test_non_integer_arguments_are_input_errors(call):
@@ -166,6 +209,10 @@ def test_non_integer_arguments_are_input_errors(call):
         (lambda: mullineux_crystal((2,), 3, 3), "s must be in 1..2, got 3"),
         (lambda: good_removable_node(LAM, 3, 3), "i must be in 0..2, got 3"),
         (lambda: check_multisegment(((0, 0),), 3), "segment length must be >= 1, got 0"),
+        (lambda: sharp_very_dominant(S, -1, 3), "n must be >= 0, got -1"),
+        (lambda: very_dominant_representative(S, -1, 3), "n must be >= 0, got -1"),
+        (lambda: list(enumerate_partitions(-1)), "rank must be nonnegative, got -1"),
+        (lambda: enumerate_phi(-1, (0, 1), 3), "rank must be nonnegative, got -1"),
     ],
 )
 def test_out_of_range_arguments_name_their_range(call, message):

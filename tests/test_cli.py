@@ -377,9 +377,10 @@ def test_difftest_reports_the_smallest_counterexample(capsys, monkeypatch):
     assert payload["properties"]["rank_regular"]["counterexample"] is None
 
 
-def test_importing_the_cli_loads_no_process_pool():
+def loaded_by_importing_the_cli(module):
+    """Whether `import mullineux.cli` in a fresh interpreter loads `module`."""
     src = str(Path(mullineux.__file__).resolve().parent.parent)
-    code = "import sys, mullineux.cli; print('concurrent.futures' in sys.modules)"
+    code = f"import sys, mullineux.cli; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
@@ -388,4 +389,12 @@ def test_importing_the_cli_loads_no_process_pool():
         check=True,
         timeout=60,
     )
-    assert proc.stdout == "False\n"
+    return {"True\n": True, "False\n": False}[proc.stdout]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    assert loaded_by_importing_the_cli("concurrent.futures") is False
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    assert loaded_by_importing_the_cli("dataclasses") is False

@@ -1,13 +1,15 @@
 """Tests for charged-set membership and the charge-transport isomorphisms."""
 
+import random
+
 import pytest
 from hypothesis import given
 
 import hypothesis.strategies as st
 
-from conftest import bipartitions
+from conftest import bipartitions, charge_tuples, partitions
 
-from mullineux.charges import path_word
+from mullineux.charges import act_sigma, act_tau, act_tau_inv, path_word
 
 from mullineux.core import (
     enumerate_e_regular,
@@ -32,9 +34,11 @@ from mullineux.crystal import (
     psi_tau_inv,
 )
 
-from mullineux.errors import InputError, InternalError
+from mullineux.errors import InputError, InternalError, MalformedSymbolError
 
 from mullineux.involution import mullineux_crystal, xu
+
+from mullineux.symbols import build_symbol, decode_symbol, match_step
 
 from mullineux.theta import theta_inverse, theta_l2
 
@@ -250,11 +254,129 @@ def test_transport_rejects_non_partitions():
                 call()
 
 
+def test_generators_need_one_charge_per_component():
+    for mp, charge in ((((1,), (), ()), (0, 1)), (((1,), ()), (0, 1, 2))):
+        for call in (
+            lambda: psi_sigma(mp, charge, 3, 1),
+            lambda: psi_tau(mp, charge, 3),
+            lambda: psi_tau_inv(mp, charge, 3),
+        ):
+            with pytest.raises(InputError, match="components vs"):
+                call()
+
+
 def test_psi_rejects_distinct_orbits():
     from mullineux.errors import NoPathError
 
     with pytest.raises(NoPathError):
         psi(((1,), (2,)), (0, 1), (0, 2), 3)
+
+
+def stepwise_step(mp, s, gen, e):
+    """One generator the way psi took it before its beta-set walk.
+
+    tau and tau inverse rotate the components; sigma_c builds the
+    minimal-depth symbol of components c, c+1, runs match_step on it and
+    decodes the result back to partitions.
+    """
+    if gen[0] == "tau":
+        return mp[1:] + mp[:1], act_tau(s, e)
+    if gen[0] == "tau_inv":
+        return mp[-1:] + mp[:-1], act_tau_inv(s, e)
+    c = gen[1]
+    t = act_sigma(s, c)
+    pair = decode_symbol(match_step(build_symbol(mp[c - 1 : c + 1], s[c - 1 : c + 1])))
+    return mp[: c - 1] + pair + mp[c + 1 :], t
+
+
+def stepwise_walk(mp, s, word, e):
+    """Reference transport: one stepwise_step per generator of the word."""
+    for gen in word:
+        mp, s = stepwise_step(mp, s, gen, e)
+    return mp, s
+
+
+def stepwise_psi(mp, s, t, e):
+    """Reference for psi on a checked multipartition and charges of one orbit."""
+    if s == t:
+        return mp
+    mp, end = stepwise_walk(mp, s, path_word(s, t, e), e)
+    assert end == t
+    return mp
+
+
+def result_or_error(fn, *args):
+    """What a call returns, or the type and text of the exception it raises."""
+    try:
+        return fn(*args)
+    except (InputError, MalformedSymbolError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_transport_matches_stepwise(mp, s, targets, e):
+    """psi to each target and the five generator wrappers against the stepwise reference."""
+    for t in targets:
+        got = result_or_error(psi, mp, s, t, e)
+        assert got == result_or_error(stepwise_psi, mp, s, t, e), (mp, s, t, e)
+    # Index len(s) is out of range, so psi_sigma must reject it the same way.
+    for c in range(1, len(s) + 1):
+        got = result_or_error(psi_sigma, mp, s, e, c)
+        assert got == result_or_error(stepwise_walk, mp, s, [("sigma", c)], e), (mp, s, c, e)
+    for wrapper, word in ((psi_tau, [("tau",)]), (psi_tau_inv, [("tau_inv",)])):
+        assert wrapper(mp, s, e) == stepwise_walk(mp, s, word, e), (mp, s, e)
+    if len(s) == 2:
+        for wrapper, word in (
+            (psi_shift_up, [("sigma", 1), ("tau",)]),
+            (psi_shift_down, [("tau_inv",), ("sigma", 1)]),
+        ):
+            got = result_or_error(wrapper, mp, s, e)
+            assert got == result_or_error(stepwise_walk, mp, s, word, e), (mp, s, e)
+
+
+def orbit_charge(rng, s, e, spread=2):
+    """A random charge in the orbit of s: permuted entries, each moved by a multiple of e."""
+    t = list(s)
+    rng.shuffle(t)
+    return tuple(x + rng.randint(-spread, spread) * e for x in t)
+
+
+def test_transport_matches_stepwise_reference_exhaustively():
+    rng = random.Random(29)
+    for level in (1, 2, 3):
+        for e in range(2, 6):
+            for _ in range(3):
+                s = tuple(rng.randint(-e, 2 * e) for _ in range(level))
+                targets = [orbit_charge(rng, s, e) for _ in range(2)]
+                for n in range(7):
+                    for mp in enumerate_multipartitions(n, level):
+                        assert_transport_matches_stepwise(mp, s, targets, e)
+
+
+@st.composite
+def transport_inputs(draw, max_rank=40):
+    """(mp, s, targets, e): up to four components of total rank at most max_rank.
+
+    The two targets lie in the orbit of s.
+    """
+    level = draw(st.integers(1, 4))
+    e = draw(st.integers(2, 6))
+    budget = max_rank
+    mp = []
+    for _ in range(level):
+        comp = []
+        for p in draw(partitions(max_part=12, max_len=8)):
+            if p <= budget:
+                comp.append(p)
+                budget -= p
+        mp.append(tuple(comp))
+    s = draw(charge_tuples(level, -2 * e, 3 * e))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return tuple(mp), s, [orbit_charge(rng, s, e, spread=3) for _ in range(2)], e
+
+
+@given(transport_inputs())
+def test_transport_matches_stepwise_reference_on_larger_inputs(case):
+    assert_transport_matches_stepwise(*case)
 
 
 def test_psi_preserves_membership():

@@ -1,0 +1,19 @@
+"""The README's library quick tour, run as a doctest."""
+
+import doctest
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_quick_tour():
+    # Only the ```python blocks: the shell examples hold no `>>>` prompts, and
+    # a fence right after an expected output would otherwise be read as output.
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    parser = doctest.DocTestParser()
+    test = parser.get_doctest("\n".join(blocks), {}, "README quick tour", str(README), 0)
+    runner = doctest.DocTestRunner(optionflags=doctest.REPORT_NDIFF)
+    runner.run(test)
+    results = runner.summarize(verbose=False)
+    assert (results.attempted, results.failed) == (8, 0)

@@ -55,6 +55,11 @@ def test_symbol_is_frozen_and_validated():
         Symbol((0,), ((2,),))
     with pytest.raises(InputError):
         Symbol((0, 1, 2), ((), (), ()))
+    with pytest.raises(InputError):
+        sym._replace(rows=((2,),))
+    with pytest.raises(InputError):
+        Symbol._make(((0, 1), ((2,),)))
+    assert sym._replace(charge=(1, 0)) == Symbol((1, 0), ((2,), (0, 3)))
 
 
 def test_symbol_functions_reject_non_partitions():
@@ -62,6 +67,27 @@ def test_symbol_functions_reject_non_partitions():
         for fn in (build_symbol, symbol_depth):
             with pytest.raises(InputError):
                 fn(bp, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: symbol_depth(((1,), ()), (0.5, 1)),
+        lambda: build_symbol(((1,), ()), (0, 1.5)),
+        lambda: build_symbol(((1,), ()), (0, 1, 2)),
+        lambda: symbol_depth(((1,), ()), (0,)),
+        lambda: symbol_depth(((1,), (), ()), (0, 1)),
+        lambda: build_symbol(((1,), ()), (0, 1), depth=2.5),
+        lambda: build_symbol(((1,), ()), (0, 1), depth="3"),
+    ],
+)
+def test_symbol_functions_check_charge_components_and_depth(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_symbol_repr_names_its_fields():
+    assert repr(Symbol((0, 1), ((2,), (0, 3)))) == "Symbol(charge=(0, 1), rows=((2,), (0, 3)))"
 
 
 def test_decode_symbol_table():
