@@ -27,12 +27,7 @@ def check_charge(s):
 
 def act_sigma(s, c):
     """Swap entries c and c+1 (1-based); requires 1 <= c < len(s)."""
-    c = _int_arg("sigma index", c)
-    if not 1 <= c < len(s):
-        raise InputError(f"sigma index {c} out of range for level {len(s)}")
-    t = list(s)
-    t[c - 1], t[c] = t[c], t[c - 1]
-    return tuple(t)
+    return _apply(s, ("sigma", _int_arg("sigma index", c)), None)  # sigma reads no e
 
 
 def act_shift(s, i, e):
@@ -57,13 +52,23 @@ def act_tau_inv(s, e):
 
 def apply_generator(s, gen, e):
     """Apply a single generator ("sigma", c) / ("tau",) / ("tau_inv",)."""
-    return _apply(s, gen, _int_arg("e", e, 2))
+    return _apply(s, _generator_arg(gen), _int_arg("e", e, 2))
+
+
+def _generator_arg(gen):
+    """gen with its sigma index read as an int."""
+    return ("sigma", _int_arg("sigma index", gen[1])) if gen[0] == "sigma" else gen
 
 
 def _apply(s, gen, e):
-    """apply_generator with a checked e."""
+    """apply_generator with a checked e and sigma index."""
     if gen[0] == "sigma":
-        return act_sigma(s, gen[1])
+        c = gen[1]
+        if not 1 <= c < len(s):
+            raise InputError(f"sigma index {c} out of range for level {len(s)}")
+        t = list(s)
+        t[c - 1], t[c] = t[c], t[c - 1]
+        return tuple(t)
     if gen[0] == "tau":
         return tuple(s[1:]) + (s[0] + e,)
     if gen[0] == "tau_inv":
@@ -73,11 +78,11 @@ def _apply(s, gen, e):
 
 def apply_word(s, word, e):
     """Apply a word of generators left to right."""
-    return _apply_word(s, word, _int_arg("e", e, 2))
+    return _apply_word(s, [_generator_arg(gen) for gen in word], _int_arg("e", e, 2))
 
 
 def _apply_word(s, word, e):
-    """apply_word with a checked e."""
+    """apply_word with a checked e and sigma indices."""
     t = tuple(s)
     for gen in word:
         t = _apply(t, gen, e)

@@ -4,16 +4,17 @@ Membership (the FLOTW conditions) is defined at fundamental multicharges and
 transported elsewhere along the isomorphisms.  The isomorphism psi follows a
 word in the charge group, with each component held as its charged β-set for
 the whole word (`_walk`): sigma_c runs the two-row symbol matching on the
-β-sets of components c, c+1, tau and its inverse rotate the β-sets while
-shifting the charge, and the β-sets are read back as partitions once, at the
-end.  psi and the one-generator maps psi_sigma, psi_tau, ... share that walk.
+β-sets of components c, c+1, or only swaps them when one lies below the
+other's floor, tau and its inverse rotate the β-sets while shifting the
+charge, and the β-sets are read back as partitions once, at the end.  psi
+and the one-generator maps psi_sigma, psi_tau, ... share that walk.
 
 `blockwise_lift` and `blockwise_lower` are direct box-moving versions of the
 level-2 isomorphisms between a fundamental charge and a very dominant one;
 the crystal route runs on them, with psi as their independent reference.
 """
 
-from .charges import act_sigma, check_charge, fundamental_representative, path_word
+from .charges import _apply, check_charge, fundamental_representative, path_word
 from .core import (
     _int_arg,
     _rank_arg,
@@ -22,7 +23,7 @@ from .core import (
     enumerate_multipartitions,
     part,
 )
-from .errors import InputError, InternalError, MalformedSymbolError
+from .errors import InputError, InternalError
 from .symbols import _match
 
 
@@ -67,7 +68,7 @@ def psi_sigma(mp, charge, e, c):
     """Apply the isomorphism for sigma_c: symbol matching on components c, c+1."""
     mp, s, e = _generator_input(mp, charge, e)
     c = _int_arg("sigma index", c)
-    act_sigma(s, c)  # rejects an out-of-range c
+    _apply(s, ("sigma", c), e)  # rejects an out-of-range c
     return _walk(mp, s, (("sigma", c),), e)
 
 
@@ -106,12 +107,17 @@ def _walk(mp, s, word, e):
     lam_j - j + s_c for j = 1..len(lam); every integer below the row's floor
     s_c - len(row) belongs to the set too.  tau and tau inverse rotate the
     rows and shift the wrapped one by +-e, which moves its floor with its
-    charge.  sigma_c pads rows c and c+1 down to their common floor, which
+    charge.  At sigma_c, when the largest element of one β-set lies below
+    the floor of the other, the first set lies inside the second; the symbol
+    matching then pairs every entry of the smaller set with itself, so the
+    step only swaps the two rows and the two charges.  In charge terms that
+    is s_{c+1} - s_c >= lam^c_1 + len(lam^{c+1}), or the mirror inequality.
+    Otherwise sigma_c pads rows c and c+1 down to their common floor, which
     makes them the minimal-depth symbol of the pair, runs the symbol
     matching on them and trims each new row back to the entries above the
     run its floor implies.  A new row that repeats an entry or reaches below
-    its floor raises MalformedSymbolError, as `decode_symbol` does on the
-    same symbol.  The rows are decoded once, at the end.
+    its floor would mean the matching left the β-sets and raises
+    InternalError.  The rows are decoded once, at the end.
     """
     rows = [tuple([p - j + s_c for j, p in enumerate(lam, 1)][::-1]) for lam, s_c in zip(mp, s)]
     s = list(s)
@@ -126,18 +132,19 @@ def _walk(mp, s, word, e):
             c = gen[1]
             a, b = s[c - 1], s[c]
             row1, row2 = rows[c - 1], rows[c]
-            floor = min(a - len(row1), b - len(row2))
-            pad1, pad2 = range(floor, a - len(row1)), range(floor, b - len(row2))
-            new = _match(a, b, [*pad1, *row1], [*pad2, *row2])
-            for k, row in enumerate(new):
-                if len(set(row)) != len(row):
-                    raise MalformedSymbolError(f"row {k + 1} not strictly increasing: {row}")
-                if row and row[0] < floor:
-                    raise MalformedSymbolError(f"row {k + 1} decodes to a negative part")
-                top = 0
-                while top < len(row) and row[top] == floor + top:
-                    top += 1
-                rows[c - 1 + k] = row[top:]
+            f1, f2 = a - len(row1), b - len(row2)
+            if (row1[-1] if row1 else f1 - 1) < f2 or (row2[-1] if row2 else f2 - 1) < f1:
+                rows[c - 1], rows[c] = row2, row1
+            else:
+                floor = min(f1, f2)
+                new = _match(a, b, [*range(floor, f1), *row1], [*range(floor, f2), *row2])
+                for k, row in enumerate(new):
+                    if len(set(row)) != len(row) or row and row[0] < floor:
+                        raise InternalError(f"sigma_{c} at {tuple(s)} left the β-sets: {new}")
+                    top = 0
+                    while top < len(row) and row[top] == floor + top:
+                        top += 1
+                    rows[c - 1 + k] = row[top:]
             s[c - 1], s[c] = b, a
     decoded = (tuple([x + j - s_c for j, x in enumerate(reversed(row), 1)]) for row, s_c in zip(rows, s))
     return tuple(decoded), tuple(s)
@@ -146,8 +153,7 @@ def _walk(mp, s, word, e):
 def psi(mp, charge, to, e):
     """Crystal isomorphism from `charge` to `to` along a charge-group word.
 
-    Raises NoPathError when the charges are not in one orbit, and may raise
-    MalformedSymbolError when `mp` does not belong to the source set.
+    Raises NoPathError when the charges are not in one orbit.
     """
     mp = check_multipartition(mp)
     s, t = check_charge(charge), check_charge(to)
@@ -166,18 +172,13 @@ def membership(mp, charge, e):
     """Whether a charged multipartition belongs to the set labelled by charge.
 
     At a fundamental charge this is flotw_check; elsewhere the multipartition
-    is transported to the fundamental representative first.  Inputs that the
-    transport cannot decode are reported as non-members.
+    is transported to the fundamental representative first.
     """
     mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
     f = fundamental_representative(s, e)
     if s == f:
         return flotw_check(mp, s, e)
-    try:
-        image = psi(mp, s, f, e)
-    except MalformedSymbolError:
-        return False
-    return flotw_check(image, f, e)
+    return flotw_check(psi(mp, s, f, e), f, e)
 
 
 def enumerate_phi(n, charge, e):

@@ -26,9 +26,8 @@ class NotAdmissibleError(InputError):
 class MalformedSymbolError(MullineuxError):
     """A two-row symbol does not decode to a pair of partitions.
 
-    This is *not* an InputError: it signals that a symbol-level operation was
-    applied outside its domain, which callers such as the membership test
-    catch and convert into a negative answer.
+    This is *not* an InputError: it signals that `decode_symbol` was given a
+    symbol outside its domain.
     """
 
 

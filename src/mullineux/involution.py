@@ -12,8 +12,9 @@
 
 ak_mullineux transports the componentwise involution between charged
 multipartition sets along the crystal isomorphisms, and im_sharp conjugates
-it through the multisegment labelling, giving the involution on aperiodic
-multisegments.
+it through the multisegment labelling, giving the involution on every
+aperiodic multisegment: its preimage is read off the segments directly, one
+row per segment at the charge of the sorted heads, with no search.
 """
 
 from functools import lru_cache
@@ -43,8 +44,8 @@ from .crystal import (
     membership,
     psi,
 )
-from .errors import InputError, InternalError, NoPathError, NotAdmissibleError
-from .multisegments import canonical, check_multisegment, chi, chi_inverse, is_aperiodic
+from .errors import InputError, InternalError, NoPathError
+from .multisegments import check_multisegment, chi, is_aperiodic
 from .theta import theta_l2
 
 
@@ -381,36 +382,20 @@ def ak_mullineux(mp, charge, to, e):
 def im_sharp(ms, e):
     """Involution on aperiodic multisegments.
 
-    Finds the first fundamental multicharge of level <= 3 (level 1 charges
-    (0)..(e-1), then level 2, then level 3, lexicographically) where the
-    multisegment has a preimage, applies ak_mullineux towards the transposed
-    charge, and reads the result back as a multisegment.
+    The preimage is read off the multisegment: at the fundamental charge of
+    its sorted heads, each segment is a one-row component, and segments with
+    equal heads are ordered by decreasing length.  FLOTW (1) and (2) then
+    hold at once and (3) is aperiodicity, so every aperiodic multisegment
+    has this preimage.  ak_mullineux carries it towards the transposed
+    charge, and the result is read back as a multisegment.
     """
     ms = check_multisegment(ms, e)
     if not ms:
         return ()
     if not is_aperiodic(ms, e):
         raise InputError(f"{ms} is not aperiodic mod {e}")
-    for s in _charge_candidates(e):
-        try:
-            mp = chi_inverse(ms, s, e)
-        except NotAdmissibleError:
-            continue
-        st = transpose_charge(s)
-        image = ak_mullineux(mp, s, st, e)
-        return canonical(chi(image, st, e))
-    raise InputError(
-        f"{ms} has no preimage at any fundamental multicharge of level <= 3 mod {e}"
-    )
-
-
-def _charge_candidates(e):
-    for a in range(e):
-        yield (a,)
-    for a in range(e):
-        for b in range(a, a + e):
-            yield (a, b)
-    for a in range(e):
-        for b in range(a, a + e):
-            for c in range(b, a + e):
-                yield (a, b, c)
+    segs = sorted(ms, key=lambda seg: (seg[0], -seg[1]))
+    s = tuple(head for head, _ in segs)
+    st = transpose_charge(s)
+    image = ak_mullineux(tuple((length,) for _, length in segs), s, st, e)
+    return chi(image, st, e)

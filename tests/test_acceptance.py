@@ -8,13 +8,16 @@ the two-minute budget.
 import itertools
 import time
 
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 
 from mullineux import difftest
 
-from mullineux.core import enumerate_e_regular, enumerate_multipartitions
+from mullineux.charges import transpose_charge
+
+from mullineux.core import enumerate_e_regular, enumerate_multipartitions, enumerate_partitions
 
 from mullineux.crystal import (
     blockwise_lift,
@@ -34,7 +37,9 @@ from mullineux.involution import (
     xu_strip,
 )
 
-from mullineux.multisegments import chi, chi_inverse, multisegment_length
+from mullineux.errors import NotAdmissibleError
+
+from mullineux.multisegments import canonical, chi, chi_inverse, is_aperiodic, multisegment_length
 
 from mullineux.symbols import build_symbol, decode_symbol
 
@@ -295,6 +300,57 @@ def test_round_trip_multisegment_involution():
                         out = im_sharp(ms, e)
                         assert multisegment_length(out) == n, (mp, s, e)
                         assert im_sharp(out, e) == ms, (mp, s, e)
+
+
+def aperiodic_multisegments(n, e):
+    """Every aperiodic multisegment of rank n mod e, in canonical form."""
+    for lengths in enumerate_partitions(n):
+        groups = [
+            [tuple((h, length) for h in heads) for heads in itertools.combinations_with_replacement(range(e), k)]
+            for length, k in Counter(lengths).items()
+        ]
+        for combo in itertools.product(*groups):
+            ms = canonical(seg for group in combo for seg in group)
+            if is_aperiodic(ms, e):
+                yield ms
+
+
+def searched_im(ms, e):
+    """Reference: im through a chi_inverse search, or None when the search finds nothing.
+
+    The search tries the fundamental charges of level <= 3 in order (level 1
+    (0)..(e-1), then level 2, then level 3, lexicographically) and stops at
+    the first one where the multisegment has a preimage.
+    """
+    levels = (
+        [(a,) for a in range(e)],
+        [(a, b) for a in range(e) for b in range(a, a + e)],
+        [(a, b, c) for a in range(e) for b in range(a, a + e) for c in range(b, a + e)],
+    )
+    for s in itertools.chain(*levels):
+        try:
+            mp = chi_inverse(ms, s, e)
+        except NotAdmissibleError:
+            continue
+        st = transpose_charge(s)
+        return chi(ak_mullineux(mp, s, st, e), st, e)
+    return None
+
+
+def test_im_is_total_and_involutive():
+    with criterion("totality/multisegment-involution"):
+        seen = searched = 0
+        for e in (2, 3, 4):
+            for n in range(9):
+                images = {ms: im_sharp(ms, e) for ms in aperiodic_multisegments(n, e)}
+                for ms, out in images.items():
+                    assert images.get(out) == ms, (ms, e)
+                    expected = searched_im(ms, e)
+                    if expected is not None:
+                        assert out == expected, (ms, e)
+                        searched += 1
+                seen += len(images)
+        assert (seen, searched) == (6349, 4088)
 
 
 # --- 4. Calibration gate ------------------------------------------------------

@@ -193,6 +193,8 @@ def test_bad_e_is_an_input_error(label, e):
         lambda: list(enumerate_multipartitions(2, 1.5)),
         lambda: enumerate_phi(2.5, (0, 1), 3),
         lambda: build_symbol(BIP, (0, 1), depth=2.5),
+        lambda: apply_generator(S, ("sigma", 1.0), 3),
+        lambda: apply_word(S, [("tau",), ("sigma", 1.0)], 3),
     ],
 )
 def test_non_integer_arguments_are_input_errors(call):
@@ -213,6 +215,8 @@ def test_non_integer_arguments_are_input_errors(call):
         (lambda: very_dominant_representative(S, -1, 3), "n must be >= 0, got -1"),
         (lambda: list(enumerate_partitions(-1)), "rank must be nonnegative, got -1"),
         (lambda: enumerate_phi(-1, (0, 1), 3), "rank must be nonnegative, got -1"),
+        (lambda: psi_sigma(BIP, S, 3, 2), "sigma index 2 out of range for level 2"),
+        (lambda: apply_word(S, [("tau",), ("sigma", 0)], 3), "sigma index 0 out of range for level 2"),
     ],
 )
 def test_out_of_range_arguments_name_their_range(call, message):

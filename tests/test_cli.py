@@ -170,6 +170,16 @@ def test_crystal_iso(capsys):
     assert (code, out) == (0, "-|2,1\n")
 
 
+def test_a_walk_that_leaves_the_beta_sets_exits_3(capsys, monkeypatch):
+    # A matching that repeats an entry breaks the walk's guarantee, not the input.
+    monkeypatch.setattr("mullineux.crystal._match", lambda s1, s2, row1, row2: ((row1[0], *row1), tuple(row2)))
+    code, out, err = run(
+        capsys, "crystal-iso", "--e", "3", "--charge", "0,1", "--to", "0,4", "--bipartition", "1|2"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: sigma_1 at ")
+
+
 def test_crystal_iso_rejects_wrong_orbit(capsys):
     code, out, err = run(
         capsys,

@@ -16,6 +16,7 @@ from mullineux.core import (
     enumerate_multipartitions,
     is_strict_e_core,
     multirank,
+    part,
     rank,
 )
 
@@ -38,7 +39,7 @@ from mullineux.errors import InputError, InternalError, MalformedSymbolError
 
 from mullineux.involution import mullineux_crystal, xu
 
-from mullineux.symbols import build_symbol, decode_symbol, match_step
+from mullineux.symbols import _match, build_symbol, decode_symbol, match_step
 
 from mullineux.theta import theta_inverse, theta_l2
 
@@ -377,6 +378,39 @@ def transport_inputs(draw, max_rank=40):
 @given(transport_inputs())
 def test_transport_matches_stepwise_reference_on_larger_inputs(case):
     assert_transport_matches_stepwise(*case)
+
+
+def test_sigma_swap_matches_the_full_matching():
+    """psi_sigma on every level-2 pair of rank <= 8, at every gap within
+    +-(rank + 2e), against the stepwise reference, which always runs the
+    full symbol matching where the walk may only swap the two rows."""
+    for e in range(2, 6):
+        for n in range(9):
+            reach = n + 2 * e
+            for mp in enumerate_multipartitions(n, 2):
+                for gap in range(-reach, reach + 1):
+                    s = (0, gap)
+                    got = result_or_error(psi_sigma, mp, s, e, 1)
+                    assert got == result_or_error(stepwise_walk, mp, s, [("sigma", 1)], e), (mp, s, e)
+
+
+def test_sigma_swaps_exactly_from_the_containment_threshold(monkeypatch):
+    """At s_2 - s_1 >= lam_1 + len(mu) the β-set of lam lies inside that of
+    mu and sigma_1 swaps the rows without matching; one step short of it
+    (and of the mirror bound) the walk still runs the matching."""
+    calls = []
+    monkeypatch.setattr("mullineux.crystal._match", lambda *rows: calls.append(rows) or _match(*rows))
+    for e in range(2, 6):
+        for n in range(1, 9):
+            for lam, mu in enumerate_multipartitions(n, 2):
+                up, down = part(lam, 1) + len(mu), part(mu, 1) + len(lam)
+                for gap, matched in ((up, False), (up - 1, True), (-down, False), (1 - down, True)):
+                    calls.clear()
+                    s = (0, gap)
+                    got = psi_sigma((lam, mu), s, e, 1)
+                    assert got == stepwise_walk((lam, mu), s, [("sigma", 1)], e), (lam, mu, s, e)
+                    assert bool(calls) is matched, (lam, mu, s, e)
+                    assert matched or got == ((mu, lam), (gap, 0)), (lam, mu, s, e)
 
 
 def test_psi_preserves_membership():
