@@ -13,6 +13,8 @@ left to right.  The fundamental domain consists of the charges with
 s_1 <= s_2 <= ... <= s_l < s_1 + e.
 """
 
+from bisect import bisect_left
+
 from .core import _int_arg, _int_seq
 from .errors import InputError, InternalError, NoPathError
 
@@ -134,27 +136,39 @@ def fundamental_representative(s, e):
 def normalization_word(s, e):
     """A word taking s to fundamental_representative(s, e).
 
-    Alternates stable adjacent-swap sorting (strict swaps only) with tau_inv
-    whenever the sorted charge still spans e or more.  The minimum entry is
-    invariant and the sum drops by e at each tau_inv, so this terminates.
+    Sorts s by stable adjacent swaps (strict swaps only), then applies
+    tau_inv while the sorted charge still spans e or more.  The minimum entry
+    is invariant and the sum drops by e at each tau_inv, so this terminates.
     """
-    e = _int_arg("e", e, 2)
+    return _normalization_word(s, _int_arg("e", e, 2))[0]
+
+
+def _normalization_word(s, e):
+    """(normalization_word, fundamental representative) for a checked e.
+
+    After the first sort the charge stays sorted: tau_inv puts the wrapped
+    entry x in front of a sorted row, and the adjacent-swap sort would carry
+    it past exactly the k entries below x, as sigma_1, ..., sigma_k.  So x
+    is inserted at its bisect_left position and those k swaps are emitted
+    without sorting again.
+    """
     t = list(s)
     word = []
-    l = len(t)
-    while True:
-        swapped = True
-        while swapped:
-            swapped = False
-            for c in range(l - 1):
-                if t[c] > t[c + 1]:
-                    word.append(("sigma", c + 1))
-                    t[c], t[c + 1] = t[c + 1], t[c]
-                    swapped = True
-        if t[-1] < t[0] + e:
-            return word
+    swapped = True
+    while swapped:
+        swapped = False
+        for c in range(len(t) - 1):
+            if t[c] > t[c + 1]:
+                word.append(("sigma", c + 1))
+                t[c], t[c + 1] = t[c + 1], t[c]
+                swapped = True
+    while t[-1] >= t[0] + e:
+        x = t.pop() - e
+        k = bisect_left(t, x)
+        t.insert(k, x)
         word.append(("tau_inv",))
-        t = [t[-1] - e] + t[:-1]
+        word += [("sigma", c) for c in range(1, k + 1)]
+    return word, tuple(t)
 
 
 def path_word(s, t, e):
@@ -162,26 +176,33 @@ def path_word(s, t, e):
 
     Route: normalize s down to its fundamental representative, slide along
     the orbit of fundamental representatives by powers of tau, then run the
-    normalization of t backwards.
+    normalization of t backwards.  The word is applied to s once more here,
+    and a miss raises InternalError; psi builds the same word with
+    `_path_word` and checks only where its own walk ends.
     """
     s = check_charge(s)
     t = check_charge(t)
     e = _int_arg("e", e, 2)
-    if not same_orbit(s, t, e):
-        raise NoPathError(f"{s} and {t} have different residue multisets mod {e}")
-    ws = normalization_word(s, e)
-    wt = normalization_word(t, e)
-    fs = fundamental_representative(s, e)
-    ft = fundamental_representative(t, e)
-    diff = sum(ft) - sum(fs)
-    if diff % e:
-        raise InternalError(f"fundamental representatives {fs}, {ft} differ off-lattice")
-    j = diff // e
-    bridge = [("tau",)] * j if j >= 0 else [("tau_inv",)] * (-j)
-    word = ws + bridge + inverse_word(wt)
+    _orbit_check(s, t, e)
+    word = _path_word(s, t, e)
     if _apply_word(s, word, e) != t:
         raise InternalError(f"path from {s} to {t} missed its target")
     return word
+
+
+def _orbit_check(s, t, e):
+    """NoPathError unless the checked charges s and t lie in one orbit."""
+    if not same_orbit(s, t, e):
+        raise NoPathError(f"{s} and {t} have different residue multisets mod {e}")
+
+
+def _path_word(s, t, e):
+    """path_word for checked charges of one orbit, built without checking it."""
+    ws, fs = _normalization_word(s, e)
+    wt, ft = _normalization_word(t, e)
+    j = (sum(ft) - sum(fs)) // e
+    bridge = [("tau",)] * j if j >= 0 else [("tau_inv",)] * -j
+    return ws + bridge + inverse_word(wt)
 
 
 def transpose_charge(s):

@@ -7,14 +7,21 @@ the whole word (`_walk`): sigma_c runs the two-row symbol matching on the
 β-sets of components c, c+1, or only swaps them when one lies below the
 other's floor, tau and its inverse rotate the β-sets while shifting the
 charge, and the β-sets are read back as partitions once, at the end.  psi
-and the one-generator maps psi_sigma, psi_tau, ... share that walk.
+and the one-generator maps psi_sigma, psi_tau, ... share that walk.  The
+walk's word comes from `charges._path_word` and is not replayed on the
+charge: `_psi` compares the charge the walk ends at with its target and
+raises InternalError on a miss.
+
+psi, membership and flotw_check check their arguments and call unchecked
+bodies (`_psi`, `_membership`, `_flotw`); the other modules call those
+bodies on values they have checked or built themselves.
 
 `blockwise_lift` and `blockwise_lower` are direct box-moving versions of the
 level-2 isomorphisms between a fundamental charge and a very dominant one;
 the crystal route runs on them, with psi as their independent reference.
 """
 
-from .charges import _apply, check_charge, fundamental_representative, path_word
+from .charges import _apply, _orbit_check, _path_word, check_charge, fundamental_representative
 from .core import (
     _int_arg,
     _rank_arg,
@@ -40,6 +47,11 @@ def flotw_check(mp, charge, e):
         raise InputError(f"{len(mp)} components vs {len(s)} charges")
     if not all(a <= b for a, b in zip(s, s[1:])) or s[-1] >= s[0] + e:
         raise InputError(f"flotw_check needs a fundamental multicharge, got {s}")
+    return _flotw(mp, s, e)
+
+
+def _flotw(mp, s, e):
+    """flotw_check of a checked multipartition at a checked fundamental charge."""
     l = len(mp)
     for j in range(l):
         if j + 1 < l:
@@ -153,16 +165,24 @@ def _walk(mp, s, word, e):
 def psi(mp, charge, to, e):
     """Crystal isomorphism from `charge` to `to` along a charge-group word.
 
-    Raises NoPathError when the charges are not in one orbit.
+    Raises NoPathError when the charges are not in one orbit.  The word is
+    not replayed on the charge: the walk carries the charge along, and a
+    walk that ends anywhere but `to` raises InternalError.
     """
     mp = check_multipartition(mp)
     s, t = check_charge(charge), check_charge(to)
     e = _int_arg("e", e, 2)
     if len(mp) != len(s):
         raise InputError(f"{len(mp)} components vs {len(s)} charges")
+    _orbit_check(s, t, e)
+    return _psi(mp, s, t, e)
+
+
+def _psi(mp, s, t, e):
+    """psi of a checked multipartition between checked charges of one orbit."""
     if s == t:
         return mp
-    mp, end = _walk(mp, s, path_word(s, t, e), e)
+    mp, end = _walk(mp, s, _path_word(s, t, e), e)
     if end != t:
         raise InternalError(f"isomorphism walk ended at {end}, wanted {t}")
     return mp
@@ -175,10 +195,15 @@ def membership(mp, charge, e):
     is transported to the fundamental representative first.
     """
     mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
+    if len(mp) != len(s):
+        raise InputError(f"{len(mp)} components vs {len(s)} charges")
+    return _membership(mp, s, e)
+
+
+def _membership(mp, s, e):
+    """membership of a checked multipartition at a checked charge of its level."""
     f = fundamental_representative(s, e)
-    if s == f:
-        return flotw_check(mp, s, e)
-    return flotw_check(psi(mp, s, f, e), f, e)
+    return _flotw(mp if s == f else _psi(mp, s, f, e), f, e)
 
 
 def enumerate_phi(n, charge, e):
@@ -190,9 +215,9 @@ def enumerate_phi(n, charge, e):
     n, s, e = _rank_arg(n), check_charge(charge), _int_arg("e", e, 2)
     f = fundamental_representative(s, e)
     if s == f:
-        found = [mp for mp in enumerate_multipartitions(n, len(s)) if flotw_check(mp, s, e)]
+        found = [mp for mp in enumerate_multipartitions(n, len(s)) if _flotw(mp, s, e)]
     else:
-        found = [psi(mp, f, s, e) for mp in enumerate_phi(n, f, e)]
+        found = [_psi(mp, f, s, e) for mp in enumerate_phi(n, f, e)]
     return tuple(sorted(found))
 
 

@@ -14,7 +14,9 @@ ak_mullineux transports the componentwise involution between charged
 multipartition sets along the crystal isomorphisms, and im_sharp conjugates
 it through the multisegment labelling, giving the involution on every
 aperiodic multisegment: its preimage is read off the segments directly, one
-row per segment at the charge of the sorted heads, with no search.
+row per segment at the charge of the sorted heads, with no search.  im_sharp
+checks its multisegment and then runs the unchecked bodies `_ak_mullineux`,
+`crystal._psi` and `multisegments._chi` on values it built itself.
 """
 
 from functools import lru_cache
@@ -38,14 +40,14 @@ from .core import (
     rank,
 )
 from .crystal import (
+    _membership,
+    _psi,
     _very_dominant_multiple,
     blockwise_lift,
     blockwise_lower,
-    membership,
-    psi,
 )
 from .errors import InputError, InternalError, NoPathError
-from .multisegments import check_multisegment, chi, is_aperiodic
+from .multisegments import _chi, check_multisegment, is_aperiodic
 from .theta import theta_l2
 
 
@@ -128,20 +130,21 @@ def _regular_input(lam, e, who):
 
 def xu(lam, e):
     """Mullineux image by repeated truncated-rim stripping."""
-    return _xu(lam, e, None)
+    return _xu(*_regular_input(lam, e, "xu"), None)
 
 
 def xu_trace(lam, e):
     """(image, steps) where steps record each strip and each column put back."""
     steps = []
-    return _xu(lam, e, steps), steps
+    return _xu(*_regular_input(lam, e, "xu"), steps), steps
 
 
 def _xu(lam, e, steps):
-    """Strip truncated e-rims down to the empty partition, then put their sizes
-    back as columns, last strip first; a `steps` list receives each stage.
+    """Strip truncated e-rims off a checked e-regular lam down to the empty
+    partition, then put their sizes back as columns, last strip first; a
+    `steps` list receives each stage.
     """
-    cur, e = _regular_input(lam, e, "xu")
+    cur = lam
     chain = []
     while cur:
         cur, removed = xu_strip(cur, e)
@@ -367,16 +370,29 @@ def ak_mullineux(mp, charge, to, e):
     t = check_charge(to)
     if len(mp) != len(s) or len(s) != len(t):
         raise InputError("multipartition, charge and target must share one level")
-    if not membership(mp, s, e):
+    e = _int_arg("e", e, 2)
+    if not _membership(mp, s, e):
         raise InputError(f"{mp} is not a member at charge {s} mod {e}")
+    return _ak_mullineux(mp, s, t, e)
+
+
+def _ak_mullineux(mp, s, t, e):
+    """ak_mullineux of a checked member at s, towards a checked t of its level.
+
+    The lift of a member is a member at a very dominant charge, whose
+    components are e-regular; one that is not is an InternalError.
+    """
     n = multirank(mp)
     vd = very_dominant_representative(s, n, e)
-    lifted = psi(mp, s, vd, e)
-    image = tuple(xu(comp, e) for comp in lifted)
+    lifted = _psi(mp, s, vd, e)
+    for comp in lifted:
+        if not is_e_regular(comp, e):
+            raise InternalError(f"the lift of {mp} to {vd} has a component that is not {e}-regular: {comp}")
+    image = tuple(_xu(comp, e, None) for comp in lifted)
     sharp = sharp_very_dominant(vd, n, e)
     if not same_orbit(sharp, t, e):
         raise NoPathError(f"target {t} is not in the orbit of the image charge {sharp}")
-    return psi(image, sharp, t, e)
+    return _psi(image, sharp, t, e)
 
 
 def im_sharp(ms, e):
@@ -397,5 +413,5 @@ def im_sharp(ms, e):
     segs = sorted(ms, key=lambda seg: (seg[0], -seg[1]))
     s = tuple(head for head, _ in segs)
     st = transpose_charge(s)
-    image = ak_mullineux(tuple((length,) for _, length in segs), s, st, e)
-    return chi(image, st, e)
+    image = _ak_mullineux(tuple((length,) for _, length in segs), s, st, e)
+    return _chi(image, st, e)

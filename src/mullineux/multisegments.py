@@ -15,7 +15,7 @@ multipartition to the fundamental representative first.
 
 from .charges import check_charge, fundamental_representative
 from .core import _int_arg, check_multipartition
-from .crystal import flotw_check, psi
+from .crystal import _psi, flotw_check, psi
 from .errors import InputError, InternalError, NotAdmissibleError
 
 
@@ -59,9 +59,14 @@ def chi(mp, charge, e):
     mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
     if len(mp) != len(s):
         raise InputError(f"{len(mp)} components vs {len(s)} charges")
+    return _chi(mp, s, e)
+
+
+def _chi(mp, s, e):
+    """chi of a checked multipartition at a checked charge of its level."""
     f = fundamental_representative(s, e)
     if s != f:
-        mp = psi(mp, s, f, e)
+        mp = _psi(mp, s, f, e)
         s = f
     segs = []
     for c, comp in enumerate(mp):

@@ -1,8 +1,16 @@
-"""Shared hypothesis strategies and settings for the test suite."""
+"""Shared hypothesis strategies, settings and enumerators for the test suite."""
+
+import itertools
+
+from collections import Counter
 
 from hypothesis import settings
 
 import hypothesis.strategies as st
+
+from mullineux.core import enumerate_partitions
+
+from mullineux.multisegments import canonical, is_aperiodic
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -23,3 +31,16 @@ def bipartitions(max_part=6, max_len=4):
 def charge_tuples(level, low=-6, high=8):
     """Strategy producing integer charges of a fixed level."""
     return st.tuples(*(st.integers(low, high) for _ in range(level)))
+
+
+def aperiodic_multisegments(n, e):
+    """Every aperiodic multisegment of rank n mod e, in canonical form."""
+    for lengths in enumerate_partitions(n):
+        groups = [
+            [tuple((h, length) for h in heads) for heads in itertools.combinations_with_replacement(range(e), k)]
+            for length, k in Counter(lengths).items()
+        ]
+        for combo in itertools.product(*groups):
+            ms = canonical(seg for group in combo for seg in group)
+            if is_aperiodic(ms, e):
+                yield ms

@@ -8,16 +8,17 @@ the two-minute budget.
 import itertools
 import time
 
-from collections import Counter
 from contextlib import contextmanager
 
 import pytest
+
+from conftest import aperiodic_multisegments
 
 from mullineux import difftest
 
 from mullineux.charges import transpose_charge
 
-from mullineux.core import enumerate_e_regular, enumerate_multipartitions, enumerate_partitions
+from mullineux.core import enumerate_e_regular, enumerate_multipartitions
 
 from mullineux.crystal import (
     blockwise_lift,
@@ -39,7 +40,7 @@ from mullineux.involution import (
 
 from mullineux.errors import NotAdmissibleError
 
-from mullineux.multisegments import canonical, chi, chi_inverse, is_aperiodic, multisegment_length
+from mullineux.multisegments import chi, chi_inverse, multisegment_length
 
 from mullineux.symbols import build_symbol, decode_symbol
 
@@ -300,19 +301,6 @@ def test_round_trip_multisegment_involution():
                         out = im_sharp(ms, e)
                         assert multisegment_length(out) == n, (mp, s, e)
                         assert im_sharp(out, e) == ms, (mp, s, e)
-
-
-def aperiodic_multisegments(n, e):
-    """Every aperiodic multisegment of rank n mod e, in canonical form."""
-    for lengths in enumerate_partitions(n):
-        groups = [
-            [tuple((h, length) for h in heads) for heads in itertools.combinations_with_replacement(range(e), k)]
-            for length, k in Counter(lengths).items()
-        ]
-        for combo in itertools.product(*groups):
-            ms = canonical(seg for group in combo for seg in group)
-            if is_aperiodic(ms, e):
-                yield ms
 
 
 def searched_im(ms, e):

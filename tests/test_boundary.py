@@ -9,6 +9,7 @@ import pytest
 import mullineux
 from mullineux import (
     InputError,
+    NoPathError,
     ak_mullineux,
     blockwise_lift,
     blockwise_lower,
@@ -222,3 +223,34 @@ def test_non_integer_arguments_are_input_errors(call):
 def test_out_of_range_arguments_name_their_range(call, message):
     with pytest.raises(InputError, match=f"^{message}$"):
         call()
+
+
+# psi, membership, flotw_check, chi and ak_mullineux check their arguments and
+# then run unchecked bodies; each error is the one the checks always raised.
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: psi(((1, 2), ()), S, (0, 4), 3), InputError, "parts must be weakly decreasing: (1, 2)"),
+        (lambda: psi((), S, (0, 4), 3), InputError, "a multipartition needs at least one component"),
+        (lambda: psi(BIP, (0, 1, 2), (0, 1, 5), 3), InputError, "2 components vs 3 charges"),
+        (lambda: psi(BIP, (0, 1.5), (0, 4), 3), InputError, "charge entries must be ints: (0, 1.5)"),
+        (lambda: psi(BIP, S, (0, 2), 3), NoPathError, "(0, 1) and (0, 2) have different residue multisets mod 3"),
+        (lambda: psi(BIP, S, (0, 1, 2), 3), NoPathError, "(0, 1) and (0, 1, 2) have different residue multisets mod 3"),
+        (lambda: membership(((1, 2), ()), (0, 4), 3), InputError, "parts must be weakly decreasing: (1, 2)"),
+        (lambda: membership(BIP, (0, 1, 2), 3), InputError, "2 components vs 3 charges"),
+        (lambda: membership(BIP, (0, 4, 2), 3), InputError, "2 components vs 3 charges"),
+        (lambda: membership(((1,),), (), 3), InputError, "a multicharge needs at least one entry"),
+        (lambda: flotw_check(BIP, (0, 1, 2), 3), InputError, "2 components vs 3 charges"),
+        (lambda: flotw_check(BIP, (0, 4), 3), InputError, "flotw_check needs a fundamental multicharge, got (0, 4)"),
+        (lambda: chi(BIP, (0, 1, 2), 3), InputError, "2 components vs 3 charges"),
+        (lambda: chi(((0, 1),), (0,), 3), InputError, "parts must be weakly decreasing: (0, 1)"),
+        (lambda: ak_mullineux(BIP, S, (0, 1, 2), 3), InputError, "multipartition, charge and target must share one level"),
+        (lambda: ak_mullineux(BIP, S, (0, 1, 2), 1), InputError, "multipartition, charge and target must share one level"),
+        (lambda: ak_mullineux(((1, 1), (1,)), S, (0, 5), 3), InputError, "((1, 1), (1,)) is not a member at charge (0, 1) mod 3"),
+        (lambda: ak_mullineux(((), (3,)), (0, 4), (0, 3), 3), NoPathError, "target (0, 3) is not in the orbit of the image charge (0, 5)"),
+    ],
+)
+def test_checked_wrappers_raise_their_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -1,5 +1,6 @@
 """Tests for charge arithmetic: generators, orbits, words, normal forms."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import charge_tuples
 
 from mullineux.charges import (
     InputError,
+    _path_word,
     act_shift,
     act_sigma,
     act_tau,
@@ -202,6 +204,56 @@ def test_normalization_word_lands_fundamental():
         f = apply_word(s, word, e)
         assert is_fundamental(f, e), (s, word, f)
         assert f == fundamental_representative(s, e)
+
+
+def bubble_normalization_word(s, e):
+    """normalization_word as it was before it inserted the wrapped entry.
+
+    Alternates stable adjacent-swap sorting (strict swaps only) with tau_inv
+    whenever the sorted charge still spans e or more.
+    """
+    t = list(s)
+    word = []
+    l = len(t)
+    while True:
+        swapped = True
+        while swapped:
+            swapped = False
+            for c in range(l - 1):
+                if t[c] > t[c + 1]:
+                    word.append(("sigma", c + 1))
+                    t[c], t[c + 1] = t[c + 1], t[c]
+                    swapped = True
+        if t[-1] < t[0] + e:
+            return word
+        word.append(("tau_inv",))
+        t = [t[-1] - e] + t[:-1]
+
+
+def test_normalization_word_is_the_bubble_sort_word_exhaustively():
+    for e in range(2, 6):
+        for level in (1, 2, 3):
+            for s in itertools.product(range(-6, 7), repeat=level):
+                assert normalization_word(s, e) == bubble_normalization_word(s, e), (s, e)
+
+
+@given(st.integers(1, 5).flatmap(lambda level: charge_tuples(level, -20, 20)), st.integers(2, 7))
+def test_normalization_word_is_the_bubble_sort_word(s, e):
+    assert normalization_word(s, e) == bubble_normalization_word(s, e)
+
+
+def test_unchecked_path_word_lands_exactly():
+    # psi walks the word of _path_word and checks only where the walk ends.
+    for e in range(2, 5):
+        for level, reach in ((1, 6), (2, 4), (3, 3)):
+            orbits = {}
+            for s in itertools.product(range(-reach, reach + 1), repeat=level):
+                orbits.setdefault(residue_counts(s, e), []).append(s)
+            for orbit in orbits.values():
+                for s, t in itertools.product(orbit, repeat=2):
+                    word = _path_word(s, t, e)
+                    assert word == path_word(s, t, e)
+                    assert apply_word(s, word, e) == t, (s, t, e)
 
 
 def test_inverse_word_round_trip():

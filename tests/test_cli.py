@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mullineux
-from mullineux import difftest
+from mullineux import crystal, difftest, involution
 from mullineux.cli import main
 
 
@@ -178,6 +178,23 @@ def test_a_walk_that_leaves_the_beta_sets_exits_3(capsys, monkeypatch):
     )
     assert (code, out) == (3, "")
     assert err.startswith("internal error: sigma_1 at ")
+
+
+def test_a_walk_that_ends_off_target_exits_3(capsys, monkeypatch):
+    walk = crystal._walk
+    monkeypatch.setattr(crystal, "_walk", lambda *args: (walk(*args)[0], (0, 0)))
+    code, out, err = run(
+        capsys, "crystal-iso", "--e", "3", "--charge", "0,1", "--to", "0,4", "--bipartition", "1|2"
+    )
+    assert (code, out) == (3, "")
+    assert err == "internal error: isomorphism walk ended at (0, 0), wanted (0, 4)\n"
+
+
+def test_a_lift_that_is_not_e_regular_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(involution, "_psi", lambda *args: ((1, 1, 1), ()))
+    code, out, err = run(capsys, "im", "--e", "3", "--multisegment", "0:1;1:2")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: the lift of ((1,), (2,)) to ")
 
 
 def test_crystal_iso_rejects_wrong_orbit(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given
 
 import hypothesis.strategies as st
 
-from conftest import bipartitions, charge_tuples, partitions
+from conftest import aperiodic_multisegments, bipartitions, charge_tuples, partitions
 
 from mullineux.charges import act_sigma, act_tau, act_tau_inv, path_word
 
@@ -37,7 +37,7 @@ from mullineux.crystal import (
 
 from mullineux.errors import InputError, InternalError, MalformedSymbolError
 
-from mullineux.involution import mullineux_crystal, xu
+from mullineux.involution import im_sharp, mullineux_crystal, xu
 
 from mullineux.symbols import _match, build_symbol, decode_symbol, match_step
 
@@ -378,6 +378,43 @@ def transport_inputs(draw, max_rank=40):
 @given(transport_inputs())
 def test_transport_matches_stepwise_reference_on_larger_inputs(case):
     assert_transport_matches_stepwise(*case)
+
+
+def test_im_transports_match_stepwise_reference(monkeypatch):
+    """psi on both transports of every im_sharp input with e <= 3 and rank
+    <= 6, fundamental -> very dominant and sharp -> transposed, against the
+    stepwise reference."""
+    import mullineux.involution as involution
+
+    transports = []
+    body = involution._psi
+    monkeypatch.setattr(involution, "_psi", lambda *args: transports.append(args) or body(*args))
+    inputs = 0
+    for e in (2, 3):
+        for n in range(1, 7):
+            for ms in aperiodic_multisegments(n, e):
+                im_sharp(ms, e)
+                inputs += 1
+    assert len(transports) == 2 * inputs
+    for mp, s, t, e in transports:
+        assert result_or_error(psi, mp, s, t, e) == result_or_error(stepwise_psi, mp, s, t, e), (mp, s, t, e)
+
+
+def test_a_walk_that_ends_off_target_is_an_internal_error(monkeypatch):
+    # psi checks only where its walk ends; the word is not replayed.
+    import mullineux.crystal as crystal
+
+    walk = crystal._walk
+
+    def off_target(mp, s, word, e):
+        image, end = walk(mp, s, word, e)
+        return image, end[:-1] + (end[-1] + e,)
+
+    monkeypatch.setattr(crystal, "_walk", off_target)
+    with pytest.raises(InternalError, match=r"^isomorphism walk ended at \(0, 7\), wanted \(0, 4\)$"):
+        psi(((1,), (2,)), (0, 1), (0, 4), 3)
+    with pytest.raises(InternalError, match="^isomorphism walk ended at "):
+        membership(((1,), (2,)), (0, 4), 3)
 
 
 def test_sigma_swap_matches_the_full_matching():

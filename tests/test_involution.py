@@ -3,6 +3,10 @@
 import random
 import sys
 
+import mullineux.crystal as crystal
+import mullineux.involution as involution
+import mullineux.multisegments as multisegments
+
 import pytest
 from hypothesis import given
 
@@ -17,7 +21,7 @@ from mullineux.core import (
     rank,
 )
 
-from mullineux.errors import InputError, NoPathError
+from mullineux.errors import InputError, InternalError, NoPathError
 
 from mullineux.involution import (
     ak_mullineux,
@@ -458,6 +462,28 @@ def test_ak_mullineux_is_an_involution_on_the_pair_of_sets():
             out = ak_mullineux(mp, (0, 1), (0, 5), e)
             back = ak_mullineux(out, (0, 5), (0, 1), e)
             assert back == mp, mp
+
+
+def test_im_sharp_validates_no_multipartition(monkeypatch):
+    # im_sharp checks its multisegment and runs the unchecked bodies on the
+    # multipartitions it builds, so none of them is checked again.
+    calls = []
+    for module in (crystal, involution, multisegments):
+        check = module.check_multipartition
+        monkeypatch.setattr(module, "check_multipartition", lambda mp, check=check: calls.append(mp) or check(mp))
+    assert im_sharp(((0, 3), (1, 3), (0, 1)), 3) == ((2, 6), (0, 1))
+    assert im_sharp(((0, 2), (1, 1), (1, 1)), 2) == ((0, 2), (1, 1), (1, 1))
+    assert calls == []
+    ak_mullineux(((1,), (2,)), (0, 1), (0, 5), 3)
+    assert calls == [((1,), (2,))]
+
+
+def test_a_lift_that_is_not_e_regular_is_an_internal_error(monkeypatch):
+    # The lift of a member has e-regular components; a lift without them is a
+    # fault of the transport, not of the input.
+    monkeypatch.setattr(involution, "_psi", lambda *args: ((1, 1, 1), ()))
+    with pytest.raises(InternalError, match=r"^the lift of \(\(1,\), \(2,\)\) to .* is not 3-regular: \(1, 1, 1\)$"):
+        im_sharp(((0, 1), (1, 2)), 3)
 
 
 def test_im_sharp_worked_example():
