@@ -2,10 +2,6 @@
 with the charged-multipartition and multisegment machinery around it."""
 
 from .charges import (
-    act_shift,
-    act_sigma,
-    act_tau,
-    act_tau_inv,
     apply_word,
     fundamental_representative,
     inverse_word,
@@ -35,7 +31,6 @@ from .core import (
 from .crystal import (
     blockwise_lift,
     blockwise_lower,
-    blockwise_lower_pair,
     enumerate_phi,
     flotw_check,
     membership,
@@ -43,8 +38,6 @@ from .crystal import (
     psi_shift_down,
     psi_shift_up,
     psi_sigma,
-    psi_tau,
-    psi_tau_inv,
 )
 from .errors import (
     InputError,
@@ -71,7 +64,6 @@ from .multisegments import (
     chi,
     chi_inverse,
     is_aperiodic,
-    multisegment_length,
     segment_tail,
 )
 from .symbols import Symbol, build_symbol, decode_symbol, match_step, symbol_depth

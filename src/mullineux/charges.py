@@ -27,43 +27,13 @@ def check_charge(s):
     return t
 
 
-def act_sigma(s, c):
-    """Swap entries c and c+1 (1-based); requires 1 <= c < len(s)."""
-    return _apply(s, ("sigma", _int_arg("sigma index", c)), None)  # sigma reads no e
-
-
-def act_shift(s, i, e):
-    """Add e to entry i (1-based)."""
-    i, e = _int_arg("shift index", i), _int_arg("e", e, 2)
-    if not 1 <= i <= len(s):
-        raise InputError(f"shift index {i} out of range for level {len(s)}")
-    t = list(s)
-    t[i - 1] += e
-    return tuple(t)
-
-
-def act_tau(s, e):
-    """Rotate left, adding e to the entry that wraps: (s_2,...,s_l,s_1+e)."""
-    return _apply(s, ("tau",), _int_arg("e", e, 2))
-
-
-def act_tau_inv(s, e):
-    """Inverse of act_tau: (s_l - e, s_1, ..., s_{l-1})."""
-    return _apply(s, ("tau_inv",), _int_arg("e", e, 2))
-
-
-def apply_generator(s, gen, e):
-    """Apply a single generator ("sigma", c) / ("tau",) / ("tau_inv",)."""
-    return _apply(s, _generator_arg(gen), _int_arg("e", e, 2))
-
-
 def _generator_arg(gen):
     """gen with its sigma index read as an int."""
     return ("sigma", _int_arg("sigma index", gen[1])) if gen[0] == "sigma" else gen
 
 
 def _apply(s, gen, e):
-    """apply_generator with a checked e and sigma index."""
+    """One generator applied to s, for a checked e and sigma index."""
     if gen[0] == "sigma":
         c = gen[1]
         if not 1 <= c < len(s):

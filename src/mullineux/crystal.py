@@ -6,22 +6,31 @@ word in the charge group, with each component held as its charged β-set for
 the whole word (`_walk`): sigma_c runs the two-row symbol matching on the
 β-sets of components c, c+1, or only swaps them when one lies below the
 other's floor, tau and its inverse rotate the β-sets while shifting the
-charge, and the β-sets are read back as partitions once, at the end.  psi
-and the one-generator maps psi_sigma, psi_tau, ... share that walk.  The
+charge, and the β-sets are read back as partitions once, at the end.  psi,
+psi_sigma and the level-2 shortcuts psi_shift_up/down share that walk.  The
 walk's word comes from `charges._path_word` and is not replayed on the
 charge: `_psi` compares the charge the walk ends at with its target and
 raises InternalError on a miss.
 
-psi, membership and flotw_check check their arguments and call unchecked
-bodies (`_psi`, `_membership`, `_flotw`); the other modules call those
-bodies on values they have checked or built themselves.
+Every public function here that takes a charged multipartition, and
+`multisegments.chi`, checks it with `_charged_input`.  psi, membership and
+flotw_check then call unchecked bodies (`_psi`, `_membership`, `_flotw`);
+the other modules call those bodies on values they have checked or built
+themselves.
 
 `blockwise_lift` and `blockwise_lower` are direct box-moving versions of the
 level-2 isomorphisms between a fundamental charge and a very dominant one;
 the crystal route runs on them, with psi as their independent reference.
 """
 
-from .charges import _apply, _orbit_check, _path_word, check_charge, fundamental_representative
+from .charges import (
+    _apply,
+    _orbit_check,
+    _path_word,
+    check_charge,
+    fundamental_representative,
+    is_fundamental,
+)
 from .core import (
     _int_arg,
     _rank_arg,
@@ -34,6 +43,19 @@ from .errors import InputError, InternalError
 from .symbols import _match
 
 
+def _charged_input(mp, charges, e):
+    """The checked (mp, *charges, e), read in that order.
+
+    InputError unless mp has one component per entry of the first charge.
+    """
+    mp = check_multipartition(mp)
+    charges = [check_charge(charge) for charge in charges]
+    e = _int_arg("e", e, 2)
+    if len(mp) != len(charges[0]):
+        raise InputError(f"{len(mp)} components vs {len(charges[0])} charges")
+    return (mp, *charges, e)
+
+
 def flotw_check(mp, charge, e):
     """FLOTW conditions at a fundamental multicharge.
 
@@ -42,10 +64,8 @@ def flotw_check(mp, charge, e):
     (3) for every part value k, the residues of the row ends of length-k rows
         do not exhaust Z/eZ.
     """
-    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
-    if len(mp) != len(s):
-        raise InputError(f"{len(mp)} components vs {len(s)} charges")
-    if not all(a <= b for a, b in zip(s, s[1:])) or s[-1] >= s[0] + e:
+    mp, s, e = _charged_input(mp, (charge,), e)
+    if not is_fundamental(s, e):
         raise InputError(f"flotw_check needs a fundamental multicharge, got {s}")
     return _flotw(mp, s, e)
 
@@ -68,46 +88,26 @@ def _flotw(mp, s, e):
     return all(len(seen) < e for seen in residues.values())
 
 
-def _generator_input(mp, charge, e):
-    """Checked (mp, s, e) for one generator; the component and charge counts agree."""
-    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
-    if len(mp) != len(s):
-        raise InputError(f"{len(mp)} components vs {len(s)} charges")
-    return mp, s, e
-
-
 def psi_sigma(mp, charge, e, c):
     """Apply the isomorphism for sigma_c: symbol matching on components c, c+1."""
-    mp, s, e = _generator_input(mp, charge, e)
+    mp, s, e = _charged_input(mp, (charge,), e)
     c = _int_arg("sigma index", c)
     _apply(s, ("sigma", c), e)  # rejects an out-of-range c
     return _walk(mp, s, (("sigma", c),), e)
 
 
-def psi_tau(mp, charge, e):
-    """Apply the isomorphism for tau: rotate components left."""
-    mp, s, e = _generator_input(mp, charge, e)
-    return _walk(mp, s, (("tau",),), e)
-
-
-def psi_tau_inv(mp, charge, e):
-    """Apply the isomorphism for tau inverse: rotate components right."""
-    mp, s, e = _generator_input(mp, charge, e)
-    return _walk(mp, s, (("tau_inv",),), e)
-
-
 def psi_shift_up(mp, charge, e):
     """Level-2 shortcut (s1, s2) -> (s1, s2 + e): sigma_1 then tau."""
-    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
-    if len(mp) != 2 or len(s) != 2:
+    mp, s, e = _charged_input(mp, (charge,), e)
+    if len(s) != 2:
         raise InputError("psi_shift_up needs a level-2 multipartition")
     return _walk(mp, s, (("sigma", 1), ("tau",)), e)
 
 
 def psi_shift_down(mp, charge, e):
     """Level-2 shortcut (s1, s2) -> (s1, s2 - e): tau inverse then sigma_1."""
-    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
-    if len(mp) != 2 or len(s) != 2:
+    mp, s, e = _charged_input(mp, (charge,), e)
+    if len(s) != 2:
         raise InputError("psi_shift_down needs a level-2 multipartition")
     return _walk(mp, s, (("tau_inv",), ("sigma", 1)), e)
 
@@ -169,11 +169,7 @@ def psi(mp, charge, to, e):
     not replayed on the charge: the walk carries the charge along, and a
     walk that ends anywhere but `to` raises InternalError.
     """
-    mp = check_multipartition(mp)
-    s, t = check_charge(charge), check_charge(to)
-    e = _int_arg("e", e, 2)
-    if len(mp) != len(s):
-        raise InputError(f"{len(mp)} components vs {len(s)} charges")
+    mp, s, t, e = _charged_input(mp, (charge, to), e)
     _orbit_check(s, t, e)
     return _psi(mp, s, t, e)
 
@@ -194,9 +190,7 @@ def membership(mp, charge, e):
     At a fundamental charge this is flotw_check; elsewhere the multipartition
     is transported to the fundamental representative first.
     """
-    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
-    if len(mp) != len(s):
-        raise InputError(f"{len(mp)} components vs {len(s)} charges")
+    mp, s, e = _charged_input(mp, (charge,), e)
     return _membership(mp, s, e)
 
 
@@ -304,22 +298,23 @@ def blockwise_lift(lam, e, s):
     return tuple(p for p in lam1 if p > 0), tuple(p for p in mu if p > 0)
 
 
-def blockwise_lower_pair(pair, start_charge, e):
-    """Box-moving descent of (nu1 at 0, nu2 at start_charge) to a fundamental charge.
+def _lower_pair(nu1, nu2, t, e):
+    """Box-moving descent of (nu1 at 0, nu2 at t) to a fundamental charge.
 
-    Rounds run at charges t = start_charge, start_charge - e, ..., down to
-    start_charge mod e (which must be nonzero), except that a round which
-    would move no box is skipped, since it changes nothing.  Row a of nu2
-    (part p, next part b) gives boxes to row j of nu1 (rightmost content c)
-    in the round at t exactly when c + a - p < t <= c + a - b.  So at the
-    start, and after a round that moved nothing, t jumps down to the next
-    charge inside one of these windows; the descent ends when none is left.
-    Each round scans nu2 bottom-up; a row with rightmost content r donates
-    its boxes above content c to the lowest nu1 row not yet used as a target
-    this round whose rightmost content c is below r, falling back to the
-    next row up whenever the donation would break nu2's shape.  nu1 never
-    gains rows.  The move must keep nu2 a partition at every moment; nu1 may
-    pass through non-partition shapes inside a round.  Returns the final
+    nu1 and nu2 are checked partitions, and t = k*e - s with 0 < s < e.
+    Rounds run at charges t, t - e, ..., down to t mod e, except that a
+    round which would move no box is skipped, since it changes nothing.
+    Row a of nu2 (part p, next part b) gives boxes to row j of nu1
+    (rightmost content c) in the round at t exactly when
+    c + a - p < t <= c + a - b.  So at the start, and after a round that
+    moved nothing, t jumps down to the next charge inside one of these
+    windows; the descent ends when none is left.  Each round scans nu2
+    bottom-up; a row with rightmost content r donates its boxes above
+    content c to the lowest nu1 row not yet used as a target this round
+    whose rightmost content c is below r, falling back to the next row up
+    whenever the donation would break nu2's shape.  nu1 never gains rows.
+    The move must keep nu2 a partition at every moment; nu1 may pass
+    through non-partition shapes inside a round.  Returns the final
     (nu1, nu2).
 
     The final pair is in general *not* the image of the input under the
@@ -327,17 +322,6 @@ def blockwise_lower_pair(pair, start_charge, e):
     merged partition is guaranteed to agree, which is what blockwise_lower
     returns.
     """
-    nu1 = check_partition(pair[0])
-    nu2 = check_partition(pair[1])
-    e, t = _int_arg("e", e, 2), _int_arg("start charge", start_charge)
-    final_t = t % e
-    if final_t == 0 or t < final_t:
-        raise InputError(f"start charge {t} is not of the form k*e - s with 0 < s < e")
-    return _lower_pair(nu1, nu2, t, e)
-
-
-def _lower_pair(nu1, nu2, t, e):
-    """blockwise_lower_pair of checked components from a checked start charge t."""
     nu1, nu2 = list(nu1), list(nu2)
     final_t = t % e
     moved = False
@@ -404,11 +388,12 @@ def blockwise_lower(pair, e, s):
     """Merged partition from the box-moving descent of a very dominant pair.
 
     Places the pair at the canonical very dominant charge (0, -s + k*e) for
-    its rank, runs blockwise_lower_pair down to (0, e - s), and merges the
-    two components into one partition.
+    its rank, runs the descent `_lower_pair` down to (0, e - s), and merges
+    the two components into one partition.
     """
-    nu1 = check_partition(pair[0])
-    nu2 = check_partition(pair[1])
+    if len(pair) != 2:
+        raise InputError(f"blockwise_lower needs two components, got {len(pair)}")
+    nu1, nu2 = check_partition(pair[0]), check_partition(pair[1])
     e = _int_arg("e", e, 2)
     s = _int_arg("s", s, 1, e - 1)
     n = sum(nu1) + sum(nu2)

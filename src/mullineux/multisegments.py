@@ -14,8 +14,8 @@ multipartition to the fundamental representative first.
 """
 
 from .charges import check_charge, fundamental_representative
-from .core import _int_arg, check_multipartition
-from .crystal import _psi, flotw_check, psi
+from .core import _int_arg
+from .crystal import _charged_input, _psi, flotw_check, psi
 from .errors import InputError, InternalError, NotAdmissibleError
 
 
@@ -24,8 +24,11 @@ def check_multisegment(ms, e):
     e = _int_arg("e", e, 2)
     segs = []
     for seg in ms:
-        head, length = _int_arg("segment head", seg[0]), _int_arg("segment length", seg[1], 1)
-        segs.append((head % e, length))
+        try:
+            head, length = seg
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"a segment must be a (head, length) pair, got {seg!r}") from exc
+        segs.append((_int_arg("segment head", head) % e, _int_arg("segment length", length, 1)))
     return canonical(segs)
 
 
@@ -40,11 +43,6 @@ def segment_tail(seg, e):
     return (head + length - 1) % _int_arg("e", e, 2)
 
 
-def multisegment_length(ms):
-    """Total number of residue entries over all segments."""
-    return sum(length for _, length in ms)
-
-
 def is_aperiodic(ms, e):
     """No length L has segments of that length realizing every tail residue."""
     e = _int_arg("e", e, 2)
@@ -56,9 +54,7 @@ def is_aperiodic(ms, e):
 
 def chi(mp, charge, e):
     """Multisegment of a charged multipartition (rows read as segments)."""
-    mp, s, e = check_multipartition(mp), check_charge(charge), _int_arg("e", e, 2)
-    if len(mp) != len(s):
-        raise InputError(f"{len(mp)} components vs {len(s)} charges")
+    mp, s, e = _charged_input(mp, (charge,), e)
     return _chi(mp, s, e)
 
 

@@ -1,8 +1,11 @@
-"""The public boundary: the exported names, and the integer checks that the
-public functions make on `e`, split charges and residues."""
+"""The public boundary: the exported names, the integer checks that the
+public functions make on `e`, split charges and residues, the shape checks
+on segments and pairs, and the library's imports."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,6 @@ from mullineux import (
     ak_mullineux,
     blockwise_lift,
     blockwise_lower,
-    blockwise_lower_pair,
     chi,
     chi_inverse,
     e_rim,
@@ -36,8 +38,6 @@ from mullineux import (
     psi_shift_down,
     psi_shift_up,
     psi_sigma,
-    psi_tau,
-    psi_tau_inv,
     segment_tail,
     theta,
     theta_l2,
@@ -46,11 +46,6 @@ from mullineux import (
     xu_strip,
 )
 from mullineux.charges import (
-    act_shift,
-    act_sigma,
-    act_tau,
-    act_tau_inv,
-    apply_generator,
     apply_word,
     fundamental_representative,
     is_fundamental,
@@ -66,19 +61,18 @@ from mullineux.multisegments import check_multisegment
 
 PUBLIC_NAMES = [
     "InputError", "InternalError", "MalformedSymbolError", "MullineuxError",
-    "NoPathError", "NotAdmissibleError", "Symbol", "act_shift", "act_sigma",
-    "act_tau", "act_tau_inv", "ak_mullineux", "apply_word", "blockwise_lift",
-    "blockwise_lower", "blockwise_lower_pair", "build_symbol", "canonical",
-    "charges", "chi", "chi_inverse", "concat", "conjugate", "core", "crystal",
-    "decode_symbol", "e_rim", "enumerate_e_regular", "enumerate_multipartitions",
-    "enumerate_partitions", "enumerate_phi", "errors", "flotw_check",
-    "fundamental_representative", "good_addable_node", "good_removable_node",
-    "im_sharp", "inverse_word", "involution", "is_aperiodic", "is_e_regular",
-    "is_fundamental", "is_strict_e_core", "kleshchev_oracle", "match_step",
-    "max_hook_length", "membership", "mullineux_crystal", "multirank",
-    "multisegment_length", "multisegments", "normalization_word", "part",
-    "path_word", "psi", "psi_shift_down", "psi_shift_up", "psi_sigma", "psi_tau",
-    "psi_tau_inv", "rank", "remove_first_column", "residue_counts", "same_orbit",
+    "NoPathError", "NotAdmissibleError", "Symbol", "ak_mullineux", "apply_word",
+    "blockwise_lift", "blockwise_lower", "build_symbol", "canonical", "charges",
+    "chi", "chi_inverse", "concat", "conjugate", "core", "crystal",
+    "decode_symbol", "e_rim", "enumerate_e_regular",
+    "enumerate_multipartitions", "enumerate_partitions", "enumerate_phi",
+    "errors", "flotw_check", "fundamental_representative", "good_addable_node",
+    "good_removable_node", "im_sharp", "inverse_word", "involution",
+    "is_aperiodic", "is_e_regular", "is_fundamental", "is_strict_e_core",
+    "kleshchev_oracle", "match_step", "max_hook_length", "membership",
+    "mullineux_crystal", "multirank", "multisegments", "normalization_word",
+    "part", "path_word", "psi", "psi_shift_down", "psi_shift_up", "psi_sigma",
+    "rank", "remove_first_column", "residue_counts", "same_orbit",
     "segment_tail", "sharp_very_dominant", "symbol_depth", "symbols", "theta",
     "theta_inverse", "theta_l2", "transpose_charge", "truncated_e_rim",
     "very_dominant_representative", "xu", "xu_strip",
@@ -98,10 +92,6 @@ S = (0, 1)
 
 # One call per public function that takes e, valid at e = 3.
 E_CALLS = {
-    "charges.act_shift": lambda e: act_shift(S, 1, e),
-    "charges.act_tau": lambda e: act_tau(S, e),
-    "charges.act_tau_inv": lambda e: act_tau_inv(S, e),
-    "charges.apply_generator": lambda e: apply_generator(S, ("tau",), e),
     "charges.apply_word": lambda e: apply_word(S, [("tau",)], e),
     "charges.is_fundamental": lambda e: is_fundamental(S, e),
     "charges.residue_counts": lambda e: residue_counts(S, e),
@@ -118,15 +108,12 @@ E_CALLS = {
     "theta.theta_l2": lambda e: theta_l2(LAM, e, 1),
     "crystal.flotw_check": lambda e: flotw_check(BIP, (0, 1), e),
     "crystal.psi_sigma": lambda e: psi_sigma(BIP, (0, 1), e, 1),
-    "crystal.psi_tau": lambda e: psi_tau(BIP, (0, 1), e),
-    "crystal.psi_tau_inv": lambda e: psi_tau_inv(BIP, (0, 1), e),
     "crystal.psi_shift_up": lambda e: psi_shift_up(BIP, (0, 1), e),
     "crystal.psi_shift_down": lambda e: psi_shift_down(BIP, (0, 4), e),
     "crystal.psi": lambda e: psi(BIP, (0, 1), (0, 4), e),
     "crystal.membership": lambda e: membership(BIP, (0, 1), e),
     "crystal.enumerate_phi": lambda e: enumerate_phi(2, (0, 1), e),
     "crystal.blockwise_lift": lambda e: blockwise_lift(LAM, e, 1),
-    "crystal.blockwise_lower_pair": lambda e: blockwise_lower_pair(PAIR, 5, e),
     "crystal.blockwise_lower": lambda e: blockwise_lower(PAIR, e, 1),
     "multisegments.check_multisegment": lambda e: check_multisegment(MS, e),
     "multisegments.segment_tail": lambda e: segment_tail(MS[0], e),
@@ -184,8 +171,8 @@ def test_bad_e_is_an_input_error(label, e):
         lambda: mullineux_crystal((2,), 3, 1.0),
         lambda: mullineux_crystal_trace((2,), 3, 1.0),
         lambda: psi_sigma(BIP, (0, 1), 3, 1.0),
-        lambda: act_sigma(S, 1.0),
-        lambda: act_shift(S, 1.0, 3),
+        lambda: apply_word(S, [("sigma", 1.0)], 3),
+        lambda: good_removable_node(LAM, 3, 1.0),
         lambda: sharp_very_dominant(S, 2.5, 3),
         lambda: very_dominant_representative(S, 2.5, 3),
         lambda: list(enumerate_partitions(2.5)),
@@ -194,7 +181,7 @@ def test_bad_e_is_an_input_error(label, e):
         lambda: list(enumerate_multipartitions(2, 1.5)),
         lambda: enumerate_phi(2.5, (0, 1), 3),
         lambda: build_symbol(BIP, (0, 1), depth=2.5),
-        lambda: apply_generator(S, ("sigma", 1.0), 3),
+        lambda: check_multisegment(((0.5, 1),), 3),
         lambda: apply_word(S, [("tau",), ("sigma", 1.0)], 3),
     ],
 )
@@ -254,3 +241,49 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+# A segment is a (head, length) pair and blockwise_lower takes exactly two
+# components; anything else is an InputError, never an IndexError or a
+# silently truncated read.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_multisegment(((0,),), 3), "a segment must be a (head, length) pair, got (0,)"),
+        (lambda: im_sharp(((0,),), 3), "a segment must be a (head, length) pair, got (0,)"),
+        (lambda: im_sharp(((0, 1, 7),), 3), "a segment must be a (head, length) pair, got (0, 1, 7)"),
+        (lambda: blockwise_lower(((1,),), 3, 1), "blockwise_lower needs two components, got 1"),
+        (lambda: blockwise_lower(((1,), (1,), (5,)), 3, 1), "blockwise_lower needs two components, got 3"),
+    ],
+)
+def test_malformed_segments_and_pairs_are_input_errors(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def unused_imports(source):
+    """The names a module imports and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_unused_imports_finds_a_stray_name():
+    assert unused_imports("import os\nfrom a import b as c, d\nos.sep\nd()\n") == {"c"}
+
+
+def test_library_modules_use_every_name_they_import():
+    # __init__ imports in order to re-export, so it is left out.
+    src = Path(mullineux.__file__).parent
+    found = {
+        path.name: names
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

@@ -14,10 +14,6 @@ from conftest import charge_tuples
 from mullineux.charges import (
     InputError,
     _path_word,
-    act_shift,
-    act_sigma,
-    act_tau,
-    act_tau_inv,
     apply_word,
     check_charge,
     fundamental_representative,
@@ -55,12 +51,13 @@ def random_word(rng, level, length):
 
 def test_generator_tables():
     for s, e, expected in (((0, 1), 3, (1, 3)), ((0, 4), 3, (4, 3)), ((5,), 2, (7,))):
-        assert act_tau(s, e) == expected, (s, e)
+        assert apply_word(s, [("tau",)], e) == expected, (s, e)
     for s, c, expected in (((0, 1), 1, (1, 0)), ((3, 1, 2), 2, (3, 2, 1))):
-        assert act_sigma(s, c) == expected, (s, c)
-    assert act_tau_inv((1, 3), 3) == (0, 1)
-    assert act_shift((0, 1), 1, 3) == (3, 1)
-    assert act_shift((0, 1), 2, 3) == (0, 4)
+        assert apply_word(s, [("sigma", c)], 3) == expected, (s, c)
+    assert apply_word((1, 3), [("tau_inv",)], 3) == (0, 1)
+    # At level 2 the shift z_1 is tau then sigma_1, and z_2 is sigma_1 then tau.
+    assert apply_word((0, 1), [("tau",), ("sigma", 1)], 3) == (3, 1)
+    assert apply_word((0, 1), [("sigma", 1), ("tau",)], 3) == (0, 4)
 
 
 def test_tau_inverts_tau():
@@ -69,8 +66,8 @@ def test_tau_inverts_tau():
         level = rng.randrange(1, 5)
         s = tuple(rng.randrange(-8, 9) for _ in range(level))
         e = rng.randrange(2, 6)
-        assert act_tau_inv(act_tau(s, e), e) == s
-        assert act_tau(act_tau_inv(s, e), e) == s
+        assert apply_word(s, [("tau",), ("tau_inv",)], e) == s
+        assert apply_word(s, [("tau_inv",), ("tau",)], e) == s
 
 
 def test_tau_is_shift_after_cycle():
@@ -81,7 +78,7 @@ def test_tau_is_shift_after_cycle():
         s = tuple(rng.randrange(-8, 9) for _ in range(level))
         e = rng.randrange(2, 6)
         expected = s[1:] + (s[0] + e,)
-        assert act_tau(s, e) == expected
+        assert apply_word(s, [("tau",)], e) == expected
 
 
 def test_check_charge():

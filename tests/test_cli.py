@@ -148,6 +148,13 @@ def test_every_subcommand_rejects_a_bad_modulus(capsys, argv, e):
     assert err == f"error: e must be >= 2, got {e}\n"
 
 
+@pytest.mark.parametrize("method", ["crystal", "xu", "kleshchev", "all"])
+@pytest.mark.parametrize("s", ["0", "3"])
+def test_every_method_rejects_an_out_of_range_split_charge(capsys, method, s):
+    code, out, err = run(capsys, "mullineux", "--e", "3", "--partition", "3", "--s", s, "--method", method)
+    assert (code, out, err) == (2, "", f"error: s must be in 1..2, got {s}\n")
+
+
 def test_mullineux_rejects_bad_parse(capsys):
     code, out, err = run(capsys, "mullineux", "--e", "3", "--partition", "2,3")
     assert code == 2

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from conftest import aperiodic_multisegments, bipartitions, charge_tuples, partitions
 
-from mullineux.charges import act_sigma, act_tau, act_tau_inv, path_word
+from mullineux.charges import apply_word, path_word
 
 from mullineux.core import (
     enumerate_e_regular,
@@ -21,9 +21,10 @@ from mullineux.core import (
 )
 
 from mullineux.crystal import (
+    _lower_pair,
+    _walk,
     blockwise_lift,
     blockwise_lower,
-    blockwise_lower_pair,
     enumerate_phi,
     flotw_check,
     membership,
@@ -31,8 +32,6 @@ from mullineux.crystal import (
     psi_shift_down,
     psi_shift_up,
     psi_sigma,
-    psi_tau,
-    psi_tau_inv,
 )
 
 from mullineux.errors import InputError, InternalError, MalformedSymbolError
@@ -137,9 +136,9 @@ def test_psi_sigma_examples():
 
 
 def test_psi_tau_round_trip():
-    moved, charge = psi_tau(((1,), (2,)), (0, 1), 3)
+    moved, charge = _walk(((1,), (2,)), (0, 1), (("tau",),), 3)
     assert (moved, charge) == (((2,), (1,)), (1, 3))
-    back, back_charge = psi_tau_inv(moved, charge, 3)
+    back, back_charge = _walk(moved, charge, (("tau_inv",),), 3)
     assert (back, back_charge) == (((1,), (2,)), (0, 1))
 
 
@@ -224,10 +223,8 @@ def test_psi_is_the_walk_of_its_generators():
         for gen in path_word(charge, to, e):
             if gen[0] == "sigma":
                 mp, charge = psi_sigma(mp, charge, e, gen[1])
-            elif gen[0] == "tau":
-                mp, charge = psi_tau(mp, charge, e)
             else:
-                mp, charge = psi_tau_inv(mp, charge, e)
+                mp, charge = _walk(mp, charge, (gen,), e)
         assert charge == to
         return mp
 
@@ -244,8 +241,6 @@ def test_transport_rejects_non_partitions():
             lambda: psi(bad, (0, 1), (0, 4), 3),
             lambda: psi(bad, (0, 1), (0, 1), 3),
             lambda: psi_sigma(bad, (0, 1), 3, 1),
-            lambda: psi_tau(bad, (0, 1), 3),
-            lambda: psi_tau_inv(bad, (0, 1), 3),
             lambda: psi_shift_up(bad, (0, 1), 3),
             lambda: psi_shift_down(bad, (0, 4), 3),
             lambda: membership(bad, (0, 1), 3),
@@ -259,8 +254,8 @@ def test_generators_need_one_charge_per_component():
     for mp, charge in ((((1,), (), ()), (0, 1)), (((1,), ()), (0, 1, 2))):
         for call in (
             lambda: psi_sigma(mp, charge, 3, 1),
-            lambda: psi_tau(mp, charge, 3),
-            lambda: psi_tau_inv(mp, charge, 3),
+            lambda: psi_shift_up(mp, charge, 3),
+            lambda: psi_shift_down(mp, charge, 3),
         ):
             with pytest.raises(InputError, match="components vs"):
                 call()
@@ -280,12 +275,12 @@ def stepwise_step(mp, s, gen, e):
     minimal-depth symbol of components c, c+1, runs match_step on it and
     decodes the result back to partitions.
     """
+    t = apply_word(s, [gen], e)
     if gen[0] == "tau":
-        return mp[1:] + mp[:1], act_tau(s, e)
+        return mp[1:] + mp[:1], t
     if gen[0] == "tau_inv":
-        return mp[-1:] + mp[:-1], act_tau_inv(s, e)
+        return mp[-1:] + mp[:-1], t
     c = gen[1]
-    t = act_sigma(s, c)
     pair = decode_symbol(match_step(build_symbol(mp[c - 1 : c + 1], s[c - 1 : c + 1])))
     return mp[: c - 1] + pair + mp[c + 1 :], t
 
@@ -315,7 +310,8 @@ def result_or_error(fn, *args):
 
 
 def assert_transport_matches_stepwise(mp, s, targets, e):
-    """psi to each target and the five generator wrappers against the stepwise reference."""
+    """psi to each target, psi_sigma, the walks of tau and tau inverse, and the
+    shifts against the stepwise reference."""
     for t in targets:
         got = result_or_error(psi, mp, s, t, e)
         assert got == result_or_error(stepwise_psi, mp, s, t, e), (mp, s, t, e)
@@ -323,8 +319,8 @@ def assert_transport_matches_stepwise(mp, s, targets, e):
     for c in range(1, len(s) + 1):
         got = result_or_error(psi_sigma, mp, s, e, c)
         assert got == result_or_error(stepwise_walk, mp, s, [("sigma", c)], e), (mp, s, c, e)
-    for wrapper, word in ((psi_tau, [("tau",)]), (psi_tau_inv, [("tau_inv",)])):
-        assert wrapper(mp, s, e) == stepwise_walk(mp, s, word, e), (mp, s, e)
+    for word in ([("tau",)], [("tau_inv",)]):
+        assert _walk(mp, s, word, e) == stepwise_walk(mp, s, word, e), (mp, s, e)
     if len(s) == 2:
         for wrapper, word in (
             (psi_shift_up, [("sigma", 1), ("tau",)]),
@@ -504,13 +500,18 @@ def test_blockwise_lift_core_signals():
                         assert lifted[0] != (), (lam, e, s)
 
 
+def lower_pair(pair, t, e):
+    """The descent blockwise_lower runs, on a pair of partitions from start charge t."""
+    return _lower_pair(pair[0], pair[1], t, e)
+
+
 def test_blockwise_lower_pair_worked_examples():
     # Two full descents checked round for round against hand computation.
-    assert blockwise_lower_pair(((10,), (14, 7, 7, 3, 3, 1)), 19, 4) == (
+    assert lower_pair(((10,), (14, 7, 7, 3, 3, 1)), 19, 4) == (
         (17,),
         (9, 7, 6, 3, 3),
     )
-    assert blockwise_lower_pair(((6, 6), (15, 7, 5, 4, 1, 1)), 10, 4) == (
+    assert lower_pair(((6, 6), (15, 7, 5, 4, 1, 1)), 10, 4) == (
         (17, 9),
         (7, 6, 3, 3),
     )
@@ -519,7 +520,7 @@ def test_blockwise_lower_pair_worked_examples():
 def stepwise_lower_pair(pair, t, e):
     """Reference descent: a round at every t, t - e, ..., t mod e, moving or not.
 
-    This is the loop blockwise_lower_pair ran before it skipped the rounds
+    This is the loop `_lower_pair` ran before it skipped the rounds
     that move no box; it must return the same final pair and raise the same
     errors.
     """
@@ -577,7 +578,7 @@ def test_blockwise_lower_pair_matches_stepwise_reference_exhaustively():
             for pair in enumerate_multipartitions(n, 2):
                 for t in start_charges(n, e):
                     expected = outcome(stepwise_lower_pair, pair, t, e)
-                    got = outcome(blockwise_lower_pair, pair, t, e)
+                    got = outcome(lower_pair, pair, t, e)
                     assert got == expected, (pair, t, e)
 
 
@@ -601,7 +602,7 @@ def descent_inputs(draw, max_rank=80):
 @given(descent_inputs())
 def test_blockwise_lower_pair_matches_stepwise_reference_on_larger_pairs(case):
     pair, t, e = case
-    assert outcome(blockwise_lower_pair, pair, t, e) == outcome(stepwise_lower_pair, pair, t, e)
+    assert outcome(lower_pair, pair, t, e) == outcome(stepwise_lower_pair, pair, t, e)
 
 
 @pytest.mark.parametrize(
@@ -610,9 +611,9 @@ def test_blockwise_lower_pair_matches_stepwise_reference_on_larger_pairs(case):
         lambda: blockwise_lift((3, 2, 1), 3.0, 1),
         lambda: blockwise_lift((3, 2, 1), 3, 1.0),
         lambda: blockwise_lift((3, 2, 1), "3", 1),
-        lambda: blockwise_lower_pair(((10,), (14, 7, 7, 3, 3, 1)), 19.5, 4),
-        lambda: blockwise_lower_pair(((10,), (14, 7, 7, 3, 3, 1)), 19, 4.0),
-        lambda: blockwise_lower_pair(((10,), (14, 7, 7, 3, 3, 1)), "19", 4),
+        lambda: blockwise_lift((3, 2, 1), 3, None),
+        lambda: blockwise_lower(((1, 1), (2, 2)), "3", 2),
+        lambda: blockwise_lower(((1, 1), (2, 2)), 3, "2"),
         lambda: blockwise_lower(((1, 1), (2, 2)), 3.0, 2),
         lambda: blockwise_lower(((1, 1), (2, 2)), 3, 2.0),
         lambda: blockwise_lower(((1, 1), (2, 2)), 3, None),

@@ -4,7 +4,7 @@ import pytest
 
 from mullineux.core import enumerate_e_regular
 
-from mullineux.crystal import enumerate_phi, psi_tau
+from mullineux.crystal import _walk, enumerate_phi
 
 from mullineux.multisegments import (
     InputError,
@@ -14,7 +14,6 @@ from mullineux.multisegments import (
     chi,
     chi_inverse,
     is_aperiodic,
-    multisegment_length,
     segment_tail,
 )
 
@@ -60,11 +59,6 @@ def test_segment_tail():
     # The tail residue is head + length - 1 mod e.
     for seg, e, expected in (((2, 6), 3, 1), ((0, 1), 3, 0), ((1, 2), 3, 2)):
         assert segment_tail(seg, e) == expected, seg
-
-
-def test_multisegment_length():
-    assert multisegment_length(MS_334) == 7
-    assert multisegment_length(()) == 0
 
 
 def test_is_aperiodic_table():
@@ -139,7 +133,7 @@ def test_chi_outputs_are_canonical_aperiodic_and_graded():
                     ms = chi(mp, charge, e)
                     assert ms == canonical(ms), (mp, charge)
                     assert is_aperiodic(ms, e), (mp, charge)
-                    assert multisegment_length(ms) == n, (mp, charge)
+                    assert sum(length for _, length in ms) == n, (mp, charge)
 
 
 def test_chi_invariant_under_rotation():
@@ -147,7 +141,7 @@ def test_chi_invariant_under_rotation():
     e = 3
     for n in range(8):
         for mp in enumerate_phi(n, (0, 1), e):
-            moved, charge = psi_tau(mp, (0, 1), e)
+            moved, charge = _walk(mp, (0, 1), (("tau",),), e)
             assert chi(moved, charge, e) == chi(mp, (0, 1), e), mp
 
 

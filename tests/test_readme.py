@@ -1,8 +1,12 @@
-"""The README's library quick tour, run as a doctest."""
+"""The README's library quick tour, run as a doctest, and its shell examples,
+run through the command line entry point."""
 
 import doctest
 import re
+import shlex
 from pathlib import Path
+
+from mullineux.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,3 +21,12 @@ def test_readme_quick_tour():
     runner.run(test)
     results = runner.summarize(verbose=False)
     assert (results.attempted, results.failed) == (8, 0)
+
+
+def test_readme_shell_examples(capsys):
+    # Each block is one `$ mullineux ...` line followed by its exact stdout.
+    blocks = re.findall(r"^```\n\$ mullineux (.*?)\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    assert len(blocks) == 8
+    for command, expected in blocks:
+        code = main(shlex.split(command))
+        assert (code, capsys.readouterr().out) == (0, expected), command
