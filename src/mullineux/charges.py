@@ -28,8 +28,11 @@ def check_charge(s):
 
 
 def _generator_arg(gen):
-    """gen with its sigma index read as an int."""
-    return ("sigma", _int_arg("sigma index", gen[1])) if gen[0] == "sigma" else gen
+    """gen with its sigma index read as an int; InputError when a field is missing."""
+    try:
+        return ("sigma", _int_arg("sigma index", gen[1])) if gen[0] == "sigma" else gen
+    except (IndexError, TypeError) as exc:
+        raise InputError(f"malformed generator {gen!r}") from exc
 
 
 def _apply(s, gen, e):
@@ -65,11 +68,15 @@ def inverse_word(word):
     """Inverse word: reversed, with sigma self-inverse and tau <-> tau_inv."""
     out = []
     for gen in reversed(word):
-        if gen[0] == "sigma":
+        try:
+            kind = gen[0]
+        except (IndexError, TypeError) as exc:
+            raise InputError(f"malformed generator {gen!r}") from exc
+        if kind == "sigma":
             out.append(gen)
-        elif gen[0] == "tau":
+        elif kind == "tau":
             out.append(("tau_inv",))
-        elif gen[0] == "tau_inv":
+        elif kind == "tau_inv":
             out.append(("tau",))
         else:
             raise InputError(f"unknown generator {gen!r}")
@@ -79,7 +86,10 @@ def inverse_word(word):
 def is_fundamental(s, e):
     """True when s_1 <= ... <= s_l < s_1 + e."""
     e = _int_arg("e", e, 2)
-    return all(a <= b for a, b in zip(s, s[1:])) and s[-1] < s[0] + e
+    try:
+        return all(a <= b for a, b in zip(s, s[1:])) and s[-1] < s[0] + e
+    except (IndexError, TypeError) as exc:
+        raise InputError(f"a multicharge must be a nonempty sequence of ints, got {s!r}") from exc
 
 
 def residue_counts(s, e):

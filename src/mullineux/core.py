@@ -39,6 +39,14 @@ def _int_seq(what, xs):
         raise InputError(f"{what} must be ints: {xs!r}") from exc
 
 
+def _iter_arg(what, xs):
+    """iter(xs); InputError when xs is not iterable."""
+    try:
+        return iter(xs)
+    except TypeError as exc:
+        raise InputError(f"{what} must be iterable, got {xs!r}") from exc
+
+
 def check_partition(parts):
     """Normalize `parts` to a partition tuple, dropping trailing zeros.
 
@@ -58,7 +66,7 @@ def check_partition(parts):
 
 def check_multipartition(mp):
     """Normalize an iterable of part-iterables to a multipartition tuple."""
-    comps = tuple(check_partition(c) for c in mp)
+    comps = tuple(check_partition(c) for c in _iter_arg("a multipartition", mp))
     if not comps:
         raise InputError("a multipartition needs at least one component")
     return comps

@@ -391,9 +391,10 @@ def blockwise_lower(pair, e, s):
     its rank, runs the descent `_lower_pair` down to (0, e - s), and merges
     the two components into one partition.
     """
+    pair = check_multipartition(pair)
     if len(pair) != 2:
         raise InputError(f"blockwise_lower needs two components, got {len(pair)}")
-    nu1, nu2 = check_partition(pair[0]), check_partition(pair[1])
+    nu1, nu2 = pair
     e = _int_arg("e", e, 2)
     s = _int_arg("s", s, 1, e - 1)
     n = sum(nu1) + sum(nu2)

@@ -36,13 +36,18 @@ PROPERTIES = (
 )
 
 
-def check(e, n):
+def check(e, n, crystal_images=None, kleshchev_images=None):
     """All property checks for the e-regular partitions of rank n.
 
     The crystal route runs once per (partition, s), traced: its lifts and
     descents, from the box-moving engines, are checked against `psi`, and
     involutivity looks the image up in this (e, n)'s table of images.
+    `crystal_images` and `kleshchev_images` are the tables in which
+    `involution._crystal` and `_kleshchev` keep their images; each defaults
+    to a new empty one.
     """
+    crystal_images = {} if crystal_images is None else crystal_images
+    kleshchev_images = {} if kleshchev_images is None else kleshchev_images
     results = {name: [0, 0, None] for name in PROPERTIES}
 
     def record(name, ok, key):
@@ -58,7 +63,7 @@ def check(e, n):
     for lam in sorted(core.enumerate_e_regular(n, e)):
         key = (e, n, lam)
         xim = involution.xu(lam, e)
-        kim = involution.kleshchev_oracle(lam, e)
+        kim = involution._kleshchev(lam, e, kleshchev_images)
         is_core = core.is_strict_e_core(lam, e)
         record("rank_regular", core.rank(xim) == n and core.is_e_regular(xim, e), key)
         if e == 2:
@@ -68,7 +73,8 @@ def check(e, n):
         lifts = {}
         for s in range(1, e):
             skey = (e, n, lam, s)
-            cim, steps = involution.mullineux_crystal_trace(lam, e, s)
+            steps = []
+            cim = involution._crystal(lam, e, s, crystal_images, steps)
             images[lam, s] = cim
             record("agreement", cim == xim == kim, skey)
             if is_core:
@@ -126,7 +132,8 @@ def run(lo, hi, max_n, jobs=None):
     """Merged checks over e in lo..hi and n in 0..max_n.
 
     The work runs on min(jobs, tasks, cpus) processes (`jobs` defaults to
-    the number of cpus), in this process when that is 1.
+    the number of cpus).  When that is 1 it runs here, and one pair of image
+    tables serves every rank; each pool task starts from empty tables.
     """
     tasks = [(e, n) for e in range(lo, hi + 1) for n in range(max_n + 1)]
     cpus = os.cpu_count() or 1
@@ -136,4 +143,5 @@ def run(lo, hi, max_n, jobs=None):
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return merge(pool.map(check, *zip(*tasks)))
-    return merge(check(e, n) for e, n in tasks)
+    crystal_images, kleshchev_images = {}, {}
+    return merge(check(e, n, crystal_images, kleshchev_images) for e, n in tasks)

@@ -9,6 +9,9 @@
   node of residue i, recurse, add a good addable node of residue -i).  Each
   step reads the good nodes of every residue off one pass over the corners
   of the partition, the top and bottom rows of its blocks of equal parts.
+`_crystal` and `_kleshchev` keep the images they find in a table their caller
+owns: the public functions pass a new one on every call, and `difftest` its
+own, so nothing outlives the caller's table.
 
 ak_mullineux transports the componentwise involution between charged
 multipartition sets along the crystal isomorphisms, and im_sharp conjugates
@@ -16,10 +19,9 @@ it through the multisegment labelling, giving the involution on every
 aperiodic multisegment: its preimage is read off the segments directly, one
 row per segment at the charge of the sorted heads, with no search.  im_sharp
 checks its multisegment and then runs the unchecked bodies `_ak_mullineux`,
-`crystal._psi` and `multisegments._chi` on values it built itself.
+`crystal._psi`, `multisegments._is_aperiodic` and `multisegments._chi` on
+values it built itself.
 """
-
-from functools import lru_cache
 
 from .charges import (
     check_charge,
@@ -47,7 +49,7 @@ from .crystal import (
     blockwise_lower,
 )
 from .errors import InputError, InternalError, NoPathError
-from .multisegments import _chi, check_multisegment, is_aperiodic
+from .multisegments import _chi, _is_aperiodic, check_multisegment
 from .theta import theta_l2
 
 
@@ -229,7 +231,7 @@ def kleshchev_oracle(lam, e):
     Peel the good removable node of the smallest residue i carrying one,
     recurse, then add the good addable node of residue -i mod e.
     """
-    return _kleshchev(*_regular_input(lam, e, "kleshchev_oracle"))
+    return _kleshchev(*_regular_input(lam, e, "kleshchev_oracle"), {})
 
 
 def _kleshchev_peel(lam, e):
@@ -251,12 +253,15 @@ def _kleshchev_grow(lam, e, i):
     return lam[: row - 1] + (part(lam, row) + 1,) + lam[row:]
 
 
-@lru_cache(maxsize=None)
-def _kleshchev(lam, e):
+def _kleshchev(lam, e, images):
+    """Image of a checked lam, read from or added to `images`, keyed on (lam, e)."""
     if not lam:
         return ()
-    i, peeled = _kleshchev_peel(lam, e)
-    return _kleshchev_grow(_kleshchev(peeled, e), e, i)
+    img = images.get((lam, e))
+    if img is None:
+        i, peeled = _kleshchev_peel(lam, e)
+        img = images[lam, e] = _kleshchev_grow(_kleshchev(peeled, e, images), e, i)
+    return img
 
 
 def kleshchev_trace(lam, e):
@@ -286,14 +291,14 @@ def mullineux_crystal(lam, e, s=None):
     depth; it defaults to e - 1, and every choice gives the same answer.
     """
     lam, e, s = _crystal_input(lam, e, s)
-    return _crystal(lam, e, s)
+    return _crystal(lam, e, s, {})
 
 
 def mullineux_crystal_trace(lam, e, s=None):
     """(image, steps) recording the top-level unfolding of the recursion."""
     lam, e, s = _crystal_input(lam, e, s)
     steps = []
-    return _crystal(lam, e, s, steps), steps
+    return _crystal(lam, e, s, {}, steps), steps
 
 
 def _crystal_input(lam, e, s):
@@ -302,28 +307,24 @@ def _crystal_input(lam, e, s):
     return lam, e, s
 
 
-# Images of the crystal route, keyed on (lam, e, s); `_crystal.cache_clear`
-# empties it, as `_kleshchev.cache_clear` empties that route's lru_cache.
-_crystal_images = {}
-
-
-def _crystal(lam, e, s, steps=None):
+def _crystal(lam, e, s, images, steps=None):
     """Image of a checked lam, unfolded on an explicit work stack.
 
-    A partition is done once both components of its lift have images.  When
-    `steps` is a list, the stages of the top level are appended to it.
+    A partition is done once both components of its lift have images in
+    `images`, the caller's table keyed on (partition, e, s).  When `steps`
+    is a list, the stages of the top level are appended to it.
     """
     lifts = {}
     todo = [lam]
     while todo:
         cur = todo[-1]
-        if (cur, e, s) in _crystal_images:
+        if (cur, e, s) in images:
             todo.pop()
         elif max_hook_length(cur) < e:  # a strict core, or empty
-            _crystal_images[cur, e, s] = conjugate(cur)
+            images[cur, e, s] = conjugate(cur)
         elif cur in lifts:
-            nu = tuple(_crystal_images[c, e, s] for c in lifts[cur])
-            _crystal_images[cur, e, s] = blockwise_lower(nu, e, s)
+            nu = tuple(images[c, e, s] for c in lifts[cur])
+            images[cur, e, s] = blockwise_lower(nu, e, s)
         else:
             lifts[cur] = mu = blockwise_lift(cur, e, s)
             if not mu[0]:
@@ -331,7 +332,7 @@ def _crystal(lam, e, s, steps=None):
             if not mu[1]:
                 raise InternalError(f"lift of non-core {cur} has an empty second component")
             todo += mu
-    img = _crystal_images[lam, e, s]
+    img = images[lam, e, s]
     if steps is None:
         return img
     if max_hook_length(lam) < e:
@@ -339,19 +340,16 @@ def _crystal(lam, e, s, steps=None):
         return img
     up = (0, s + _very_dominant_multiple(s, rank(lam), e) * e)
     start = (0, -s + _very_dominant_multiple(-s, rank(lam), e) * e)
-    mu = lifts.get(lam) or blockwise_lift(lam, e, s)  # lam was memoized before this call
+    mu = lifts.get(lam) or blockwise_lift(lam, e, s)  # lam was in the caller's table already
     steps += [
         ("split", (0, s), theta_l2(lam, e, s)),
         ("lift", up, mu),
-        ("componentwise image", start, tuple(_crystal_images[c, e, s] for c in mu)),
+        ("componentwise image", start, tuple(images[c, e, s] for c in mu)),
         # psi's descent lands on the member at (0, e - s) that merges to img.
         ("descend", (0, e - s), theta_l2(img, e, e - s)),
         ("merge", (0,), (img,)),
     ]
     return img
-
-
-_crystal.cache_clear = _crystal_images.clear
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +406,7 @@ def im_sharp(ms, e):
     ms = check_multisegment(ms, e)
     if not ms:
         return ()
-    if not is_aperiodic(ms, e):
+    if not _is_aperiodic(ms, e):
         raise InputError(f"{ms} is not aperiodic mod {e}")
     segs = sorted(ms, key=lambda seg: (seg[0], -seg[1]))
     s = tuple(head for head, _ in segs)

@@ -14,7 +14,7 @@ multipartition to the fundamental representative first.
 """
 
 from .charges import check_charge, fundamental_representative
-from .core import _int_arg
+from .core import _int_arg, _iter_arg
 from .crystal import _charged_input, _psi, flotw_check, psi
 from .errors import InputError, InternalError, NotAdmissibleError
 
@@ -23,7 +23,7 @@ def check_multisegment(ms, e):
     """Normalize to the canonical tuple of (head, length) pairs."""
     e = _int_arg("e", e, 2)
     segs = []
-    for seg in ms:
+    for seg in _iter_arg("a multisegment", ms):
         try:
             head, length = seg
         except (TypeError, ValueError) as exc:
@@ -39,16 +39,20 @@ def canonical(segments):
 
 def segment_tail(seg, e):
     """Residue of the last entry of the segment."""
-    head, length = seg
+    [(head, length)] = check_multisegment([seg], e)
     return (head + length - 1) % _int_arg("e", e, 2)
 
 
 def is_aperiodic(ms, e):
     """No length L has segments of that length realizing every tail residue."""
-    e = _int_arg("e", e, 2)
+    return _is_aperiodic(check_multisegment(ms, e), _int_arg("e", e, 2))
+
+
+def _is_aperiodic(ms, e):
+    """is_aperiodic of a checked multisegment."""
     tails = {}
-    for seg in ms:
-        tails.setdefault(seg[1], set()).add(segment_tail(seg, e))
+    for head, length in ms:
+        tails.setdefault(length, set()).add((head + length - 1) % e)
     return all(len(seen) < e for seen in tails.values())
 
 

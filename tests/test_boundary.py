@@ -48,6 +48,7 @@ from mullineux import (
 from mullineux.charges import (
     apply_word,
     fundamental_representative,
+    inverse_word,
     is_fundamental,
     normalization_word,
     path_word,
@@ -56,6 +57,7 @@ from mullineux.charges import (
     sharp_very_dominant,
     very_dominant_representative,
 )
+from mullineux.core import check_multipartition
 from mullineux.involution import kleshchev_trace, mullineux_crystal_trace, xu_trace
 from mullineux.multisegments import check_multisegment
 
@@ -243,17 +245,29 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
-# A segment is a (head, length) pair and blockwise_lower takes exactly two
-# components; anything else is an InputError, never an IndexError or a
-# silently truncated read.
+# A segment is a (head, length) pair, blockwise_lower takes exactly two
+# components, a generator has its name and sigma its index, and collections
+# are iterable; anything else is an InputError, never an IndexError, a
+# TypeError or a silently truncated read.
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: check_multisegment(((0,),), 3), "a segment must be a (head, length) pair, got (0,)"),
         (lambda: im_sharp(((0,),), 3), "a segment must be a (head, length) pair, got (0,)"),
         (lambda: im_sharp(((0, 1, 7),), 3), "a segment must be a (head, length) pair, got (0, 1, 7)"),
+        (lambda: is_aperiodic(((0,),), 3), "a segment must be a (head, length) pair, got (0,)"),
+        (lambda: segment_tail((0,), 3), "a segment must be a (head, length) pair, got (0,)"),
         (lambda: blockwise_lower(((1,),), 3, 1), "blockwise_lower needs two components, got 1"),
         (lambda: blockwise_lower(((1,), (1,), (5,)), 3, 1), "blockwise_lower needs two components, got 3"),
+        (lambda: blockwise_lower(5, 3, 1), "a multipartition must be iterable, got 5"),
+        (lambda: apply_word(S, [("sigma",)], 3), "malformed generator ('sigma',)"),
+        (lambda: apply_word(S, [()], 3), "malformed generator ()"),
+        (lambda: inverse_word([()]), "malformed generator ()"),
+        (lambda: psi(5, S, (0, 4), 3), "a multipartition must be iterable, got 5"),
+        (lambda: check_multipartition(5), "a multipartition must be iterable, got 5"),
+        (lambda: check_multisegment(5, 3), "a multisegment must be iterable, got 5"),
+        (lambda: im_sharp(5, 3), "a multisegment must be iterable, got 5"),
+        (lambda: is_fundamental((), 3), "a multicharge must be a nonempty sequence of ints, got ()"),
     ],
 )
 def test_malformed_segments_and_pairs_are_input_errors(call, message):

@@ -1,10 +1,15 @@
 """Tests for the three routes to the involution and the multisegment lift."""
 
+import copy
+import importlib
+import pkgutil
 import random
 import sys
 
+import mullineux
 import mullineux.crystal as crystal
 import mullineux.involution as involution
+from mullineux import difftest
 
 import pytest
 from hypothesis import given
@@ -168,14 +173,45 @@ def test_crystal_long_inputs_at_default_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
-def test_crystal_memo_has_cache_clear():
-    # Memo-clearing callers (a cold benchmark call, say) look for `cache_clear`.
-    from mullineux import involution
+def module_containers():
+    """A copy of every dict, list and set bound at module level in the package."""
+    for info in pkgutil.iter_modules(mullineux.__path__):
+        importlib.import_module(f"mullineux.{info.name}")
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "mullineux" or name.startswith("mullineux."):
+            for attr, value in vars(module).items():
+                if not attr.startswith("__") and isinstance(value, (dict, list, set)):
+                    found[name, attr] = copy.deepcopy(value)
+    return found
 
+
+def test_the_routes_leave_no_module_state():
+    # Images live in tables owned by each call, or by a difftest run.
+    before = module_containers()
     mullineux_crystal((5, 3, 1), 3)
-    assert involution._crystal_images
-    involution._crystal.cache_clear()
-    assert not involution._crystal_images
+    mullineux_crystal_trace((17, 9, 7, 6, 3, 3), 4)
+    kleshchev_oracle((5, 3, 1), 3)
+    difftest.run(2, 4, 8, jobs=1)
+    assert module_containers() == before
+    for name, module in list(sys.modules.items()):
+        if name == "mullineux" or name.startswith("mullineux."):
+            memos = [attr for attr, value in vars(module).items() if hasattr(value, "cache_clear")]
+            assert memos == [], name
+
+
+def test_a_trace_whose_input_is_already_in_the_table_is_the_fresh_trace():
+    images = {}
+    involution._crystal(FLAGSHIP, 4, 1, images)
+    steps = []
+    assert involution._crystal(FLAGSHIP, 4, 1, images, steps) == FLAGSHIP_IMAGE
+    assert steps == mullineux_crystal_trace(FLAGSHIP, 4, 1)[1]
+
+
+def test_difftest_run_equals_its_checks_on_fresh_tables():
+    # The run's shared tables reuse images across ranks and change no result.
+    units = [difftest.check(e, n) for e in range(2, 5) for n in range(9)]
+    assert difftest.run(2, 4, 8, jobs=1) == difftest.merge(units)
 
 
 def test_traces_validate_their_input():
