@@ -53,7 +53,7 @@ def _apply(s, gen, e):
 
 def apply_word(s, word, e):
     """Apply a word of generators left to right."""
-    return _apply_word(s, [_generator_arg(gen) for gen in word], _int_arg("e", e, 2))
+    return _apply_word(check_charge(s), [_generator_arg(gen) for gen in word], _int_arg("e", e, 2))
 
 
 def _apply_word(s, word, e):
@@ -94,7 +94,7 @@ def is_fundamental(s, e):
 
 def residue_counts(s, e):
     """How many entries of s fall in each residue class mod e."""
-    e = _int_arg("e", e, 2)
+    s, e = check_charge(s), _int_arg("e", e, 2)
     counts = [0] * e
     for x in s:
         counts[x % e] += 1
@@ -103,12 +103,13 @@ def residue_counts(s, e):
 
 def same_orbit(s, t, e):
     """Two charges lie in one orbit iff their residue multisets mod e agree."""
+    s, t, e = check_charge(s), check_charge(t), _int_arg("e", e, 2)
     return len(s) == len(t) and residue_counts(s, e) == residue_counts(t, e)
 
 
 def fundamental_representative(s, e):
     """The fundamental charge with the same residues, anchored at min(s)."""
-    e = _int_arg("e", e, 2)
+    s, e = check_charge(s), _int_arg("e", e, 2)
     m = min(s)
     return tuple(sorted(m + ((x - m) % e) for x in s))
 
@@ -120,7 +121,7 @@ def normalization_word(s, e):
     tau_inv while the sorted charge still spans e or more.  The minimum entry
     is invariant and the sum drops by e at each tau_inv, so this terminates.
     """
-    return _normalization_word(s, _int_arg("e", e, 2))[0]
+    return _normalization_word(check_charge(s), _int_arg("e", e, 2))[0]
 
 
 def _normalization_word(s, e):
@@ -187,7 +188,7 @@ def _path_word(s, t, e):
 
 def transpose_charge(s):
     """(-s_l, ..., -s_1); fundamental whenever s is."""
-    return tuple(-x for x in reversed(s))
+    return tuple(-x for x in reversed(check_charge(s)))
 
 
 def sharp_very_dominant(s, n, e):

@@ -220,16 +220,6 @@ def _very_dominant_multiple(offset, n, e):
     return max(1, (n - 1 - offset) // e + 1)
 
 
-def _greatest_below(candidates, c):
-    """Index attaining the greatest rightmost content < c, or None."""
-    best = None
-    best_r = None
-    for j, r in candidates:
-        if r < c and (best_r is None or r > best_r):
-            best, best_r = j, r
-    return best, best_r
-
-
 def blockwise_lift(lam, e, s):
     """Box-moving lift of the two-block split of lam to a very dominant charge.
 
@@ -237,15 +227,18 @@ def blockwise_lift(lam, e, s):
     at a charge that starts at s and grows as rows of lam2 are set aside.
     Each round scans lam1 top-down; a row with rightmost content c moves its
     boxes above content c' to the lam2 row whose rightmost content c' is the
-    greatest one below c (candidates: the nonzero rows and one addable row).
-    The move must keep lam2 a partition at every moment; lam1 may pass
-    through non-partition shapes inside a round.  After a round with moves,
-    the rows of lam2 down to the lowest one touched are appended to the
-    output mu and the charge of lam2 grows by e minus the number of rows
-    collected.  A round without moves grows the charge by e and the process
-    repeats until no move can ever fire again (every candidate content is at
-    least every source content); the remaining rows of lam2 are then
-    appended to mu.  Returns (lam1, mu).
+    greatest one below c, counting the addable row below lam2.  The move
+    must keep lam2 a partition at every moment, and lam2 never holds a zero,
+    so its contents lam2[j-1] - j + t, followed by the addable row's,
+    strictly decrease in j: one scan from the top stops at the target, the
+    first row whose content is below c.  lam1 may pass through non-partition
+    shapes inside a round.  After a round with moves, the rows of lam2 down
+    to the lowest one touched are appended to the output mu and the charge
+    of lam2 grows by e minus the number of rows collected.  A round without
+    moves grows the charge by e and the process repeats until no move can
+    ever fire again (the addable row's content is at least every source
+    content); the remaining rows of lam2 are then appended to mu.  Returns
+    (lam1, mu).
     """
     lam, e = check_partition(lam), _int_arg("e", e, 2)
     s = _int_arg("s", s, 0, e - 1)
@@ -259,19 +252,16 @@ def blockwise_lift(lam, e, s):
             if lam1[a - 1] == 0:
                 continue
             c = lam1[a - 1] - a
-            candidates = [(j, lam2[j - 1] - j + t) for j in range(1, len(lam2) + 1) if lam2[j - 1] > 0]
-            addable = len(lam2) + 1
-            candidates.append((addable, t - addable))
-            j, r = _greatest_below(candidates, c)
-            if j is None:
-                continue
-            k = c - r
-            if k > lam1[a - 1]:
-                continue
-            if j >= 2 and lam2[j - 2] > 0 and not c < lam2[j - 2] - (j - 1) + t:
-                continue
+            j = 1
+            while j <= len(lam2) and lam2[j - 1] - j + t >= c:
+                j += 1
+            k = c - part(lam2, j) + j - t
+            if k <= 0 or k > lam1[a - 1]:
+                continue  # no content is below c, or row a has too few boxes
+            if j >= 2 and lam2[j - 2] - (j - 1) + t == c:
+                continue  # row j would outgrow row j - 1
             lam1[a - 1] -= k
-            if j == addable:
+            if j > len(lam2):
                 lam2.append(k)
             else:
                 lam2[j - 1] += k

@@ -64,11 +64,7 @@ def e_rim(lam, e):
     after every e-th node the walk jumps to the next row, skipping the rest
     of the current one.
     """
-    return _e_rim(check_partition(lam), _int_arg("e", e, 2))
-
-
-def _e_rim(lam, e):
-    """e_rim of a checked partition and e."""
+    lam, e = check_partition(lam), _int_arg("e", e, 2)
     if not lam:
         raise InputError("the e-rim of the empty partition is undefined")
     nodes = []
@@ -88,38 +84,46 @@ def truncated_e_rim(lam, e):
     """Nodes of the truncated e-rim, in e-rim traversal order.
 
     These are the e-rim nodes whose left neighbour is also in the e-rim,
-    plus, when the e-rim size is not a multiple of e, the leftmost e-rim
-    node of the last row.
+    plus, when the e-rim size is not a multiple of e, the seed: the leftmost
+    e-rim node of the last row, which is the walk's last node.  This is the
+    node-level reference for `xu_strip`.
     """
-    return _truncated_e_rim(check_partition(lam), _int_arg("e", e, 2))
-
-
-def _truncated_e_rim(lam, e):
-    """truncated_e_rim of a checked partition and e."""
-    rim = _e_rim(lam, e)
+    rim = e_rim(lam, e)
     members = set(rim)
     chosen = [(i, j) for (i, j) in rim if (i, j - 1) in members]
     if len(rim) % e != 0:
-        last_row = rim[-1][0]  # the walk always ends in the last row
+        last_row = rim[-1][0]
         extra = [(i, j) for (i, j) in rim if i == last_row and (i, j - 1) not in members]
         if len(extra) != 1:
             raise InternalError(f"expected one seed node in row {last_row}, got {extra}")
-        chosen.append(extra[0])
-    order = {node: pos for pos, node in enumerate(rim)}
-    return tuple(sorted(chosen, key=order.get))
+        chosen += extra
+    return tuple(chosen)
 
 
 def xu_strip(lam, e):
-    """Remove the truncated e-rim; returns (smaller partition, nodes removed)."""
+    """Remove the truncated e-rim; returns (smaller partition, nodes removed).
+
+    The e-rim walk takes k_i >= 1 adjacent nodes from the right end of row
+    i, k_i = min(lam_i - max(lam_{i+1}, 1) + 1, e - (rim size so far mod e)).
+    Only the leftmost of them has no rim node to its left, so the truncated
+    rim takes k_i - 1 nodes from row i, plus the seed from the last row when
+    the rim size is not a multiple of e.  One pass over the parts counts
+    them; `truncated_e_rim` lists the same nodes.
+    """
     lam, e = check_partition(lam), _int_arg("e", e, 2)
-    removed = _truncated_e_rim(lam, e)
-    counts = {}
-    for i, _ in removed:
-        counts[i] = counts.get(i, 0) + 1
-    out = [p - counts.get(i, 0) for i, p in enumerate(lam, start=1)]
-    if any(x < y for x, y in zip(out, out[1:])) or (out and out[-1] < 0):
+    if not lam:
+        raise InputError("the e-rim of the empty partition is undefined")
+    out = []
+    size = 0
+    for p, below in zip(lam, lam[1:] + (0,)):
+        k = min(p - max(below, 1) + 1, e - size % e)
+        size += k
+        out.append(p - k + 1)
+    seed = 1 if size % e else 0
+    out[-1] -= seed
+    if any(x < y for x, y in zip(out, out[1:])) or out[-1] < 0:
         raise InternalError(f"stripping the truncated e-rim broke the shape: {out}")
-    return tuple(p for p in out if p > 0), len(removed)
+    return tuple(p for p in out if p > 0), size - len(lam) + seed
 
 
 def _regular_input(lam, e, who):

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .charges import check_charge
-from .core import _int_arg, check_partition, part
+from .core import _int_arg, check_multipartition, part
 from .errors import InputError, MalformedSymbolError
 
 
@@ -49,7 +49,7 @@ def symbol_depth(bipartition, charge):
 
 def _bipartition_input(bipartition, charge):
     """The checked components and charge of a charged bipartition."""
-    lam = tuple(check_partition(c) for c in bipartition)
+    lam = check_multipartition(bipartition)
     s = check_charge(charge)
     if len(lam) != 2 or len(s) != 2:
         raise InputError(f"a symbol needs two components and two charges, got {len(lam)} and {len(s)}")

@@ -8,7 +8,7 @@ from hypothesis import settings
 
 import hypothesis.strategies as st
 
-from mullineux.core import enumerate_partitions
+from mullineux.core import enumerate_partitions, rank
 
 from mullineux.multisegments import canonical, is_aperiodic
 
@@ -31,6 +31,20 @@ def bipartitions(max_part=6, max_len=4):
 def charge_tuples(level, low=-6, high=8):
     """Strategy producing integer charges of a fixed level."""
     return st.tuples(*(st.integers(low, high) for _ in range(level)))
+
+
+@st.composite
+def partitions_up_to(draw, max_rank, max_part, regular):
+    """(lam, e): a partition of rank at most max_rank, e-regular if `regular`."""
+    e = draw(st.integers(2, 6))
+    most = e - 1 if regular else 2 * e + 1
+    mults = draw(st.dictionaries(st.integers(1, max_part), st.integers(1, most), max_size=30))
+    lam = []
+    for value in sorted(mults, reverse=True):
+        for _ in range(mults[value]):
+            if rank(lam) + value <= max_rank:
+                lam.append(value)
+    return tuple(lam), e
 
 
 def aperiodic_multisegments(n, e):

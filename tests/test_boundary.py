@@ -39,6 +39,7 @@ from mullineux import (
     psi_shift_up,
     psi_sigma,
     segment_tail,
+    symbol_depth,
     theta,
     theta_l2,
     truncated_e_rim,
@@ -55,6 +56,7 @@ from mullineux.charges import (
     residue_counts,
     same_orbit,
     sharp_very_dominant,
+    transpose_charge,
     very_dominant_representative,
 )
 from mullineux.core import check_multipartition
@@ -246,9 +248,10 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
 
 
 # A segment is a (head, length) pair, blockwise_lower takes exactly two
-# components, a generator has its name and sigma its index, and collections
-# are iterable; anything else is an InputError, never an IndexError, a
-# TypeError or a silently truncated read.
+# components, a generator has its name and sigma its index, a charge is a
+# nonempty sequence of ints, and collections are iterable; anything else is
+# an InputError, never an IndexError, a ValueError, a TypeError or a
+# silently truncated read.
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -268,6 +271,18 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: check_multisegment(5, 3), "a multisegment must be iterable, got 5"),
         (lambda: im_sharp(5, 3), "a multisegment must be iterable, got 5"),
         (lambda: is_fundamental((), 3), "a multicharge must be a nonempty sequence of ints, got ()"),
+        (lambda: fundamental_representative((), 3), "a multicharge needs at least one entry"),
+        (lambda: normalization_word((), 3), "a multicharge needs at least one entry"),
+        (lambda: residue_counts((0.5,), 3), "charge entries must be ints: (0.5,)"),
+        (lambda: same_orbit(5, (0,), 3), "charge entries must be ints: 5"),
+        (lambda: same_orbit((0,), 5, 3), "charge entries must be ints: 5"),
+        (lambda: same_orbit((0,), (0, 1), 0), "e must be >= 2, got 0"),
+        (lambda: apply_word((0.5, 1), [("tau",)], 3), "charge entries must be ints: (0.5, 1)"),
+        (lambda: apply_word(5, [("tau",)], 3), "charge entries must be ints: 5"),
+        (lambda: transpose_charge((0.5,)), "charge entries must be ints: (0.5,)"),
+        (lambda: transpose_charge(5), "charge entries must be ints: 5"),
+        (lambda: build_symbol(5, (0, 1)), "a multipartition must be iterable, got 5"),
+        (lambda: symbol_depth(5, (0, 1)), "a multipartition must be iterable, got 5"),
     ],
 )
 def test_malformed_segments_and_pairs_are_input_errors(call, message):

@@ -7,7 +7,7 @@ from hypothesis import given
 
 import hypothesis.strategies as st
 
-from conftest import aperiodic_multisegments, bipartitions, charge_tuples, partitions
+from conftest import aperiodic_multisegments, bipartitions, charge_tuples, partitions, partitions_up_to
 
 from mullineux.charges import apply_word, path_word
 
@@ -486,6 +486,15 @@ def test_blockwise_lift_matches_transport():
                     # One more block of shifts changes nothing.
                     again = psi(pair, (0, s), (0, s + (k + 1) * e), e)
                     assert again == lifted, (lam, e, s)
+
+
+@given(partitions_up_to(40, 12, regular=True))
+def test_blockwise_lift_matches_transport_on_larger_partitions(case):
+    lam, e = case
+    for s in range(1, e):
+        k = lift_charge_multiple(rank(lam), e, s)
+        lifted = psi(theta_l2(lam, e, s), (0, s), (0, s + k * e), e)
+        assert blockwise_lift(lam, e, s) == lifted, (lam, e, s)
 
 
 def test_blockwise_lift_core_signals():

@@ -5,6 +5,7 @@ import importlib
 import pkgutil
 import random
 import sys
+from collections import Counter
 
 import mullineux
 import mullineux.crystal as crystal
@@ -14,7 +15,7 @@ from mullineux import difftest
 import pytest
 from hypothesis import given
 
-import hypothesis.strategies as st
+from conftest import partitions_up_to
 
 from mullineux.core import (
     conjugate,
@@ -114,6 +115,33 @@ def test_truncated_e_rim_and_strip():
         assert xu_strip(lam, e) == (rest, removed), (lam, e)
         assert len(truncated_e_rim(lam, e)) == removed, (lam, e)
         assert rank(lam) - rank(rest) == removed, (lam, e)
+
+
+def strip_by_rim(lam, e):
+    """xu_strip's answer read off the node list of truncated_e_rim.
+
+    The listed nodes of each row must be the rightmost ones of that row.
+    """
+    rim = truncated_e_rim(lam, e)
+    rows = Counter(i for i, _ in rim)
+    right_ends = {(i, j) for i, p in enumerate(lam, 1) for j in range(p - rows[i] + 1, p + 1)}
+    assert set(rim) == right_ends and len(right_ends) == len(rim), (lam, e)
+    rest = tuple(p - rows[i] for i, p in enumerate(lam, 1))
+    return tuple(p for p in rest if p), len(rim)
+
+
+def test_xu_strip_counts_the_truncated_rim_exhaustively():
+    for e in range(2, 8):
+        for n in range(1, 19):
+            for lam in enumerate_partitions(n):
+                assert xu_strip(lam, e) == strip_by_rim(lam, e), (lam, e)
+
+
+@given(partitions_up_to(300, 60, regular=False))
+def test_xu_strip_counts_the_truncated_rim_on_larger_partitions(case):
+    lam, e = case
+    if lam:
+        assert xu_strip(lam, e) == strip_by_rim(lam, e), (lam, e)
 
 
 def test_xu_chain():
@@ -301,20 +329,6 @@ def test_good_nodes_match_row_by_row_reference_exhaustively():
         for n in range(13):
             for lam in enumerate_partitions(n):
                 assert_good_nodes_match_reference(lam, e)
-
-
-@st.composite
-def partitions_up_to(draw, max_rank, max_part, regular):
-    """(lam, e): a partition of rank at most max_rank, e-regular if `regular`."""
-    e = draw(st.integers(2, 6))
-    most = e - 1 if regular else 2 * e + 1
-    mults = draw(st.dictionaries(st.integers(1, max_part), st.integers(1, most), max_size=30))
-    lam = []
-    for value in sorted(mults, reverse=True):
-        for _ in range(mults[value]):
-            if rank(lam) + value <= max_rank:
-                lam.append(value)
-    return tuple(lam), e
 
 
 @given(partitions_up_to(300, 60, regular=False))
