@@ -15,7 +15,7 @@ s_1 <= s_2 <= ... <= s_l < s_1 + e.
 
 from bisect import bisect_left
 
-from .core import _int_arg, _int_seq
+from .core import _int_arg, _int_seq, _iter_arg
 from .errors import InputError, InternalError, NoPathError
 
 
@@ -67,7 +67,7 @@ def _apply_word(s, word, e):
 def inverse_word(word):
     """Inverse word: reversed, with sigma self-inverse and tau <-> tau_inv."""
     out = []
-    for gen in reversed(word):
+    for gen in reversed(tuple(_iter_arg("a word", word))):
         try:
             kind = gen[0]
         except (IndexError, TypeError) as exc:
@@ -87,8 +87,9 @@ def is_fundamental(s, e):
     """True when s_1 <= ... <= s_l < s_1 + e."""
     e = _int_arg("e", e, 2)
     try:
-        return all(a <= b for a, b in zip(s, s[1:])) and s[-1] < s[0] + e
-    except (IndexError, TypeError) as exc:
+        t = _int_seq("charge entries", s)
+        return all(a <= b for a, b in zip(t, t[1:])) and t[-1] < t[0] + e
+    except (IndexError, InputError) as exc:
         raise InputError(f"a multicharge must be a nonempty sequence of ints, got {s!r}") from exc
 
 

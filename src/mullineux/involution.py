@@ -5,10 +5,13 @@
   the two components, descend, merge), run on the box-moving engines.
 * xu: the truncated-rim peeling algorithm (strip truncated e-rims down to
   the empty partition, then put their sizes back as columns).
-* kleshchev_oracle: the branching-rule recursion (peel a good removable
-  node of residue i, recurse, add a good addable node of residue -i).  Each
-  step reads the good nodes of every residue off one pass over the corners
-  of the partition, the top and bottom rows of its blocks of equal parts.
+* kleshchev_oracle: the branching-rule recursion, one i-string at a time
+  (peel every uncancelled removable node of the least residue i carrying
+  one, recurse, add that many of the highest uncancelled addable nodes of
+  residue -i).  Each step reads the reduced signature of every residue off
+  one pass over the corners of the partition, the top and bottom rows of
+  its blocks of equal parts, and the recursion goes one call deeper per
+  string, not per node.
 `_crystal` and `_kleshchev` keep the images they find in a table their caller
 owns: the public functions pass a new one on every call, and `difftest` its
 own, so nothing outlives the caller's table.
@@ -170,37 +173,34 @@ def _xu(lam, e, steps):
 # Branching-rule route
 # ---------------------------------------------------------------------------
 
-def _good_nodes(lam, e):
-    """Rows of the good removable and good addable i-nodes of a checked lam,
-    as two lists indexed by the residue i, with 0 where there is none.
+def _signatures(lam, e):
+    """Rows of the uncancelled removable and addable i-nodes of a checked lam,
+    as two lists of row lists indexed by the residue i, each top to bottom.
 
     One pass over the corners: a block of equal parts has its addable node at
     its top row and its removable node at its bottom row, and the row below
     the last part is the top of a block of zeros.  Read top to bottom, a
     removable i-node cancels the nearest addable i-node above it not yet
-    cancelled.  The good removable i-node is the lowest one that cancelled
-    nothing; the good addable i-node is the highest addable i-node left, the
-    first one read since the count of those left was last 0.
+    cancelled, so the addables of each residue are kept as a stack that a
+    removable pops.  What is left is the reduced i-signature R^a A^b: the
+    good removable i-node is its last R, and the good addable i-node its
+    first A.
     """
-    adds = [0] * e
-    first_add = [0] * e
-    removable = [0] * e
+    removable = [[] for _ in range(e)]
+    addable = [[] for _ in range(e)]
     prev = None
     for r, p in enumerate(lam + (0,)):
         if p == prev:
             continue
         if r:  # the block of parts prev ends in row r
             i = (prev - r) % e
-            if adds[i]:
-                adds[i] -= 1
+            if addable[i]:
+                addable[i].pop()
             else:
-                removable[i] = r
-        i = (p - r) % e  # a block of parts p starts in row r + 1
-        if not adds[i]:
-            first_add[i] = r + 1
-        adds[i] += 1
+                removable[i].append(r)
+        addable[(p - r) % e].append(r + 1)  # a block of parts p starts in row r + 1
         prev = p
-    return removable, [row if n else 0 for row, n in zip(first_add, adds)]
+    return removable, addable
 
 
 def _good_node_input(lam, e, i):
@@ -215,8 +215,8 @@ def good_removable_node(lam, e, i):
     It is the lowest removable node of the reduced signature.
     """
     lam, e, i = _good_node_input(lam, e, i)
-    row = _good_nodes(lam, e)[0][i]
-    return (row, lam[row - 1]) if row else None
+    rows = _signatures(lam, e)[0][i]
+    return (rows[-1], lam[rows[-1] - 1]) if rows else None
 
 
 def good_addable_node(lam, e, i):
@@ -225,36 +225,61 @@ def good_addable_node(lam, e, i):
     It is the highest addable node of the reduced signature.
     """
     lam, e, i = _good_node_input(lam, e, i)
-    row = _good_nodes(lam, e)[1][i]
-    return (row, part(lam, row) + 1) if row else None
+    rows = _signatures(lam, e)[1][i]
+    return (rows[0], part(lam, rows[0]) + 1) if rows else None
 
 
 def kleshchev_oracle(lam, e):
-    """Mullineux image by the branching recursion.
+    """Mullineux image by the branching recursion, one i-string at a time.
 
-    Peel the good removable node of the smallest residue i carrying one,
-    recurse, then add the good addable node of residue -i mod e.
+    m_e commutes with the crystal operators up to the sign of the residue,
+    m_e(f_i lam) = f_{-i} m_e(lam), so m_e(lam) = f_{-i}^k m_e(e_i^k lam)
+    with k = epsilon_i(lam).  Peel every uncancelled removable node of the
+    smallest residue i carrying one, recurse, then add the k highest
+    uncancelled addable nodes of residue -i mod e.  The recursion goes one
+    call deeper per string; a row has one node per string.
     """
     return _kleshchev(*_regular_input(lam, e, "kleshchev_oracle"), {})
 
 
 def _kleshchev_peel(lam, e):
-    """(i, lam without its good removable i-node) for the least i carrying one."""
-    for i, row in enumerate(_good_nodes(lam, e)[0]):
-        if row:
+    """(i, k, e_i^k lam) for the least residue i with k = epsilon_i(lam) > 0.
+
+    Read top to bottom, the reduced i-signature is R^a A^b.  e_i removes the
+    lowest R, and that position becomes an A, so e_i^max removes all a of
+    them, and removing an i-node changes no other i-node's status.  The a
+    nodes lie in a distinct rows, one in each; only the last row can reach 0.
+    """
+    for i, rows in enumerate(_signatures(lam, e)[0]):
+        if rows:
             break
     else:
         raise InternalError(f"{lam} has no good removable node mod {e}")
-    p = lam[row - 1] - 1
-    return i, lam[: row - 1] + ((p,) if p else ()) + lam[row:]
+    out = list(lam)
+    for r in rows:
+        out[r - 1] -= 1
+    if not out[-1]:
+        out.pop()
+    return i, len(rows), tuple(out)
 
 
-def _kleshchev_grow(lam, e, i):
-    """lam with its good addable node of residue -i mod e added."""
-    row = _good_nodes(lam, e)[1][-i % e]
-    if not row:
-        raise InternalError(f"{lam} has no good addable node of residue {(-i) % e}")
-    return lam[: row - 1] + (part(lam, row) + 1,) + lam[row:]
+def _kleshchev_grow(lam, e, i, k):
+    """f_j^k lam for j = -i mod e: lam with its k highest uncancelled addable j-nodes added.
+
+    f_j turns the highest A of the reduced j-signature R^a A^b into an R,
+    and adding a j-node changes no other j-node's status, so f_j^k adds the
+    k highest.  They lie in distinct rows; only the row below lam can be new.
+    """
+    j = -i % e
+    rows = _signatures(lam, e)[1][j]
+    if len(rows) < k:
+        raise InternalError(f"{lam} has {len(rows)} good addable nodes of residue {j}, not {k}")
+    out = [*lam, 0]
+    for r in rows[:k]:
+        out[r - 1] += 1
+    if not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _kleshchev(lam, e, images):
@@ -263,23 +288,28 @@ def _kleshchev(lam, e, images):
         return ()
     img = images.get((lam, e))
     if img is None:
-        i, peeled = _kleshchev_peel(lam, e)
-        img = images[lam, e] = _kleshchev_grow(_kleshchev(peeled, e, images), e, i)
+        i, k, peeled = _kleshchev_peel(lam, e)
+        img = images[lam, e] = _kleshchev_grow(_kleshchev(peeled, e, images), e, i, k)
     return img
 
 
+def _string_label(verb, i, k):
+    """The trace label of a string of k nodes of residue i."""
+    return f"{verb} residue {i}" if k == 1 else f"{verb} {k} nodes of residue {i}"
+
+
 def kleshchev_trace(lam, e):
-    """(image, steps) where steps record each peel and regrow."""
+    """(image, steps) where steps record each i-string peeled and regrown."""
     cur, e = _regular_input(lam, e, "kleshchev_oracle")
     peels = []
     while cur:
-        i, cur = _kleshchev_peel(cur, e)
-        peels.append((i, cur))
-    steps = [(f"peel residue {i}", (0,), (state,)) for i, state in peels]
+        i, k, cur = _kleshchev_peel(cur, e)
+        peels.append((i, k, cur))
+    steps = [(_string_label("peel", i, k), (0,), (state,)) for i, k, state in peels]
     img = ()
-    for i, _ in reversed(peels):
-        img = _kleshchev_grow(img, e, i)
-        steps.append((f"grow residue {(-i) % e}", (0,), (img,)))
+    for i, k, _ in reversed(peels):
+        img = _kleshchev_grow(img, e, i, k)
+        steps.append((_string_label("grow", -i % e, k), (0,), (img,)))
     return img, steps
 
 

@@ -79,8 +79,16 @@ def build_symbol(bipartition, charge, depth=None):
     return Symbol(s, rows)
 
 
+def _symbol_arg(symbol):
+    """symbol itself; InputError unless it is a Symbol."""
+    if not isinstance(symbol, Symbol):
+        raise InputError(f"a symbol must be a Symbol, got {symbol!r}")
+    return symbol
+
+
 def decode_symbol(symbol):
     """Bipartition encoded by a symbol; raises MalformedSymbolError."""
+    _symbol_arg(symbol)
     out = []
     for c in (0, 1):
         row = symbol.rows[c]
@@ -105,7 +113,7 @@ def match_step(symbol):
     runs with the roles of the rows exchanged.  The result is the symbol of
     the image at the swapped charge (s2, s1).
     """
-    s1, s2 = symbol.charge
+    s1, s2 = _symbol_arg(symbol).charge
     return Symbol((s2, s1), _match(s1, s2, *symbol.rows))
 
 

@@ -18,6 +18,7 @@ from mullineux import (
     blockwise_lower,
     chi,
     chi_inverse,
+    decode_symbol,
     e_rim,
     build_symbol,
     enumerate_e_regular,
@@ -32,6 +33,7 @@ from mullineux import (
     is_e_regular,
     is_strict_e_core,
     kleshchev_oracle,
+    match_step,
     membership,
     mullineux_crystal,
     psi,
@@ -249,9 +251,9 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
 
 # A segment is a (head, length) pair, blockwise_lower takes exactly two
 # components, a generator has its name and sigma its index, a charge is a
-# nonempty sequence of ints, and collections are iterable; anything else is
-# an InputError, never an IndexError, a ValueError, a TypeError or a
-# silently truncated read.
+# nonempty sequence of ints, a symbol is a Symbol, and collections and words
+# are iterable; anything else is an InputError, never an IndexError, a
+# ValueError, a TypeError, an AttributeError or a silently truncated read.
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -271,6 +273,10 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: check_multisegment(5, 3), "a multisegment must be iterable, got 5"),
         (lambda: im_sharp(5, 3), "a multisegment must be iterable, got 5"),
         (lambda: is_fundamental((), 3), "a multicharge must be a nonempty sequence of ints, got ()"),
+        (lambda: is_fundamental((0.5, 1), 3), "a multicharge must be a nonempty sequence of ints, got (0.5, 1)"),
+        (lambda: decode_symbol(5), "a symbol must be a Symbol, got 5"),
+        (lambda: match_step((1, 2)), "a symbol must be a Symbol, got (1, 2)"),
+        (lambda: inverse_word(5), "a word must be iterable, got 5"),
         (lambda: fundamental_representative((), 3), "a multicharge needs at least one entry"),
         (lambda: normalization_word((), 3), "a multicharge needs at least one entry"),
         (lambda: residue_counts((0.5,), 3), "charge entries must be ints: (0.5,)"),

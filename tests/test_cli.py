@@ -111,8 +111,9 @@ def test_traced_methods_reject_bad_input(capsys, method, e, partition):
 
 
 def test_recursion_limit_exits_3_without_traceback(capsys):
-    # The branching recursion goes one call deeper per node, so a row of
-    # 1200 passes the default recursion limit.
+    # The branching recursion goes one call deeper per i-string, and a row
+    # has one node per string, so a row of 1200 passes the default
+    # recursion limit.
     code, out, err = run(
         capsys, "mullineux", "--e", "3", "--partition", "1200", "--method", "kleshchev"
     )

@@ -270,6 +270,74 @@ def test_kleshchev_trace_round_trip():
     assert grow[0][0] == "grow residue 0"
 
 
+def test_kleshchev_trace_records_one_step_per_string():
+    # The three removable nodes of (5, 3, 1) all have residue 1 mod 3 and
+    # no addable 1-node cancels them, so they come off as one string.
+    result, steps = kleshchev_trace((5, 3, 1), 3)
+    assert steps == [
+        ("peel 3 nodes of residue 1", (0,), ((4, 2),)),
+        ("peel 2 nodes of residue 0", (0,), ((3, 1),)),
+        ("peel 2 nodes of residue 2", (0,), ((2,),)),
+        ("peel residue 1", (0,), ((1,),)),
+        ("peel residue 0", (0,), ((),)),
+        ("grow residue 0", (0,), ((1,),)),
+        ("grow residue 2", (0,), ((1, 1),)),
+        ("grow 2 nodes of residue 1", (0,), ((2, 1, 1),)),
+        ("grow 2 nodes of residue 0", (0,), ((2, 2, 1, 1),)),
+        ("grow 3 nodes of residue 2", (0,), ((3, 2, 2, 1, 1),)),
+    ]
+    assert result == steps[-1][2][0] == kleshchev_oracle((5, 3, 1), 3)
+
+
+def test_kleshchev_long_inputs_at_default_recursion_limit():
+    # The recursion goes one call deeper per i-string, and the staircase
+    # 50..1 of rank 1275 has far fewer strings than nodes.
+    staircase = tuple(range(50, 0, -1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for e in (3, 5):
+            assert kleshchev_oracle(staircase, e) == xu(staircase, e), e
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def stepwise_kleshchev(lam, e, images):
+    """m_e(lam) by the one-node branching rule: the slow reference.
+
+    Peel the good removable node of the least residue i carrying one, down
+    to a partition found in `images` (keyed on the partition, for one e) or
+    to the empty one, then add back the good addable node of residue -i mod
+    e for each peel, last first, keeping every image on the way.
+    """
+    chain = []
+    while lam and lam not in images:
+        i = next(i for i in range(e) if good_removable_node(lam, e, i))
+        row, _ = good_removable_node(lam, e, i)
+        chain.append((lam, i))
+        lam = tuple(p - (r == row) for r, p in enumerate(lam, 1) if p - (r == row))
+    img = images.get(lam, ())
+    for above, i in reversed(chain):
+        row, _ = good_addable_node(img, e, -i % e)
+        img = images[above] = tuple(part(img, r) + (r == row) for r in range(1, max(len(img), row) + 1))
+    return img
+
+
+def test_kleshchev_matches_the_one_node_recursion_exhaustively():
+    # One table per e, shared across ranks, as difftest.run keeps them.
+    for e in range(2, 8):
+        images, reference = {}, {}
+        for n in range(15):
+            for lam in enumerate_e_regular(n, e):
+                assert involution._kleshchev(lam, e, images) == stepwise_kleshchev(lam, e, reference), (lam, e)
+
+
+@given(partitions_up_to(600, 120, regular=True))
+def test_kleshchev_matches_the_one_node_recursion_on_larger_partitions(case):
+    lam, e = case
+    assert kleshchev_oracle(lam, e) == stepwise_kleshchev(lam, e, {}), (lam, e)
+
+
 def test_good_nodes_cancelation():
     # The highest addable and lowest removable survive the pairing for (3,3).
     assert good_removable_node((3, 3), 3, 1) == (2, 3)
@@ -317,9 +385,13 @@ def reference_good_nodes(lam, e, i):
 
 
 def assert_good_nodes_match_reference(lam, e):
+    removable, addable = involution._signatures(lam, e)
     for i in range(e):
         got = (good_removable_node(lam, e, i), good_addable_node(lam, e, i))
         assert got == reference_good_nodes(lam, e, i), (lam, e, i)
+        reduced = reduced_signature(lam, e, i)
+        assert removable[i] == [r for kind, r in reduced if kind == "R"], (lam, e, i)
+        assert addable[i] == [r for kind, r in reduced if kind == "A"], (lam, e, i)
 
 
 def test_good_nodes_match_row_by_row_reference_exhaustively():
