@@ -11,6 +11,19 @@ modulus e the group acting on charges is generated by
 Words are lists of generators ("sigma", c), ("tau",), ("tau_inv",) applied
 left to right.  The fundamental domain consists of the charges with
 s_1 <= s_2 <= ... <= s_l < s_1 + e.
+
+Inside the package a path is built as a run-length word, whose tokens are
+("sigma", c); ("wrap", k, r), the block tau_inv sigma_1 ... sigma_k repeated
+r times; its inverse ("unwrap", k, r), the block sigma_k ... sigma_1 tau
+repeated r times; and ("tau", j), tau^j for j of either sign.  A wrap or
+unwrap moves one entry across the k entries below it while the charge
+stays sorted, and a run of r lowerings of the largest entry is one token,
+so `_normalization_word` does not count them one at a time.  `_expand`
+turns such a word into the plain list that normalization_word and
+path_word return; crystal's walk reads it as it is.  At level >= 3 a
+descending cluster of entries less than e apart still costs one token per
+lowering: normalizing (0, 30001, 60002) takes about 20,000 tokens, so the
+word's length still grows with the distance between charges there.
 """
 
 from bisect import bisect_left
@@ -95,7 +108,11 @@ def is_fundamental(s, e):
 
 def residue_counts(s, e):
     """How many entries of s fall in each residue class mod e."""
-    s, e = check_charge(s), _int_arg("e", e, 2)
+    return _residue_counts(check_charge(s), _int_arg("e", e, 2))
+
+
+def _residue_counts(s, e):
+    """residue_counts of a checked charge for a checked e."""
     counts = [0] * e
     for x in s:
         counts[x % e] += 1
@@ -104,13 +121,21 @@ def residue_counts(s, e):
 
 def same_orbit(s, t, e):
     """Two charges lie in one orbit iff their residue multisets mod e agree."""
-    s, t, e = check_charge(s), check_charge(t), _int_arg("e", e, 2)
-    return len(s) == len(t) and residue_counts(s, e) == residue_counts(t, e)
+    return _same_orbit(check_charge(s), check_charge(t), _int_arg("e", e, 2))
+
+
+def _same_orbit(s, t, e):
+    """same_orbit of two checked charges for a checked e."""
+    return len(s) == len(t) and _residue_counts(s, e) == _residue_counts(t, e)
 
 
 def fundamental_representative(s, e):
     """The fundamental charge with the same residues, anchored at min(s)."""
-    s, e = check_charge(s), _int_arg("e", e, 2)
+    return _fundamental_representative(check_charge(s), _int_arg("e", e, 2))
+
+
+def _fundamental_representative(s, e):
+    """fundamental_representative of a checked charge for a checked e."""
     m = min(s)
     return tuple(sorted(m + ((x - m) % e) for x in s))
 
@@ -122,17 +147,19 @@ def normalization_word(s, e):
     tau_inv while the sorted charge still spans e or more.  The minimum entry
     is invariant and the sum drops by e at each tau_inv, so this terminates.
     """
-    return _normalization_word(check_charge(s), _int_arg("e", e, 2))[0]
+    return _expand(_normalization_word(check_charge(s), _int_arg("e", e, 2))[0])
 
 
 def _normalization_word(s, e):
-    """(normalization_word, fundamental representative) for a checked e.
+    """(run-length normalization_word, fundamental representative) for a checked e.
 
     After the first sort the charge stays sorted: tau_inv puts the wrapped
     entry x in front of a sorted row, and the adjacent-swap sort would carry
     it past exactly the k entries below x, as sigma_1, ..., sigma_k.  So x
-    is inserted at its bisect_left position and those k swaps are emitted
-    without sorting again.
+    is inserted at its bisect_left position and the block is one token
+    ("wrap", k, 1).  While the lowered entry stays above every other entry,
+    k = l - 1 and the same block repeats: the r = (x - t[-2] - 1) // e
+    lowerings that keep it there are one token ("wrap", l - 1, r).
     """
     t = list(s)
     word = []
@@ -145,12 +172,38 @@ def _normalization_word(s, e):
                 t[c], t[c + 1] = t[c + 1], t[c]
                 swapped = True
     while t[-1] >= t[0] + e:
-        x = t.pop() - e
+        x = t.pop()
+        r = (x - t[-1] - 1) // e
+        if r > 0:
+            t.append(x - r * e)
+            word.append(("wrap", len(t) - 1, r))
+            continue
+        x -= e
         k = bisect_left(t, x)
         t.insert(k, x)
-        word.append(("tau_inv",))
-        word += [("sigma", c) for c in range(1, k + 1)]
+        word.append(("wrap", k, 1))
     return word, tuple(t)
+
+
+def _expand(word):
+    """The generators of a run-length word, one by one.
+
+    ("wrap", k, r) is (tau_inv, sigma_1, ..., sigma_k) repeated r times,
+    ("unwrap", k, r) its inverse (sigma_k, ..., sigma_1, tau) repeated r
+    times, and ("tau", j) is tau^j for j of either sign.
+    """
+    out = []
+    for gen in word:
+        kind = gen[0]
+        if kind == "wrap":
+            out += ([("tau_inv",)] + [("sigma", c) for c in range(1, gen[1] + 1)]) * gen[2]
+        elif kind == "unwrap":
+            out += ([("sigma", c) for c in range(gen[1], 0, -1)] + [("tau",)]) * gen[2]
+        elif kind == "tau":
+            out += [("tau",)] * gen[1] if gen[1] >= 0 else [("tau_inv",)] * -gen[1]
+        else:
+            out.append(gen)
+    return out
 
 
 def path_word(s, t, e):
@@ -159,14 +212,14 @@ def path_word(s, t, e):
     Route: normalize s down to its fundamental representative, slide along
     the orbit of fundamental representatives by powers of tau, then run the
     normalization of t backwards.  The word is applied to s once more here,
-    and a miss raises InternalError; psi builds the same word with
-    `_path_word` and checks only where its own walk ends.
+    and a miss raises InternalError; psi walks the same word in run-length
+    form from `_path_word` and checks only where its own walk ends.
     """
     s = check_charge(s)
     t = check_charge(t)
     e = _int_arg("e", e, 2)
     _orbit_check(s, t, e)
-    word = _path_word(s, t, e)
+    word = _expand(_path_word(s, t, e))
     if _apply_word(s, word, e) != t:
         raise InternalError(f"path from {s} to {t} missed its target")
     return word
@@ -174,17 +227,22 @@ def path_word(s, t, e):
 
 def _orbit_check(s, t, e):
     """NoPathError unless the checked charges s and t lie in one orbit."""
-    if not same_orbit(s, t, e):
+    if not _same_orbit(s, t, e):
         raise NoPathError(f"{s} and {t} have different residue multisets mod {e}")
 
 
 def _path_word(s, t, e):
-    """path_word for checked charges of one orbit, built without checking it."""
+    """Run-length path_word for checked charges of one orbit, built without checking it.
+
+    The normalization of s, the bridge ("tau", j) unless j is 0, and the
+    normalization of t reversed, each wrap read as its unwrap.
+    """
     ws, fs = _normalization_word(s, e)
     wt, ft = _normalization_word(t, e)
     j = (sum(ft) - sum(fs)) // e
-    bridge = [("tau",)] * j if j >= 0 else [("tau_inv",)] * -j
-    return ws + bridge + inverse_word(wt)
+    bridge = [("tau", j)] if j else []
+    back = [("unwrap", gen[1], gen[2]) if gen[0] == "wrap" else gen for gen in reversed(wt)]
+    return ws + bridge + back
 
 
 def transpose_charge(s):
@@ -198,7 +256,11 @@ def sharp_very_dominant(s, n, e):
     Entry 1 is the representative of -s_1 in {0..e-1}; each later entry is
     the least value >= previous + n in the class of -s_{i+1}.
     """
-    s, n, e = check_charge(s), _int_arg("n", n, 0), _int_arg("e", e, 2)
+    return _sharp_very_dominant(check_charge(s), _int_arg("n", n, 0), _int_arg("e", e, 2))
+
+
+def _sharp_very_dominant(s, n, e):
+    """sharp_very_dominant of a checked charge for checked n and e."""
     out = [(-s[0]) % e]
     for i in range(1, len(s)):
         base = out[-1] + n
@@ -213,8 +275,12 @@ def very_dominant_representative(s, n, e):
     Keeps entry 1 of the fundamental representative and pushes each later
     entry up by multiples of e until the gap exceeds n - 1.
     """
-    s, n, e = check_charge(s), _int_arg("n", n, 0), _int_arg("e", e, 2)
-    f = fundamental_representative(s, e)
+    return _very_dominant_representative(check_charge(s), _int_arg("n", n, 0), _int_arg("e", e, 2))
+
+
+def _very_dominant_representative(s, n, e):
+    """very_dominant_representative of a checked charge for checked n and e."""
+    f = _fundamental_representative(s, e)
     out = [f[0]]
     for i in range(1, len(f)):
         gap = n + ((f[i] - f[i - 1] - n) % e)

@@ -2,15 +2,19 @@
 
 Membership (the FLOTW conditions) is defined at fundamental multicharges and
 transported elsewhere along the isomorphisms.  The isomorphism psi follows a
-word in the charge group, with each component held as its charged β-set for
-the whole word (`_walk`): sigma_c runs the two-row symbol matching on the
-β-sets of components c, c+1, or only swaps them when one lies below the
-other's floor, tau and its inverse rotate the β-sets while shifting the
-charge, and the β-sets are read back as partitions once, at the end.  psi,
-psi_sigma and the level-2 shortcuts psi_shift_up/down share that walk.  The
-walk's word comes from `charges._path_word` and is not replayed on the
-charge: `_psi` compares the charge the walk ends at with its target and
-raises InternalError on a miss.
+run-length word in the charge group (`charges._path_word`), with each
+component held as its β-set relative to its charge for the whole word
+(`_walk`).  tau^j, a wrap and an unwrap then change no row, only the order
+of the rows and their charges.  sigma_c runs the two-row symbol matching on
+the charged β-sets of components c, c+1, or only swaps them when one lies
+below the other's floor.  In a wrap or unwrap a row passes rows whose
+charges lie below its own, sorted; those n or more below it, n the
+multirank, are swapped without a look, and a run's reps that pass only
+such rows are one charge update.  The β-sets are read back as partitions
+once, at the end.  psi, psi_sigma and the level-2 shortcuts
+psi_shift_up/down share that walk.  The word is not replayed on the charge:
+`_psi` compares the charge the walk ends at with its target and raises
+InternalError on a miss.
 
 Every public function here that takes a charged multipartition, and
 `multisegments.chi`, checks it with `_charged_input`.  psi, membership and
@@ -25,10 +29,10 @@ the crystal route runs on them, with psi as their independent reference.
 
 from .charges import (
     _apply,
+    _fundamental_representative,
     _orbit_check,
     _path_word,
     check_charge,
-    fundamental_representative,
     is_fundamental,
 )
 from .core import (
@@ -115,51 +119,123 @@ def psi_shift_down(mp, charge, e):
 def _walk(mp, s, word, e):
     """Transport a checked multipartition along a word: (image, end charge).
 
-    Component c travels as its charged β-set, stored as the ascending row of
-    lam_j - j + s_c for j = 1..len(lam); every integer below the row's floor
-    s_c - len(row) belongs to the set too.  tau and tau inverse rotate the
-    rows and shift the wrapped one by +-e, which moves its floor with its
-    charge.  At sigma_c, when the largest element of one β-set lies below
-    the floor of the other, the first set lies inside the second; the symbol
-    matching then pairs every entry of the smaller set with itself, so the
-    step only swaps the two rows and the two charges.  In charge terms that
-    is s_{c+1} - s_c >= lam^c_1 + len(lam^{c+1}), or the mirror inequality.
-    Otherwise sigma_c pads rows c and c+1 down to their common floor, which
-    makes them the minimal-depth symbol of the pair, runs the symbol
-    matching on them and trims each new row back to the entries above the
-    run its floor implies.  A new row that repeats an entry or reaches below
-    its floor would mean the matching left the β-sets and raises
-    InternalError.  The rows are decoded once, at the end.
+    The word is a run-length word as `charges._path_word` builds it, or a
+    list of plain generators; ("tau",) and ("tau_inv",) are runs of length
+    one.  Component c travels as its β-set relative to its charge: the
+    ascending row of lam_j - j for j = 1..len(lam), every integer below
+    -len(lam) belonging to the set too; adding the charge s_c gives the
+    charged β-set.  So tau^j changes no row: row i moves to (i - j) mod l
+    and its charge gains e*((j - i - 1)//l + 1), one rotation in O(l).
+
+    At sigma_c, when the largest element of one charged β-set lies below
+    the floor of the other, the first set lies inside the second; the
+    symbol matching then pairs every entry of the smaller set with itself,
+    so the step only swaps the two rows and the two charges.  In charge
+    terms that is s_{c+1} - s_c >= lam^c_1 + len(lam^{c+1}), or the mirror
+    inequality.  Otherwise `_matched` runs the matching on the two charged
+    rows.
+
+    A wrap or unwrap moves one row at charge a past rows at charges b < a,
+    sorted ascending; `_path_word` emits them only where the charge is
+    sorted, and the walk relies on it.  When a - b >= n, the multirank,
+    sigma is a plain swap, since lam_1 + len(mu) <= |lam| + |mu| <= n for
+    the two rows' partitions lam (at b) and mu (at a).  As the charges are
+    sorted, the far rows lie below the near ones: the walk scans down from
+    the nearest row to the first far one and steps over the rest without
+    looking at them.  The near rows run the containment test and, where it
+    fails, the matching.  In a run (k = l - 1) the reps whose moving charge
+    lies n or more above every other charge pass only far rows and change
+    only the moving charge: for a wrap these are the first reps, for an
+    unwrap the last ones, and they are one charge update.  The rows are
+    decoded once, at the end.
     """
-    rows = [tuple([p - j + s_c for j, p in enumerate(lam, 1)][::-1]) for lam, s_c in zip(mp, s)]
+    rows = [tuple([p - j for j, p in enumerate(lam, 1)][::-1]) for lam in mp]
     s = list(s)
+    l = len(s)
+    n = sum(map(sum, mp))
     for gen in word:
-        if gen[0] == "tau":
-            rows.append(tuple([x + e for x in rows.pop(0)]))
-            s.append(s.pop(0) + e)
-        elif gen[0] == "tau_inv":
-            rows.insert(0, tuple([x - e for x in rows.pop()]))
-            s.insert(0, s.pop() - e)
-        else:
+        kind = gen[0]
+        if kind == "sigma":
             c = gen[1]
             a, b = s[c - 1], s[c]
             row1, row2 = rows[c - 1], rows[c]
-            f1, f2 = a - len(row1), b - len(row2)
-            if (row1[-1] if row1 else f1 - 1) < f2 or (row2[-1] if row2 else f2 - 1) < f1:
+            if (row1[-1] if row1 else -1) + len(row2) < b - a or (row2[-1] if row2 else -1) + len(row1) < a - b:
                 rows[c - 1], rows[c] = row2, row1
             else:
-                floor = min(f1, f2)
-                new = _match(a, b, [*range(floor, f1), *row1], [*range(floor, f2), *row2])
-                for k, row in enumerate(new):
-                    if len(set(row)) != len(row) or row and row[0] < floor:
-                        raise InternalError(f"sigma_{c} at {tuple(s)} left the β-sets: {new}")
-                    top = 0
-                    while top < len(row) and row[top] == floor + top:
-                        top += 1
-                    rows[c - 1 + k] = row[top:]
+                rows[c - 1], rows[c] = _matched(row1, row2, a, b, s, c - 1, c + 1)
             s[c - 1], s[c] = b, a
-    decoded = (tuple([x + j - s_c for j, x in enumerate(reversed(row), 1)]) for row, s_c in zip(rows, s))
+        elif kind == "wrap":
+            _, k, r = gen
+            if k == l - 1:
+                q = r if not k else min(r, max(0, (s[-1] - s[-2] - n) // e))
+                s[-1] -= q * e
+                r -= q
+            for _ in range(r):
+                row = rows.pop()
+                a = s.pop() - e
+                i = k
+                while i and a - s[i - 1] < n:
+                    i -= 1
+                while i < k:
+                    row2, b = rows[i], s[i]
+                    if (row[-1] if row else -1) + len(row2) >= b - a and (row2[-1] if row2 else -1) + len(row) >= a - b:
+                        rows[i], row = _matched(row, row2, a, b, s, i, i + 1)
+                    i += 1
+                rows.insert(k, row)
+                s.insert(k, a)
+        elif kind == "unwrap":
+            _, k, r = gen
+            while r:
+                if k == l - 1 and (not k or s[-1] - s[-2] >= n):
+                    s[-1] += r * e
+                    break
+                row = rows.pop(k)
+                a = s.pop(k)
+                i = k - 1
+                while i >= 0 and a - s[i] < n:
+                    row1, b = rows[i], s[i]
+                    if (row1[-1] if row1 else -1) + len(row) >= a - b and (row[-1] if row else -1) + len(row1) >= b - a:
+                        row, rows[i] = _matched(row1, row, b, a, s, i, i + 1)
+                    i -= 1
+                rows.append(row)
+                s.append(a + e)
+                r -= 1
+        else:
+            j = gen[1] if len(gen) > 1 else 1 if kind == "tau" else -1
+            h = j % l
+            s = [x + e * ((j - i - 1) // l + 1) for i, x in enumerate(s)]
+            rows, s = rows[h:] + rows[:h], s[h:] + s[:h]
+    decoded = (tuple([x + j for j, x in enumerate(reversed(row), 1)]) for row in rows)
     return tuple(decoded), tuple(s)
+
+
+def _matched(row1, row2, a, b, s, lo, hi):
+    """sigma_{lo + 1} by symbol matching on rows relative to charges a and b.
+
+    Pads the two rows down to their common floor, which makes them the
+    minimal-depth symbol of the pair, runs the matching and trims each new
+    row back to the entries above the run its floor implies.  The matching
+    runs in the frame of charge a, which it does not change, since it only
+    compares entries: row 2 is shifted by b - a on the way in, and the new
+    row at charge b is shifted back.  Returns the new rows relative to
+    their new charges b and a.  A new row that repeats an entry or reaches
+    below its floor would mean the matching left the β-sets and raises
+    InternalError, naming the charge (*s[:lo], a, b, *s[hi:]) at that step.
+    """
+    d = b - a
+    f1, f2 = -len(row1), d - len(row2)
+    floor = f1 if f1 < f2 else f2
+    new = _match(a, b, [*range(floor, f1), *row1], [*range(floor, f2), *[x + d for x in row2]])
+    trimmed = []
+    for row in new:
+        if len(set(row)) != len(row) or row and row[0] < floor:
+            new = tuple(tuple([x + a for x in row]) for row in new)
+            raise InternalError(f"sigma_{lo + 1} at {(*s[:lo], a, b, *s[hi:])} left the β-sets: {new}")
+        top = 0
+        while top < len(row) and row[top] == floor + top:
+            top += 1
+        trimmed.append(row[top:])
+    return tuple([x - d for x in trimmed[0]]), trimmed[1]
 
 
 def psi(mp, charge, to, e):
@@ -196,7 +272,7 @@ def membership(mp, charge, e):
 
 def _membership(mp, s, e):
     """membership of a checked multipartition at a checked charge of its level."""
-    f = fundamental_representative(s, e)
+    f = _fundamental_representative(s, e)
     return _flotw(mp if s == f else _psi(mp, s, f, e), f, e)
 
 
@@ -207,7 +283,7 @@ def enumerate_phi(n, charge, e):
     flotw_check; elsewhere it is the isomorphic image of the fundamental set.
     """
     n, s, e = _rank_arg(n), check_charge(charge), _int_arg("e", e, 2)
-    f = fundamental_representative(s, e)
+    f = _fundamental_representative(s, e)
     if s == f:
         found = [mp for mp in enumerate_multipartitions(n, len(s)) if _flotw(mp, s, e)]
     else:

@@ -27,11 +27,11 @@ values it built itself.
 """
 
 from .charges import (
+    _same_orbit,
+    _sharp_very_dominant,
+    _very_dominant_representative,
     check_charge,
-    same_orbit,
-    sharp_very_dominant,
     transpose_charge,
-    very_dominant_representative,
 )
 from .core import (
     _int_arg,
@@ -415,14 +415,14 @@ def _ak_mullineux(mp, s, t, e):
     components are e-regular; one that is not is an InternalError.
     """
     n = multirank(mp)
-    vd = very_dominant_representative(s, n, e)
+    vd = _very_dominant_representative(s, n, e)
     lifted = _psi(mp, s, vd, e)
     for comp in lifted:
         if not is_e_regular(comp, e):
             raise InternalError(f"the lift of {mp} to {vd} has a component that is not {e}-regular: {comp}")
     image = tuple(_xu(comp, e, None) for comp in lifted)
-    sharp = sharp_very_dominant(vd, n, e)
-    if not same_orbit(sharp, t, e):
+    sharp = _sharp_very_dominant(vd, n, e)
+    if not _same_orbit(sharp, t, e):
         raise NoPathError(f"target {t} is not in the orbit of the image charge {sharp}")
     return _psi(image, sharp, t, e)
 

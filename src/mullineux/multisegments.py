@@ -13,7 +13,7 @@ is surjective); at other charges it is defined by transporting the
 multipartition to the fundamental representative first.
 """
 
-from .charges import check_charge, fundamental_representative
+from .charges import _fundamental_representative, check_charge, fundamental_representative
 from .core import _int_arg, _iter_arg
 from .crystal import _charged_input, _psi, flotw_check, psi
 from .errors import InputError, InternalError, NotAdmissibleError
@@ -64,7 +64,7 @@ def chi(mp, charge, e):
 
 def _chi(mp, s, e):
     """chi of a checked multipartition at a checked charge of its level."""
-    f = fundamental_representative(s, e)
+    f = _fundamental_representative(s, e)
     if s != f:
         mp = _psi(mp, s, f, e)
         s = f

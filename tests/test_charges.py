@@ -13,6 +13,7 @@ from conftest import charge_tuples
 
 from mullineux.charges import (
     InputError,
+    _expand,
     _path_word,
     apply_word,
     check_charge,
@@ -240,7 +241,8 @@ def test_normalization_word_is_the_bubble_sort_word(s, e):
 
 
 def test_unchecked_path_word_lands_exactly():
-    # psi walks the word of _path_word and checks only where the walk ends.
+    # psi walks the run-length word of _path_word and checks only where the
+    # walk ends; expanded, that word is path_word's.
     for e in range(2, 5):
         for level, reach in ((1, 6), (2, 4), (3, 3)):
             orbits = {}
@@ -248,7 +250,7 @@ def test_unchecked_path_word_lands_exactly():
                 orbits.setdefault(residue_counts(s, e), []).append(s)
             for orbit in orbits.values():
                 for s, t in itertools.product(orbit, repeat=2):
-                    word = _path_word(s, t, e)
+                    word = _expand(_path_word(s, t, e))
                     assert word == path_word(s, t, e)
                     assert apply_word(s, word, e) == t, (s, t, e)
 

@@ -1,6 +1,8 @@
 """Tests for charged-set membership and the charge-transport isomorphisms."""
 
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given
@@ -9,7 +11,7 @@ import hypothesis.strategies as st
 
 from conftest import aperiodic_multisegments, bipartitions, charge_tuples, partitions, partitions_up_to
 
-from mullineux.charges import apply_word, path_word
+from mullineux.charges import _path_word, apply_word, path_word, very_dominant_representative
 
 from mullineux.core import (
     enumerate_e_regular,
@@ -374,6 +376,127 @@ def transport_inputs(draw, max_rank=40):
 @given(transport_inputs())
 def test_transport_matches_stepwise_reference_on_larger_inputs(case):
     assert_transport_matches_stepwise(*case)
+
+
+def wide_gap_charges(rng, s, n, e):
+    """s and the very dominant charge above it, each with targets moved by up to +-12e.
+
+    Every charge comes with three targets in its orbit: two random ones
+    and the very dominant representative for rank n, so the walks cross
+    gaps of n and more, where rows pass each other far apart.
+    """
+    vd = very_dominant_representative(s, n, e)
+    for src in (s, vd):
+        yield src, [orbit_charge(rng, src, e, spread=12) for _ in range(2)] + [vd]
+
+
+def test_wide_gap_transport_matches_stepwise_reference_exhaustively():
+    """psi against the stepwise reference over wide gaps, levels 1..4.
+
+    The grid must reach runs whose leading (or trailing) reps pass every
+    other row far apart and collapse into one charge update."""
+    rng = random.Random(37)
+    longest_run = 0
+    for level, top in ((1, 5), (2, 5), (3, 4), (4, 3)):
+        for e in (2, 3, 4):
+            s = tuple(rng.randint(-e, 2 * e) for _ in range(level))
+            for n in range(top + 1):
+                for src, targets in wide_gap_charges(rng, s, n, e):
+                    for t in targets:
+                        runs = [gen[2] for gen in _path_word(src, t, e) if gen[0] in ("wrap", "unwrap")]
+                        longest_run = max([longest_run, *runs])
+                        for mp in enumerate_multipartitions(n, level):
+                            got = result_or_error(psi, mp, src, t, e)
+                            assert got == result_or_error(stepwise_psi, mp, src, t, e), (mp, src, t, e)
+    assert longest_run > 12
+
+
+@st.composite
+def wide_gap_inputs(draw, max_rank=16):
+    """(mp, s, targets, e) as transport_inputs, with very dominant charges
+    and targets moved by up to +-12e."""
+    mp, s, _, e = draw(transport_inputs(max_rank))
+    n = multirank(mp)
+    if draw(st.booleans()):
+        s = very_dominant_representative(s, n, e)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    targets = [orbit_charge(rng, s, e, spread=12), very_dominant_representative(s, n, e)]
+    return mp, s, targets, e
+
+
+@given(wide_gap_inputs())
+def test_wide_gap_transport_matches_stepwise_reference_on_larger_inputs(case):
+    mp, s, targets, e = case
+    for t in targets:
+        assert result_or_error(psi, mp, s, t, e) == result_or_error(stepwise_psi, mp, s, t, e), (mp, s, t, e)
+        back = result_or_error(psi, mp, t, s, e)
+        assert back == result_or_error(stepwise_psi, mp, t, s, e), (mp, t, s, e)
+
+
+def test_psi_across_three_million_answers_at_once():
+    """psi from (0, 3*10^6 + 1) to (0, 1) at e = 3 takes one run: its reps
+    that pass the other row far apart are one charge update.  The image is
+    the one from any charge far enough up, here (0, 1 + 3(n + 2))."""
+    e, far, low = 3, (0, 3 * 10**6 + 1), (0, 1)
+    for n in range(7):
+        near = (0, 1 + e * (n + 2))
+        for mp in enumerate_multipartitions(n, 2):
+            image = psi(mp, far, low, e)
+            assert image == stepwise_psi(mp, near, low, e), mp
+            assert psi(image, low, far, e) == mp, mp
+    mp = ((9, 7, 4, 4, 1), (8, 5, 5, 2, 1, 1))
+    start = time.perf_counter()
+    image = psi(mp, far, low, e)
+    assert psi(image, low, far, e) == mp
+    assert time.perf_counter() - start < 0.5
+
+
+def expanded_walk(mp, s, t, e):
+    """psi walked one generator per token, along the expanded path_word."""
+    return _walk(mp, s, path_word(s, t, e), e)[0]
+
+
+def test_a_matching_that_fails_inside_a_token_names_its_step(monkeypatch):
+    """A matching that leaves the β-sets inside a wrap, an unwrap or a run
+    raises the InternalError the expanded walk raises at that step."""
+    import mullineux.crystal as crystal
+
+    def fail_at(m):
+        calls = []
+
+        def match(s1, s2, row1, row2):
+            # A padded row is never empty where a matching runs.
+            calls.append(row1)
+            return ((row1[0], row1[0]), row2) if len(calls) == m else _match(s1, s2, row1, row2)
+
+        return match
+
+    cases = [
+        (((2, 1), (3, 1)), (0, 1), (0, 37), 3),
+        (((3, 1), (2, 2)), (0, 40), (0, 1), 3),
+        (((2,), (1, 1), (2, 1)), (0, 1, 2), (0, 25, 53), 3),
+        (((3, 2, 1), (2, 2), (4, 1)), (0, 40, 80), (0, 1, 2), 3),
+        (((3, 2, 1), (2, 2), (4, 1)), (0, 1, 2), (0, 40, 80), 3),
+        (((1, 1), (2,), (1,), (3,)), (0, 11, 20, 33), (5, 40, 59, 12), 4),
+    ]
+    for mp, s, t, e in cases:
+        assert any(gen[0] in ("wrap", "unwrap") for gen in _path_word(s, t, e))
+        m = 1
+        while True:
+            monkeypatch.setattr(crystal, "_match", fail_at(m))
+            try:
+                psi(mp, s, t, e)
+            except InternalError as exc:
+                got = str(exc)
+            else:
+                break
+            monkeypatch.setattr(crystal, "_match", fail_at(m))
+            with pytest.raises(InternalError) as expected:
+                expanded_walk(mp, s, t, e)
+            assert got == str(expected.value), (mp, s, t, e, m)
+            assert re.match(r"^sigma_\d+ at \([-\d, ]+\) left the β-sets: \(\((-?\d+), \1\), \([-\d, ]*\)\)$", got), got
+            m += 1
+        assert m > 1, (mp, s, t, e)
 
 
 def test_im_transports_match_stepwise_reference(monkeypatch):
