@@ -35,9 +35,6 @@ from .crystal import (
     flotw_check,
     membership,
     psi,
-    psi_shift_down,
-    psi_shift_up,
-    psi_sigma,
 )
 from .errors import (
     InputError,
@@ -45,13 +42,10 @@ from .errors import (
     MalformedSymbolError,
     MullineuxError,
     NoPathError,
-    NotAdmissibleError,
 )
 from .involution import (
     ak_mullineux,
     e_rim,
-    good_addable_node,
-    good_removable_node,
     im_sharp,
     kleshchev_oracle,
     mullineux_crystal,
@@ -62,7 +56,6 @@ from .involution import (
 from .multisegments import (
     canonical,
     chi,
-    chi_inverse,
     is_aperiodic,
     segment_tail,
 )

@@ -80,11 +80,8 @@ def _apply_word(s, word, e):
 def inverse_word(word):
     """Inverse word: reversed, with sigma self-inverse and tau <-> tau_inv."""
     out = []
-    for gen in reversed(tuple(_iter_arg("a word", word))):
-        try:
-            kind = gen[0]
-        except (IndexError, TypeError) as exc:
-            raise InputError(f"malformed generator {gen!r}") from exc
+    for gen in reversed([_generator_arg(gen) for gen in _iter_arg("a word", word)]):
+        kind = gen[0]
         if kind == "sigma":
             out.append(gen)
         elif kind == "tau":

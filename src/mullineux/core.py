@@ -104,6 +104,7 @@ def is_e_regular(lam, e):
 
 def conjugate(lam):
     """Transpose of the Young diagram."""
+    lam = check_partition(lam)
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
@@ -122,7 +123,7 @@ def is_strict_e_core(lam, e):
     This is strictly stronger than having no hook of length exactly e.
     The empty partition is a strict core for every e.
     """
-    return max_hook_length(lam) < _int_arg("e", e, 2)
+    return max_hook_length(check_partition(lam)) < _int_arg("e", e, 2)
 
 
 def concat(*partitions):
@@ -135,7 +136,7 @@ def concat(*partitions):
 
 def remove_first_column(lam):
     """Delete the first column: subtract 1 from every part, drop zeros."""
-    return tuple(p - 1 for p in lam if p > 1)
+    return tuple(p - 1 for p in check_partition(lam) if p > 1)
 
 
 def enumerate_partitions(n, max_part=None):

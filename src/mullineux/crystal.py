@@ -11,10 +11,9 @@ below the other's floor.  In a wrap or unwrap a row passes rows whose
 charges lie below its own, sorted; those n or more below it, n the
 multirank, are swapped without a look, and a run's reps that pass only
 such rows are one charge update.  The β-sets are read back as partitions
-once, at the end.  psi, psi_sigma and the level-2 shortcuts
-psi_shift_up/down share that walk.  The word is not replayed on the charge:
-`_psi` compares the charge the walk ends at with its target and raises
-InternalError on a miss.
+once, at the end.  The word is not replayed on the charge: `_psi` compares
+the charge the walk ends at with its target and raises InternalError on a
+miss.
 
 Every public function here that takes a charged multipartition, and
 `multisegments.chi`, checks it with `_charged_input`.  psi, membership and
@@ -28,7 +27,6 @@ the crystal route runs on them, with psi as their independent reference.
 """
 
 from .charges import (
-    _apply,
     _fundamental_representative,
     _orbit_check,
     _path_word,
@@ -90,30 +88,6 @@ def _flotw(mp, s, e):
         for i, p in enumerate(mp[j], start=1):
             residues.setdefault(p, set()).add((p - i + s[j]) % e)
     return all(len(seen) < e for seen in residues.values())
-
-
-def psi_sigma(mp, charge, e, c):
-    """Apply the isomorphism for sigma_c: symbol matching on components c, c+1."""
-    mp, s, e = _charged_input(mp, (charge,), e)
-    c = _int_arg("sigma index", c)
-    _apply(s, ("sigma", c), e)  # rejects an out-of-range c
-    return _walk(mp, s, (("sigma", c),), e)
-
-
-def psi_shift_up(mp, charge, e):
-    """Level-2 shortcut (s1, s2) -> (s1, s2 + e): sigma_1 then tau."""
-    mp, s, e = _charged_input(mp, (charge,), e)
-    if len(s) != 2:
-        raise InputError("psi_shift_up needs a level-2 multipartition")
-    return _walk(mp, s, (("sigma", 1), ("tau",)), e)
-
-
-def psi_shift_down(mp, charge, e):
-    """Level-2 shortcut (s1, s2) -> (s1, s2 - e): tau inverse then sigma_1."""
-    mp, s, e = _charged_input(mp, (charge,), e)
-    if len(s) != 2:
-        raise InputError("psi_shift_down needs a level-2 multipartition")
-    return _walk(mp, s, (("tau_inv",), ("sigma", 1)), e)
 
 
 def _walk(mp, s, word, e):

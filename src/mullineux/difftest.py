@@ -92,7 +92,7 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
             record("core_empty_lift", lifted[1] != () or is_core, skey)
             record("blockwise_lift", lifted == reference, skey)
             # The word to (0, up + e) is the word to `up` followed by sigma_1, tau.
-            relifted, _ = crystal.psi_shift_up(reference, up, e)
+            relifted, _ = crystal._walk(reference, up, (("sigma", 1), ("tau",)), e)
             record("lift_k_stable", relifted == reference, skey)
         if lam:
             smaller, removed = involution.xu_strip(lam, e)

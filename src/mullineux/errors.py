@@ -19,10 +19,6 @@ class NoPathError(InputError):
     """Two multicharges do not lie in the same orbit, so no path exists."""
 
 
-class NotAdmissibleError(InputError):
-    """A multisegment has no preimage at the requested multicharge."""
-
-
 class MalformedSymbolError(MullineuxError):
     """A two-row symbol does not decode to a pair of partitions.
 

@@ -203,32 +203,6 @@ def _signatures(lam, e):
     return removable, addable
 
 
-def _good_node_input(lam, e, i):
-    """The checked (lam, e, i); InputError unless e >= 2 and i is in 0..e-1."""
-    lam, e = check_partition(lam), _int_arg("e", e, 2)
-    return lam, e, _int_arg("i", i, 0, e - 1)
-
-
-def good_removable_node(lam, e, i):
-    """Good removable i-node as (row, column), or None.
-
-    It is the lowest removable node of the reduced signature.
-    """
-    lam, e, i = _good_node_input(lam, e, i)
-    rows = _signatures(lam, e)[0][i]
-    return (rows[-1], lam[rows[-1] - 1]) if rows else None
-
-
-def good_addable_node(lam, e, i):
-    """Good addable i-node as (row, column), or None.
-
-    It is the highest addable node of the reduced signature.
-    """
-    lam, e, i = _good_node_input(lam, e, i)
-    rows = _signatures(lam, e)[1][i]
-    return (rows[0], part(lam, rows[0]) + 1) if rows else None
-
-
 def kleshchev_oracle(lam, e):
     """Mullineux image by the branching recursion, one i-string at a time.
 

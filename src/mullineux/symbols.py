@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .charges import check_charge
-from .core import _int_arg, check_multipartition, part
+from .core import _int_arg, _int_seq, _iter_arg, check_multipartition, part
 from .errors import InputError, MalformedSymbolError
 
 
@@ -32,6 +32,8 @@ class Symbol(namedtuple("Symbol", "charge rows")):
     __slots__ = ()
 
     def __new__(cls, charge, rows):
+        charge = _int_seq("symbol charges", charge)
+        rows = tuple(_int_seq("symbol rows", row) for row in _iter_arg("symbol rows", rows))
         if len(charge) != 2 or len(rows) != 2:
             raise InputError("a symbol has exactly two rows and two charges")
         return super().__new__(cls, charge, rows)

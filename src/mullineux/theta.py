@@ -13,7 +13,7 @@ between component 2 and component 1.
 """
 
 from .charges import check_charge, is_fundamental
-from .core import _int_arg, check_partition, concat, is_e_regular
+from .core import _int_arg, check_multipartition, check_partition, concat, is_e_regular
 from .errors import InputError
 
 
@@ -78,4 +78,4 @@ def theta_l2(lam, e, s):
 
 def theta_inverse(mp):
     """Merge the components back into a single partition."""
-    return concat(*mp)
+    return concat(*check_multipartition(mp))

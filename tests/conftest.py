@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies, settings and enumerators for the test suite."""
+"""Shared hypothesis strategies, settings and enumerators for the test suite,
+and the node-by-node crystal reference `branching_image`."""
 
 import itertools
 
@@ -8,7 +9,9 @@ from hypothesis import settings
 
 import hypothesis.strategies as st
 
-from mullineux.core import enumerate_partitions, rank
+from mullineux.charges import transpose_charge
+
+from mullineux.core import enumerate_partitions, part, rank
 
 from mullineux.multisegments import canonical, is_aperiodic
 
@@ -58,3 +61,78 @@ def aperiodic_multisegments(n, e):
             ms = canonical(seg for group in combo for seg in group)
             if is_aperiodic(ms, e):
                 yield ms
+
+
+def signature(mp, s, e, i):
+    """The addable and removable i-nodes of a charged multipartition, row by row.
+
+    A node (a, b) of component c has key b - a + s_c, and its residue is the
+    key mod e.  Returns ("A" or "R", c, row) triples by decreasing key, ties
+    broken by increasing c.
+    """
+    entries = []
+    for c, (lam, sc) in enumerate(zip(mp, s)):
+        for r in range(1, len(lam) + 2):
+            cur = part(lam, r)
+            if (r == 1 or cur < part(lam, r - 1)) and (cur + 1 - r + sc) % e == i:
+                entries.append((cur + 1 - r + sc, c, "A", r))
+            if r <= len(lam) and cur > part(lam, r + 1) and (cur - r + sc) % e == i:
+                entries.append((cur - r + sc, c, "R", r))
+    entries.sort(key=lambda entry: (-entry[0], entry[1]))
+    return [(kind, c, r) for _, c, kind, r in entries]
+
+
+def reduced_signature(mp, s, e, i):
+    """The signature with each R cancelling the nearest uncancelled A before it: R^a A^b."""
+    stack = []
+    for entry in signature(mp, s, e, i):
+        if entry[0] == "R" and stack and stack[-1][0] == "A":
+            stack.pop()
+        else:
+            stack.append(entry)
+    return stack
+
+
+def good_nodes(mp, s, e, i):
+    """(good removable, good addable) i-node as (component, row), or None.
+
+    The good removable node is the last R of the reduced signature, the good
+    addable node its first A.
+    """
+    reduced = reduced_signature(mp, s, e, i)
+    removable = [(c, r) for kind, c, r in reduced if kind == "R"]
+    addable = [(c, r) for kind, c, r in reduced if kind == "A"]
+    return removable[-1] if removable else None, addable[0] if addable else None
+
+
+def moved(mp, node, step):
+    """mp with `step` (1 or -1) added to the given row of the given component."""
+    c, r = node
+    lam = [*mp[c], 0]
+    lam[r - 1] += step
+    return mp[:c] + (tuple(p for p in lam if p),) + mp[c + 1 :]
+
+
+def branching_image(mp, s, e):
+    """Image of a member at a fundamental charge s in the set at transpose_charge(s).
+
+    The crystal reference: the map sends the empty multipartition to itself
+    and f_i x to f_{-i} of the image of x.  Peel good removable nodes, least
+    residue first, down to the empty multipartition, then regrow at the
+    transposed charge by the good addable (-i mod e)-nodes, last peel first.
+    One node per step; it shares no code with the library's routes.
+    """
+    mp = tuple(tuple(lam) for lam in mp)
+    peeled = []
+    while any(mp):
+        found = next(((i, node) for i in range(e) if (node := good_nodes(mp, s, e, i)[0])), None)
+        assert found is not None, (mp, s, e)
+        i, node = found
+        mp = moved(mp, node, -1)
+        peeled.append(i)
+    t = transpose_charge(s)
+    for i in reversed(peeled):
+        node = good_nodes(mp, t, e, -i % e)[1]
+        assert node is not None, (mp, t, e, i)
+        mp = moved(mp, node, 1)
+    return mp

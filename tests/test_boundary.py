@@ -13,11 +13,12 @@ import mullineux
 from mullineux import (
     InputError,
     NoPathError,
+    Symbol,
     ak_mullineux,
     blockwise_lift,
     blockwise_lower,
     chi,
-    chi_inverse,
+    conjugate,
     decode_symbol,
     e_rim,
     build_symbol,
@@ -26,8 +27,6 @@ from mullineux import (
     enumerate_partitions,
     enumerate_phi,
     flotw_check,
-    good_addable_node,
-    good_removable_node,
     im_sharp,
     is_aperiodic,
     is_e_regular,
@@ -37,12 +36,11 @@ from mullineux import (
     membership,
     mullineux_crystal,
     psi,
-    psi_shift_down,
-    psi_shift_up,
-    psi_sigma,
+    remove_first_column,
     segment_tail,
     symbol_depth,
     theta,
+    theta_inverse,
     theta_l2,
     truncated_e_rim,
     xu,
@@ -67,17 +65,17 @@ from mullineux.multisegments import check_multisegment
 
 PUBLIC_NAMES = [
     "InputError", "InternalError", "MalformedSymbolError", "MullineuxError",
-    "NoPathError", "NotAdmissibleError", "Symbol", "ak_mullineux", "apply_word",
+    "NoPathError", "Symbol", "ak_mullineux", "apply_word",
     "blockwise_lift", "blockwise_lower", "build_symbol", "canonical", "charges",
-    "chi", "chi_inverse", "concat", "conjugate", "core", "crystal",
+    "chi", "concat", "conjugate", "core", "crystal",
     "decode_symbol", "e_rim", "enumerate_e_regular",
     "enumerate_multipartitions", "enumerate_partitions", "enumerate_phi",
-    "errors", "flotw_check", "fundamental_representative", "good_addable_node",
-    "good_removable_node", "im_sharp", "inverse_word", "involution",
+    "errors", "flotw_check", "fundamental_representative",
+    "im_sharp", "inverse_word", "involution",
     "is_aperiodic", "is_e_regular", "is_fundamental", "is_strict_e_core",
     "kleshchev_oracle", "match_step", "max_hook_length", "membership",
     "mullineux_crystal", "multirank", "multisegments", "normalization_word",
-    "part", "path_word", "psi", "psi_shift_down", "psi_shift_up", "psi_sigma",
+    "part", "path_word", "psi",
     "rank", "remove_first_column", "residue_counts", "same_orbit",
     "segment_tail", "sharp_very_dominant", "symbol_depth", "symbols", "theta",
     "theta_inverse", "theta_l2", "transpose_charge", "truncated_e_rim",
@@ -113,9 +111,6 @@ E_CALLS = {
     "theta.theta": lambda e: theta(LAM, e, (0, 1)),
     "theta.theta_l2": lambda e: theta_l2(LAM, e, 1),
     "crystal.flotw_check": lambda e: flotw_check(BIP, (0, 1), e),
-    "crystal.psi_sigma": lambda e: psi_sigma(BIP, (0, 1), e, 1),
-    "crystal.psi_shift_up": lambda e: psi_shift_up(BIP, (0, 1), e),
-    "crystal.psi_shift_down": lambda e: psi_shift_down(BIP, (0, 4), e),
     "crystal.psi": lambda e: psi(BIP, (0, 1), (0, 4), e),
     "crystal.membership": lambda e: membership(BIP, (0, 1), e),
     "crystal.enumerate_phi": lambda e: enumerate_phi(2, (0, 1), e),
@@ -125,14 +120,11 @@ E_CALLS = {
     "multisegments.segment_tail": lambda e: segment_tail(MS[0], e),
     "multisegments.is_aperiodic": lambda e: is_aperiodic(MS, e),
     "multisegments.chi": lambda e: chi(BIP, (0, 1), e),
-    "multisegments.chi_inverse": lambda e: chi_inverse(MS, (0, 1), e),
     "involution.e_rim": lambda e: e_rim(LAM, e),
     "involution.truncated_e_rim": lambda e: truncated_e_rim(LAM, e),
     "involution.xu_strip": lambda e: xu_strip(LAM, e),
     "involution.xu": lambda e: xu(LAM, e),
     "involution.xu_trace": lambda e: xu_trace(LAM, e),
-    "involution.good_removable_node": lambda e: good_removable_node(LAM, e, 0),
-    "involution.good_addable_node": lambda e: good_addable_node(LAM, e, 0),
     "involution.kleshchev_oracle": lambda e: kleshchev_oracle(LAM, e),
     "involution.kleshchev_trace": lambda e: kleshchev_trace(LAM, e),
     "involution.mullineux_crystal": lambda e: mullineux_crystal(LAM, e),
@@ -176,9 +168,8 @@ def test_bad_e_is_an_input_error(label, e):
         # A strict core never reaches the engines that read s.
         lambda: mullineux_crystal((2,), 3, 1.0),
         lambda: mullineux_crystal_trace((2,), 3, 1.0),
-        lambda: psi_sigma(BIP, (0, 1), 3, 1.0),
         lambda: apply_word(S, [("sigma", 1.0)], 3),
-        lambda: good_removable_node(LAM, 3, 1.0),
+        lambda: inverse_word([("sigma", 1.0)]),
         lambda: sharp_very_dominant(S, 2.5, 3),
         lambda: very_dominant_representative(S, 2.5, 3),
         lambda: list(enumerate_partitions(2.5)),
@@ -203,13 +194,11 @@ def test_non_integer_arguments_are_input_errors(call):
         (lambda: blockwise_lift(LAM, 3, -1), "s must be in 0..2, got -1"),
         (lambda: blockwise_lower(PAIR, 3, 0), "s must be in 1..2, got 0"),
         (lambda: mullineux_crystal((2,), 3, 3), "s must be in 1..2, got 3"),
-        (lambda: good_removable_node(LAM, 3, 3), "i must be in 0..2, got 3"),
         (lambda: check_multisegment(((0, 0),), 3), "segment length must be >= 1, got 0"),
         (lambda: sharp_very_dominant(S, -1, 3), "n must be >= 0, got -1"),
         (lambda: very_dominant_representative(S, -1, 3), "n must be >= 0, got -1"),
         (lambda: list(enumerate_partitions(-1)), "rank must be nonnegative, got -1"),
         (lambda: enumerate_phi(-1, (0, 1), 3), "rank must be nonnegative, got -1"),
-        (lambda: psi_sigma(BIP, S, 3, 2), "sigma index 2 out of range for level 2"),
         (lambda: apply_word(S, [("tau",), ("sigma", 0)], 3), "sigma index 0 out of range for level 2"),
     ],
 )
@@ -251,9 +240,11 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
 
 # A segment is a (head, length) pair, blockwise_lower takes exactly two
 # components, a generator has its name and sigma its index, a charge is a
-# nonempty sequence of ints, a symbol is a Symbol, and collections and words
-# are iterable; anything else is an InputError, never an IndexError, a
-# ValueError, a TypeError, an AttributeError or a silently truncated read.
+# nonempty sequence of ints, a symbol is a Symbol with int charges and int
+# rows, the core helpers and theta_inverse take partitions, and collections
+# and words are iterable; anything else is an InputError, never an
+# IndexError, a ValueError, a TypeError, an AttributeError, a silently
+# truncated read or an answer about a non-partition.
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -268,6 +259,8 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: apply_word(S, [("sigma",)], 3), "malformed generator ('sigma',)"),
         (lambda: apply_word(S, [()], 3), "malformed generator ()"),
         (lambda: inverse_word([()]), "malformed generator ()"),
+        (lambda: inverse_word([("sigma",)]), "malformed generator ('sigma',)"),
+        (lambda: inverse_word([("tau",), ("sigma",)]), "malformed generator ('sigma',)"),
         (lambda: psi(5, S, (0, 4), 3), "a multipartition must be iterable, got 5"),
         (lambda: check_multipartition(5), "a multipartition must be iterable, got 5"),
         (lambda: check_multisegment(5, 3), "a multisegment must be iterable, got 5"),
@@ -276,6 +269,16 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: is_fundamental((0.5, 1), 3), "a multicharge must be a nonempty sequence of ints, got (0.5, 1)"),
         (lambda: decode_symbol(5), "a symbol must be a Symbol, got 5"),
         (lambda: match_step((1, 2)), "a symbol must be a Symbol, got (1, 2)"),
+        (lambda: decode_symbol(Symbol((0, "a"), ((1,), (2,)))), "symbol charges must be ints: (0, 'a')"),
+        (lambda: match_step(Symbol(("x", 1), ((1,), (2,)))), "symbol charges must be ints: ('x', 1)"),
+        (lambda: decode_symbol(Symbol((0, 1), ((1,), (2.5,)))), "symbol rows must be ints: (2.5,)"),
+        (lambda: match_step(Symbol((0, 1), 5)), "symbol rows must be iterable, got 5"),
+        (lambda: Symbol((0, 1), ((1,), (2,)))._replace(rows=((1,), None)), "symbol rows must be ints: None"),
+        (lambda: conjugate((1, 2)), "parts must be weakly decreasing: (1, 2)"),
+        (lambda: is_strict_e_core((1, 2), 3), "parts must be weakly decreasing: (1, 2)"),
+        (lambda: remove_first_column((1, 3)), "parts must be weakly decreasing: (1, 3)"),
+        (lambda: theta_inverse(5), "a multipartition must be iterable, got 5"),
+        (lambda: theta_inverse(((1,), (1, 2))), "parts must be weakly decreasing: (1, 2)"),
         (lambda: inverse_word(5), "a word must be iterable, got 5"),
         (lambda: fundamental_representative((), 3), "a multicharge needs at least one entry"),
         (lambda: normalization_word((), 3), "a multicharge needs at least one entry"),

@@ -31,9 +31,6 @@ from mullineux.crystal import (
     flotw_check,
     membership,
     psi,
-    psi_shift_down,
-    psi_shift_up,
-    psi_sigma,
 )
 
 from mullineux.errors import InputError, InternalError, MalformedSymbolError
@@ -129,12 +126,18 @@ def test_membership_table():
         assert membership(mp, charge, e) is expected, (mp, charge)
 
 
-def test_psi_sigma_examples():
+# The walk of sigma_1 then tau, which raises the second charge by e, and of
+# its inverse, tau inverse then sigma_1.
+SHIFT_UP = (("sigma", 1), ("tau",))
+SHIFT_DOWN = (("tau_inv",), ("sigma", 1))
+
+
+def test_sigma_walk_examples():
     for mp, charge, c, out, out_charge in (
         (((2, 1), ()), (0, 1), 1, ((1,), (1, 1)), (1, 0)),
         (((3,), ()), (0, 1), 1, ((2,), (1,)), (1, 0)),
     ):
-        assert psi_sigma(mp, charge, 3, c) == (out, out_charge), mp
+        assert _walk(mp, charge, (("sigma", c),), 3) == (out, out_charge), mp
 
 
 def test_psi_tau_round_trip():
@@ -144,31 +147,24 @@ def test_psi_tau_round_trip():
     assert (back, back_charge) == (((1,), (2,)), (0, 1))
 
 
-def test_psi_shift_examples():
+def test_shift_walk_examples():
     for mp, charge, out, out_charge in (
         (((3,), (3, 1)), (0, 1), ((1,), (3, 3)), (0, 4)),
         (((2,), (1,)), (0, 1), ((2,), (1,)), (0, 4)),
     ):
-        assert psi_shift_up(mp, charge, 3) == (out, out_charge), mp
-        assert psi_shift_down(out, out_charge, 3) == (mp, charge), mp
+        assert _walk(mp, charge, SHIFT_UP, 3) == (out, out_charge), mp
+        assert _walk(out, out_charge, SHIFT_DOWN, 3) == (mp, charge), mp
 
 
-def test_psi_shift_round_trip_members():
+def test_shift_walk_round_trip_members():
     for e in (3, 4):
         for s in range(e):
             for n in range(9):
                 for mp in enumerate_phi(n, (0, s), e):
-                    up, up_charge = psi_shift_up(mp, (0, s), e)
+                    up, up_charge = _walk(mp, (0, s), SHIFT_UP, e)
                     assert up_charge == (0, s + e)
-                    down, down_charge = psi_shift_down(up, up_charge, e)
+                    down, down_charge = _walk(up, up_charge, SHIFT_DOWN, e)
                     assert (down, down_charge) == (mp, (0, s)), (mp, s, e)
-
-
-def test_psi_shift_needs_level_two():
-    for mp, charge in ((((1,), (1,), ()), (0, 1)), (((1,), ()), (0, 1, 2))):
-        for shift in (psi_shift_up, psi_shift_down):
-            with pytest.raises(InputError):
-                shift(mp, charge, 3)
 
 
 def test_psi_examples():
@@ -212,8 +208,8 @@ def test_psi_path_independence():
     e = 3
     for n in range(8):
         for mp in enumerate_phi(n, (0, 1), e):
-            once, charge = psi_sigma(mp, (0, 1), e, 1)
-            back, charge = psi_sigma(once, charge, e, 1)
+            once, charge = _walk(mp, (0, 1), (("sigma", 1),), e)
+            back, charge = _walk(once, charge, (("sigma", 1),), e)
             assert (back, charge) == (mp, (0, 1))
             assert psi(back, (0, 1), (0, 4), e) == psi(mp, (0, 1), (0, 4), e)
 
@@ -223,10 +219,7 @@ def test_psi_is_the_walk_of_its_generators():
 
     def walk(mp, charge, to):
         for gen in path_word(charge, to, e):
-            if gen[0] == "sigma":
-                mp, charge = psi_sigma(mp, charge, e, gen[1])
-            else:
-                mp, charge = _walk(mp, charge, (gen,), e)
+            mp, charge = _walk(mp, charge, (gen,), e)
         assert charge == to
         return mp
 
@@ -242,24 +235,10 @@ def test_transport_rejects_non_partitions():
         for call in (
             lambda: psi(bad, (0, 1), (0, 4), 3),
             lambda: psi(bad, (0, 1), (0, 1), 3),
-            lambda: psi_sigma(bad, (0, 1), 3, 1),
-            lambda: psi_shift_up(bad, (0, 1), 3),
-            lambda: psi_shift_down(bad, (0, 4), 3),
             lambda: membership(bad, (0, 1), 3),
             lambda: membership(bad, (0, 4), 3),
         ):
             with pytest.raises(InputError):
-                call()
-
-
-def test_generators_need_one_charge_per_component():
-    for mp, charge in ((((1,), (), ()), (0, 1)), (((1,), ()), (0, 1, 2))):
-        for call in (
-            lambda: psi_sigma(mp, charge, 3, 1),
-            lambda: psi_shift_up(mp, charge, 3),
-            lambda: psi_shift_down(mp, charge, 3),
-        ):
-            with pytest.raises(InputError, match="components vs"):
                 call()
 
 
@@ -312,24 +291,16 @@ def result_or_error(fn, *args):
 
 
 def assert_transport_matches_stepwise(mp, s, targets, e):
-    """psi to each target, psi_sigma, the walks of tau and tau inverse, and the
-    shifts against the stepwise reference."""
+    """psi to each target, and the walks of each sigma, of tau and tau
+    inverse and of the level-2 shifts, against the stepwise reference."""
     for t in targets:
         got = result_or_error(psi, mp, s, t, e)
         assert got == result_or_error(stepwise_psi, mp, s, t, e), (mp, s, t, e)
-    # Index len(s) is out of range, so psi_sigma must reject it the same way.
-    for c in range(1, len(s) + 1):
-        got = result_or_error(psi_sigma, mp, s, e, c)
-        assert got == result_or_error(stepwise_walk, mp, s, [("sigma", c)], e), (mp, s, c, e)
-    for word in ([("tau",)], [("tau_inv",)]):
-        assert _walk(mp, s, word, e) == stepwise_walk(mp, s, word, e), (mp, s, e)
+    words = [[("sigma", c)] for c in range(1, len(s))] + [[("tau",)], [("tau_inv",)]]
     if len(s) == 2:
-        for wrapper, word in (
-            (psi_shift_up, [("sigma", 1), ("tau",)]),
-            (psi_shift_down, [("tau_inv",), ("sigma", 1)]),
-        ):
-            got = result_or_error(wrapper, mp, s, e)
-            assert got == result_or_error(stepwise_walk, mp, s, word, e), (mp, s, e)
+        words += [SHIFT_UP, SHIFT_DOWN]
+    for word in words:
+        assert _walk(mp, s, word, e) == stepwise_walk(mp, s, word, e), (mp, s, word, e)
 
 
 def orbit_charge(rng, s, e, spread=2):
@@ -537,17 +508,17 @@ def test_a_walk_that_ends_off_target_is_an_internal_error(monkeypatch):
 
 
 def test_sigma_swap_matches_the_full_matching():
-    """psi_sigma on every level-2 pair of rank <= 8, at every gap within
-    +-(rank + 2e), against the stepwise reference, which always runs the
-    full symbol matching where the walk may only swap the two rows."""
+    """The walk of sigma_1 on every level-2 pair of rank <= 8, at every gap
+    within +-(rank + 2e), against the stepwise reference, which always runs
+    the full symbol matching where the walk may only swap the two rows."""
     for e in range(2, 6):
         for n in range(9):
             reach = n + 2 * e
             for mp in enumerate_multipartitions(n, 2):
                 for gap in range(-reach, reach + 1):
                     s = (0, gap)
-                    got = result_or_error(psi_sigma, mp, s, e, 1)
-                    assert got == result_or_error(stepwise_walk, mp, s, [("sigma", 1)], e), (mp, s, e)
+                    got = _walk(mp, s, (("sigma", 1),), e)
+                    assert got == stepwise_walk(mp, s, [("sigma", 1)], e), (mp, s, e)
 
 
 def test_sigma_swaps_exactly_from_the_containment_threshold(monkeypatch):
@@ -563,7 +534,7 @@ def test_sigma_swaps_exactly_from_the_containment_threshold(monkeypatch):
                 for gap, matched in ((up, False), (up - 1, True), (-down, False), (1 - down, True)):
                     calls.clear()
                     s = (0, gap)
-                    got = psi_sigma((lam, mu), s, e, 1)
+                    got = _walk((lam, mu), s, (("sigma", 1),), e)
                     assert got == stepwise_walk((lam, mu), s, [("sigma", 1)], e), (lam, mu, s, e)
                     assert bool(calls) is matched, (lam, mu, s, e)
                     assert matched or got == ((mu, lam), (gap, 0)), (lam, mu, s, e)

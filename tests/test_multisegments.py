@@ -1,4 +1,4 @@
-"""Tests for multisegments: canonical form, aperiodicity, chi and its inverse."""
+"""Tests for multisegments: canonical form, aperiodicity and chi."""
 
 import pytest
 
@@ -8,11 +8,9 @@ from mullineux.crystal import _walk, enumerate_phi
 
 from mullineux.multisegments import (
     InputError,
-    NotAdmissibleError,
     canonical,
     check_multisegment,
     chi,
-    chi_inverse,
     is_aperiodic,
     segment_tail,
 )
@@ -85,43 +83,40 @@ def test_chi_table():
         assert chi(mp, charge, e) == expected, (mp, charge)
 
 
-def test_chi_inverse_examples():
-    assert chi_inverse(MS_334, (0, 1), 3) == ((3,), (3, 1))
-    assert chi_inverse((), (0, 1), 3) == ((), ())
-
-
-def test_chi_inverse_after_splitting():
-    # Invert chi on the two-component splitting of a 4-regular partition.
+def test_chi_of_a_splitting():
+    # Rows read as segments on the two-component splitting of a 4-regular partition.
     from mullineux.theta import theta_l2
 
     lam = (8, 8, 6, 6, 4, 3, 3, 2, 1, 1)
     pair = theta_l2(lam, 4, 2)
     assert pair == ((8, 8, 3, 2, 1, 1), (6, 6, 4, 3))
-    ms = chi(pair, (0, 2), 4)
-    assert chi_inverse(ms, (0, 2), 4) == pair
+    assert chi(pair, (0, 2), 4) == ((0, 8), (3, 8), (1, 6), (2, 6), (0, 4), (2, 3), (3, 3), (1, 2), (0, 1), (3, 1))
 
 
-def test_chi_inverse_not_admissible():
-    with pytest.raises(NotAdmissibleError):
-        chi_inverse(MS_334, (0, 0), 3)
+def test_chi_misses_a_label_at_another_charge():
+    # MS_334 labels a member at (0, 1) and no member at (0, 0).
+    assert MS_334 not in {chi(mp, (0, 0), 3) for mp in enumerate_phi(7, (0, 0), 3)}
 
 
-def test_chi_round_trip_members():
+def assert_chi_is_injective(members, charge, e, n):
+    """chi labels the members by distinct aperiodic multisegments of rank n."""
+    labels = {chi(mp, charge, e) for mp in members}
+    assert len(labels) == len(members), (charge, e, n)
+    for ms in labels:
+        assert is_aperiodic(ms, e) and sum(length for _, length in ms) == n, (ms, charge, e)
+
+
+def test_chi_is_injective_on_members():
     for e in (2, 3, 4, 5):
         for s in range(e):
-            charge = (0, s)
             for n in range(9):
-                for mp in enumerate_phi(n, charge, e):
-                    ms = chi(mp, charge, e)
-                    assert chi_inverse(ms, charge, e) == mp, (mp, charge, e)
+                assert_chi_is_injective(enumerate_phi(n, (0, s), e), (0, s), e, n)
 
 
-def test_chi_level_one_round_trip():
+def test_chi_is_injective_at_level_one():
     for e in (2, 3, 4):
         for n in range(10):
-            for lam in enumerate_e_regular(n, e):
-                ms = chi((lam,), (0,), e)
-                assert chi_inverse(ms, (0,), e) == (lam,), (lam, e)
+            assert_chi_is_injective([(lam,) for lam in enumerate_e_regular(n, e)], (0,), e, n)
 
 
 def test_chi_outputs_are_canonical_aperiodic_and_graded():
