@@ -113,19 +113,21 @@ def moved(mp, node, step):
     return mp[:c] + (tuple(p for p in lam if p),) + mp[c + 1 :]
 
 
-def branching_image(mp, s, e):
+def branching_image(mp, s, e, peel_order=None):
     """Image of a member at a fundamental charge s in the set at transpose_charge(s).
 
     The crystal reference: the map sends the empty multipartition to itself
     and f_i x to f_{-i} of the image of x.  Peel good removable nodes, least
-    residue first, down to the empty multipartition, then regrow at the
-    transposed charge by the good addable (-i mod e)-nodes, last peel first.
-    One node per step; it shares no code with the library's routes.
+    residue first (or first in `peel_order`), down to the empty
+    multipartition, then regrow at the transposed charge by the good addable
+    (-i mod e)-nodes, last peel first.  One node per step; it shares no code
+    with the library's routes.
     """
+    peel_order = range(e) if peel_order is None else peel_order
     mp = tuple(tuple(lam) for lam in mp)
     peeled = []
     while any(mp):
-        found = next(((i, node) for i in range(e) if (node := good_nodes(mp, s, e, i)[0])), None)
+        found = next(((i, node) for i in peel_order if (node := good_nodes(mp, s, e, i)[0])), None)
         assert found is not None, (mp, s, e)
         i, node = found
         mp = moved(mp, node, -1)

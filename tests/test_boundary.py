@@ -180,6 +180,8 @@ def test_bad_e_is_an_input_error(label, e):
         lambda: build_symbol(BIP, (0, 1), depth=2.5),
         lambda: check_multisegment(((0.5, 1),), 3),
         lambda: apply_word(S, [("tau",), ("sigma", 1.0)], 3),
+        lambda: apply_word(S, [("sigma", "a")], 3),
+        lambda: inverse_word([("sigma", "a")]),
     ],
 )
 def test_non_integer_arguments_are_input_errors(call):
@@ -292,6 +294,19 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: transpose_charge(5), "charge entries must be ints: 5"),
         (lambda: build_symbol(5, (0, 1)), "a multipartition must be iterable, got 5"),
         (lambda: symbol_depth(5, (0, 1)), "a multipartition must be iterable, got 5"),
+        (lambda: apply_word(S, [("foo",)], 3), "unknown generator ('foo',)"),
+        (lambda: inverse_word([("foo",)]), "unknown generator ('foo',)"),
+        (lambda: apply_word(S, [5], 3), "malformed generator 5"),
+        (lambda: inverse_word([5]), "malformed generator 5"),
+        (lambda: decode_symbol(Symbol(5, ((1,), (2,)))), "symbol charges must be ints: 5"),
+        (lambda: decode_symbol(Symbol((0, 1), ((1,), 5))), "symbol rows must be ints: 5"),
+        (lambda: conjugate(5), "parts must be ints: 5"),
+        (lambda: conjugate((2.5,)), "parts must be ints: (2.5,)"),
+        (lambda: conjugate((1, -1)), "parts must be nonnegative: (1, -1)"),
+        (lambda: is_strict_e_core(5, 3), "parts must be ints: 5"),
+        (lambda: is_strict_e_core((2, 1.5), 3), "parts must be ints: (2, 1.5)"),
+        (lambda: remove_first_column(5), "parts must be ints: 5"),
+        (lambda: theta_inverse(((1,), (0.5,))), "parts must be ints: (0.5,)"),
     ],
 )
 def test_malformed_segments_and_pairs_are_input_errors(call, message):

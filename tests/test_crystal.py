@@ -37,6 +37,8 @@ from mullineux.errors import InputError, InternalError, MalformedSymbolError
 
 from mullineux.involution import im_sharp, mullineux_crystal, xu
 
+from mullineux.multisegments import chi
+
 from mullineux.symbols import _match, build_symbol, decode_symbol, match_step
 
 from mullineux.theta import theta_inverse, theta_l2
@@ -240,6 +242,22 @@ def test_transport_rejects_non_partitions():
         ):
             with pytest.raises(InputError):
                 call()
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda mp, charge: psi(mp, charge, charge, 3),
+        lambda mp, charge: membership(mp, charge, 3),
+        lambda mp, charge: flotw_check(mp, charge, 3),
+        lambda mp, charge: chi(mp, charge, 3),
+    ],
+    ids=["psi", "membership", "flotw_check", "chi"],
+)
+def test_routes_need_one_charge_per_component(route):
+    for mp, charge in ((((1,), (), ()), (0, 1)), (((1,), ()), (0, 1, 2))):
+        with pytest.raises(InputError, match=f"^{len(mp)} components vs {len(charge)} charges$"):
+            route(mp, charge)
 
 
 def test_psi_rejects_distinct_orbits():

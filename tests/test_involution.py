@@ -539,6 +539,34 @@ def test_ak_mullineux_matches_the_crystal_reference():
     assert members == 4530
 
 
+REFERENCE_CASES = [(e, level, top) for e in range(2, 6) for level, top in ((1, 7), (2, 7), (3, 5))]
+
+
+@pytest.mark.parametrize("e, level, top", REFERENCE_CASES)
+def test_crystal_reference_is_a_bijection_inverted_at_the_transposed_charge(e, level, top):
+    # The reference maps the members at s onto the members at
+    # transpose_charge(s), and the reference read from there maps back.
+    for s in fundamental_charges(e, level):
+        t = transpose_charge(s)
+        assert transpose_charge(t) == s and is_fundamental(t, e), (s, e)
+        for n in range(top + 1):
+            members = enumerate_phi(n, s, e)
+            images = [branching_image(mp, s, e) for mp in members]
+            assert sorted(images) == sorted(enumerate_phi(n, t, e)), (s, e, n)
+            for mp, image in zip(members, images):
+                assert branching_image(image, t, e) == mp, (mp, s, e)
+
+
+@pytest.mark.parametrize("e, level, top", REFERENCE_CASES)
+def test_crystal_reference_does_not_depend_on_the_peeling_order(e, level, top):
+    # Any path from the empty multipartition fixes the image, so peeling the
+    # greatest residue first gives the image of peeling the least first.
+    for s in fundamental_charges(e, level):
+        for n in range(top + 1):
+            for mp in enumerate_phi(n, s, e):
+                assert branching_image(mp, s, e, range(e - 1, -1, -1)) == branching_image(mp, s, e), (mp, s, e)
+
+
 def test_im_sharp_validates_no_multipartition(monkeypatch):
     # im_sharp checks its multisegment and runs the unchecked bodies on the
     # multipartitions it builds, so none of them is checked again.  chi checks
