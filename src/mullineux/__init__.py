@@ -4,11 +4,8 @@ with the charged-multipartition and multisegment machinery around it."""
 from .charges import (
     apply_word,
     fundamental_representative,
-    inverse_word,
     is_fundamental,
-    normalization_word,
     path_word,
-    residue_counts,
     same_orbit,
     sharp_very_dominant,
     transpose_charge,
@@ -57,9 +54,8 @@ from .multisegments import (
     canonical,
     chi,
     is_aperiodic,
-    segment_tail,
 )
-from .symbols import Symbol, build_symbol, decode_symbol, match_step, symbol_depth
+from .symbols import Symbol, build_symbol, decode_symbol, match_step
 from .theta import theta, theta_inverse, theta_l2
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,11 +19,11 @@ repeated r times; and ("tau", j), tau^j for j of either sign.  A wrap or
 unwrap moves one entry across the k entries below it while the charge
 stays sorted, and a run of r lowerings of the largest entry is one token,
 so `_normalization_word` does not count them one at a time.  `_expand`
-turns such a word into the plain list that normalization_word and
-path_word return; crystal's walk reads it as it is.  At level >= 3 a
-descending cluster of entries less than e apart still costs one token per
-lowering: normalizing (0, 30001, 60002) takes about 20,000 tokens, so the
-word's length still grows with the distance between charges there.
+turns such a word into the plain list that path_word returns; crystal's
+walk reads it as it is.  At level >= 3 a descending cluster of entries less
+than e apart still costs one token per lowering: normalizing
+(0, 30001, 60002) takes about 20,000 tokens, so the word's length still
+grows with the distance between charges there.
 """
 
 from bisect import bisect_left
@@ -41,15 +41,20 @@ def check_charge(s):
 
 
 def _generator_arg(gen):
-    """gen with its sigma index read as an int; InputError when a field is missing."""
+    """gen read whole: ("sigma", c) with c an int, ("tau",) or ("tau_inv",)."""
     try:
-        return ("sigma", _int_arg("sigma index", gen[1])) if gen[0] == "sigma" else gen
-    except (IndexError, TypeError) as exc:
+        kind, *args = gen
+    except (TypeError, ValueError) as exc:
         raise InputError(f"malformed generator {gen!r}") from exc
+    if kind not in ("sigma", "tau", "tau_inv"):
+        raise InputError(f"unknown generator {gen!r}")
+    if len(args) != (1 if kind == "sigma" else 0):
+        raise InputError(f"malformed generator {gen!r}")
+    return ("sigma", _int_arg("sigma index", args[0])) if args else (kind,)
 
 
 def _apply(s, gen, e):
-    """One generator applied to s, for a checked e and sigma index."""
+    """One checked generator applied to s, for a checked e."""
     if gen[0] == "sigma":
         c = gen[1]
         if not 1 <= c < len(s):
@@ -59,14 +64,13 @@ def _apply(s, gen, e):
         return tuple(t)
     if gen[0] == "tau":
         return tuple(s[1:]) + (s[0] + e,)
-    if gen[0] == "tau_inv":
-        return (s[-1] - e,) + tuple(s[:-1])
-    raise InputError(f"unknown generator {gen!r}")
+    return (s[-1] - e,) + tuple(s[:-1])
 
 
 def apply_word(s, word, e):
     """Apply a word of generators left to right."""
-    return _apply_word(check_charge(s), [_generator_arg(gen) for gen in word], _int_arg("e", e, 2))
+    word = [_generator_arg(gen) for gen in _iter_arg("a word", word)]
+    return _apply_word(check_charge(s), word, _int_arg("e", e, 2))
 
 
 def _apply_word(s, word, e):
@@ -75,22 +79,6 @@ def _apply_word(s, word, e):
     for gen in word:
         t = _apply(t, gen, e)
     return t
-
-
-def inverse_word(word):
-    """Inverse word: reversed, with sigma self-inverse and tau <-> tau_inv."""
-    out = []
-    for gen in reversed([_generator_arg(gen) for gen in _iter_arg("a word", word)]):
-        kind = gen[0]
-        if kind == "sigma":
-            out.append(gen)
-        elif kind == "tau":
-            out.append(("tau_inv",))
-        elif kind == "tau_inv":
-            out.append(("tau",))
-        else:
-            raise InputError(f"unknown generator {gen!r}")
-    return out
 
 
 def is_fundamental(s, e):
@@ -103,13 +91,8 @@ def is_fundamental(s, e):
         raise InputError(f"a multicharge must be a nonempty sequence of ints, got {s!r}") from exc
 
 
-def residue_counts(s, e):
-    """How many entries of s fall in each residue class mod e."""
-    return _residue_counts(check_charge(s), _int_arg("e", e, 2))
-
-
 def _residue_counts(s, e):
-    """residue_counts of a checked charge for a checked e."""
+    """How many entries of a checked charge fall in each residue class mod a checked e."""
     counts = [0] * e
     for x in s:
         counts[x % e] += 1
@@ -137,18 +120,12 @@ def _fundamental_representative(s, e):
     return tuple(sorted(m + ((x - m) % e) for x in s))
 
 
-def normalization_word(s, e):
-    """A word taking s to fundamental_representative(s, e).
+def _normalization_word(s, e):
+    """(run-length word from s to F, F) for F = fundamental_representative(s, e), s and e checked.
 
     Sorts s by stable adjacent swaps (strict swaps only), then applies
     tau_inv while the sorted charge still spans e or more.  The minimum entry
     is invariant and the sum drops by e at each tau_inv, so this terminates.
-    """
-    return _expand(_normalization_word(check_charge(s), _int_arg("e", e, 2))[0])
-
-
-def _normalization_word(s, e):
-    """(run-length normalization_word, fundamental representative) for a checked e.
 
     After the first sort the charge stays sorted: tau_inv puts the wrapped
     entry x in front of a sorted row, and the adjacent-swap sort would carry

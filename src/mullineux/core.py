@@ -81,12 +81,18 @@ def part(lam, i):
 
 def rank(lam):
     """Sum of the parts."""
-    return sum(lam)
+    try:
+        return sum(lam)
+    except TypeError as exc:
+        raise InputError(f"rank needs a partition, got {lam!r}") from exc
 
 
 def multirank(mp):
     """Total number of nodes of a multipartition."""
-    return sum(sum(c) for c in mp)
+    try:
+        return sum(sum(c) for c in mp)
+    except TypeError as exc:
+        raise InputError(f"multirank needs a multipartition, got {mp!r}") from exc
 
 
 def is_e_regular(lam, e):
@@ -94,12 +100,23 @@ def is_e_regular(lam, e):
     e = _int_arg("e", e, 2)
     run = 0
     prev = None
-    for p in lam:
-        run = run + 1 if p == prev else 1
-        if run >= e:
-            return False
-        prev = p
+    try:
+        for p in lam:
+            run = run + 1 if p == prev else 1
+            if run >= e:
+                return False
+            prev = p
+    except TypeError as exc:
+        raise InputError(f"is_e_regular needs a partition, got {lam!r}") from exc
     return True
+
+
+def _regular_input(lam, e, who):
+    """The checked (lam, e); InputError unless e is an int >= 2 and lam is e-regular."""
+    lam, e = check_partition(lam), _int_arg("e", e, 2)
+    if not is_e_regular(lam, e):
+        raise InputError(f"{who} needs an e-regular partition, got {lam} with e={e}")
+    return lam, e
 
 
 def conjugate(lam):
@@ -112,9 +129,12 @@ def conjugate(lam):
 
 def max_hook_length(lam):
     """Hook length of the node (1, 1): first part plus number of parts minus 1."""
-    if not lam:
-        return 0
-    return lam[0] + len(lam) - 1
+    try:
+        if not lam:
+            return 0
+        return lam[0] + len(lam) - 1
+    except TypeError as exc:
+        raise InputError(f"max_hook_length needs a partition, got {lam!r}") from exc
 
 
 def is_strict_e_core(lam, e):
@@ -129,9 +149,12 @@ def is_strict_e_core(lam, e):
 def concat(*partitions):
     """Merge several partitions into one by sorting all parts decreasingly."""
     merged = []
-    for lam in partitions:
-        merged.extend(lam)
-    return tuple(sorted(merged, reverse=True))
+    try:
+        for lam in partitions:
+            merged.extend(lam)
+        return tuple(sorted(merged, reverse=True))
+    except TypeError as exc:
+        raise InputError(f"concat needs partitions, got {partitions!r}") from exc
 
 
 def remove_first_column(lam):

@@ -35,6 +35,7 @@ from .charges import (
 )
 from .core import (
     _int_arg,
+    _regular_input,
     check_multipartition,
     check_partition,
     conjugate,
@@ -127,14 +128,6 @@ def xu_strip(lam, e):
     if any(x < y for x, y in zip(out, out[1:])) or out[-1] < 0:
         raise InternalError(f"stripping the truncated e-rim broke the shape: {out}")
     return tuple(p for p in out if p > 0), size - len(lam) + seed
-
-
-def _regular_input(lam, e, who):
-    """The checked (lam, e); InputError unless e is an int >= 2 and lam is e-regular."""
-    lam, e = check_partition(lam), _int_arg("e", e, 2)
-    if not is_e_regular(lam, e):
-        raise InputError(f"{who} needs an e-regular partition, got {lam} with e={e}")
-    return lam, e
 
 
 def xu(lam, e):

@@ -36,13 +36,10 @@ def check_multisegment(ms, e):
 
 def canonical(segments):
     """Canonical order: length descending, then head ascending."""
-    return tuple(sorted(segments, key=lambda seg: (-seg[1], seg[0])))
-
-
-def segment_tail(seg, e):
-    """Residue of the last entry of the segment."""
-    [(head, length)] = check_multisegment([seg], e)
-    return (head + length - 1) % _int_arg("e", e, 2)
+    try:
+        return tuple(sorted(segments, key=lambda seg: (-seg[1], seg[0])))
+    except (IndexError, TypeError) as exc:
+        raise InputError(f"canonical needs (head, length) segments, got {segments!r}") from exc
 
 
 def is_aperiodic(ms, e):

@@ -44,11 +44,6 @@ class Symbol(namedtuple("Symbol", "charge rows")):
         return cls(*iterable)
 
 
-def symbol_depth(bipartition, charge):
-    """Minimal depth at which both components are fully visible."""
-    return _depth(*_bipartition_input(bipartition, charge))
-
-
 def _bipartition_input(bipartition, charge):
     """The checked components and charge of a charged bipartition."""
     lam = check_multipartition(bipartition)
@@ -59,7 +54,7 @@ def _bipartition_input(bipartition, charge):
 
 
 def _depth(lam, charge):
-    """symbol_depth on two checked components."""
+    """Minimal depth at which both checked components are fully visible."""
     (lam1, lam2), (s1, s2) = lam, charge
     top = max(s1, s2)
     return max(abs(s1 - s2), len(lam1) + top - s1, len(lam2) + top - s2)

@@ -13,19 +13,16 @@ between component 2 and component 1.
 """
 
 from .charges import check_charge, is_fundamental
-from .core import _int_arg, check_multipartition, check_partition, concat, is_e_regular
+from .core import _int_arg, _regular_input, check_multipartition, concat
 from .errors import InputError
 
 
 def theta(lam, e, charge):
     """Split an e-regular partition over the components of a fundamental charge."""
-    lam = check_partition(lam)
+    lam, e = _regular_input(lam, e, "theta")
     s = check_charge(charge)
-    e = _int_arg("e", e, 2)
     if not is_fundamental(s, e):
         raise InputError(f"theta needs a fundamental multicharge, got {s}")
-    if not is_e_regular(lam, e):
-        raise InputError(f"theta needs an e-regular partition, got {lam} with e={e}")
     return _theta(lam, e, s)
 
 
@@ -61,10 +58,8 @@ def _wrap(x, l):
 
 def theta_l2(lam, e, s):
     """Level-2 block rule for charge (0, s): alternate blocks of e parts."""
-    lam, e = check_partition(lam), _int_arg("e", e, 2)
+    lam, e = _regular_input(lam, e, "theta")
     s = _int_arg("s", s, 0, e - 1)
-    if not is_e_regular(lam, e):
-        raise InputError(f"theta needs an e-regular partition, got {lam} with e={e}")
     comp1 = list(lam[: e - s])
     rest = lam[e - s :]
     comp2 = []

@@ -22,6 +22,8 @@ from mullineux import (
     decode_symbol,
     e_rim,
     build_symbol,
+    canonical,
+    concat,
     enumerate_e_regular,
     enumerate_multipartitions,
     enumerate_partitions,
@@ -33,12 +35,13 @@ from mullineux import (
     is_strict_e_core,
     kleshchev_oracle,
     match_step,
+    max_hook_length,
     membership,
     mullineux_crystal,
+    multirank,
     psi,
+    rank,
     remove_first_column,
-    segment_tail,
-    symbol_depth,
     theta,
     theta_inverse,
     theta_l2,
@@ -49,11 +52,8 @@ from mullineux import (
 from mullineux.charges import (
     apply_word,
     fundamental_representative,
-    inverse_word,
     is_fundamental,
-    normalization_word,
     path_word,
-    residue_counts,
     same_orbit,
     sharp_very_dominant,
     transpose_charge,
@@ -71,13 +71,13 @@ PUBLIC_NAMES = [
     "decode_symbol", "e_rim", "enumerate_e_regular",
     "enumerate_multipartitions", "enumerate_partitions", "enumerate_phi",
     "errors", "flotw_check", "fundamental_representative",
-    "im_sharp", "inverse_word", "involution",
+    "im_sharp", "involution",
     "is_aperiodic", "is_e_regular", "is_fundamental", "is_strict_e_core",
     "kleshchev_oracle", "match_step", "max_hook_length", "membership",
-    "mullineux_crystal", "multirank", "multisegments", "normalization_word",
+    "mullineux_crystal", "multirank", "multisegments",
     "part", "path_word", "psi",
-    "rank", "remove_first_column", "residue_counts", "same_orbit",
-    "segment_tail", "sharp_very_dominant", "symbol_depth", "symbols", "theta",
+    "rank", "remove_first_column", "same_orbit",
+    "sharp_very_dominant", "symbols", "theta",
     "theta_inverse", "theta_l2", "transpose_charge", "truncated_e_rim",
     "very_dominant_representative", "xu", "xu_strip",
 ]
@@ -98,10 +98,8 @@ S = (0, 1)
 E_CALLS = {
     "charges.apply_word": lambda e: apply_word(S, [("tau",)], e),
     "charges.is_fundamental": lambda e: is_fundamental(S, e),
-    "charges.residue_counts": lambda e: residue_counts(S, e),
     "charges.same_orbit": lambda e: same_orbit(S, (0, 4), e),
     "charges.fundamental_representative": lambda e: fundamental_representative(S, e),
-    "charges.normalization_word": lambda e: normalization_word(S, e),
     "charges.path_word": lambda e: path_word(S, (0, 4), e),
     "charges.sharp_very_dominant": lambda e: sharp_very_dominant(S, 3, e),
     "charges.very_dominant_representative": lambda e: very_dominant_representative(S, 3, e),
@@ -117,7 +115,6 @@ E_CALLS = {
     "crystal.blockwise_lift": lambda e: blockwise_lift(LAM, e, 1),
     "crystal.blockwise_lower": lambda e: blockwise_lower(PAIR, e, 1),
     "multisegments.check_multisegment": lambda e: check_multisegment(MS, e),
-    "multisegments.segment_tail": lambda e: segment_tail(MS[0], e),
     "multisegments.is_aperiodic": lambda e: is_aperiodic(MS, e),
     "multisegments.chi": lambda e: chi(BIP, (0, 1), e),
     "involution.e_rim": lambda e: e_rim(LAM, e),
@@ -169,7 +166,6 @@ def test_bad_e_is_an_input_error(label, e):
         lambda: mullineux_crystal((2,), 3, 1.0),
         lambda: mullineux_crystal_trace((2,), 3, 1.0),
         lambda: apply_word(S, [("sigma", 1.0)], 3),
-        lambda: inverse_word([("sigma", 1.0)]),
         lambda: sharp_very_dominant(S, 2.5, 3),
         lambda: very_dominant_representative(S, 2.5, 3),
         lambda: list(enumerate_partitions(2.5)),
@@ -181,7 +177,6 @@ def test_bad_e_is_an_input_error(label, e):
         lambda: check_multisegment(((0.5, 1),), 3),
         lambda: apply_word(S, [("tau",), ("sigma", 1.0)], 3),
         lambda: apply_word(S, [("sigma", "a")], 3),
-        lambda: inverse_word([("sigma", "a")]),
     ],
 )
 def test_non_integer_arguments_are_input_errors(call):
@@ -241,12 +236,15 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
 
 
 # A segment is a (head, length) pair, blockwise_lower takes exactly two
-# components, a generator has its name and sigma its index, a charge is a
-# nonempty sequence of ints, a symbol is a Symbol with int charges and int
-# rows, the core helpers and theta_inverse take partitions, and collections
-# and words are iterable; anything else is an InputError, never an
-# IndexError, a ValueError, a TypeError, an AttributeError, a silently
-# truncated read or an answer about a non-partition.
+# components, a generator is exactly ("sigma", c), ("tau",) or ("tau_inv",),
+# a charge is a nonempty sequence of ints, a symbol is a Symbol with int
+# charges and int rows, the core helpers and theta_inverse take partitions,
+# and collections and words are iterable; anything else is an InputError,
+# never an IndexError, a ValueError, a TypeError, an AttributeError, a
+# silently truncated read or an answer about a non-partition.  The small
+# helpers that run inside route loops (rank, multirank, max_hook_length,
+# concat, is_e_regular, canonical) turn what they already raise into an
+# InputError and check no shape.
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -254,15 +252,14 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: im_sharp(((0,),), 3), "a segment must be a (head, length) pair, got (0,)"),
         (lambda: im_sharp(((0, 1, 7),), 3), "a segment must be a (head, length) pair, got (0, 1, 7)"),
         (lambda: is_aperiodic(((0,),), 3), "a segment must be a (head, length) pair, got (0,)"),
-        (lambda: segment_tail((0,), 3), "a segment must be a (head, length) pair, got (0,)"),
         (lambda: blockwise_lower(((1,),), 3, 1), "blockwise_lower needs two components, got 1"),
         (lambda: blockwise_lower(((1,), (1,), (5,)), 3, 1), "blockwise_lower needs two components, got 3"),
         (lambda: blockwise_lower(5, 3, 1), "a multipartition must be iterable, got 5"),
         (lambda: apply_word(S, [("sigma",)], 3), "malformed generator ('sigma',)"),
         (lambda: apply_word(S, [()], 3), "malformed generator ()"),
-        (lambda: inverse_word([()]), "malformed generator ()"),
-        (lambda: inverse_word([("sigma",)]), "malformed generator ('sigma',)"),
-        (lambda: inverse_word([("tau",), ("sigma",)]), "malformed generator ('sigma',)"),
+        (lambda: apply_word(S, [("sigma", 1, 2)], 3), "malformed generator ('sigma', 1, 2)"),
+        (lambda: apply_word(S, [("tau", 1)], 3), "malformed generator ('tau', 1)"),
+        (lambda: apply_word(S, 5, 3), "a word must be iterable, got 5"),
         (lambda: psi(5, S, (0, 4), 3), "a multipartition must be iterable, got 5"),
         (lambda: check_multipartition(5), "a multipartition must be iterable, got 5"),
         (lambda: check_multisegment(5, 3), "a multisegment must be iterable, got 5"),
@@ -281,10 +278,7 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: remove_first_column((1, 3)), "parts must be weakly decreasing: (1, 3)"),
         (lambda: theta_inverse(5), "a multipartition must be iterable, got 5"),
         (lambda: theta_inverse(((1,), (1, 2))), "parts must be weakly decreasing: (1, 2)"),
-        (lambda: inverse_word(5), "a word must be iterable, got 5"),
         (lambda: fundamental_representative((), 3), "a multicharge needs at least one entry"),
-        (lambda: normalization_word((), 3), "a multicharge needs at least one entry"),
-        (lambda: residue_counts((0.5,), 3), "charge entries must be ints: (0.5,)"),
         (lambda: same_orbit(5, (0,), 3), "charge entries must be ints: 5"),
         (lambda: same_orbit((0,), 5, 3), "charge entries must be ints: 5"),
         (lambda: same_orbit((0,), (0, 1), 0), "e must be >= 2, got 0"),
@@ -293,11 +287,8 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: transpose_charge((0.5,)), "charge entries must be ints: (0.5,)"),
         (lambda: transpose_charge(5), "charge entries must be ints: 5"),
         (lambda: build_symbol(5, (0, 1)), "a multipartition must be iterable, got 5"),
-        (lambda: symbol_depth(5, (0, 1)), "a multipartition must be iterable, got 5"),
         (lambda: apply_word(S, [("foo",)], 3), "unknown generator ('foo',)"),
-        (lambda: inverse_word([("foo",)]), "unknown generator ('foo',)"),
         (lambda: apply_word(S, [5], 3), "malformed generator 5"),
-        (lambda: inverse_word([5]), "malformed generator 5"),
         (lambda: decode_symbol(Symbol(5, ((1,), (2,)))), "symbol charges must be ints: 5"),
         (lambda: decode_symbol(Symbol((0, 1), ((1,), 5))), "symbol rows must be ints: 5"),
         (lambda: conjugate(5), "parts must be ints: 5"),
@@ -307,6 +298,13 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: is_strict_e_core((2, 1.5), 3), "parts must be ints: (2, 1.5)"),
         (lambda: remove_first_column(5), "parts must be ints: 5"),
         (lambda: theta_inverse(((1,), (0.5,))), "parts must be ints: (0.5,)"),
+        (lambda: rank(5), "rank needs a partition, got 5"),
+        (lambda: multirank(5), "multirank needs a multipartition, got 5"),
+        (lambda: max_hook_length(5), "max_hook_length needs a partition, got 5"),
+        (lambda: concat(5), "concat needs partitions, got (5,)"),
+        (lambda: is_e_regular(5, 3), "is_e_regular needs a partition, got 5"),
+        (lambda: canonical(5), "canonical needs (head, length) segments, got 5"),
+        (lambda: canonical(((0, 1), "x")), "canonical needs (head, length) segments, got ((0, 1), 'x')"),
     ],
 )
 def test_malformed_segments_and_pairs_are_input_errors(call, message):

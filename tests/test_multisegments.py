@@ -12,7 +12,6 @@ from mullineux.multisegments import (
     check_multisegment,
     chi,
     is_aperiodic,
-    segment_tail,
 )
 
 # chi(((3),(3,1)), (0,1), e=3): rows become residue segments.
@@ -51,12 +50,6 @@ def test_check_multisegment():
 def test_check_multisegment_rejects_non_integers(ms, e):
     with pytest.raises(InputError, match="must be an int"):
         check_multisegment(ms, e)
-
-
-def test_segment_tail():
-    # The tail residue is head + length - 1 mod e.
-    for seg, e, expected in (((2, 6), 3, 1), ((0, 1), 3, 0), ((1, 2), 3, 2)):
-        assert segment_tail(seg, e) == expected, seg
 
 
 def test_is_aperiodic_table():
