@@ -305,9 +305,55 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: is_e_regular(5, 3), "is_e_regular needs a partition, got 5"),
         (lambda: canonical(5), "canonical needs (head, length) segments, got 5"),
         (lambda: canonical(((0, 1), "x")), "canonical needs (head, length) segments, got ((0, 1), 'x')"),
+        (lambda: apply_word(S, [("tau_inv", 1)], 3), "malformed generator ('tau_inv', 1)"),
+        (lambda: apply_word(S, [("tau",), ("sigma",)], 3), "malformed generator ('sigma',)"),
+        (lambda: rank((1, "x")), "rank needs a partition, got (1, 'x')"),
+        (lambda: multirank(((1,), 5)), "multirank needs a multipartition, got ((1,), 5)"),
+        (lambda: max_hook_length(("x",)), "max_hook_length needs a partition, got ('x',)"),
+        (lambda: concat((2,), 5), "concat needs partitions, got ((2,), 5)"),
+        (lambda: concat((2,), (1, "x")), "concat needs partitions, got ((2,), (1, 'x'))"),
+        (lambda: canonical(((0, 1), (0,))), "canonical needs (head, length) segments, got ((0, 1), (0,))"),
+        (lambda: canonical(((0, "a"), (1, 2))), "canonical needs (head, length) segments, got ((0, 'a'), (1, 2))"),
     ],
 )
 def test_malformed_segments_and_pairs_are_input_errors(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# Every route that takes one e-regular partition reads it through
+# core._regular_input, so each rejects a non-e-regular one with the same text.
+@pytest.mark.parametrize(
+    "call, who",
+    [
+        (lambda lam: theta(lam, 3, (0, 1)), "theta"),
+        (lambda lam: theta_l2(lam, 3, 1), "theta"),
+        (lambda lam: xu(lam, 3), "xu"),
+        (lambda lam: xu_trace(lam, 3), "xu"),
+        (lambda lam: kleshchev_oracle(lam, 3), "kleshchev_oracle"),
+        (lambda lam: kleshchev_trace(lam, 3), "kleshchev_oracle"),
+        (lambda lam: mullineux_crystal(lam, 3), "mullineux_crystal"),
+        (lambda lam: mullineux_crystal_trace(lam, 3), "mullineux_crystal"),
+    ],
+)
+def test_e_regular_readers_share_one_message(call, who):
+    with pytest.raises(InputError) as info:
+        call([2, 1, 1, 1, 0])
+    assert str(info.value) == f"{who} needs an e-regular partition, got (2, 1, 1, 1) with e=3"
+
+
+# theta and theta_l2 check the partition and e, then e-regularity, and only
+# then the charge or s; an input with two faults reports the earlier one.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: theta((2,), 0, ()), "e must be >= 2, got 0"),
+        (lambda: theta((1, 1, 1), 3, (0, 4)), "theta needs an e-regular partition, got (1, 1, 1) with e=3"),
+        (lambda: theta_l2((1, 1, 1), 3, 5), "theta needs an e-regular partition, got (1, 1, 1) with e=3"),
+    ],
+)
+def test_theta_reports_the_earlier_of_two_faults(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message

@@ -255,6 +255,37 @@ def test_unchecked_path_word_lands_exactly():
                     assert apply_word(s, word, e) == t, (s, t, e)
 
 
+def inverse(word):
+    """The inverse word: reversed, with sigma self-inverse and tau <-> tau_inv."""
+    swap = {("tau",): ("tau_inv",), ("tau_inv",): ("tau",)}
+    return [swap.get(gen, gen) for gen in reversed(word)]
+
+
+def test_word_then_its_inverse_round_trips():
+    rng = random.Random(29)
+    for _ in range(150):
+        level = rng.randrange(1, 4)
+        s = tuple(rng.randrange(-6, 7) for _ in range(level))
+        e = rng.randrange(2, 6)
+        word = random_word(rng, level, rng.randrange(0, 8))
+        t = apply_word(s, word, e)
+        assert apply_word(t, inverse(word), e) == s
+
+
+# A generator is read whole from any sequence, and a word from any iterable.
+@pytest.mark.parametrize(
+    "word, expected",
+    [
+        ([["sigma", 1]], (1, 0)),
+        ([["tau"]], (1, 3)),
+        ([["tau_inv"]], (-2, 0)),
+        (iter([("tau",), ("sigma", 1)]), (3, 1)),
+    ],
+)
+def test_generators_read_from_any_sequence(word, expected):
+    assert apply_word((0, 1), word, 3) == expected
+
+
 def test_path_word_lands_exactly():
     assert path_word((0, 1), (0, 1), 3) == []
     rng = random.Random(31)
