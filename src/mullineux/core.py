@@ -11,6 +11,7 @@ once, at the boundary; internal kernels take the checked values.
 """
 
 import operator
+from contextlib import contextmanager
 
 from .errors import InputError
 
@@ -47,6 +48,15 @@ def _iter_arg(what, xs):
         raise InputError(f"{what} must be iterable, got {xs!r}") from exc
 
 
+@contextmanager
+def _reworded(what, x):
+    """Re-raise an InputError from the block as `what, got x`."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{what}, got {x!r}") from exc
+
+
 def check_partition(parts):
     """Normalize `parts` to a partition tuple, dropping trailing zeros.
 
@@ -73,48 +83,43 @@ def check_multipartition(mp):
 
 
 def part(lam, i):
-    """The i-th part (1-based), 0 when i exceeds the number of parts."""
-    if i < 1:
-        raise InputError(f"part index must be >= 1, got {i}")
-    return lam[i - 1] if i <= len(lam) else 0
+    """The i-th part (1-based), 0 when i exceeds the number of parts; checks no shape."""
+    try:
+        if i < 1:
+            raise InputError(f"part index must be >= 1, got {i}")
+        return lam[i - 1] if i <= len(lam) else 0
+    except (TypeError, KeyError) as exc:
+        raise InputError(f"part needs a partition and an index, got {lam!r} and {i!r}") from exc
 
 
 def rank(lam):
     """Sum of the parts."""
-    try:
-        return sum(lam)
-    except TypeError as exc:
-        raise InputError(f"rank needs a partition, got {lam!r}") from exc
+    with _reworded("rank needs a partition", lam):
+        return sum(check_partition(lam))
 
 
 def multirank(mp):
     """Total number of nodes of a multipartition."""
-    try:
-        return sum(sum(c) for c in mp)
-    except TypeError as exc:
-        raise InputError(f"multirank needs a multipartition, got {mp!r}") from exc
+    with _reworded("multirank needs a multipartition", mp):
+        return sum(map(sum, check_multipartition(mp)))
 
 
 def is_e_regular(lam, e):
     """True when no part value occurs e or more times."""
     e = _int_arg("e", e, 2)
-    run = 0
-    prev = None
-    try:
-        for p in lam:
-            run = run + 1 if p == prev else 1
-            if run >= e:
-                return False
-            prev = p
-    except TypeError as exc:
-        raise InputError(f"is_e_regular needs a partition, got {lam!r}") from exc
-    return True
+    with _reworded("is_e_regular needs a partition", lam):
+        return _is_e_regular(check_partition(lam), e)
+
+
+def _is_e_regular(lam, e):
+    """is_e_regular of a checked lam: each part differs from the one e - 1 rows below."""
+    return all(map(operator.ne, lam, lam[e - 1 :]))
 
 
 def _regular_input(lam, e, who):
     """The checked (lam, e); InputError unless e is an int >= 2 and lam is e-regular."""
     lam, e = check_partition(lam), _int_arg("e", e, 2)
-    if not is_e_regular(lam, e):
+    if not _is_e_regular(lam, e):
         raise InputError(f"{who} needs an e-regular partition, got {lam} with e={e}")
     return lam, e
 
@@ -129,12 +134,9 @@ def conjugate(lam):
 
 def max_hook_length(lam):
     """Hook length of the node (1, 1): first part plus number of parts minus 1."""
-    try:
-        if not lam:
-            return 0
-        return lam[0] + len(lam) - 1
-    except TypeError as exc:
-        raise InputError(f"max_hook_length needs a partition, got {lam!r}") from exc
+    with _reworded("max_hook_length needs a partition", lam):
+        lam = check_partition(lam)
+    return lam[0] + len(lam) - 1 if lam else 0
 
 
 def is_strict_e_core(lam, e):
@@ -143,18 +145,23 @@ def is_strict_e_core(lam, e):
     This is strictly stronger than having no hook of length exactly e.
     The empty partition is a strict core for every e.
     """
-    return max_hook_length(check_partition(lam)) < _int_arg("e", e, 2)
+    return _is_strict_core(check_partition(lam), _int_arg("e", e, 2))
+
+
+def _is_strict_core(lam, e):
+    """is_strict_e_core of a checked lam and e."""
+    return not lam or lam[0] + len(lam) <= e
 
 
 def concat(*partitions):
     """Merge several partitions into one by sorting all parts decreasingly."""
-    merged = []
-    try:
-        for lam in partitions:
-            merged.extend(lam)
-        return tuple(sorted(merged, reverse=True))
-    except TypeError as exc:
-        raise InputError(f"concat needs partitions, got {partitions!r}") from exc
+    with _reworded("concat needs partitions", partitions):
+        return _concat(*map(check_partition, partitions))
+
+
+def _concat(*partitions):
+    """concat of checked partitions, given as tuples."""
+    return tuple(sorted(sum(partitions, ()), reverse=True))
 
 
 def remove_first_column(lam):
@@ -188,9 +195,8 @@ def _partitions(n, max_part):
 
 def enumerate_e_regular(n, e):
     """Yield the e-regular partitions of rank exactly n, decreasing lex order."""
-    for lam in enumerate_partitions(n):
-        if is_e_regular(lam, e):
-            yield lam
+    n, e = _rank_arg(n), _int_arg("e", e, 2)
+    yield from (lam for lam in _partitions(n, n) if _is_e_regular(lam, e))
 
 
 def enumerate_multipartitions(n, levels):

@@ -17,13 +17,13 @@ miss.
 
 Every public function here that takes a charged multipartition, and
 `multisegments.chi`, checks it with `_charged_input`.  psi, membership and
-flotw_check then call unchecked bodies (`_psi`, `_membership`, `_flotw`);
-the other modules call those bodies on values they have checked or built
-themselves.
+flotw_check then call unchecked bodies (`_psi`, `_membership`, `_flotw`),
+as blockwise_lift and blockwise_lower call `_lift` and `_lower`; the other
+modules call those bodies on values they have checked or built themselves.
 
 `blockwise_lift` and `blockwise_lower` are direct box-moving versions of the
 level-2 isomorphisms between a fundamental charge and a very dominant one;
-the crystal route runs on them, with psi as their independent reference.
+the crystal route runs `_lift` and `_lower`, with psi as their reference.
 """
 
 from .charges import (
@@ -34,6 +34,7 @@ from .charges import (
     is_fundamental,
 )
 from .core import (
+    _concat,
     _int_arg,
     _rank_arg,
     check_multipartition,
@@ -291,7 +292,11 @@ def blockwise_lift(lam, e, s):
     (lam1, mu).
     """
     lam, e = check_partition(lam), _int_arg("e", e, 2)
-    s = _int_arg("s", s, 0, e - 1)
+    return _lift(lam, e, _int_arg("s", s, 0, e - 1))
+
+
+def _lift(lam, e, s):
+    """blockwise_lift of a checked lam, e and s."""
     lam1 = list(lam[: e - s])
     lam2 = list(lam[e - s :])
     t = s
@@ -434,10 +439,11 @@ def blockwise_lower(pair, e, s):
     pair = check_multipartition(pair)
     if len(pair) != 2:
         raise InputError(f"blockwise_lower needs two components, got {len(pair)}")
-    nu1, nu2 = pair
     e = _int_arg("e", e, 2)
-    s = _int_arg("s", s, 1, e - 1)
-    n = sum(nu1) + sum(nu2)
-    k = _very_dominant_multiple(-s, n, e)
-    final1, final2 = _lower_pair(nu1, nu2, -s + k * e, e)
-    return tuple(sorted(final1 + final2, reverse=True))
+    return _lower(pair, e, _int_arg("s", s, 1, e - 1))
+
+
+def _lower(pair, e, s):
+    """blockwise_lower of a checked pair, e and s."""
+    k = _very_dominant_multiple(-s, sum(map(sum, pair)), e)
+    return _concat(*_lower_pair(*pair, -s + k * e, e))

@@ -12,6 +12,8 @@
   one pass over the corners of the partition, the top and bottom rows of
   its blocks of equal parts, and the recursion goes one call deeper per
   string, not per node.
+mullineux_crystal checks its input once; `_crystal` then runs the unchecked
+bodies `crystal._lift`, `crystal._lower` and `core._is_strict_core`.
 `_crystal` and `_kleshchev` keep the images they find in a table their caller
 owns: the public functions pass a new one on every call, and `difftest` its
 own, so nothing outlives the caller's table.
@@ -23,7 +25,7 @@ aperiodic multisegment: its preimage is read off the segments directly, one
 row per segment at the charge of the sorted heads, with no search.  im_sharp
 checks its multisegment and then runs the unchecked bodies `_ak_mullineux`,
 `crystal._psi`, `multisegments._is_aperiodic` and `multisegments._chi` on
-values it built itself.
+values it built itself, and `_ak_mullineux` runs `core._is_e_regular`.
 """
 
 from .charges import (
@@ -35,23 +37,15 @@ from .charges import (
 )
 from .core import (
     _int_arg,
+    _is_e_regular,
+    _is_strict_core,
     _regular_input,
     check_multipartition,
     check_partition,
     conjugate,
-    is_e_regular,
-    max_hook_length,
-    multirank,
     part,
-    rank,
 )
-from .crystal import (
-    _membership,
-    _psi,
-    _very_dominant_multiple,
-    blockwise_lift,
-    blockwise_lower,
-)
+from .crystal import _lift, _lower, _membership, _psi, _very_dominant_multiple
 from .errors import InputError, InternalError, NoPathError
 from .multisegments import _chi, _is_aperiodic, check_multisegment
 from .theta import theta_l2
@@ -304,8 +298,7 @@ def mullineux_crystal_trace(lam, e, s=None):
 
 def _crystal_input(lam, e, s):
     lam, e = _regular_input(lam, e, "mullineux_crystal")
-    s = e - 1 if s is None else _int_arg("s", s, 1, e - 1)
-    return lam, e, s
+    return lam, e, e - 1 if s is None else _int_arg("s", s, 1, e - 1)
 
 
 def _crystal(lam, e, s, images, steps=None):
@@ -321,13 +314,13 @@ def _crystal(lam, e, s, images, steps=None):
         cur = todo[-1]
         if (cur, e, s) in images:
             todo.pop()
-        elif max_hook_length(cur) < e:  # a strict core, or empty
+        elif _is_strict_core(cur, e):
             images[cur, e, s] = conjugate(cur)
         elif cur in lifts:
             nu = tuple(images[c, e, s] for c in lifts[cur])
-            images[cur, e, s] = blockwise_lower(nu, e, s)
+            images[cur, e, s] = _lower(nu, e, s)
         else:
-            lifts[cur] = mu = blockwise_lift(cur, e, s)
+            lifts[cur] = mu = _lift(cur, e, s)
             if not mu[0]:
                 raise InternalError(f"lift of {cur} lost its first component")
             if not mu[1]:
@@ -336,12 +329,12 @@ def _crystal(lam, e, s, images, steps=None):
     img = images[lam, e, s]
     if steps is None:
         return img
-    if max_hook_length(lam) < e:
+    if _is_strict_core(lam, e):
         steps.append(("conjugate strict core" if lam else "empty", (0,), (img,)))
         return img
-    up = (0, s + _very_dominant_multiple(s, rank(lam), e) * e)
-    start = (0, -s + _very_dominant_multiple(-s, rank(lam), e) * e)
-    mu = lifts.get(lam) or blockwise_lift(lam, e, s)  # lam was in the caller's table already
+    up = (0, s + _very_dominant_multiple(s, sum(lam), e) * e)
+    start = (0, -s + _very_dominant_multiple(-s, sum(lam), e) * e)
+    mu = lifts.get(lam) or _lift(lam, e, s)  # lam was in the caller's table already
     steps += [
         ("split", (0, s), theta_l2(lam, e, s)),
         ("lift", up, mu),
@@ -381,11 +374,11 @@ def _ak_mullineux(mp, s, t, e):
     The lift of a member is a member at a very dominant charge, whose
     components are e-regular; one that is not is an InternalError.
     """
-    n = multirank(mp)
+    n = sum(map(sum, mp))
     vd = _very_dominant_representative(s, n, e)
     lifted = _psi(mp, s, vd, e)
     for comp in lifted:
-        if not is_e_regular(comp, e):
+        if not _is_e_regular(comp, e):
             raise InternalError(f"the lift of {mp} to {vd} has a component that is not {e}-regular: {comp}")
     image = tuple(_xu(comp, e, None) for comp in lifted)
     sharp = _sharp_very_dominant(vd, n, e)

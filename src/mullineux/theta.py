@@ -13,7 +13,7 @@ between component 2 and component 1.
 """
 
 from .charges import check_charge, is_fundamental
-from .core import _int_arg, _regular_input, check_multipartition, concat
+from .core import _concat, _int_arg, _regular_input, check_multipartition
 from .errors import InputError
 
 
@@ -38,14 +38,14 @@ def _theta(lam, e, s):
     if lp == 1:
         nu = _theta(tail, e, s)
         out = [None] * l
-        out[0] = concat(head, nu[l - 1])
+        out[0] = _concat(head, nu[l - 1])
         for j in range(2, l + 1):
             out[j - 1] = nu[j - 2]
         return tuple(out)
     s2 = (s[-1],) * (l - lp + 2) + tuple(s[j - 1] + e for j in range(2, lp))
     nu = _theta(tail, e, s2)
     out = [None] * l
-    out[0] = concat(head, nu[_wrap(2 + l - lp, l) - 1])
+    out[0] = _concat(head, nu[_wrap(2 + l - lp, l) - 1])
     for j in range(2, l + 1):
         out[j - 1] = nu[_wrap(j + 1 - lp, l) - 1]
     return tuple(out)
@@ -73,4 +73,4 @@ def theta_l2(lam, e, s):
 
 def theta_inverse(mp):
     """Merge the components back into a single partition."""
-    return concat(*check_multipartition(mp))
+    return _concat(*check_multipartition(mp))

@@ -39,6 +39,7 @@ from mullineux import (
     membership,
     mullineux_crystal,
     multirank,
+    part,
     psi,
     rank,
     remove_first_column,
@@ -241,10 +242,11 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
 # charges and int rows, the core helpers and theta_inverse take partitions,
 # and collections and words are iterable; anything else is an InputError,
 # never an IndexError, a ValueError, a TypeError, an AttributeError, a
-# silently truncated read or an answer about a non-partition.  The small
-# helpers that run inside route loops (rank, multirank, max_hook_length,
-# concat, is_e_regular, canonical) turn what they already raise into an
-# InputError and check no shape.
+# silently truncated read or an answer about a non-partition.  The core
+# helpers (rank, multirank, max_hook_length, concat, is_e_regular) check
+# their argument and name themselves in the message; the routes run their
+# unchecked bodies.  part and canonical, which run inside route loops, turn
+# what they already raise into an InputError and check no shape.
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -314,12 +316,30 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: concat((2,), (1, "x")), "concat needs partitions, got ((2,), (1, 'x'))"),
         (lambda: canonical(((0, 1), (0,))), "canonical needs (head, length) segments, got ((0, 1), (0,))"),
         (lambda: canonical(((0, "a"), (1, 2))), "canonical needs (head, length) segments, got ((0, 'a'), (1, 2))"),
+        (lambda: max_hook_length((1, 2)), "max_hook_length needs a partition, got (1, 2)"),
+        (lambda: is_e_regular((1, 2), 3), "is_e_regular needs a partition, got (1, 2)"),
+        (lambda: rank((1.5,)), "rank needs a partition, got (1.5,)"),
+        (lambda: multirank(((1, 2),)), "multirank needs a multipartition, got ((1, 2),)"),
+        (lambda: multirank(()), "multirank needs a multipartition, got ()"),
+        (lambda: concat((1, 2)), "concat needs partitions, got ((1, 2),)"),
+        (lambda: part(3, 5), "part needs a partition and an index, got 3 and 5"),
+        (lambda: part((1,), "x"), "part needs a partition and an index, got (1,) and 'x'"),
+        (lambda: part({1: 2}, 1), "part needs a partition and an index, got {1: 2} and 1"),
     ],
 )
 def test_malformed_segments_and_pairs_are_input_errors(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+# A core helper reads its argument as check_partition does: any iterable of
+# ints, trailing zeros dropped.  A dict is read as its keys.
+def test_core_helpers_read_their_argument_with_check_partition():
+    assert max_hook_length({1: 2}) == max_hook_length([1, 0]) == 1
+    assert rank([2, 1, 0]) == 3 and multirank([[2, 1, 0], []]) == 3
+    assert is_e_regular([2, 1, 1, 0, 0, 0], 3)
+    assert concat([2, 0], (3, 1)) == (3, 2, 1)
 
 
 # Every route that takes one e-regular partition reads it through

@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 
 import mullineux
+import mullineux.core as core
 import mullineux.crystal as crystal
 import mullineux.involution as involution
 from mullineux import difftest
@@ -201,6 +202,45 @@ def test_crystal_long_inputs_at_default_recursion_limit():
             assert mullineux_crystal(lam, e) == xu(lam, e), (lam[:3], e)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def check_calls(call):
+    """Calls to core's argument checks, and to conjugate, made while call() runs.
+
+    Counted by code object with sys.setprofile, so a check reached under any
+    name, from any module, is counted.
+    """
+    named = (core.check_partition, core.check_multipartition, core._int_arg, core.conjugate)
+    codes = {f.__code__: f.__name__ for f in named}
+    counts = Counter(dict.fromkeys(codes.values(), 0))
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+@pytest.mark.parametrize("lam", [(1000,), tuple(range(40, 0, -1))], ids=["row", "staircase"])
+@pytest.mark.parametrize("e", [3, 5])
+def test_the_crystal_route_checks_its_input_once(lam, e):
+    # mullineux_crystal checks lam and e once; the lifts, descents and core
+    # tests run on partitions the route built, and only the strict cores it
+    # reaches go through the public conjugate, which checks each once.
+    counts = check_calls(lambda: mullineux_crystal(lam, e))
+    strict_cores = [mu for n in range(e) for mu in enumerate_partitions(n) if core.is_strict_e_core(mu, e)]
+    assert counts["check_multipartition"] == 0
+    assert counts["_int_arg"] == 1
+    assert counts["conjugate"] <= len(strict_cores)
+    assert counts["check_partition"] == 1 + counts["conjugate"]
+    if (lam, e) == ((1000,), 3):
+        assert counts["check_partition"] + counts["_int_arg"] <= 5
 
 
 def module_containers():
