@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 invalid input, 3 internal inconsistency.
 
 import argparse
 import json
+import os
 import sys
 
 from . import core, crystal, difftest, involution, multisegments
@@ -292,6 +293,12 @@ def main(argv=None):
     except (MullineuxError, RecursionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout; devnull takes the interpreter's last flush.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -85,6 +85,7 @@ def check_multipartition(mp):
 def part(lam, i):
     """The i-th part (1-based), 0 when i exceeds the number of parts; checks no shape."""
     try:
+        i = operator.index(i)
         if i < 1:
             raise InputError(f"part index must be >= 1, got {i}")
         return lam[i - 1] if i <= len(lam) else 0
@@ -169,10 +170,10 @@ def remove_first_column(lam):
     return tuple(p - 1 for p in check_partition(lam) if p > 1)
 
 
-def enumerate_partitions(n, max_part=None):
+def enumerate_partitions(n):
     """Yield all partitions of n in decreasing lexicographic order."""
     n = _rank_arg(n)
-    yield from _partitions(n, n if max_part is None else _int_arg("max_part", max_part))
+    yield from _partitions(n, n)
 
 
 def _rank_arg(n):
@@ -184,7 +185,7 @@ def _rank_arg(n):
 
 
 def _partitions(n, max_part):
-    """enumerate_partitions with a checked n and max_part."""
+    """Partitions of a checked n with parts at most max_part, decreasing lex order."""
     if n == 0:
         yield ()
         return

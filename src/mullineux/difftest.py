@@ -13,7 +13,7 @@ a rebinding of a module attribute, such as a tracing wrapper, is what runs.
 import os
 from importlib import import_module
 
-from . import core, crystal, involution
+from . import core, crystal, involution, multisegments
 
 # The package binds the name `theta` to the function, so fetch the module.
 theta = import_module(f"{__package__}.theta")
@@ -102,12 +102,15 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
         k0 = crystal._very_dominant_multiple(0, n, e)
         img0 = crystal.psi(theta.theta(lam, e, (0, 0)), (0, 0), (0, k0 * e), e)
         record("s_zero", img0 == ((), lam), key)
+        segments = multisegments.chi((lam,), (0,), e)
         for s in range(e):
             tl = theta.theta(lam, e, (0, s))
+            # Members of a rank at a fundamental charge have distinct chi,
+            # so membership and chi pin tl down.
             ok = (
                 theta.theta_inverse(tl) == lam
                 and crystal.flotw_check(tl, (0, s), e)
-                and tl == theta.theta_l2(lam, e, s)
+                and multisegments.chi(tl, (0, s), e) == segments
             )
             record("theta_roundtrip", ok, (e, n, lam, s))
     for (lam, s), cim in images.items():

@@ -149,8 +149,7 @@ def _xu(lam, e, steps):
             steps.append((f"strip {removed} nodes", (0,), (cur,)))
     img = ()
     for removed in reversed(chain):
-        width = max(len(img), removed)
-        img = tuple(part(img, i) + (1 if i <= removed else 0) for i in range(1, width + 1))
+        img = tuple(p + 1 for p in img[:removed]) + (1,) * (removed - len(img)) + img[removed:]
         if steps is not None:
             steps.append((f"add column of length {removed}", (0,), (img,)))
     return img

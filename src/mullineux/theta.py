@@ -1,15 +1,14 @@
 """The splitting embedding theta from e-regular partitions to multipartitions.
 
-At a fundamental multicharge s of level l, theta cuts the parts of an
-e-regular partition into blocks and distributes them over the components so
-that the image satisfies the membership conditions at s.  The recursion
-consumes the first e + s_1 - s_l parts, recurses on the rest at a rotated
-charge, and stitches the results together; theta_inverse simply merges all
-components back into one partition.
-
-For level 2 and charge (0, s) the recursion collapses to a block rule:
-the first e - s parts go to component 1, then blocks of e parts alternate
-between component 2 and component 1.
+At a fundamental multicharge s of level l, theta deals the parts of an
+e-regular partition over the components so that the image satisfies the
+membership conditions at s.  Group g = 0, 1, ... of e consecutive rows is
+cut into blocks of e + s_1 - s_l, s_l - s_{l-1}, ..., s_2 - s_1 rows, and
+those blocks go, in that order, to components g, g - 1, ..., g - l + 1
+(mod l); a block of size 0 takes nothing.  At level 1 theta is the
+identity; at level 2 and charge (0, s) the first e - s rows go to
+component 1, then blocks of e rows alternate between the components.
+theta_inverse simply merges all components back into one partition.
 """
 
 from .charges import check_charge, is_fundamental
@@ -27,48 +26,21 @@ def theta(lam, e, charge):
 
 
 def _theta(lam, e, s):
+    """theta of a checked lam at a checked fundamental charge s."""
     l = len(s)
-    if not lam:
-        return ((),) * l
-    # 1-based index of the first entry equal to s_l
-    lp = next(j for j in range(1, l + 1) if s[j - 1] == s[-1])
-    count = e + s[0] - s[-1]
-    head = lam[:count]
-    tail = lam[count:]
-    if lp == 1:
-        nu = _theta(tail, e, s)
-        out = [None] * l
-        out[0] = _concat(head, nu[l - 1])
-        for j in range(2, l + 1):
-            out[j - 1] = nu[j - 2]
-        return tuple(out)
-    s2 = (s[-1],) * (l - lp + 2) + tuple(s[j - 1] + e for j in range(2, lp))
-    nu = _theta(tail, e, s2)
-    out = [None] * l
-    out[0] = _concat(head, nu[_wrap(2 + l - lp, l) - 1])
-    for j in range(2, l + 1):
-        out[j - 1] = nu[_wrap(j + 1 - lp, l) - 1]
-    return tuple(out)
-
-
-def _wrap(x, l):
-    """Reduce a component index into 1..l."""
-    return (x - 1) % l + 1
+    sizes = [e + s[0] - s[-1]] + [s[j] - s[j - 1] for j in range(l - 1, 0, -1)]
+    out = [[] for _ in s]
+    for g, start in enumerate(range(0, len(lam), e)):
+        for k, size in enumerate(sizes):
+            out[(g - k) % l].extend(lam[start : start + size])
+            start += size
+    return tuple(map(tuple, out))
 
 
 def theta_l2(lam, e, s):
-    """Level-2 block rule for charge (0, s): alternate blocks of e parts."""
+    """theta at the level-2 charge (0, s)."""
     lam, e = _regular_input(lam, e, "theta")
-    s = _int_arg("s", s, 0, e - 1)
-    comp1 = list(lam[: e - s])
-    rest = lam[e - s :]
-    comp2 = []
-    to_second = True
-    while rest:
-        block, rest = rest[:e], rest[e:]
-        (comp2 if to_second else comp1).extend(block)
-        to_second = not to_second
-    return tuple(comp1), tuple(comp2)
+    return _theta(lam, e, (0, _int_arg("s", s, 0, e - 1)))
 
 
 def theta_inverse(mp):

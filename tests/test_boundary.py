@@ -170,7 +170,6 @@ def test_bad_e_is_an_input_error(label, e):
         lambda: sharp_very_dominant(S, 2.5, 3),
         lambda: very_dominant_representative(S, 2.5, 3),
         lambda: list(enumerate_partitions(2.5)),
-        lambda: list(enumerate_partitions(3, 1.5)),
         lambda: list(enumerate_multipartitions(2.5, 2)),
         lambda: list(enumerate_multipartitions(2, 1.5)),
         lambda: enumerate_phi(2.5, (0, 1), 3),
@@ -325,6 +324,8 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: part(3, 5), "part needs a partition and an index, got 3 and 5"),
         (lambda: part((1,), "x"), "part needs a partition and an index, got (1,) and 'x'"),
         (lambda: part({1: 2}, 1), "part needs a partition and an index, got {1: 2} and 1"),
+        (lambda: part((1,), 1.5), "part needs a partition and an index, got (1,) and 1.5"),
+        (lambda: part((1,), 2.5), "part needs a partition and an index, got (1,) and 2.5"),
     ],
 )
 def test_malformed_segments_and_pairs_are_input_errors(call, message):

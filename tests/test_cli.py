@@ -253,6 +253,18 @@ def test_theta_subcommand(capsys):
     assert (code, out) == (0, "8,8|6,6,4,3|3,2,1,1\n")
 
 
+def test_theta_subcommand_answers_long_partitions(capsys):
+    staircase = ",".join(map(str, range(2100, 0, -1)))
+    # At level 1 theta is the identity.
+    assert run(capsys, "theta", "--e", "2", "--charge", "0", "--partition", staircase) == (0, staircase + "\n", "")
+    code, out, err = run(capsys, "theta", "--e", "2", "--charge", "0,1", "--partition", staircase)
+    assert (code, err) == (0, "")
+    assert sorted(map(int, out.strip().replace("|", ",").split(","))) == list(range(1, 2101))
+    staircase = ",".join(map(str, range(1500, 0, -1)))
+    code, out, err = run(capsys, "theta", "--e", "3", "--charge", "0,1,2", "--partition", staircase)
+    assert (code, out.count("|"), err) == (0, 2, "")
+
+
 def test_im_subcommand(capsys):
     code, out, err = run(
         capsys, "im", "--e", "3", "--multisegment", "0:1;0:3;1:3"
@@ -433,3 +445,20 @@ def test_importing_the_cli_loads_no_process_pool():
 
 def test_importing_the_cli_loads_no_dataclasses():
     assert loaded_by_importing_the_cli("dataclasses") is False
+
+
+def test_a_closed_stdout_ends_quietly():
+    # enumerate writes 382,548 bytes here, more than a pipe buffer holds, so
+    # the reader's close lands while the command is still writing.
+    src = str(Path(mullineux.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mullineux.cli", "enumerate", "--e", "3", "--n", "50"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"50\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from mullineux.core import concat, enumerate_e_regular, multirank
+from mullineux.core import _concat, concat, enumerate_e_regular, multirank
 
 from mullineux.crystal import flotw_check
 
@@ -82,16 +82,80 @@ def test_theta_round_trip_and_membership():
 
 def test_theta_preserves_chi():
     # The splitting relabels rows without changing the multisegment.
-    for e in (3, 4):
-        for level in (2, 3):
-            for charge in fundamental_charges(e, level):
-                for n in range(10):
-                    for lam in enumerate_e_regular(n, e):
+    for e in range(2, 7):
+        for n in range(13):
+            for lam in enumerate_e_regular(n, e):
+                segments = chi((lam,), (0,), e)
+                for level in range(1, 5):
+                    for charge in fundamental_charges(e, level):
                         mp = theta(lam, e, charge)
-                        assert chi(mp, charge, e) == chi((lam,), (0,), e), (
-                            lam,
-                            charge,
-                        )
+                        assert chi(mp, charge, e) == segments, (lam, charge)
+
+
+def reference_theta(lam, e, s):
+    """theta by recursion: the first e + s_1 - s_l parts go to component 1,
+    the rest is split at a rotated charge, and the results are stitched
+    together.  It uses one stack frame per block, so it serves small inputs.
+    """
+    l = len(s)
+    if not lam:
+        return ((),) * l
+    # 1-based index of the first entry equal to s_l
+    lp = next(j for j in range(1, l + 1) if s[j - 1] == s[-1])
+    count = e + s[0] - s[-1]
+    head = lam[:count]
+    tail = lam[count:]
+    if lp == 1:
+        nu = reference_theta(tail, e, s)
+        out = [None] * l
+        out[0] = _concat(head, nu[l - 1])
+        for j in range(2, l + 1):
+            out[j - 1] = nu[j - 2]
+        return tuple(out)
+    s2 = (s[-1],) * (l - lp + 2) + tuple(s[j - 1] + e for j in range(2, lp))
+    nu = reference_theta(tail, e, s2)
+    out = [None] * l
+    out[0] = _concat(head, nu[(1 - lp) % l])
+    for j in range(2, l + 1):
+        out[j - 1] = nu[(j - lp) % l]
+    return tuple(out)
+
+
+def test_theta_matches_the_recursive_reference():
+    for e in range(2, 7):
+        for n in range(11):
+            for lam in enumerate_e_regular(n, e):
+                for level in range(1, 5):
+                    for charge in fundamental_charges(e, level):
+                        for shift in (0, 5, -3):
+                            s = tuple(x + shift for x in charge)
+                            assert theta(lam, e, s) == reference_theta(lam, e, s), (lam, e, s)
+
+
+def staircase(n):
+    return tuple(range(n, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "lam, e, charge",
+    [
+        (staircase(2100), 2, (0,)),
+        (staircase(2100), 2, (0, 0)),
+        (staircase(2100), 2, (0, 1)),
+        (staircase(1500), 3, (0, 1, 2)),
+    ],
+    ids=["e2-level1", "e2-00", "e2-01", "e3-012"],
+)
+def test_theta_answers_long_partitions(lam, e, charge):
+    # One block per e rows: a recursion would need a stack frame per block.
+    mp = theta(lam, e, charge)
+    assert theta_inverse(mp) == lam
+    assert flotw_check(mp, charge, e)
+    assert chi(mp, charge, e) == chi((lam,), (0,), e)
+    if len(charge) == 1:
+        assert mp == (lam,)
+    if len(charge) == 2:
+        assert theta_l2(lam, e, charge[1]) == mp
 
 
 def test_theta_components_interleave():
