@@ -296,44 +296,52 @@ def blockwise_lift(lam, e, s):
 
 
 def _lift(lam, e, s):
-    """blockwise_lift of a checked lam, e and s."""
+    """blockwise_lift of a checked lam, e and s.
+
+    Each round starts from partitions, the input or what the last round's
+    guard passed.  A pair x_i >= x_{i+1} can then break only where row i or
+    i + 1 changed, so the guard (`_bent`) compares each changed row with its
+    two neighbours, and an idle round finds lam1's top content in row 1.
+    The end checks run once and stay whole: mu joins blocks of many rounds.
+    """
     lam1 = list(lam[: e - s])
     lam2 = list(lam[e - s :])
     t = s
     mu = []
     while True:
-        touched = []
+        donors, touched = [], []
         for a in range(1, len(lam1) + 1):
             if lam1[a - 1] == 0:
                 continue
             c = lam1[a - 1] - a
+            n2 = len(lam2)
             j = 1
-            while j <= len(lam2) and lam2[j - 1] - j + t >= c:
+            while j <= n2 and lam2[j - 1] - j + t >= c:
                 j += 1
-            k = c - part(lam2, j) + j - t
+            k = c - (lam2[j - 1] if j <= n2 else 0) + j - t
             if k <= 0 or k > lam1[a - 1]:
                 continue  # no content is below c, or row a has too few boxes
             if j >= 2 and lam2[j - 2] - (j - 1) + t == c:
                 continue  # row j would outgrow row j - 1
             lam1[a - 1] -= k
-            if j > len(lam2):
+            if j > n2:
                 lam2.append(k)
             else:
                 lam2[j - 1] += k
+            donors.append(a)
             touched.append(j)
         if not touched:
-            rightmosts = [lam1[a - 1] - a for a in range(1, len(lam1) + 1) if lam1[a - 1] > 0]
-            if not rightmosts or t - (len(lam2) + 1) >= max(rightmosts):
-                break
+            if not lam1 or not lam1[0] or t - len(lam2) >= lam1[0]:
+                break  # no move can fire again
             t += e
             continue
-        if any(x < y for x, y in zip(lam2, lam2[1:])):
+        if _bent(lam2, touched):
             raise InternalError(f"collected block is not a partition: {lam2}")
         cut = max(touched)
         mu.extend(lam2[:cut])
         lam2 = lam2[cut:]
         t += e - cut
-        if any(x < y for x, y in zip(lam1, lam1[1:])):
+        if _bent(lam1, donors):
             raise InternalError(f"first component left a round malformed: {lam1}")
     mu.extend(lam2)
     if any(x < y for x, y in zip(lam1, lam1[1:])):
@@ -341,6 +349,15 @@ def _lift(lam, e, s):
     if any(x < y for x, y in zip(mu, mu[1:])):
         raise InternalError(f"second component ended malformed: {mu}")
     return tuple(p for p in lam1 if p > 0), tuple(p for p in mu if p > 0)
+
+
+def _bent(x, rows):
+    """Whether x, a partition until its 1-based `rows` changed, broke there."""
+    n = len(x)
+    for i in rows:
+        if i <= n and (i > 1 and x[i - 2] < x[i - 1] or i < n and x[i - 1] < x[i]):
+            return True
+    return False
 
 
 def _lower_pair(nu1, nu2, t, e):
@@ -362,12 +379,23 @@ def _lower_pair(nu1, nu2, t, e):
     through non-partition shapes inside a round.  Returns the final
     (nu1, nu2).
 
+    Rounds start from partitions and check only the rows they changed, as
+    in `_lift`; a donor popped as a trailing zero is past nu2's end, and
+    skipped.  A round starts at the lowest row of nu2 whose content is above
+    c0, nu1's last: the contents fall with a, and the rows below come first,
+    before any target is used, so each stops at its first inner step,
+    against c0.  Row a's donation to a row of content c keeps nu2's shape
+    when c >= t - a + b, a bound that grows going up, and unused rows of nu1
+    keep their contents, which rise going up.  So one pointer walks nu1 up
+    through the round, past rows used or too far for every later donor; the
+    round ends when it passes row 1.
+
     The final pair is in general *not* the image of the input under the
     symbol-route isomorphism (which lands inside the member set); only the
     merged partition is guaranteed to agree, which is what blockwise_lower
     returns.
     """
-    nu1, nu2 = list(nu1), list(nu2)
+    nu1, nu2, n1 = list(nu1), list(nu2), len(nu1)
     final_t = t % e
     moved = False
     while True:
@@ -375,30 +403,32 @@ def _lower_pair(nu1, nu2, t, e):
             t = _next_move(nu1, nu2, t, e, final_t)
             if t is None:
                 break
-        used = set()
-        for a in range(len(nu2), 0, -1):
-            if nu2[a - 1] == 0:
-                continue
-            r = nu2[a - 1] - a + t
-            for j in range(len(nu1), 0, -1):
-                if j in used:
-                    continue
-                c = nu1[j - 1] - j
-                if c >= r:
-                    break
-                k = r - c
-                below = nu2[a] if a < len(nu2) else 0
-                if k <= nu2[a - 1] and nu2[a - 1] - k >= below:
-                    nu2[a - 1] -= k
-                    nu1[j - 1] += k
-                    used.add(j)
-                    break
+        used, donors = [], []
+        c0 = nu1[-1] - n1
+        low = n2 = len(nu2)
+        while low and nu2[low - 1] - low + t <= c0:
+            low -= 1
+        j = n1
+        for a in range(low, 0, -1):
+            p = nu2[a - 1]
+            lo = t - a + (nu2[a] if a < n2 else 0)
+            while j and nu1[j - 1] - j < lo:
+                j -= 1
+            if not j:
+                break
+            k = p - a + t - (nu1[j - 1] - j)  # content r of row a minus c
+            if k > 0:
+                nu2[a - 1] = p - k
+                nu1[j - 1] += k
+                used.append(j)
+                donors.append(a)
+                j -= 1
         moved = bool(used)
         while nu2 and nu2[-1] == 0:
             nu2.pop()
-        if any(x < y for x, y in zip(nu1, nu1[1:])):
+        if _bent(nu1, used):
             raise InternalError(f"first component left a round malformed: {nu1}")
-        if any(x < y for x, y in zip(nu2, nu2[1:])):
+        if _bent(nu2, donors):
             raise InternalError(f"second component left a round malformed: {nu2}")
         if t == final_t:
             break

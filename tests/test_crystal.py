@@ -1,8 +1,10 @@
 """Tests for charged-set membership and the charge-transport isomorphisms."""
 
+import itertools
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from mullineux.charges import _path_word, apply_word, path_word, very_dominant_r
 from mullineux.core import (
     enumerate_e_regular,
     enumerate_multipartitions,
+    enumerate_partitions,
     is_strict_e_core,
     multirank,
     part,
@@ -23,6 +26,8 @@ from mullineux.core import (
 )
 
 from mullineux.crystal import (
+    _bent,
+    _lift,
     _lower_pair,
     _walk,
     blockwise_lift,
@@ -678,10 +683,10 @@ def stepwise_lower_pair(pair, t, e):
     return tuple(p for p in nu1 if p > 0), tuple(nu2)
 
 
-def outcome(lower, pair, t, e):
-    """The final pair, or the InternalError's text when the descent raises."""
+def outcome(engine, *args):
+    """What an engine returns, or the InternalError's text when it raises."""
     try:
-        return lower(pair, t, e)
+        return engine(*args)
     except InternalError as exc:
         return str(exc)
 
@@ -724,6 +729,118 @@ def descent_inputs(draw, max_rank=80):
 def test_blockwise_lower_pair_matches_stepwise_reference_on_larger_pairs(case):
     pair, t, e = case
     assert outcome(lower_pair, pair, t, e) == outcome(stepwise_lower_pair, pair, t, e)
+
+
+def stepwise_lift(lam, e, s):
+    """Reference lift: `_lift`'s loop with a whole-shape check after every round.
+
+    This is the loop `_lift` ran before its rounds checked only the rows
+    they changed; it must return the same pair and raise the same errors.
+    """
+    lam1 = list(lam[: e - s])
+    lam2 = list(lam[e - s :])
+    t = s
+    mu = []
+    while True:
+        touched = []
+        for a in range(1, len(lam1) + 1):
+            if lam1[a - 1] == 0:
+                continue
+            c = lam1[a - 1] - a
+            j = 1
+            while j <= len(lam2) and lam2[j - 1] - j + t >= c:
+                j += 1
+            k = c - part(lam2, j) + j - t
+            if k <= 0 or k > lam1[a - 1]:
+                continue
+            if j >= 2 and lam2[j - 2] - (j - 1) + t == c:
+                continue
+            lam1[a - 1] -= k
+            if j > len(lam2):
+                lam2.append(k)
+            else:
+                lam2[j - 1] += k
+            touched.append(j)
+        if not touched:
+            rightmosts = [lam1[a - 1] - a for a in range(1, len(lam1) + 1) if lam1[a - 1] > 0]
+            if not rightmosts or t - (len(lam2) + 1) >= max(rightmosts):
+                break
+            t += e
+            continue
+        if any(x < y for x, y in zip(lam2, lam2[1:])):
+            raise InternalError(f"collected block is not a partition: {lam2}")
+        cut = max(touched)
+        mu.extend(lam2[:cut])
+        lam2 = lam2[cut:]
+        t += e - cut
+        if any(x < y for x, y in zip(lam1, lam1[1:])):
+            raise InternalError(f"first component left a round malformed: {lam1}")
+    mu.extend(lam2)
+    if any(x < y for x, y in zip(lam1, lam1[1:])):
+        raise InternalError(f"first component ended malformed: {lam1}")
+    if any(x < y for x, y in zip(mu, mu[1:])):
+        raise InternalError(f"second component ended malformed: {mu}")
+    return tuple(p for p in lam1 if p > 0), tuple(p for p in mu if p > 0)
+
+
+def test_lift_matches_stepwise_reference_exhaustively():
+    # Every partition, e-regular or not, and every s including 0.
+    for e in range(2, 7):
+        for n in range(11):
+            for lam in enumerate_partitions(n):
+                for s in range(e):
+                    assert outcome(_lift, lam, e, s) == outcome(stepwise_lift, lam, e, s), (lam, e, s)
+
+
+@given(partitions_up_to(40, 12, regular=False))
+def test_lift_matches_stepwise_reference_on_larger_partitions(case):
+    lam, e = case
+    for s in range(e):
+        assert outcome(_lift, lam, e, s) == outcome(stepwise_lift, lam, e, s), (lam, e, s)
+
+
+def test_bent_finds_a_break_exactly_when_the_whole_shape_check_does():
+    # One or two rows of a partition changed, the row below the last one
+    # included, and trailing zeros popped as `_lower_pair` pops them.
+    for n in range(8):
+        for lam in enumerate_partitions(n):
+            rows = range(1, len(lam) + 2)
+            for changed in [*itertools.combinations(rows, 1), *itertools.combinations(rows, 2)]:
+                for deltas in itertools.product((-2, -1, 1, 2), repeat=len(changed)):
+                    x = [*lam, 0]
+                    for i, d in zip(changed, deltas):
+                        x[i - 1] = max(0, x[i - 1] + d)
+                    while x and x[-1] == 0:
+                        x.pop()
+                    assert _bent(x, changed) == any(a < b for a, b in zip(x, x[1:])), (lam, changed, x)
+
+
+def random_regular(n, e, rng):
+    """A random e-regular partition of n: random parts, then e equal parts
+    merged into one until no part repeats e times (Glaisher's map)."""
+    mult = Counter()
+    while n:
+        p = rng.randint(1, min(n, 40))
+        mult[p] += 1
+        n -= p
+    p = 1
+    while p <= max(mult):
+        q, mult[p] = divmod(mult[p], e)
+        if q:
+            mult[p * e] += q
+        p += 1
+    return tuple(sorted(mult.elements(), reverse=True))
+
+
+@pytest.mark.parametrize("e", [3, 5])
+def test_crystal_matches_xu_on_wide_shapes(e):
+    """The engines on shapes far past the rank-40 reach of the other tests:
+    the staircase 60..1 and three seeded partitions of rank 1,000."""
+    rng = random.Random(2107)
+    for lam in [tuple(range(60, 0, -1))] + [random_regular(1000, e, rng) for _ in range(3)]:
+        image = xu(lam, e)
+        for s in range(1, e):
+            assert mullineux_crystal(lam, e, s) == image, (lam, e, s)
 
 
 @pytest.mark.parametrize(
