@@ -287,9 +287,9 @@ def blockwise_lift(lam, e, s):
     to the lowest one touched are appended to the output mu and the charge
     of lam2 grows by e minus the number of rows collected.  A round without
     moves grows the charge by e and the process repeats until no move can
-    ever fire again (the addable row's content is at least every source
-    content); the remaining rows of lam2 are then appended to mu.  Returns
-    (lam1, mu).
+    ever fire again (the next round's addable row has a content at least
+    every source content); the remaining rows of lam2 are then appended to
+    mu.  Returns (lam1, mu).
     """
     lam, e = check_partition(lam), _int_arg("e", e, 2)
     return _lift(lam, e, _int_arg("s", s, 0, e - 1))
@@ -301,8 +301,16 @@ def _lift(lam, e, s):
     Each round starts from partitions, the input or what the last round's
     guard passed.  A pair x_i >= x_{i+1} can then break only where row i or
     i + 1 changed, so the guard (`_bent`) compares each changed row with its
-    two neighbours, and an idle round finds lam1's top content in row 1.
-    The end checks run once and stay whole: mu joins blocks of many rounds.
+    two neighbours.  The end checks run once and stay whole: mu joins
+    blocks of many rounds.
+
+    After a round at t that moves nothing, the next one runs at t + e on the
+    same rows.  Its lowest target content is the addable row's,
+    t + e - len(lam2) - 1, and the largest source content is lam1[0] - 1,
+    row 1's, since lam1 is a partition.  A move needs a target content
+    below its source's, so once t + e - len(lam2) >= lam1[0] neither that
+    round nor any later idle one, at a still higher charge, can move a box,
+    and the lift stops.
     """
     lam1 = list(lam[: e - s])
     lam2 = list(lam[e - s :])
@@ -331,7 +339,7 @@ def _lift(lam, e, s):
             donors.append(a)
             touched.append(j)
         if not touched:
-            if not lam1 or not lam1[0] or t - len(lam2) >= lam1[0]:
+            if not lam1 or not lam1[0] or t + e - len(lam2) >= lam1[0]:
                 break  # no move can fire again
             t += e
             continue
@@ -364,13 +372,8 @@ def _lower_pair(nu1, nu2, t, e):
     """Box-moving descent of (nu1 at 0, nu2 at t) to a fundamental charge.
 
     nu1 and nu2 are checked partitions, and t = k*e - s with 0 < s < e.
-    Rounds run at charges t, t - e, ..., down to t mod e, except that a
-    round which would move no box is skipped, since it changes nothing.
-    Row a of nu2 (part p, next part b) gives boxes to row j of nu1
-    (rightmost content c) in the round at t exactly when
-    c + a - p < t <= c + a - b.  So at the start, and after a round that
-    moved nothing, t jumps down to the next charge inside one of these
-    windows; the descent ends when none is left.  Each round scans nu2
+    Rounds run at charges t, t - e, ..., down to t mod e, one per charge,
+    from the highest of them at which a box can move.  Each round scans nu2
     bottom-up; a row with rightmost content r donates its boxes above
     content c to the lowest nu1 row not yet used as a target this round
     whose rightmost content c is below r, falling back to the next row up
@@ -378,6 +381,16 @@ def _lower_pair(nu1, nu2, t, e):
     The move must keep nu2 a partition at every moment; nu1 may pass
     through non-partition shapes inside a round.  Returns the final
     (nu1, nu2).
+
+    The start: at t, row a of nu2 (part p, next part b) gives a nu1 row of
+    content c its r - c = p - a + t - c boxes above c and keeps c + a - t,
+    which must be at least b, so a move needs t <= c + a - b.  A nu1 row is
+    a target at most once a round, with the content it started the round
+    with, at most nu1[0] - 1; and a <= len(nu2), b >= 0.  So a round at a
+    charge above nu1[0] - 1 + len(nu2) moves no box and changes nothing,
+    and the rounds below it start from the input again: t is first lowered
+    to that bound by a multiple of e.  An empty nu1 takes no boxes, and the
+    pair comes back as it is.
 
     Rounds start from partitions and check only the rows they changed, as
     in `_lift`; a donor popped as a trailing zero is past nu2's end, and
@@ -395,14 +408,12 @@ def _lower_pair(nu1, nu2, t, e):
     merged partition is guaranteed to agree, which is what blockwise_lower
     returns.
     """
+    if not nu1:
+        return (), tuple(nu2)
     nu1, nu2, n1 = list(nu1), list(nu2), len(nu1)
-    final_t = t % e
-    moved = False
-    while True:
-        if not moved:
-            t = _next_move(nu1, nu2, t, e, final_t)
-            if t is None:
-                break
+    top = nu1[0] - 1 + len(nu2)
+    start = t if t <= top else t + (top - t) // e * e
+    for t in range(start, t % e - 1, -e):
         used, donors = [], []
         c0 = nu1[-1] - n1
         low = n2 = len(nu2)
@@ -423,40 +434,13 @@ def _lower_pair(nu1, nu2, t, e):
                 used.append(j)
                 donors.append(a)
                 j -= 1
-        moved = bool(used)
         while nu2 and nu2[-1] == 0:
             nu2.pop()
         if _bent(nu1, used):
             raise InternalError(f"first component left a round malformed: {nu1}")
         if _bent(nu2, donors):
             raise InternalError(f"second component left a round malformed: {nu2}")
-        if t == final_t:
-            break
-        t -= e
     return tuple(p for p in nu1 if p > 0), tuple(nu2)
-
-
-def _next_move(nu1, nu2, t, e, final_t):
-    """Largest charge t' <= t, t' = t mod e, t' >= final_t whose round moves a box.
-
-    Until a round's first move no target is used, so at t' row a of nu2
-    (part p, next part b) gives boxes to row j of nu1 (rightmost content c)
-    exactly when c + a - p < t' <= c + a - b.  None when no such t' is left.
-    """
-    best = final_t - e
-    for a, p in enumerate(nu2, start=1):
-        b = nu2[a] if a < len(nu2) else 0
-        if p == b:
-            continue
-        for j, q in enumerate(nu1, start=1):
-            hi = q - j + a - b
-            if hi <= best:
-                break  # contents fall with j, so every later window ends lower
-            hi = min(hi, t)
-            top = hi - (hi - t) % e
-            if top > best and top > q - j + a - p:
-                best = top
-    return best if best >= final_t else None
 
 
 def blockwise_lower(pair, e, s):

@@ -731,6 +731,32 @@ def test_blockwise_lower_pair_matches_stepwise_reference_on_larger_pairs(case):
     assert outcome(lower_pair, pair, t, e) == outcome(stepwise_lower_pair, pair, t, e)
 
 
+def test_blockwise_lower_pair_from_three_million_answers_at_once():
+    """A start charge near 3*10^6 drops at once to the highest charge at
+    which a box can move, so the descent returns what it returns from the
+    lowest very dominant start, a pair or the same InternalError text, with
+    or without an empty first component."""
+    pairs = [
+        ((10,), (14, 7, 7, 3, 3, 1)),
+        ((6, 6), (15, 7, 5, 4, 1, 1)),
+        ((3, 1), (9, 9, 2)),
+        ((), (5, 2, 2, 1)),
+        ((4, 4, 1), ()),
+    ]
+    elapsed = 0.0
+    for e in (3, 4, 5):
+        for pair in pairs:
+            for s in range(1, e):
+                near = lift_charge_multiple(multirank(pair), e, -s) * e - s
+                far = 3 * 10**6 // e * e - s
+                start = time.perf_counter()
+                got = outcome(lower_pair, pair, far, e)
+                elapsed += time.perf_counter() - start
+                assert got == outcome(lower_pair, pair, near, e), (pair, e, s)
+    assert lower_pair(((), (5, 2, 2, 1)), 3 * 10**6 - 1, 3) == ((), (5, 2, 2, 1))
+    assert elapsed < 0.5
+
+
 def stepwise_lift(lam, e, s):
     """Reference lift: `_lift`'s loop with a whole-shape check after every round.
 

@@ -49,6 +49,8 @@ from mullineux.involution import (
 
 from mullineux.multisegments import chi
 
+from mullineux.theta import theta, theta_inverse
+
 FLAGSHIP = (10, 8, 7, 5, 4, 4, 3, 2, 1, 1)
 FLAGSHIP_IMAGE = (17, 9, 7, 6, 3, 3)
 
@@ -577,6 +579,23 @@ def test_ak_mullineux_matches_the_crystal_reference():
                         assert ak_mullineux(mp, s, t, e) == branching_image(mp, s, e), (mp, s, e)
                         members += 1
     assert members == 4530
+
+
+def test_split_identity_holds_at_every_level():
+    # The paper's identity m_e = theta^-1 . ak_mullineux . theta, from a
+    # fundamental charge s to transpose_charge(s), through the level >= 3
+    # transports as well as the level-2 ones.
+    cases = 0
+    for e in range(2, 7):
+        for level in (2, 3, 4):
+            for s in fundamental_charges(e, level):
+                t = transpose_charge(s)
+                for n in range(9):
+                    for lam in enumerate_e_regular(n, e):
+                        image = theta_inverse(ak_mullineux(theta(lam, e, s), s, t, e))
+                        assert image == xu(lam, e), (lam, e, s)
+                        cases += 1
+    assert cases == 11426
 
 
 REFERENCE_CASES = [(e, level, top) for e in range(2, 6) for level, top in ((1, 7), (2, 7), (3, 5))]
