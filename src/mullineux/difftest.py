@@ -6,8 +6,16 @@ range of e and n, on a process pool when asked for more than one job.  A
 result maps each property to [passes, failures, smallest failing key], where
 a key is (e, n, partition) or (e, n, partition, s).
 
-Library functions are called through their modules (`crystal.psi`, ...), so
-a rebinding of a module attribute, such as a tracing wrapper, is what runs.
+The partitions come from the enumeration, and the lifts and descents from
+the crystal route's own steps, so the checks validate none of them again:
+they run the unchecked bodies the routes use, `crystal._psi`, `_lift` and
+`_flotw`, `multisegments._chi`, `core._concat` and `_is_strict_core`.  The
+split theta(λ, (0, s)) is computed once per s in 0..e-1, with `theta._theta`,
+and serves the lifts of strict cores, `s_zero` and `theta_roundtrip`.  The
+calls to `xu`, `xu_strip`, `remove_first_column` and `conjugate`, and the
+checks on xu's image, stay public.  Library functions are called through
+their modules (`crystal._psi`, ...), so a rebinding of a module attribute,
+such as a tracing wrapper, is what runs.
 """
 
 import os
@@ -64,7 +72,8 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
         key = (e, n, lam)
         xim = involution.xu(lam, e)
         kim = involution._kleshchev(lam, e, kleshchev_images)
-        is_core = core.is_strict_e_core(lam, e)
+        is_core = core._is_strict_core(lam, e)
+        splits = [theta._theta(lam, e, (0, s)) for s in range(e)]
         record("rank_regular", core.rank(xim) == n and core.is_e_regular(xim, e), key)
         if e == 2:
             record("m2_identity", xim == lam, key)
@@ -79,15 +88,15 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
             record("agreement", cim == xim == kim, skey)
             if is_core:
                 # The route conjugates strict cores without lifting them.
-                pair = theta.theta_l2(lam, e, s)
+                pair = splits[s]
                 up = (0, s + crystal._very_dominant_multiple(s, n, e) * e)
-                lifted = crystal.blockwise_lift(lam, e, s)
+                lifted = crystal._lift(lam, e, s)
             else:
                 (_, _, pair), (_, up, lifted), (_, start, nu), (_, _, kappa), _ = steps
                 record("lift_first_nonempty", lifted[0] != (), skey)
                 # psi, the slow reference, checks the route's descent here and its lift below.
-                record("blockwise_lower", crystal.psi(nu, start, (0, e - s), e) == kappa, skey)
-            reference = crystal.psi(pair, (0, s), up, e)
+                record("blockwise_lower", crystal._psi(nu, start, (0, e - s), e) == kappa, skey)
+            reference = crystal._psi(pair, (0, s), up, e)
             lifts[s] = lifted
             record("core_empty_lift", lifted[1] != () or is_core, skey)
             record("blockwise_lift", lifted == reference, skey)
@@ -100,17 +109,16 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
             expect = (involution.xu((len(lam),), e), core.remove_first_column(lam))
             record("first_column_lift", lifts[1] == expect, key)
         k0 = crystal._very_dominant_multiple(0, n, e)
-        img0 = crystal.psi(theta.theta(lam, e, (0, 0)), (0, 0), (0, k0 * e), e)
+        img0 = crystal._psi(splits[0], (0, 0), (0, k0 * e), e)
         record("s_zero", img0 == ((), lam), key)
-        segments = multisegments.chi((lam,), (0,), e)
-        for s in range(e):
-            tl = theta.theta(lam, e, (0, s))
+        segments = multisegments._chi((lam,), (0,), e)
+        for s, tl in enumerate(splits):
             # Members of a rank at a fundamental charge have distinct chi,
             # so membership and chi pin tl down.
             ok = (
-                theta.theta_inverse(tl) == lam
-                and crystal.flotw_check(tl, (0, s), e)
-                and multisegments.chi(tl, (0, s), e) == segments
+                core._concat(*tl) == lam
+                and crystal._flotw(tl, (0, s), e)
+                and multisegments._chi(tl, (0, s), e) == segments
             )
             record("theta_roundtrip", ok, (e, n, lam, s))
     for (lam, s), cim in images.items():
@@ -137,7 +145,13 @@ def run(lo, hi, max_n, jobs=None):
     The work runs on min(jobs, tasks, cpus) processes (`jobs` defaults to
     the number of cpus).  When that is 1 it runs here, and one pair of image
     tables serves every rank; each pool task starts from empty tables.
+    InputError unless lo >= 2, hi >= lo, max_n >= 0 and jobs is None or
+    at least 1, each an int.
     """
+    lo = core._int_arg("lo", lo, 2)
+    hi = core._int_arg("hi", hi, lo)
+    max_n = core._int_arg("max_n", max_n, 0)
+    jobs = None if jobs is None else core._int_arg("jobs", jobs, 1)
     tasks = [(e, n) for e in range(lo, hi + 1) for n in range(max_n + 1)]
     cpus = os.cpu_count() or 1
     jobs = min(cpus if jobs is None else jobs, len(tasks), cpus)

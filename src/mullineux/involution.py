@@ -13,7 +13,8 @@
   its blocks of equal parts, and the recursion goes one call deeper per
   string, not per node.
 mullineux_crystal checks its input once; `_crystal` then runs the unchecked
-bodies `crystal._lift`, `crystal._lower` and `core._is_strict_core`.
+bodies `crystal._lift`, `crystal._lower` and `core._is_strict_core`, and its
+trace builds the split and descend states with `theta._theta`.
 `_crystal` and `_kleshchev` keep the images they find in a table their caller
 owns: the public functions pass a new one on every call, and `difftest` its
 own, so nothing outlives the caller's table.
@@ -48,7 +49,7 @@ from .core import (
 from .crystal import _lift, _lower, _membership, _psi, _very_dominant_multiple
 from .errors import InputError, InternalError, NoPathError
 from .multisegments import _chi, _is_aperiodic, check_multisegment
-from .theta import theta_l2
+from .theta import _theta
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +336,11 @@ def _crystal(lam, e, s, images, steps=None):
     start = (0, -s + _very_dominant_multiple(-s, sum(lam), e) * e)
     mu = lifts.get(lam) or _lift(lam, e, s)  # lam was in the caller's table already
     steps += [
-        ("split", (0, s), theta_l2(lam, e, s)),
+        ("split", (0, s), _theta(lam, e, (0, s))),
         ("lift", up, mu),
         ("componentwise image", start, tuple(images[c, e, s] for c in mu)),
         # psi's descent lands on the member at (0, e - s) that merges to img.
-        ("descend", (0, e - s), theta_l2(img, e, e - s)),
+        ("descend", (0, e - s), _theta(img, e, (0, e - s))),
         ("merge", (0,), (img,)),
     ]
     return img

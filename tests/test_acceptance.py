@@ -227,6 +227,43 @@ def test_exhaustive_blockwise_engines(difftest_merged):
         )
 
 
+# Every property's pass count over e in 2..6, ranks up to 12: a check that
+# stops running on some partitions or split charges changes its count.
+DIFFTEST_PASSES = {
+    "involution": 3036,
+    "agreement": 3036,
+    "rank_regular": 872,
+    "m2_identity": 70,
+    "core_conjugate": 62,
+    "rim_strip_lift": 867,
+    "first_column_lift": 867,
+    "core_empty_lift": 3036,
+    "lift_first_nonempty": 2778,
+    "s_zero": 872,
+    "theta_roundtrip": 3908,
+    "blockwise_lift": 3036,
+    "lift_k_stable": 3036,
+    "blockwise_lower": 2778,
+}
+
+
+def test_exhaustive_pass_counts(difftest_merged):
+    with criterion("exhaustive/pass-counts"):
+        assert tuple(DIFFTEST_PASSES) == difftest.PROPERTIES
+        counts = {name: difftest_merged[name][:2] for name in difftest.PROPERTIES}
+        assert counts == {name: [npass, 0] for name, npass in DIFFTEST_PASSES.items()}
+
+
+def test_a_split_with_its_components_reversed_fails_theta_roundtrip(monkeypatch):
+    # difftest computes each split once and shares it between properties;
+    # theta_roundtrip still checks that one value.
+    split = difftest.theta._theta
+    monkeypatch.setattr(difftest.theta, "_theta", lambda lam, e, s: split(lam, e, s)[::-1])
+    with criterion("exhaustive/shared-split-is-checked"):
+        npass, nfail, key = difftest.run(3, 3, 6, jobs=1)["theta_roundtrip"]
+        assert nfail > 0 and key is not None
+
+
 # --- 3. Round-trips ----------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from mullineux import (
     chi,
     conjugate,
     decode_symbol,
+    difftest,
     e_rim,
     build_symbol,
     canonical,
@@ -177,6 +178,14 @@ def test_bad_e_is_an_input_error(label, e):
         lambda: check_multisegment(((0.5, 1),), 3),
         lambda: apply_word(S, [("tau",), ("sigma", 1.0)], 3),
         lambda: apply_word(S, [("sigma", "a")], 3),
+        lambda: difftest.run(2.0, 3, 4),
+        lambda: difftest.run("2", 3, 4),
+        lambda: difftest.run(2, 3.0, 4),
+        lambda: difftest.run(2, "3", 4),
+        lambda: difftest.run(2, 3, 4.0),
+        lambda: difftest.run(2, 3, "4"),
+        lambda: difftest.run(2, 3, 4, jobs=1.0),
+        lambda: difftest.run(2, 3, 4, jobs="1"),
     ],
 )
 def test_non_integer_arguments_are_input_errors(call):
@@ -197,6 +206,11 @@ def test_non_integer_arguments_are_input_errors(call):
         (lambda: list(enumerate_partitions(-1)), "rank must be nonnegative, got -1"),
         (lambda: enumerate_phi(-1, (0, 1), 3), "rank must be nonnegative, got -1"),
         (lambda: apply_word(S, [("tau",), ("sigma", 0)], 3), "sigma index 0 out of range for level 2"),
+        (lambda: difftest.run(1, 3, 4), "lo must be >= 2, got 1"),
+        (lambda: difftest.run(4, 3, 4), "hi must be >= 4, got 3"),
+        (lambda: difftest.run(2, 3, -1), "max_n must be >= 0, got -1"),
+        (lambda: difftest.run(2, 3, 4, jobs=0), "jobs must be >= 1, got 0"),
+        (lambda: difftest.run(2, 3, 4, jobs=-2), "jobs must be >= 1, got -2"),
     ],
 )
 def test_out_of_range_arguments_name_their_range(call, message):

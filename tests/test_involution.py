@@ -206,13 +206,14 @@ def test_crystal_long_inputs_at_default_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
-def check_calls(call):
-    """Calls to core's argument checks, and to conjugate, made while call() runs.
+def check_calls(call, *more):
+    """Calls to core's argument checks, to conjugate and to the functions in
+    `more`, made while call() runs, keyed on their names.
 
     Counted by code object with sys.setprofile, so a check reached under any
     name, from any module, is counted.
     """
-    named = (core.check_partition, core.check_multipartition, core._int_arg, core.conjugate)
+    named = (core.check_partition, core.check_multipartition, core._int_arg, core.conjugate, *more)
     codes = {f.__code__: f.__name__ for f in named}
     counts = Counter(dict.fromkeys(codes.values(), 0))
 
@@ -243,6 +244,18 @@ def test_the_crystal_route_checks_its_input_once(lam, e):
     assert counts["check_partition"] == 1 + counts["conjugate"]
     if (lam, e) == ((1000,), 3):
         assert counts["check_partition"] + counts["_int_arg"] <= 5
+
+
+def test_difftest_validates_only_route_outputs():
+    # difftest runs the unchecked bodies on the partitions it enumerates and
+    # on the pairs the crystal route's steps hold; only the public xu calls
+    # check their input, once each.
+    more = (crystal._charged_input, core._regular_input, involution.xu)
+    counts = check_calls(lambda: difftest.run(2, 4, 8, jobs=1), *more)
+    assert counts["_charged_input"] == 0
+    assert counts["check_multipartition"] == 0
+    assert counts["xu"] > 0
+    assert counts["_regular_input"] == counts["xu"]
 
 
 def module_containers():
