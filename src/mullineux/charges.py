@@ -17,13 +17,13 @@ Inside the package a path is built as a run-length word, whose tokens are
 r times; its inverse ("unwrap", k, r), the block sigma_k ... sigma_1 tau
 repeated r times; and ("tau", j), tau^j for j of either sign.  A wrap or
 unwrap moves one entry across the k entries below it while the charge
-stays sorted, and a run of r lowerings of the largest entry is one token,
-so `_normalization_word` does not count them one at a time.  `_expand`
-turns such a word into the plain list that path_word returns; crystal's
-walk reads it as it is.  At level >= 3 a descending cluster of entries less
-than e apart still costs one token per lowering: normalizing
-(0, 30001, 60002) takes about 20,000 tokens, so the word's length still
-grows with the distance between charges there.
+stays sorted.  `_normalization_word` lowers a descending cluster, the
+entries above position k, in one token computed in closed form, so after
+its sort a normalization word has at most one wrap per position: at level 3,
+(0, 30001, 60002) normalizes in two tokens, and the length of a word does
+not grow with the distance between its charges.  `_expand` turns such a
+word into the plain list that path_word returns; crystal's walk reads it as
+it is.
 """
 
 from bisect import bisect_left
@@ -127,13 +127,39 @@ def _normalization_word(s, e):
     tau_inv while the sorted charge still spans e or more.  The minimum entry
     is invariant and the sum drops by e at each tau_inv, so this terminates.
 
-    After the first sort the charge stays sorted: tau_inv puts the wrapped
-    entry x in front of a sorted row, and the adjacent-swap sort would carry
-    it past exactly the k entries below x, as sigma_1, ..., sigma_k.  So x
-    is inserted at its bisect_left position and the block is one token
-    ("wrap", k, 1).  While the lowered entry stays above every other entry,
-    k = l - 1 and the same block repeats: the r = (x - t[-2] - 1) // e
-    lowerings that keep it there are one token ("wrap", l - 1, r).
+    After the first sort the charge stays sorted: tau_inv puts the top
+    entry, lowered to x, in front of a sorted row, and the adjacent-swap
+    sort would carry it past exactly the k entries below it, as sigma_1,
+    ..., sigma_k, with k the bisect_left position of x among the others.
+    So each lowering is one block ("wrap", k, 1), and the lowerings that
+    share one k form a phase, emitted as one token ("wrap", k, r) in closed
+    form.
+
+    The phase.  Let b = t[k-1] (or x - 1 when k = 0, where x = t[0]) and
+    let C be the cluster t[k:] once x has taken its place, so every c in C
+    has b < c and C spans at most e: x <= t[k], and x + e, the old top, is
+    at least every other entry.  Each later lowering pops the largest entry
+    M of the cluster, and M - e is at most the cluster's least entry, so
+    the span stays at most e.  If M - e > b, bisect_left puts M - e at k,
+    the bottom of the cluster, and the phase goes on.  Otherwise the phase
+    is over: M - e lands below k, or the loop stops (with k = 0 the least
+    entry t[0] = b + 1 stays put, and M - e <= b means M < t[0] + e).  The
+    popped values do not increase, since each pop takes the largest entry
+    and puts back one at most every other; so every value above b + e is
+    popped before the first one at most b + e, which ends the phase.  An
+    entry c is popped as c, c - e, ... while it stays above b + e, that is
+    (c - b - 1) // e times, and ends at b + 1 + (c - b - 1) % e, in
+    (b, b + e].  So the phase has r = 1 + sum((c - b - 1) // e for c in C)
+    lowerings, and the next one, if any, has a smaller k: its entry drops
+    to b or below.  Each k is used at most once and the word has at most l
+    wrap tokens.
+
+    As C is sorted and spans at most e, its least entry x drops
+    d = (x - b - 1) // e times and every other entry d or d + 1 times:
+    d + 1 from y = b + 1 + (d + 1)*e up.  Those end below all the others,
+    so the new cluster is C - d*e with its entries from y rotated to the
+    front, one e lower still; the code finds y by bisection and sorts
+    nothing.
     """
     t = list(s)
     word = []
@@ -146,16 +172,17 @@ def _normalization_word(s, e):
                 t[c], t[c + 1] = t[c + 1], t[c]
                 swapped = True
     while t[-1] >= t[0] + e:
-        x = t.pop()
-        r = (x - t[-1] - 1) // e
-        if r > 0:
-            t.append(x - r * e)
-            word.append(("wrap", len(t) - 1, r))
-            continue
-        x -= e
+        x = t.pop() - e
         k = bisect_left(t, x)
         t.insert(k, x)
-        word.append(("wrap", k, 1))
+        b = t[k - 1] if k else x - 1
+        d = (x - b - 1) // e
+        j = bisect_left(t, b + 1 + (d + 1) * e, k)
+        word.append(("wrap", k, 1 + (len(t) - k) * d + len(t) - j))
+        if d:
+            t[k:] = [c - d * e for c in t[k:]]
+        if j < len(t):
+            t[k:] = [c - e for c in t[j:]] + t[k:j]
     return word, tuple(t)
 
 

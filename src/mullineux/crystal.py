@@ -9,11 +9,11 @@ of the rows and their charges.  sigma_c runs the two-row symbol matching on
 the charged β-sets of components c, c+1, or only swaps them when one lies
 below the other's floor.  In a wrap or unwrap a row passes rows whose
 charges lie below its own, sorted; those n or more below it, n the
-multirank, are swapped without a look, and a run's reps that pass only
-such rows are one charge update.  The β-sets are read back as partitions
-once, at the end.  The word is not replayed on the charge: `_psi` compares
-the charge the walk ends at with its target and raises InternalError on a
-miss.
+multirank, are swapped without a look, and a run's whole cycles whose reps
+pass only such rows are one charge update.  The β-sets are read back as
+partitions once, at the end.  The word is not replayed on the charge:
+`_psi` compares the charge the walk ends at with its target and raises
+InternalError on a miss.
 
 Every public function here that takes a charged multipartition, and
 `multisegments.chi`, checks it with `_charged_input`.  psi, membership and
@@ -118,11 +118,22 @@ def _walk(mp, s, word, e):
     sorted, the far rows lie below the near ones: the walk scans down from
     the nearest row to the first far one and steps over the rest without
     looking at them.  The near rows run the containment test and, where it
-    fails, the matching.  In a run (k = l - 1) the reps whose moving charge
-    lies n or more above every other charge pass only far rows and change
-    only the moving charge: for a wrap these are the first reps, for an
-    unwrap the last ones, and they are one charge update.  The rows are
-    decoded once, at the end.
+    fails, the matching.
+
+    Whole cycles.  A wrap takes the top row to position k and an unwrap
+    takes row k to the top, so the m = l - k rows from k up cycle: m reps
+    move each of them once, by e, and put them back in their order.  When
+    every one of those reps passes only far rows, the cycle changes no row,
+    only the m charges.  In `_path_word`'s words those m charges are
+    sorted and lie above the k below, so the least of them, s[k], is the
+    one to test against s[k-1], the nearest row below, in O(1).  For a wrap
+    the charges fall and the far cycles come first: the first q are far
+    while s[k] - q*e - s[k-1] >= n.  For an unwrap they rise and the far
+    cycles come last, from the first rep at which s[k] - s[k-1] >= n.
+    With k = 0 nothing lies below and every cycle is far.  Either way the q
+    cycles are one charge update, and the rest of the run goes rep by rep,
+    its far reps cheap and its near reps at most about m*(n/e + 1), so the
+    cost does not grow with r.  The rows are decoded once, at the end.
     """
     rows = [tuple([p - j for j, p in enumerate(lam, 1)][::-1]) for lam in mp]
     s = list(s)
@@ -141,10 +152,11 @@ def _walk(mp, s, word, e):
             s[c - 1], s[c] = b, a
         elif kind == "wrap":
             _, k, r = gen
-            if k == l - 1:
-                q = r if not k else min(r, max(0, (s[-1] - s[-2] - n) // e))
-                s[-1] -= q * e
-                r -= q
+            m = l - k
+            q = r // m if not k else min(r // m, max(0, (s[k] - s[k - 1] - n) // e))
+            if q:
+                s[k:] = [x - q * e for x in s[k:]]
+                r -= q * m
             for _ in range(r):
                 row = rows.pop()
                 a = s.pop() - e
@@ -160,10 +172,13 @@ def _walk(mp, s, word, e):
                 s.insert(k, a)
         elif kind == "unwrap":
             _, k, r = gen
+            m = l - k
             while r:
-                if k == l - 1 and (not k or s[-1] - s[-2] >= n):
-                    s[-1] += r * e
-                    break
+                if r >= m and (not k or s[k] - s[k - 1] >= n):
+                    q = r // m
+                    s[k:] = [x + q * e for x in s[k:]]
+                    r -= q * m
+                    continue
                 row = rows.pop(k)
                 a = s.pop(k)
                 i = k - 1
@@ -225,11 +240,21 @@ def psi(mp, charge, to, e):
     return _psi(mp, s, t, e)
 
 
-def _psi(mp, s, t, e):
-    """psi of a checked multipartition between checked charges of one orbit."""
+def _psi(mp, s, t, e, words=None):
+    """psi of a checked multipartition between checked tuple charges of one orbit.
+
+    `words`, when given, is the caller's table of run-length words keyed
+    (s, t), for this e only: a missing word is built and kept there.
+    """
     if s == t:
         return mp
-    mp, end = _walk(mp, s, _path_word(s, t, e), e)
+    if words is None:
+        word = _path_word(s, t, e)
+    else:
+        word = words.get((s, t))
+        if word is None:
+            word = words[s, t] = _path_word(s, t, e)
+    mp, end = _walk(mp, s, word, e)
     if end != t:
         raise InternalError(f"isomorphism walk ended at {end}, wanted {t}")
     return mp
@@ -262,7 +287,8 @@ def enumerate_phi(n, charge, e):
     if s == f:
         found = [mp for mp in enumerate_multipartitions(n, len(s)) if _flotw(mp, s, e)]
     else:
-        found = [_psi(mp, f, s, e) for mp in enumerate_phi(n, f, e)]
+        words = {}
+        found = [_psi(mp, f, s, e, words) for mp in enumerate_phi(n, f, e)]
     return tuple(sorted(found))
 
 

@@ -11,7 +11,9 @@ the crystal route's own steps, so the checks validate none of them again:
 they run the unchecked bodies the routes use, `crystal._psi`, `_lift` and
 `_flotw`, `multisegments._chi`, `core._concat` and `_is_strict_core`.  The
 split theta(λ, (0, s)) is computed once per s in 0..e-1, with `theta._theta`,
-and serves the lifts of strict cores, `s_zero` and `theta_roundtrip`.  The
+and serves the lifts of strict cores, `s_zero` and `theta_roundtrip`.  Each
+(e, n) keeps one table of transport words keyed (s, t), which its three
+`psi` references share, and one of xu's images of the rows (len(λ),).  The
 calls to `xu`, `xu_strip`, `remove_first_column` and `conjugate`, and the
 checks on xu's image, stay public.  Library functions are called through
 their modules (`crystal._psi`, ...), so a rebinding of a module attribute,
@@ -67,7 +69,7 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
             if slot[2] is None or key < slot[2]:
                 slot[2] = key
 
-    images = {}
+    images, words, columns = {}, {}, {}
     for lam in sorted(core.enumerate_e_regular(n, e)):
         key = (e, n, lam)
         xim = involution.xu(lam, e)
@@ -95,8 +97,8 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
                 (_, _, pair), (_, up, lifted), (_, start, nu), (_, _, kappa), _ = steps
                 record("lift_first_nonempty", lifted[0] != (), skey)
                 # psi, the slow reference, checks the route's descent here and its lift below.
-                record("blockwise_lower", crystal._psi(nu, start, (0, e - s), e) == kappa, skey)
-            reference = crystal._psi(pair, (0, s), up, e)
+                record("blockwise_lower", crystal._psi(nu, start, (0, e - s), e, words) == kappa, skey)
+            reference = crystal._psi(pair, (0, s), up, e, words)
             lifts[s] = lifted
             record("core_empty_lift", lifted[1] != () or is_core, skey)
             record("blockwise_lift", lifted == reference, skey)
@@ -106,10 +108,13 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
         if lam:
             smaller, removed = involution.xu_strip(lam, e)
             record("rim_strip_lift", lifts[e - 1] == ((removed,), smaller), key)
-            expect = (involution.xu((len(lam),), e), core.remove_first_column(lam))
+            column = columns.get(len(lam))
+            if column is None:
+                column = columns[len(lam)] = involution.xu((len(lam),), e)
+            expect = (column, core.remove_first_column(lam))
             record("first_column_lift", lifts[1] == expect, key)
         k0 = crystal._very_dominant_multiple(0, n, e)
-        img0 = crystal._psi(splits[0], (0, 0), (0, k0 * e), e)
+        img0 = crystal._psi(splits[0], (0, 0), (0, k0 * e), e, words)
         record("s_zero", img0 == ((), lam), key)
         segments = multisegments._chi((lam,), (0,), e)
         for s, tl in enumerate(splits):

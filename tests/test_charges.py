@@ -14,6 +14,7 @@ from conftest import charge_tuples
 from mullineux.charges import (
     InputError,
     _expand,
+    _normalization_word,
     _path_word,
     _residue_counts,
     apply_word,
@@ -238,6 +239,24 @@ def test_normalization_word_is_the_bubble_sort_word_exhaustively():
 @given(st.integers(1, 5).flatmap(lambda level: charge_tuples(level, -20, 20)), st.integers(2, 7))
 def test_normalization_word_is_the_bubble_sort_word(s, e):
     assert path_word(s, fundamental_representative(s, e), e) == bubble_normalization_word(s, e)
+
+
+@given(st.integers(1, 6).flatmap(lambda level: charge_tuples(level, -10**6, 10**6)), st.integers(2, 7))
+def test_normalization_word_has_one_wrap_per_descending_cluster(s, e):
+    # Each phase of lowerings at one k is one token, and k falls from phase
+    # to phase, so the word's length does not grow with the entries' spread.
+    word, f = _normalization_word(s, e)
+    assert f == fundamental_representative(s, e)
+    wraps = [gen[1] for gen in word if gen[0] == "wrap"]
+    assert len(wraps) <= 2 * (len(s) - 1)
+    assert wraps == sorted(set(wraps), reverse=True)
+    assert len(word) - len(wraps) <= len(s) * (len(s) - 1) // 2
+
+
+def test_a_descending_cluster_is_one_token():
+    # 10,000 lowerings of the top entry, then 20,000 of the cluster of two.
+    assert _path_word((0, 30001, 60002), (0, 1, 2), 3) == [("wrap", 2, 10000), ("wrap", 1, 20000)]
+    assert len(_path_word((0, 1, 2), (0, 30001, 60002), 3)) == 2
 
 
 def test_unchecked_path_word_lands_exactly():

@@ -29,6 +29,7 @@ from mullineux.crystal import (
     _bent,
     _lift,
     _lower_pair,
+    _psi,
     _walk,
     blockwise_lift,
     blockwise_lower,
@@ -443,6 +444,55 @@ def test_psi_across_three_million_answers_at_once():
     image = psi(mp, far, low, e)
     assert psi(image, low, far, e) == mp
     assert time.perf_counter() - start < 0.5
+
+
+def test_psi_across_three_million_answers_at_once_at_level_3():
+    """psi from (0, 3*10^6 + 1, 6*10^6 + 2) to (0, 1, 2) at e = 3 takes two
+    runs, the top entry's and then the cluster of two, and the whole
+    cycles of each run whose reps pass only rows far below are one charge
+    update.  The
+    image is the one from any charge far enough up, here
+    (0, 1 + 3(n + 2), 2 + 6(n + 2))."""
+    e, far, low = 3, (0, 3 * 10**6 + 1, 6 * 10**6 + 2), (0, 1, 2)
+    for n in range(6):
+        near = (0, 1 + e * (n + 2), 2 + 2 * e * (n + 2))
+        for mp in enumerate_multipartitions(n, 3):
+            image = psi(mp, far, low, e)
+            assert image == stepwise_psi(mp, near, low, e), mp
+            assert psi(image, low, far, e) == mp, mp
+    mp = ((9, 7, 4, 4, 1), (8, 5, 5, 2, 1, 1), (6, 3, 3, 1))
+    start = time.perf_counter()
+    image = psi(mp, far, low, e)
+    assert psi(image, low, far, e) == mp
+    assert time.perf_counter() - start < 0.5
+
+
+def test_psi_with_a_word_table_is_psi_without_one():
+    # One table serves every multipartition, source and target of one e;
+    # it holds one word per pair of distinct charges asked for.
+    rng = random.Random(43)
+    for e in (2, 3, 4):
+        words, pairs = {}, set()
+        for level in (1, 2, 3):
+            s = tuple(rng.randint(-e, 2 * e) for _ in range(level))
+            for t in [s, very_dominant_representative(s, 6, e)] + [orbit_charge(rng, s, e, spread=12) for _ in range(2)]:
+                pairs |= {(s, t), (t, s)} - {(s, s)}
+                for n in range(5):
+                    for mp in enumerate_multipartitions(n, level):
+                        assert _psi(mp, s, t, e, words) == _psi(mp, s, t, e), (mp, s, t, e)
+                        assert _psi(mp, t, s, e, words) == _psi(mp, t, s, e), (mp, t, s, e)
+        assert set(words) == pairs
+        assert all(words[s, t] == _path_word(s, t, e) for s, t in pairs)
+
+
+def test_enumerate_phi_builds_its_word_once(monkeypatch):
+    import mullineux.crystal as crystal
+
+    built = []
+    body = crystal._path_word
+    monkeypatch.setattr(crystal, "_path_word", lambda s, t, e: built.append((s, t)) or body(s, t, e))
+    assert len(enumerate_phi(6, (0, 30001, 60002), 3)) > 1
+    assert built == [((0, 1, 2), (0, 30001, 60002))]
 
 
 def expanded_walk(mp, s, t, e):

@@ -258,6 +258,23 @@ def test_difftest_validates_only_route_outputs():
     assert counts["_regular_input"] == counts["xu"]
 
 
+def test_difftest_builds_each_transport_word_and_column_image_once(monkeypatch):
+    # One check owns a table of words keyed (s, t) and a table of xu's
+    # images of the rows (len(λ),): no word and no row image is made twice.
+    built, rows = [], []
+    path_word, xu = crystal._path_word, involution.xu
+    monkeypatch.setattr(crystal, "_path_word", lambda s, t, e: built.append((s, t)) or path_word(s, t, e))
+    monkeypatch.setattr(involution, "xu", lambda lam, e: rows.append(lam) or xu(lam, e))
+    for e in range(2, 6):
+        for n in range(10):
+            del built[:], rows[:]
+            difftest.check(e, n)
+            partitions = list(enumerate_e_regular(n, e))
+            assert len(built) == len(set(built)) <= 2 * (e - 1) + 1, (e, n)
+            assert len(rows) == len(partitions) + len({len(lam) for lam in partitions if lam}), (e, n)
+    assert built
+
+
 def module_containers():
     """A copy of every dict, list and set bound at module level in the package."""
     for info in pkgutil.iter_modules(mullineux.__path__):
