@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 invalid input, 3 internal inconsistency.
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import core, crystal, difftest, involution, multisegments
@@ -258,7 +259,7 @@ def build_parser():
     p = command("crystal-iso", cmd_crystal_iso, "transport a member between charges")
     p.add_argument("--charge", required=True)
     p.add_argument("--to", required=True)
-    p.add_argument("--bipartition", required=True)
+    p.add_argument("--bipartition", required=True, help='a multipartition at any level, components joined by "|"')
 
     p = command("theta", cmd_theta, "split a partition over a fundamental charge")
     p.add_argument("--charge", required=True)
@@ -283,8 +284,16 @@ def build_parser():
 
 
 def main(argv=None):
+    # argparse reads a value such as "-|3" or "-1,0" as an option name, and no
+    # option name here starts so: "--name value" goes on as "--name=value".
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and re.fullmatch(r"--\w[\w-]*", tokens[-1]) and re.match(r"-[^-a-zA-Z]", token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(tokens)
     try:
         return args.func(args) or 0
     except InputError as exc:

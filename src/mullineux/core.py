@@ -12,6 +12,7 @@ once, at the boundary; internal kernels take the checked values.
 
 import operator
 from contextlib import contextmanager
+from itertools import chain
 
 from .errors import InputError
 
@@ -64,8 +65,10 @@ def check_partition(parts):
     are removed; raises InputError otherwise.
     """
     seq = _int_seq("parts", parts)
-    while seq and seq[-1] == 0:
-        seq = seq[:-1]
+    end = len(seq)
+    while end and seq[end - 1] == 0:
+        end -= 1
+    seq = seq[:end]
     for a, b in zip(seq, seq[1:]):
         if a < b:
             raise InputError(f"parts must be weakly decreasing: {seq}")
@@ -162,7 +165,7 @@ def concat(*partitions):
 
 def _concat(*partitions):
     """concat of checked partitions, given as tuples."""
-    return tuple(sorted(sum(partitions, ()), reverse=True))
+    return tuple(sorted(chain.from_iterable(partitions), reverse=True))
 
 
 def remove_first_column(lam):

@@ -26,6 +26,8 @@ level-2 isomorphisms between a fundamental charge and a very dominant one;
 the crystal route runs `_lift` and `_lower`, with psi as their reference.
 """
 
+import operator
+
 from .charges import (
     _fundamental_representative,
     _orbit_check,
@@ -40,7 +42,6 @@ from .core import (
     check_multipartition,
     check_partition,
     enumerate_multipartitions,
-    part,
 )
 from .errors import InputError, InternalError
 from .symbols import _match
@@ -81,9 +82,9 @@ def _flotw(mp, s, e):
             nxt, gap = mp[j + 1], s[j + 1] - s[j]
         else:
             nxt, gap = mp[0], e + s[0] - s[-1]
-        for i in range(1, len(nxt) - gap + 1):
-            if part(mp[j], i) < nxt[i + gap - 1]:
-                return False
+        # Parts past the end of mp[j] are 0, below every part of nxt.
+        if len(mp[j]) < len(nxt) - gap or any(map(operator.lt, mp[j], nxt[gap:])):
+            return False
     residues = {}
     for j in range(l):
         for i, p in enumerate(mp[j], start=1):
@@ -102,13 +103,7 @@ def _walk(mp, s, word, e):
     charged β-set.  So tau^j changes no row: row i moves to (i - j) mod l
     and its charge gains e*((j - i - 1)//l + 1), one rotation in O(l).
 
-    At sigma_c, when the largest element of one charged β-set lies below
-    the floor of the other, the first set lies inside the second; the
-    symbol matching then pairs every entry of the smaller set with itself,
-    so the step only swaps the two rows and the two charges.  In charge
-    terms that is s_{c+1} - s_c >= lam^c_1 + len(lam^{c+1}), or the mirror
-    inequality.  Otherwise `_matched` runs the matching on the two charged
-    rows.
+    sigma_c is `_sigma` on the rows of components c, c+1.
 
     A wrap or unwrap moves one row at charge a past rows at charges b < a,
     sorted ascending; `_path_word` emits them only where the charge is
@@ -117,8 +112,7 @@ def _walk(mp, s, word, e):
     the two rows' partitions lam (at b) and mu (at a).  As the charges are
     sorted, the far rows lie below the near ones: the walk scans down from
     the nearest row to the first far one and steps over the rest without
-    looking at them.  The near rows run the containment test and, where it
-    fails, the matching.
+    looking at them.  The near rows run `_sigma`.
 
     Whole cycles.  A wrap takes the top row to position k and an unwrap
     takes row k to the top, so the m = l - k rows from k up cycle: m reps
@@ -144,11 +138,7 @@ def _walk(mp, s, word, e):
         if kind == "sigma":
             c = gen[1]
             a, b = s[c - 1], s[c]
-            row1, row2 = rows[c - 1], rows[c]
-            if (row1[-1] if row1 else -1) + len(row2) < b - a or (row2[-1] if row2 else -1) + len(row1) < a - b:
-                rows[c - 1], rows[c] = row2, row1
-            else:
-                rows[c - 1], rows[c] = _matched(row1, row2, a, b, s, c - 1, c + 1)
+            rows[c - 1], rows[c] = _sigma(rows[c - 1], rows[c], a, b, s, c - 1, c + 1)
             s[c - 1], s[c] = b, a
         elif kind == "wrap":
             _, k, r = gen
@@ -164,9 +154,7 @@ def _walk(mp, s, word, e):
                 while i and a - s[i - 1] < n:
                     i -= 1
                 while i < k:
-                    row2, b = rows[i], s[i]
-                    if (row[-1] if row else -1) + len(row2) >= b - a and (row2[-1] if row2 else -1) + len(row) >= a - b:
-                        rows[i], row = _matched(row, row2, a, b, s, i, i + 1)
+                    rows[i], row = _sigma(row, rows[i], a, s[i], s, i, i + 1)
                     i += 1
                 rows.insert(k, row)
                 s.insert(k, a)
@@ -183,9 +171,7 @@ def _walk(mp, s, word, e):
                 a = s.pop(k)
                 i = k - 1
                 while i >= 0 and a - s[i] < n:
-                    row1, b = rows[i], s[i]
-                    if (row1[-1] if row1 else -1) + len(row) >= a - b and (row[-1] if row else -1) + len(row1) >= b - a:
-                        row, rows[i] = _matched(row1, row, b, a, s, i, i + 1)
+                    row, rows[i] = _sigma(rows[i], row, s[i], a, s, i, i + 1)
                     i -= 1
                 rows.append(row)
                 s.append(a + e)
@@ -199,20 +185,28 @@ def _walk(mp, s, word, e):
     return tuple(decoded), tuple(s)
 
 
-def _matched(row1, row2, a, b, s, lo, hi):
-    """sigma_{lo + 1} by symbol matching on rows relative to charges a and b.
+def _sigma(row1, row2, a, b, s, lo, hi):
+    """sigma_{lo + 1} on rows relative to charges a and b: the new rows, at b and at a.
 
-    Pads the two rows down to their common floor, which makes them the
-    minimal-depth symbol of the pair, runs the matching and trims each new
-    row back to the entries above the run its floor implies.  The matching
-    runs in the frame of charge a, which it does not change, since it only
-    compares entries: row 2 is shifted by b - a on the way in, and the new
-    row at charge b is shifted back.  Returns the new rows relative to
-    their new charges b and a.  A new row that repeats an entry or reaches
-    below its floor would mean the matching left the β-sets and raises
-    InternalError, naming the charge (*s[:lo], a, b, *s[hi:]) at that step.
+    When the largest element of one charged β-set lies below the floor of
+    the other, the first set lies inside the second; the symbol matching
+    then pairs every entry of the smaller set with itself, so the step only
+    swaps the two rows.  In charge terms that is b - a >= lam_1 + len(mu),
+    or the mirror inequality, for the partitions lam at a and mu at b.
+
+    Otherwise it pads the two rows down to their common floor, which makes
+    them the minimal-depth symbol of the pair, runs the matching and trims
+    each new row back to the entries above the run its floor implies.  The
+    matching runs in the frame of charge a, which it does not change, since
+    it only compares entries: row 2 is shifted by b - a on the way in, and
+    the new row at charge b is shifted back.  A new row that repeats an
+    entry or reaches below its floor would mean the matching left the
+    β-sets and raises InternalError, naming the charge
+    (*s[:lo], a, b, *s[hi:]) at that step.
     """
     d = b - a
+    if (row1[-1] if row1 else -1) + len(row2) < d or (row2[-1] if row2 else -1) + len(row1) < -d:
+        return row2, row1
     f1, f2 = -len(row1), d - len(row2)
     floor = f1 if f1 < f2 else f2
     new = _match(a, b, [*range(floor, f1), *row1], [*range(floor, f2), *[x + d for x in row2]])
@@ -273,7 +267,7 @@ def membership(mp, charge, e):
 def _membership(mp, s, e):
     """membership of a checked multipartition at a checked charge of its level."""
     f = _fundamental_representative(s, e)
-    return _flotw(mp if s == f else _psi(mp, s, f, e), f, e)
+    return _flotw(_psi(mp, s, f, e), f, e)
 
 
 def enumerate_phi(n, charge, e):
@@ -283,13 +277,9 @@ def enumerate_phi(n, charge, e):
     flotw_check; elsewhere it is the isomorphic image of the fundamental set.
     """
     n, s, e = _rank_arg(n), check_charge(charge), _int_arg("e", e, 2)
-    f = _fundamental_representative(s, e)
-    if s == f:
-        found = [mp for mp in enumerate_multipartitions(n, len(s)) if _flotw(mp, s, e)]
-    else:
-        words = {}
-        found = [_psi(mp, f, s, e, words) for mp in enumerate_phi(n, f, e)]
-    return tuple(sorted(found))
+    f, words = _fundamental_representative(s, e), {}
+    members = (mp for mp in enumerate_multipartitions(n, len(s)) if _flotw(mp, f, e))
+    return tuple(sorted(_psi(mp, f, s, e, words) for mp in members))
 
 
 def _very_dominant_multiple(offset, n, e):

@@ -64,12 +64,9 @@ def chi(mp, charge, e):
 def _chi(mp, s, e):
     """chi of a checked multipartition at a checked charge of its level."""
     f = _fundamental_representative(s, e)
-    if s != f:
-        mp = _psi(mp, s, f, e)
-        s = f
     segs = []
-    for c, comp in enumerate(mp):
+    for c, comp in enumerate(_psi(mp, s, f, e)):
         for i, p in enumerate(comp, start=1):
-            segs.append(((1 - i + s[c]) % e, p))
+            segs.append(((1 - i + f[c]) % e, p))
     return canonical(segs)
 

@@ -178,6 +178,31 @@ def test_crystal_iso(capsys):
     assert (code, out) == (0, "-|2,1\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("crystal-iso", "--e", "3", "--charge", "0,1", "--to", "0,4", "--bipartition", "-|3"),
+        ("crystal-iso", "--e", "3", "--charge", "0,1", "--to", "-3,1", "--bipartition", "-|3"),
+        ("crystal-iso", "--e", "3", "--charge", "-1,0,1", "--to", "-1,3,-2", "--bipartition", "-|2|1"),
+        ("theta", "--e", "3", "--charge", "-1,0", "--partition", "3,2,1", "--format", "json"),
+        ("mullineux", "--e", "3", "--partition", "-"),
+    ],
+)
+def test_an_option_value_may_start_with_a_dash(capsys, argv):
+    """`--opt value` with a value such as "-|3" or "-1,0" prints what `--opt=value` prints."""
+    joined = [argv[0]] + [f"{name}={value}" for name, value in zip(argv[1::2], argv[2::2])]
+    expected = run(capsys, *joined)
+    assert expected[0] == 0
+    assert run(capsys, *argv) == expected
+
+
+def test_a_flag_followed_by_a_dash_value_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mullineux", "--e", "3", "--partition", "3", "--trace", "-1,0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_a_walk_that_leaves_the_beta_sets_exits_3(capsys, monkeypatch):
     # A matching that repeats an entry breaks the walk's guarantee, not the input.
     monkeypatch.setattr("mullineux.crystal._match", lambda s1, s2, row1, row2: ((row1[0], *row1), tuple(row2)))

@@ -1,5 +1,7 @@
 """Tests for partition primitives: validation, conjugation, cores, enumeration."""
 
+import time
+
 import pytest
 
 from hypothesis import given
@@ -23,6 +25,7 @@ from mullineux.core import (
     rank,
     remove_first_column,
 )
+from mullineux.theta import theta_inverse
 
 # Number of partitions of n for n = 0..14 (OEIS A000041).
 PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135)
@@ -57,6 +60,12 @@ def test_check_partition_normalizes():
         ((5,), (5,)),
     ):
         assert check_partition(raw) == expected, raw
+
+
+def test_check_partition_drops_a_million_trailing_zeros_at_once():
+    start = time.perf_counter()
+    assert check_partition((3,) + (0,) * 10**6) == (3,)
+    assert time.perf_counter() - start < 1
 
 
 def test_check_partition_rejects():
@@ -175,6 +184,14 @@ def test_concat_is_sorted_union(lam, mu):
     out = concat(lam, mu)
     assert out == tuple(sorted(lam + mu, reverse=True))
     assert rank(out) == rank(lam) + rank(mu)
+
+
+def test_concat_joins_a_hundred_thousand_components_at_once():
+    rows = ((1,),) * 10**5
+    start = time.perf_counter()
+    assert theta_inverse(rows) == (1,) * 10**5
+    assert concat(*rows) == (1,) * 10**5
+    assert time.perf_counter() - start < 2
 
 
 def test_remove_first_column():
