@@ -8,10 +8,11 @@
 * kleshchev_oracle: the branching-rule recursion, one i-string at a time
   (peel every uncancelled removable node of the least residue i carrying
   one, recurse, add that many of the highest uncancelled addable nodes of
-  residue -i).  Each step reads the reduced signature of every residue off
-  one pass over the corners of the partition, the top and bottom rows of
-  its blocks of equal parts, and the recursion goes one call deeper per
-  string, not per node.
+  residue -i).  Each step is one pass over the corners of the partition,
+  the top and bottom rows of its blocks of equal parts: a peel keeps the
+  uncancelled removable rows of every residue and only counts the addables
+  that cancel them, a regrow keeps the addable rows of residue -i alone.
+  The recursion goes one call deeper per string, not per node.
 mullineux_crystal checks its input once; `_crystal` then runs the unchecked
 bodies `crystal._lift`, `crystal._lower` and `core._is_strict_core`, and its
 trace builds the split and descend states with `theta._theta`.
@@ -114,15 +115,26 @@ def xu_strip(lam, e):
         raise InputError("the e-rim of the empty partition is undefined")
     out = []
     size = 0
-    for p, below in zip(lam, lam[1:] + (0,)):
-        k = min(p - max(below, 1) + 1, e - size % e)
+    n = len(lam)
+    top = lam[0]
+    for r, p in enumerate(lam, 1):
+        k = p - lam[r] + 1 if r < n else p  # max(lam_{r+1}, 1) is 1 only in the last row
+        m = e - size % e
+        if k > m:
+            k = m
         size += k
-        out.append(p - k + 1)
+        q = p - k + 1
+        if q > top:
+            raise InternalError(f"stripping the truncated e-rim broke the shape: {[*out, q]}")
+        out.append(q)
+        top = q
     seed = 1 if size % e else 0
     out[-1] -= seed
-    if any(x < y for x, y in zip(out, out[1:])) or out[-1] < 0:
+    if out[-1] < 0:
         raise InternalError(f"stripping the truncated e-rim broke the shape: {out}")
-    return tuple(p for p in out if p > 0), size - len(lam) + seed
+    if not out[-1]:
+        out.pop()
+    return tuple(out), size - n + seed
 
 
 def xu(lam, e):
@@ -160,34 +172,63 @@ def _xu(lam, e, steps):
 # Branching-rule route
 # ---------------------------------------------------------------------------
 
-def _signatures(lam, e):
-    """Rows of the uncancelled removable and addable i-nodes of a checked lam,
-    as two lists of row lists indexed by the residue i, each top to bottom.
+def _removable_rows(lam, e):
+    """Rows of the uncancelled removable i-nodes of a checked lam, as a list of
+    row lists indexed by the residue i, each top to bottom.
 
     One pass over the corners: a block of equal parts has its addable node at
-    its top row and its removable node at its bottom row, and the row below
-    the last part is the top of a block of zeros.  Read top to bottom, a
-    removable i-node cancels the nearest addable i-node above it not yet
-    cancelled, so the addables of each residue are kept as a stack that a
-    removable pops.  What is left is the reduced i-signature R^a A^b: the
-    good removable i-node is its last R, and the good addable i-node its
-    first A.
+    its top row and its removable node at its bottom row.  Read top to
+    bottom, a removable i-node cancels the nearest addable i-node above it
+    not yet cancelled, so only the count of those addables is kept, per
+    residue.  What is left of the removables is the R^a of the reduced
+    i-signature R^a A^b, and the good removable i-node is its last R.  The
+    addable node in the row below lam has no removable below it to cancel.
     """
     removable = [[] for _ in range(e)]
-    addable = [[] for _ in range(e)]
+    free = [0] * e
     prev = None
-    for r, p in enumerate(lam + (0,)):
-        if p == prev:
-            continue
-        if r:  # the block of parts prev ends in row r
-            i = (prev - r) % e
-            if addable[i]:
-                addable[i].pop()
-            else:
-                removable[i].append(r)
-        addable[(p - r) % e].append(r + 1)  # a block of parts p starts in row r + 1
-        prev = p
-    return removable, addable
+    for r, p in enumerate(lam):
+        if p != prev:
+            if r:  # the block of parts prev ends in row r
+                i = (prev - r) % e
+                if free[i]:
+                    free[i] -= 1
+                else:
+                    removable[i].append(r)
+            free[(p - r) % e] += 1  # a block of parts p starts in row r + 1
+            prev = p
+    if lam:  # the last block ends in the last row
+        r = len(lam)
+        i = (prev - r) % e
+        if not free[i]:
+            removable[i].append(r)
+    return removable
+
+
+def _addable_rows(lam, e, j):
+    """Rows of the uncancelled addable j-nodes of a checked lam, top to bottom.
+
+    The same pass as `_removable_rows`, for the one residue j: the addable
+    j-nodes are kept as a stack that each removable j-node below them pops.
+    What is left is the A^b of the reduced j-signature R^a A^b, and the good
+    addable j-node is its first A.  The row below lam is the top of a block
+    of zeros, after the bottom row of lam's last block.
+    """
+    rows = []
+    prev = None
+    for r, p in enumerate(lam):
+        if p != prev:
+            if r and rows and (prev - r) % e == j:  # the block of parts prev ends in row r
+                rows.pop()
+            if (p - r) % e == j:  # a block of parts p starts in row r + 1
+                rows.append(r + 1)
+            prev = p
+    r = len(lam)
+    if r and rows and (prev - r) % e == j:
+        rows.pop()
+    if -r % e == j:
+        rows.append(r + 1)
+    return rows
 
 
 def kleshchev_oracle(lam, e):
@@ -211,7 +252,7 @@ def _kleshchev_peel(lam, e):
     them, and removing an i-node changes no other i-node's status.  The a
     nodes lie in a distinct rows, one in each; only the last row can reach 0.
     """
-    for i, rows in enumerate(_signatures(lam, e)[0]):
+    for i, rows in enumerate(_removable_rows(lam, e)):
         if rows:
             break
     else:
@@ -232,7 +273,7 @@ def _kleshchev_grow(lam, e, i, k):
     k highest.  They lie in distinct rows; only the row below lam can be new.
     """
     j = -i % e
-    rows = _signatures(lam, e)[1][j]
+    rows = _addable_rows(lam, e, j)
     if len(rows) < k:
         raise InternalError(f"{lam} has {len(rows)} good addable nodes of residue {j}, not {k}")
     out = [*lam, 0]

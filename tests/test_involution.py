@@ -363,6 +363,17 @@ def test_kleshchev_trace_records_one_step_per_string():
     assert result == steps[-1][2][0] == kleshchev_oracle((5, 3, 1), 3)
 
 
+def test_kleshchev_trace_matches_the_oracle_exhaustively():
+    # The trace's loop and the oracle's recursion run the same two passes.
+    for e in range(2, 7):
+        for n in range(13):
+            for lam in enumerate_e_regular(n, e):
+                img, steps = kleshchev_trace(lam, e)
+                assert img == kleshchev_oracle(lam, e), (lam, e)
+                last = steps[-1][2] if steps else ((),)  # the empty partition has no step
+                assert last == (img,), (lam, e)
+
+
 def test_kleshchev_long_inputs_at_default_recursion_limit():
     # The recursion goes one call deeper per i-string, and the staircase
     # 50..1 of rank 1275 has far fewer strings than nodes.
@@ -393,18 +404,18 @@ def test_kleshchev_matches_the_crystal_reference_on_larger_partitions(case):
 
 def test_good_nodes_cancelation():
     # The highest addable and lowest removable survive the pairing for (3,3).
-    removable, addable = involution._signatures((3, 3), 3)
+    removable = involution._removable_rows((3, 3), 3)
     assert removable[1] == [2]
     assert removable[0] == []
-    assert addable[0] == [1]
+    assert involution._addable_rows((3, 3), 3, 0) == [1]
 
 
 def assert_signatures_match_reference(lam, e):
-    removable, addable = involution._signatures(lam, e)
+    removable = involution._removable_rows(lam, e)
     for i in range(e):
         reduced = reduced_signature((lam,), (0,), e, i)
         assert removable[i] == [r for kind, _, r in reduced if kind == "R"], (lam, e, i)
-        assert addable[i] == [r for kind, _, r in reduced if kind == "A"], (lam, e, i)
+        assert involution._addable_rows(lam, e, i) == [r for kind, _, r in reduced if kind == "A"], (lam, e, i)
 
 
 def test_signatures_match_row_by_row_reference_exhaustively():
