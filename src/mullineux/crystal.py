@@ -301,11 +301,13 @@ def blockwise_lift(lam, e, s):
     first row whose content is below c.  lam1 may pass through non-partition
     shapes inside a round.  After a round with moves, the rows of lam2 down
     to the lowest one touched are appended to the output mu and the charge
-    of lam2 grows by e minus the number of rows collected.  A round without
-    moves grows the charge by e and the process repeats until no move can
-    ever fire again (the next round's addable row has a content at least
-    every source content); the remaining rows of lam2 are then appended to
-    mu.  Returns (lam1, mu).
+    of lam2 grows by e minus the number of rows collected, and a round
+    without moves grows it by e.  A round at charge t runs only while lam1
+    has boxes and t - len(lam2) < lam1[0]: a move needs a target content
+    below its source's, and past that bound the lowest target content, the
+    addable row's t - len(lam2) - 1, is at least the highest source
+    content, row 1's lam1[0] - 1.  The remaining rows of lam2 are then
+    appended to mu.  Returns (lam1, mu).
     """
     lam, e = check_partition(lam), _int_arg("e", e, 2)
     return _lift(lam, e, _int_arg("s", s, 0, e - 1))
@@ -320,19 +322,16 @@ def _lift(lam, e, s):
     two neighbours.  The end checks run once and stay whole: mu joins
     blocks of many rounds.
 
-    After a round at t that moves nothing, the next one runs at t + e on the
-    same rows.  Its lowest target content is the addable row's,
-    t + e - len(lam2) - 1, and the largest source content is lam1[0] - 1,
-    row 1's, since lam1 is a partition.  A move needs a target content
-    below its source's, so once t + e - len(lam2) >= lam1[0] neither that
-    round nor any later idle one, at a still higher charge, can move a box,
-    and the lift stops.
+    The loop condition is blockwise_lift's stop rule, checked before every
+    round, where lam1 is a partition and row 1 holds the highest source
+    content.  So no round runs once the bound rules out every move, and an
+    idle round is only a charge step.
     """
     lam1 = list(lam[: e - s])
     lam2 = list(lam[e - s :])
     t = s
     mu = []
-    while True:
+    while lam1 and lam1[0] and t - len(lam2) < lam1[0]:
         donors, touched = [], []
         for a in range(1, len(lam1) + 1):
             if lam1[a - 1] == 0:
@@ -355,8 +354,6 @@ def _lift(lam, e, s):
             donors.append(a)
             touched.append(j)
         if not touched:
-            if not lam1 or not lam1[0] or t + e - len(lam2) >= lam1[0]:
-                break  # no move can fire again
             t += e
             continue
         if _bent(lam2, touched):

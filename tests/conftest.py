@@ -50,6 +50,11 @@ def partitions_up_to(draw, max_rank, max_part, regular):
     return tuple(lam), e
 
 
+def fundamental_charges(e, level):
+    """The fundamental charges (0, s_2, ..., s_level), 0 <= s_2 <= ... <= s_level < e, sorted."""
+    return [(0, *rest) for rest in itertools.combinations_with_replacement(range(e), level - 1)]
+
+
 def aperiodic_multisegments(n, e):
     """Every aperiodic multisegment of rank n mod e, in canonical form."""
     for lengths in enumerate_partitions(n):

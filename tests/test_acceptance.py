@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import aperiodic_multisegments, branching_image
+from conftest import aperiodic_multisegments, branching_image, fundamental_charges
 
 from mullineux import difftest
 
@@ -305,12 +305,6 @@ def test_multisegment_labelling_is_injective():
 
 
 def test_round_trip_theta():
-    def fundamental_charges(e, level):
-        for rest in itertools.product(range(e), repeat=level - 1):
-            charge = (0,) + rest
-            if all(charge[i] <= charge[i + 1] for i in range(level - 1)):
-                yield charge
-
     with criterion("round-trip/splitting"):
         for e in range(2, 7):
             for level in (1, 2, 3):

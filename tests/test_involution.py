@@ -2,7 +2,6 @@
 
 import copy
 import importlib
-import itertools
 import pkgutil
 import random
 import sys
@@ -17,7 +16,7 @@ from mullineux import difftest
 import pytest
 from hypothesis import given
 
-from conftest import branching_image, good_nodes, moved, partitions_up_to, reduced_signature
+from conftest import branching_image, fundamental_charges, good_nodes, moved, partitions_up_to, reduced_signature
 
 from mullineux.core import (
     conjugate,
@@ -177,6 +176,10 @@ def test_xu_long_inputs_at_default_recursion_limit():
             image = xu(lam, e)
             assert xu(image, e) == lam, (lam[:3], e)
             assert xu_trace(lam, e)[0] == image, (lam[:3], e)
+            # kleshchev_trace peels and regrows in flat loops, unlike
+            # kleshchev_oracle, which recurses once per i-string (a row has
+            # one node per string).
+            assert kleshchev_trace(lam, e)[0] == image, (lam[:3], e)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -582,11 +585,6 @@ def test_ak_mullineux_is_an_involution_on_the_pair_of_sets():
             out = ak_mullineux(mp, (0, 1), (0, 5), e)
             back = ak_mullineux(out, (0, 5), (0, 1), e)
             assert back == mp, mp
-
-
-def fundamental_charges(e, level):
-    """The fundamental charges (0, s_2, ..., s_level) mod e."""
-    return [(0, *rest) for rest in itertools.combinations_with_replacement(range(e), level - 1)]
 
 
 def test_good_addable_steps_from_empty_reach_the_member_sets():

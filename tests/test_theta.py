@@ -1,8 +1,8 @@
 """Tests for the splitting map theta and its inverse."""
 
-import itertools
-
 import pytest
+
+from conftest import fundamental_charges
 
 from mullineux.core import _concat, concat, enumerate_e_regular, multirank
 
@@ -57,15 +57,6 @@ def test_theta_inverse():
     assert theta_inverse(((8, 8), (6, 6, 4, 3), (3, 2, 1, 1))) == LAM10
     assert theta_inverse(((), ())) == ()
     assert theta_inverse(((17,), (9, 7, 6, 3, 3))) == (17, 9, 7, 6, 3, 3)
-
-
-def fundamental_charges(e, level):
-    """All fundamental charges of the given level with first entry 0."""
-    ranges = [range(e) for _ in range(level - 1)]
-    for rest in itertools.product(*ranges):
-        charge = (0,) + rest
-        if all(charge[i] <= charge[i + 1] for i in range(level - 1)):
-            yield charge
 
 
 def test_theta_round_trip_and_membership():
