@@ -130,10 +130,21 @@ def _regular_input(lam, e, who):
 
 def conjugate(lam):
     """Transpose of the Young diagram."""
-    lam = check_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    return _conjugate(check_partition(lam))
+
+
+def _conjugate(lam):
+    """conjugate of a checked lam, in one pass from the bottom row up.
+
+    Column j has i rows for every j in lam[i] + 1..lam[i - 1] (lam[len] = 0),
+    so the columns are runs of len(lam), ..., 1 of those lengths.
+    """
+    out = []
+    below = 0
+    for i in range(len(lam), 0, -1):
+        out += [i] * (lam[i - 1] - below)
+        below = lam[i - 1]
+    return tuple(out)
 
 
 def max_hook_length(lam):

@@ -307,7 +307,9 @@ def blockwise_lift(lam, e, s):
     below its source's, and past that bound the lowest target content, the
     addable row's t - len(lam2) - 1, is at least the highest source
     content, row 1's lam1[0] - 1.  The remaining rows of lam2 are then
-    appended to mu.  Returns (lam1, mu).
+    appended to mu.  Returns (lam1, mu).  A round that leaves lam1 or lam2
+    out of shape raises InternalError, and so does a block of mu that
+    outgrows the rows collected before it.
     """
     lam, e = check_partition(lam), _int_arg("e", e, 2)
     return _lift(lam, e, _int_arg("s", s, 0, e - 1))
@@ -319,8 +321,20 @@ def _lift(lam, e, s):
     Each round starts from partitions, the input or what the last round's
     guard passed.  A pair x_i >= x_{i+1} can then break only where row i or
     i + 1 changed, so the guard (`_bent`) compares each changed row with its
-    two neighbours.  The end checks run once and stay whole: mu joins
-    blocks of many rounds.
+    two neighbours.
+
+    mu is checked only where a block meets the rows collected before it.
+    Each block, the rows a round collects or the rows left at the end, is a
+    run of lam2, and lam2 is a partition between rounds: the input's tail,
+    then what the guard passed, less a cut-off head.  So a pair of mu can
+    break only across a junction.  A break is recorded there and raised
+    after the loop, behind lam1's end check, in the order the whole checks
+    of lam1 and then mu raise.  lam1 has at most e rows, and its end check
+    stays whole.
+
+    lam2 never holds a zero: its rows start positive and only gain boxes,
+    and a new row gets k > 0 of them.  So mu is returned as it is, and only
+    lam1, whose emptied rows lie at its end, is trimmed.
 
     The loop condition is blockwise_lift's stop rule, checked before every
     round, where lam1 is a partition and row 1 holds the highest source
@@ -331,6 +345,7 @@ def _lift(lam, e, s):
     lam2 = list(lam[e - s :])
     t = s
     mu = []
+    broken = False
     while lam1 and lam1[0] and t - len(lam2) < lam1[0]:
         donors, touched = [], []
         for a in range(1, len(lam1) + 1):
@@ -359,17 +374,23 @@ def _lift(lam, e, s):
         if _bent(lam2, touched):
             raise InternalError(f"collected block is not a partition: {lam2}")
         cut = max(touched)
-        mu.extend(lam2[:cut])
-        lam2 = lam2[cut:]
+        if mu and mu[-1] < lam2[0]:
+            broken = True
+        mu += lam2[:cut]
+        del lam2[:cut]
         t += e - cut
         if _bent(lam1, donors):
             raise InternalError(f"first component left a round malformed: {lam1}")
-    mu.extend(lam2)
+    if mu and lam2 and mu[-1] < lam2[0]:
+        broken = True
+    mu += lam2
     if any(x < y for x, y in zip(lam1, lam1[1:])):
         raise InternalError(f"first component ended malformed: {lam1}")
-    if any(x < y for x, y in zip(mu, mu[1:])):
+    if broken:
         raise InternalError(f"second component ended malformed: {mu}")
-    return tuple(p for p in lam1 if p > 0), tuple(p for p in mu if p > 0)
+    while lam1 and not lam1[-1]:
+        lam1.pop()
+    return tuple(lam1), tuple(mu)
 
 
 def _bent(x, rows):
@@ -390,9 +411,10 @@ def _lower_pair(nu1, nu2, t, e):
     bottom-up; a row with rightmost content r donates its boxes above
     content c to the lowest nu1 row not yet used as a target this round
     whose rightmost content c is below r, falling back to the next row up
-    whenever the donation would break nu2's shape.  nu1 never gains rows.
-    The move must keep nu2 a partition at every moment; nu1 may pass
-    through non-partition shapes inside a round.  Returns the final
+    whenever the donation would break nu2's shape.  nu1 never gains rows,
+    and its rows only gain boxes, so it never holds a zero and comes back
+    as it is.  The move must keep nu2 a partition at every moment; nu1 may
+    pass through non-partition shapes inside a round.  Returns the final
     (nu1, nu2).
 
     The start: at t, row a of nu2 (part p, next part b) gives a nu1 row of
@@ -453,7 +475,7 @@ def _lower_pair(nu1, nu2, t, e):
             raise InternalError(f"first component left a round malformed: {nu1}")
         if _bent(nu2, donors):
             raise InternalError(f"second component left a round malformed: {nu2}")
-    return tuple(p for p in nu1 if p > 0), tuple(nu2)
+    return tuple(nu1), tuple(nu2)
 
 
 def blockwise_lower(pair, e, s):
@@ -471,6 +493,15 @@ def blockwise_lower(pair, e, s):
 
 
 def _lower(pair, e, s):
-    """blockwise_lower of a checked pair, e and s."""
-    k = _very_dominant_multiple(-s, sum(map(sum, pair)), e)
-    return _concat(*_lower_pair(*pair, -s + k * e, e))
+    """blockwise_lower of a checked pair, e and s.
+
+    From the canonical start, above n - 1 for the rank n, the descent drops
+    at once to the highest charge of its residue at or below
+    nu1[0] - 1 + len(nu2) (`_lower_pair`).  So it starts instead from the
+    least charge k*e - s above that bound, k the very dominant multiple for
+    nu1[0] + len(nu2) in place of n, which lands on the same first round
+    and sums no rows.
+    """
+    nu1, nu2 = pair
+    k = _very_dominant_multiple(-s, (nu1[0] if nu1 else 0) + len(nu2), e)
+    return _concat(*_lower_pair(nu1, nu2, -s + k * e, e))

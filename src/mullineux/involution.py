@@ -14,8 +14,9 @@
   that cancel them, a regrow keeps the addable rows of residue -i alone.
   The recursion goes one call deeper per string, not per node.
 mullineux_crystal checks its input once; `_crystal` then runs the unchecked
-bodies `crystal._lift`, `crystal._lower` and `core._is_strict_core`, and its
-trace builds the split and descend states with `theta._theta`.
+bodies `crystal._lift`, `crystal._lower`, `core._is_strict_core` and
+`core._conjugate`, and its trace builds the split and descend states with
+`theta._theta`.
 `_crystal` and `_kleshchev` keep the images they find in a table their caller
 owns: the public functions pass a new one on every call, and `difftest` its
 own, so nothing outlives the caller's table.
@@ -38,13 +39,13 @@ from .charges import (
     transpose_charge,
 )
 from .core import (
+    _conjugate,
     _int_arg,
     _is_e_regular,
     _is_strict_core,
     _regular_input,
     check_multipartition,
     check_partition,
-    conjugate,
     part,
 )
 from .crystal import _lift, _lower, _membership, _psi, _very_dominant_multiple
@@ -345,27 +346,30 @@ def _crystal_input(lam, e, s):
 def _crystal(lam, e, s, images, steps=None):
     """Image of a checked lam, unfolded on an explicit work stack.
 
-    A partition is done once both components of its lift have images in
-    `images`, the caller's table keyed on (partition, e, s).  When `steps`
+    Images go to `images`, the caller's table keyed on (partition, e, s).
+    A partition without one is lifted when it is first popped and goes back
+    on the stack under its two components, both of smaller rank; so when
+    it is popped again, both have images, and it is lowered.  When `steps`
     is a list, the stages of the top level are appended to it.
     """
     lifts = {}
     todo = [lam]
     while todo:
-        cur = todo[-1]
+        cur = todo.pop()
         if (cur, e, s) in images:
-            todo.pop()
+            continue
+        mu = lifts.get(cur)
+        if mu:
+            images[cur, e, s] = _lower((images[mu[0], e, s], images[mu[1], e, s]), e, s)
         elif _is_strict_core(cur, e):
-            images[cur, e, s] = conjugate(cur)
-        elif cur in lifts:
-            nu = tuple(images[c, e, s] for c in lifts[cur])
-            images[cur, e, s] = _lower(nu, e, s)
+            images[cur, e, s] = _conjugate(cur)
         else:
             lifts[cur] = mu = _lift(cur, e, s)
             if not mu[0]:
                 raise InternalError(f"lift of {cur} lost its first component")
             if not mu[1]:
                 raise InternalError(f"lift of non-core {cur} has an empty second component")
+            todo.append(cur)
             todo += mu
     img = images[lam, e, s]
     if steps is None:

@@ -128,7 +128,21 @@ def test_conjugate_involution_and_oracle(lam):
 def test_conjugate_involution_rank_20():
     for n in range(21):
         for lam in enumerate_partitions(n):
+            assert conjugate(lam) == brute_conjugate(lam), lam
             assert conjugate(conjugate(lam)) == lam, lam
+
+
+def test_conjugate_is_linear_on_long_inputs():
+    """Applied twice, conjugate gives back the staircase 2000..1 and the row
+    100000.  The column-count oracle, one pass over the rows per column,
+    takes about 0.2 s on these two alone; one pass takes a few ms."""
+    staircase = tuple(range(2000, 0, -1))
+    start = time.perf_counter()
+    assert conjugate(conjugate(staircase)) == staircase
+    column = conjugate((100000,))
+    assert column == (1,) * 100000
+    assert conjugate(column) == (100000,)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_max_hook_length_table():

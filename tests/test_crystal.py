@@ -16,6 +16,7 @@ from conftest import aperiodic_multisegments, bipartitions, charge_tuples, parti
 from mullineux.charges import _path_word, apply_word, path_word, very_dominant_representative
 
 from mullineux.core import (
+    concat,
     enumerate_e_regular,
     enumerate_multipartitions,
     enumerate_partitions,
@@ -892,6 +893,54 @@ def test_bent_finds_a_break_exactly_when_the_whole_shape_check_does():
                     while x and x[-1] == 0:
                         x.pop()
                     assert _bent(x, changed) == any(a < b for a, b in zip(x, x[1:])), (lam, changed, x)
+
+
+def test_a_junction_check_finds_a_break_exactly_when_the_whole_shape_check_does():
+    # Blocks are non-increasing runs, empty ones included, joined as `_lift`
+    # joins them: a break is recorded only where a block meets the rows
+    # collected before it.
+    runs = [run for n in range(6) for run in enumerate_partitions(n)]
+    for count in range(1, 4):
+        for blocks in itertools.product(runs, repeat=count):
+            mu, broken = [], False
+            for block in blocks:
+                if mu and block and mu[-1] < block[0]:
+                    broken = True
+                mu += block
+            assert broken == any(x < y for x, y in zip(mu, mu[1:])), blocks
+
+
+def route_levels(lam, e, s):
+    """Every partition the crystal route lifts for lam at split charge s."""
+    levels, todo = set(), [lam]
+    while todo:
+        cur = todo.pop()
+        if cur not in levels and not is_strict_e_core(cur, e):
+            levels.add(cur)
+            todo += stepwise_lift(cur, e, s)
+    return levels
+
+
+@pytest.mark.parametrize("e", [3, 5])
+@pytest.mark.parametrize("n", [240, 1000])
+def test_engines_match_stepwise_references_on_every_level_of_wide_shapes(n, e):
+    """Both engines against their stepwise references on the shapes a long
+    input gives them: every level the crystal route visits for seeded
+    e-regular partitions of rank 240 or 1000, at s = e - 1.  The descent
+    starts from the componentwise images (by xu) at the canonical very
+    dominant charge for the level's rank, and blockwise_lower, which starts
+    lower, merges what the reference gives from there."""
+    s = e - 1
+    rng = random.Random(n + e)
+    for lam in [random_regular(n, e, rng) for _ in range(3)]:
+        for cur in route_levels(lam, e, s):
+            lifted = stepwise_lift(cur, e, s)
+            assert outcome(_lift, cur, e, s) == lifted, (cur, e, s)
+            pair = (xu(lifted[0], e), xu(lifted[1], e))
+            t = lift_charge_multiple(rank(cur), e, -s) * e - s
+            expected = stepwise_lower_pair(pair, t, e)
+            assert outcome(lower_pair, pair, t, e) == expected, (pair, t, e)
+            assert blockwise_lower(pair, e, s) == concat(*expected), (pair, e, s)
 
 
 def random_regular(n, e, rng):
