@@ -18,12 +18,11 @@ Exit codes: 0 success, 2 invalid input, 3 internal inconsistency.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
 
-from . import core, crystal, difftest, involution, multisegments
+from . import core, crystal, involution, multisegments
 from .errors import InputError, InternalError, MullineuxError
 from .theta import theta as theta_split
 
@@ -91,6 +90,8 @@ def _emit(args, lines, **payload):
     """Print the text `lines`, or under --format json the payload (e, input,
     method, result and any extra fields) as one JSON object."""
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
     else:
         for line in lines:
@@ -204,6 +205,8 @@ def cmd_enumerate(args):
 
 
 def cmd_difftest(args):
+    from . import difftest
+
     lo, sep, hi = args.e_range.partition("..")
     if sep != "..":
         raise InputError(f"--e-range wants lo..hi, got {args.e_range!r}")

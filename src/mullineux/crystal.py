@@ -3,17 +3,18 @@
 Membership (the FLOTW conditions) is defined at fundamental multicharges and
 transported elsewhere along the isomorphisms.  The isomorphism psi follows a
 run-length word in the charge group (`charges._path_word`), with each
-component held as its β-set relative to its charge for the whole word
-(`_walk`).  tau^j, a wrap and an unwrap then change no row, only the order
-of the rows and their charges.  sigma_c runs the two-row symbol matching on
-the charged β-sets of components c, c+1, or only swaps them when one lies
-below the other's floor.  In a wrap or unwrap a row passes rows whose
-charges lie below its own, sorted; those n or more below it, n the
-multirank, are swapped without a look, and a run's whole cycles whose reps
-pass only such rows are one charge update.  The β-sets are read back as
-partitions once, at the end.  The word is not replayed on the charge:
-`_psi` compares the charge the walk ends at with its target and raises
-InternalError on a miss.
+component carried as the partition it is, at a charge the walk keeps
+alongside (`_walk`).  tau^j, a wrap and an unwrap then change no row, only
+the order of the rows and their charges.  sigma_c only swaps components
+c, c+1 when the charged β-set of one lies below the other's floor, which
+it reads from a first part and a length; otherwise it builds the two β-sets
+and runs the two-row symbol matching on them (`_sigma`).  In a wrap or
+unwrap a row passes rows whose charges lie below its own, sorted; those n
+or more below it, n the multirank, are swapped without a look, and a run's
+whole cycles whose reps pass only such rows are one charge update.  A
+row is encoded as a β-set, and decoded, only in a matching.  The word is
+not replayed on the charge: `_psi` compares the charge the walk ends at
+with its target and raises InternalError on a miss.
 
 Every public function here that takes a charged multipartition, and
 `multisegments.chi`, checks it with `_charged_input`.  psi, membership and
@@ -97,13 +98,14 @@ def _walk(mp, s, word, e):
 
     The word is a run-length word as `charges._path_word` builds it, or a
     list of plain generators; ("tau",) and ("tau_inv",) are runs of length
-    one.  Component c travels as its β-set relative to its charge: the
-    ascending row of lam_j - j for j = 1..len(lam), every integer below
-    -len(lam) belonging to the set too; adding the charge s_c gives the
-    charged β-set.  So tau^j changes no row: row i moves to (i - j) mod l
-    and its charge gains e*((j - i - 1)//l + 1), one rotation in O(l).
+    one.  Each component travels as the partition it is, at a charge that
+    the walk carries along.  So tau^j changes no row: row i moves to
+    (i - j) mod l and its charge gains e*((j - i - 1)//l + 1), one rotation
+    in O(l).
 
-    sigma_c is `_sigma` on the rows of components c, c+1.
+    sigma_c is `_sigma` on the rows of components c, c+1.  A plain swap
+    returns the two rows it was given, so a row that no matching touched
+    comes back as the very object that went in.
 
     A wrap or unwrap moves one row at charge a past rows at charges b < a,
     sorted ascending; `_path_word` emits them only where the charge is
@@ -127,9 +129,9 @@ def _walk(mp, s, word, e):
     With k = 0 nothing lies below and every cycle is far.  Either way the q
     cycles are one charge update, and the rest of the run goes rep by rep,
     its far reps cheap and its near reps at most about m*(n/e + 1), so the
-    cost does not grow with r.  The rows are decoded once, at the end.
+    cost does not grow with r.
     """
-    rows = [tuple([p - j for j, p in enumerate(lam, 1)][::-1]) for lam in mp]
+    rows = list(mp)
     s = list(s)
     l = len(s)
     n = sum(map(sum, mp))
@@ -181,45 +183,47 @@ def _walk(mp, s, word, e):
             h = j % l
             s = [x + e * ((j - i - 1) // l + 1) for i, x in enumerate(s)]
             rows, s = rows[h:] + rows[:h], s[h:] + s[:h]
-    decoded = (tuple([x + j for j, x in enumerate(reversed(row), 1)]) for row in rows)
-    return tuple(decoded), tuple(s)
+    return tuple(rows), tuple(s)
 
 
-def _sigma(row1, row2, a, b, s, lo, hi):
-    """sigma_{lo + 1} on rows relative to charges a and b: the new rows, at b and at a.
+def _sigma(lam, mu, a, b, s, lo, hi):
+    """sigma_{lo + 1} on partitions lam at charge a and mu at b: the new pair, at b and at a.
 
-    When the largest element of one charged β-set lies below the floor of
-    the other, the first set lies inside the second; the symbol matching
-    then pairs every entry of the smaller set with itself, so the step only
-    swaps the two rows.  In charge terms that is b - a >= lam_1 + len(mu),
-    or the mirror inequality, for the partitions lam at a and mu at b.
+    The β-set of lam relative to its charge is {lam_j - j : j >= 1}; adding
+    a gives its charged β-set.  When the largest element of one charged
+    β-set lies below the floor of the other, the first set lies inside the
+    second; the symbol matching then pairs every entry of the smaller set
+    with itself, so the step only swaps the two partitions, and returns the
+    objects it was given.  In charge terms that is b - a >= lam_1 + len(mu),
+    or the mirror inequality a - b >= mu_1 + len(lam).
 
-    Otherwise it pads the two rows down to their common floor, which makes
-    them the minimal-depth symbol of the pair, runs the matching and trims
-    each new row back to the entries above the run its floor implies.  The
-    matching runs in the frame of charge a, which it does not change, since
-    it only compares entries: row 2 is shifted by b - a on the way in, and
-    the new row at charge b is shifted back.  A new row that repeats an
-    entry or reaches below its floor would mean the matching left the
-    β-sets and raises InternalError, naming the charge
+    Otherwise it builds the two β-rows, ascending and padded down to their
+    common floor, which makes them the minimal-depth symbol of the pair,
+    and runs the matching.  The matching runs in the frame of charge a,
+    which it does not change, since it only compares entries: mu's row is
+    shifted by b - a on the way in.  Each new row has as many entries as
+    the padded row at its charge had, so its entry i, counted from 0, reads
+    as the part row[i] - floor - i of the new partition at that charge: the
+    run of entries up from the floor reads as zeros, which are dropped.  A
+    new row that repeats an entry or reaches below its floor would mean the
+    matching left the β-sets and raises InternalError, naming the charge
     (*s[:lo], a, b, *s[hi:]) at that step.
     """
     d = b - a
-    if (row1[-1] if row1 else -1) + len(row2) < d or (row2[-1] if row2 else -1) + len(row1) < -d:
-        return row2, row1
-    f1, f2 = -len(row1), d - len(row2)
-    floor = f1 if f1 < f2 else f2
-    new = _match(a, b, [*range(floor, f1), *row1], [*range(floor, f2), *[x + d for x in row2]])
-    trimmed = []
+    if (lam[0] if lam else 0) + len(mu) <= d or (mu[0] if mu else 0) + len(lam) <= -d:
+        return mu, lam
+    m, n = len(lam), len(mu)
+    floor = -m if -m < d - n else d - n
+    row1 = [*range(floor, -m), *map(operator.sub, reversed(lam), range(m, 0, -1))]
+    row2 = [*range(floor, d - n), *map(operator.sub, reversed(mu), range(n - d, -d, -1))]
+    new = _match(a, b, row1, row2)
+    out = []
     for row in new:
         if len(set(row)) != len(row) or row and row[0] < floor:
             new = tuple(tuple([x + a for x in row]) for row in new)
             raise InternalError(f"sigma_{lo + 1} at {(*s[:lo], a, b, *s[hi:])} left the β-sets: {new}")
-        top = 0
-        while top < len(row) and row[top] == floor + top:
-            top += 1
-        trimmed.append(row[top:])
-    return tuple([x - d for x in trimmed[0]]), trimmed[1]
+        out.append(tuple([x - j for j, x in enumerate(row, floor) if x != j][::-1]))
+    return tuple(out)
 
 
 def psi(mp, charge, to, e):

@@ -12,10 +12,11 @@ producing the symbol of the image bipartition at the swapped charge
 MalformedSymbolError when a row is not strictly increasing or would decode
 to a negative part.
 
-The pairing itself is `_match`, on two bare rows.  `crystal.psi` keeps each
-component as a β-set row for its whole walk and calls `_match` on two rows
-padded to a common floor, which is exactly the minimal-depth symbol, so it
-builds, matches and decodes no `Symbol`.
+The pairing itself is `_match`, on two bare rows.  `crystal.psi` carries
+each component as a partition for its whole walk.  Only at a sigma step
+that matches does it build the two β-rows, padded to a common floor, which
+is exactly the minimal-depth symbol, call `_match` on them and read two
+partitions back, so it builds, matches and decodes no `Symbol`.
 """
 
 from bisect import bisect_left, bisect_right

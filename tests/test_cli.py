@@ -472,6 +472,12 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert loaded_by_importing_the_cli("dataclasses") is False
 
 
+@pytest.mark.parametrize("module", ["json", "mullineux.difftest"])
+def test_importing_the_cli_loads_neither_json_nor_difftest(module):
+    # Only `--format json` and the difftest subcommand need them.
+    assert loaded_by_importing_the_cli(module) is False
+
+
 def test_a_closed_stdout_ends_quietly():
     # enumerate writes 382,548 bytes here, more than a pipe buffer holds, so
     # the reader's close lands while the command is still writing.

@@ -275,7 +275,8 @@ def test_psi_rejects_distinct_orbits():
 
 
 def stepwise_step(mp, s, gen, e):
-    """One generator the way psi took it before its beta-set walk.
+    """One generator through the public symbol functions: the reference
+    for the walk's steps.
 
     tau and tau inverse rotate the components; sigma_c builds the
     minimal-depth symbol of components c, c+1, runs match_step on it and
@@ -584,13 +585,18 @@ def test_a_walk_that_ends_off_target_is_an_internal_error(monkeypatch):
 def test_sigma_swap_matches_the_full_matching():
     """The walk of sigma_1 on every level-2 pair of rank <= 8, at every gap
     within +-(rank + 2e), against the stepwise reference, which always runs
-    the full symbol matching where the walk may only swap the two rows."""
+    the full symbol matching where the walk may only swap the two rows.
+    The range holds both swap thresholds, lam_1 + len(mu) and
+    -(mu_1 + len(lam)), so a swap one gap short of either gives a wrong
+    pair here; one gap late still gives the right pair, and the threshold
+    test below counts the matchings.  The first charge moves with e, so the
+    swap is seen to read the gap, not the charges."""
     for e in range(2, 6):
         for n in range(9):
             reach = n + 2 * e
             for mp in enumerate_multipartitions(n, 2):
                 for gap in range(-reach, reach + 1):
-                    s = (0, gap)
+                    s = (e - 4, e - 4 + gap)
                     got = _walk(mp, s, (("sigma", 1),), e)
                     assert got == stepwise_walk(mp, s, [("sigma", 1)], e), (mp, s, e)
 
@@ -612,6 +618,44 @@ def test_sigma_swaps_exactly_from_the_containment_threshold(monkeypatch):
                     assert got == stepwise_walk((lam, mu), s, [("sigma", 1)], e), (lam, mu, s, e)
                     assert bool(calls) is matched, (lam, mu, s, e)
                     assert matched or got == ((mu, lam), (gap, 0)), (lam, mu, s, e)
+
+
+def test_the_walk_returns_the_rows_it_did_not_match():
+    """At a very dominant charge the lift_k_stable word, sigma_1 then tau,
+    only swaps and rotates, and hands back the input's own components; a
+    sigma_1 that matches builds new ones."""
+    word = (("sigma", 1), ("tau",))
+    for e in (2, 3, 5):
+        for n in range(7):
+            for mp in enumerate_multipartitions(n, 2):
+                for s in range(e):
+                    up = very_dominant_representative((0, s), n, e)
+                    got, end = _walk(mp, up, word, e)
+                    assert got[0] is mp[0] and got[1] is mp[1], (mp, up, e)
+                    assert end == (up[0], up[1] + e), (mp, up, e)
+                lam, mu = mp
+                if lam and mu:
+                    s = (0, lam[0] + len(mu) - 1)
+                    got, _ = _walk(mp, s, (("sigma", 1),), e)
+                    assert not any(new is old for new in got for old in mp if new), (mp, s, e)
+
+
+def test_im_shaped_lifts_match_stepwise_reference_at_levels_3_to_5():
+    """psi on one-row components at the charge of their sorted heads, up
+    to the very dominant charge and back, against the stepwise reference.
+    These are im_sharp's inputs, with many rows of one part each."""
+    rng = random.Random(53)
+    for level in (3, 4, 5):
+        for e in (2, 3, 4, 5):
+            for _ in range(10):
+                segs = sorted(((rng.randrange(e), rng.randint(1, 20 // level)) for _ in range(level)),
+                              key=lambda seg: (seg[0], -seg[1]))
+                s = tuple(head for head, _ in segs)
+                mp = tuple((length,) for _, length in segs)
+                up = very_dominant_representative(s, multirank(mp), e)
+                lifted = psi(mp, s, up, e)
+                assert lifted == stepwise_psi(mp, s, up, e), (mp, s, up, e)
+                assert psi(lifted, up, s, e) == stepwise_psi(lifted, up, s, e) == mp, (mp, s, up, e)
 
 
 def test_psi_preserves_membership():
