@@ -311,9 +311,8 @@ def blockwise_lift(lam, e, s):
     below its source's, and past that bound the lowest target content, the
     addable row's t - len(lam2) - 1, is at least the highest source
     content, row 1's lam1[0] - 1.  The remaining rows of lam2 are then
-    appended to mu.  Returns (lam1, mu).  A round that leaves lam1 or lam2
-    out of shape raises InternalError, and so does a block of mu that
-    outgrows the rows collected before it.
+    appended to mu.  Returns (lam1, mu).  It raises no InternalError: no
+    round can leave lam1, lam2 or mu out of shape (`_lift` has the proof).
     """
     lam, e = check_partition(lam), _int_arg("e", e, 2)
     return _lift(lam, e, _int_arg("s", s, 0, e - 1))
@@ -322,19 +321,61 @@ def blockwise_lift(lam, e, s):
 def _lift(lam, e, s):
     """blockwise_lift of a checked lam, e and s.
 
-    Each round starts from partitions, the input or what the last round's
-    guard passed.  A pair x_i >= x_{i+1} can then break only where row i or
-    i + 1 changed, so the guard (`_bent`) compares each changed row with its
-    two neighbours.
+    Write C_a = lam1[a-1] - a for the contents of lam1's rows and
+    D_j = lam2[j-1] - j + t for lam2's, a row past lam2's end counting as
+    0, so that D falls by at least 1 a row.  A move of row a to row j swaps
+    C_a and D_j.  No round can leave lam1, lam2 or mu out of shape, so the
+    lift checks none of them:
 
-    mu is checked only where a block meets the rows collected before it.
-    Each block, the rows a round collects or the rows left at the end, is a
-    run of lam2, and lam2 is a partition between rounds: the input's tail,
-    then what the guard passed, less a cut-off head.  So a pair of mu can
-    break only across a junction.  A break is recorded there and raised
-    after the loop, behind lam1's end check, in the order the whole checks
-    of lam1 and then mu raise.  lam1 has at most e rows, and its end check
-    stays whole.
+    lam2 stays a partition at every move.  The target j is the first row
+    whose content is below c = C_a, and the skip rule rules out a row j - 1
+    at content c, so row j ends at content c, below row j - 1's; and it only
+    grows, so it stays at least row j + 1.  A later source of the round has
+    a content below c, as lam1 is a partition when the round starts, so its
+    target lies below row j: the targets of a round fall, and the last one
+    is the cut.  So a target is untouched until its move, and a mover takes
+    its target's D from the round's start.
+
+    (J): at every round start, D_{t+a} <= C_a for each row a of lam1.  At
+    the first, t = s and D_{s+a} = lam_{e+a} - a <= lam_a - a.  (K): the row
+    j that row a finds is at most t + a, or the skip rule stops row a; so a
+    row the skip rule lets through has the boxes, as D_j >= D_{t+a} >= -a,
+    and `k > lam1[a-1]` holds only where the skip rule would stop row a too.
+    A target is at most lam2's addable row, so take row t + a inside lam2;
+    it is no earlier target of the round, by (K) for the rows of lam1 above
+    a, so its content is still D_{t+a} <= C_a.  If below C_a, it bounds j;
+    if equal, the skip rule stops row a.  (J) carries over: a round cuts
+    `cut` rows (0 if idle) and adds e - cut to t, so the new D_{t+a} is the
+    old D_{t+e+a} + e <= D_{t+a}, and C_a becomes D_{j_a} >= D_{t+a} by (K),
+    or stays.
+
+    lam1 stays a partition.  Take rows a and a + 1 after a round.  Two
+    movers keep their order, as their targets fall; so do two non-movers;
+    and a mover a + 1 ends below C_{a+1} < C_a.  A mover a ends at
+    D_{j_a} >= -a.  If a non-mover a + 1 had C_{a+1} >= D_{j_a}, it would be
+    nonempty, and row j_a + 1 would be its target: the first row below
+    C_{a+1}, as row j_a now holds C_a; skipped by no rule; and within its
+    reach by (K).
+
+    mu stays a partition.  Each block is a run of lam2, a partition after
+    every move, and row cut + 1, untouched, was at most row cut, now mu's
+    last.  So mu can break only where a round moves boxes to lam2's row 1
+    while mu is nonempty.  Let W = min(C_1, D_1).  Row 1 ends at the content
+    of the first lam2 row at or below C_1: its target, or the row at C_1
+    that the skip rule stops it at, as the stop rule leaves it a row below
+    C_1 and (K) the boxes.  So it ends at most W.  (R): at every round start,
+    each nonempty row a of lam1 has C_a > W - e.  At the first, lam_a - a >
+    lam_{e-s+1} - (e - s + 1) = D_1 - e, a row past lam's end counting as
+    0.  An idle round stops row 1 at some D_i = C_1, so W = C_1 before it and
+    after it.  After a round with moves, the new D_1 is the old
+    D_{cut+1} + e, and a mover's new content D_{j_a} is above D_{cut+1}; a
+    non-mover keeps C_a > W - e, and the new C_1 is at most W.  So every
+    nonempty row stays above the new W - e.  Now write E = mu[-1] + t, mu's
+    last content were it row 0 of lam2.  A round with moves leaves E = X + e,
+    X the old content of its last mover, which by (R) is above W - e, so E
+    is above the new C_1; an idle round adds e to E.  So every content of
+    lam1 stays below E, and so does lam2's new row 1, which never outgrows
+    mu[-1].
 
     lam2 never holds a zero: its rows start positive and only gain boxes,
     and a new row gets k > 0 of them.  So mu is returned as it is, and only
@@ -349,9 +390,8 @@ def _lift(lam, e, s):
     lam2 = list(lam[e - s :])
     t = s
     mu = []
-    broken = False
     while lam1 and lam1[0] and t - len(lam2) < lam1[0]:
-        donors, touched = [], []
+        cut = 0
         for a in range(1, len(lam1) + 1):
             if lam1[a - 1] == 0:
                 continue
@@ -370,40 +410,17 @@ def _lift(lam, e, s):
                 lam2.append(k)
             else:
                 lam2[j - 1] += k
-            donors.append(a)
-            touched.append(j)
-        if not touched:
+            cut = j
+        if not cut:
             t += e
             continue
-        if _bent(lam2, touched):
-            raise InternalError(f"collected block is not a partition: {lam2}")
-        cut = max(touched)
-        if mu and mu[-1] < lam2[0]:
-            broken = True
         mu += lam2[:cut]
         del lam2[:cut]
         t += e - cut
-        if _bent(lam1, donors):
-            raise InternalError(f"first component left a round malformed: {lam1}")
-    if mu and lam2 and mu[-1] < lam2[0]:
-        broken = True
     mu += lam2
-    if any(x < y for x, y in zip(lam1, lam1[1:])):
-        raise InternalError(f"first component ended malformed: {lam1}")
-    if broken:
-        raise InternalError(f"second component ended malformed: {mu}")
     while lam1 and not lam1[-1]:
         lam1.pop()
     return tuple(lam1), tuple(mu)
-
-
-def _bent(x, rows):
-    """Whether x, a partition until its 1-based `rows` changed, broke there."""
-    n = len(x)
-    for i in rows:
-        if i <= n and (i > 1 and x[i - 2] < x[i - 1] or i < n and x[i - 1] < x[i]):
-            return True
-    return False
 
 
 def _lower_pair(nu1, nu2, t, e):
@@ -419,7 +436,7 @@ def _lower_pair(nu1, nu2, t, e):
     and its rows only gain boxes, so it never holds a zero and comes back
     as it is.  The move must keep nu2 a partition at every moment; nu1 may
     pass through non-partition shapes inside a round.  Returns the final
-    (nu1, nu2).
+    (nu1, nu2); a round that leaves nu1 out of shape raises InternalError.
 
     The start: at t, row a of nu2 (part p, next part b) gives a nu1 row of
     content c its r - c = p - a + t - c boxes above c and keeps c + a - t,
@@ -431,9 +448,20 @@ def _lower_pair(nu1, nu2, t, e):
     to that bound by a multiple of e.  An empty nu1 takes no boxes, and the
     pair comes back as it is.
 
-    Rounds start from partitions and check only the rows they changed, as
-    in `_lift`; a donor popped as a trailing zero is past nu2's end, and
-    skipped.  A round starts at the lowest row of nu2 whose content is above
+    nu2 needs no shape check.  A donation leaves row a at p - k =
+    a - t + c, which is at least nu2[a], the row below as it stands, by
+    the bound lo = t - a + nu2[a] that the target's content c meets; the
+    rows above are scanned later and only lose boxes.  So nu2 is a
+    partition after every donation, with its zeros at its end.
+
+    nu1 keeps its check, since public inputs reach it:
+    `blockwise_lower(((2, 2), (1,)), 2, 1)` leaves nu1 at [2, 3].  Rows of
+    nu1 only gain boxes inside a round, and an unused row keeps its own, so
+    nu1 can break only where a used row outgrows the row above it, and the
+    check compares each used row with that row alone.  A round that uses
+    no row checks nothing.
+
+    A round starts at the lowest row of nu2 whose content is above
     c0, nu1's last: the contents fall with a, and the rows below come first,
     before any target is used, so each stops at its first inner step,
     against c0.  Row a's donation to a row of content c keeps nu2's shape
@@ -453,7 +481,7 @@ def _lower_pair(nu1, nu2, t, e):
     top = nu1[0] - 1 + len(nu2)
     start = t if t <= top else t + (top - t) // e * e
     for t in range(start, t % e - 1, -e):
-        used, donors = [], []
+        used = []
         c0 = nu1[-1] - n1
         low = n2 = len(nu2)
         while low and nu2[low - 1] - low + t <= c0:
@@ -471,14 +499,12 @@ def _lower_pair(nu1, nu2, t, e):
                 nu2[a - 1] = p - k
                 nu1[j - 1] += k
                 used.append(j)
-                donors.append(a)
                 j -= 1
         while nu2 and nu2[-1] == 0:
             nu2.pop()
-        if _bent(nu1, used):
-            raise InternalError(f"first component left a round malformed: {nu1}")
-        if _bent(nu2, donors):
-            raise InternalError(f"second component left a round malformed: {nu2}")
+        for j in used:
+            if j > 1 and nu1[j - 2] < nu1[j - 1]:
+                raise InternalError(f"first component left a round malformed: {nu1}")
     return tuple(nu1), tuple(nu2)
 
 

@@ -9,15 +9,17 @@ a key is (e, n, partition) or (e, n, partition, s).
 The partitions come from the enumeration, and the lifts and descents from
 the crystal route's own steps, so the checks validate none of them again:
 they run the unchecked bodies the routes use, `crystal._psi`, `_lift` and
-`_flotw`, `multisegments._chi`, `core._concat` and `_is_strict_core`.  The
-split theta(λ, (0, s)) is computed once per s in 0..e-1, with `theta._theta`,
-and serves the lifts of strict cores, `s_zero` and `theta_roundtrip`.  Each
-(e, n) keeps one table of transport words keyed (s, t), which its three
-`psi` references share, and one of xu's images of the rows (len(λ),).  The
-calls to `xu`, `xu_strip`, `remove_first_column` and `conjugate`, and the
-checks on xu's image, stay public.  Library functions are called through
-their modules (`crystal._psi`, ...), so a rebinding of a module attribute,
-such as a tracing wrapper, is what runs.
+`_flotw`, `multisegments._chi`, `core._concat` and `_is_strict_core`.  Each
+split theta(λ, (0, s)), s in 0..e-1, is built once: for s > 0 and a λ that
+is no strict core it is the `split` state of the route's own trace, and
+otherwise `theta._theta` builds it.  The splits serve the lifts, `s_zero`
+and `theta_roundtrip`.  Each (e, n) keeps one table of transport words
+keyed (s, t), which its three `psi` references share, and one of xu's
+images of the rows (len(λ),).  The calls to `xu`, `xu_strip`,
+`remove_first_column` and `conjugate`, and the checks on xu's image, stay
+public.  Library functions are called through their modules
+(`crystal._psi`, ...), so a rebinding of a module attribute, such as a
+tracing wrapper, is what runs.
 """
 
 import os
@@ -75,7 +77,7 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
         xim = involution.xu(lam, e)
         kim = involution._kleshchev(lam, e, kleshchev_images)
         is_core = core._is_strict_core(lam, e)
-        splits = [theta._theta(lam, e, (0, s)) for s in range(e)]
+        splits = [theta._theta(lam, e, (0, 0))]
         record("rank_regular", core.rank(xim) == n and core.is_e_regular(xim, e), key)
         if e == 2:
             record("m2_identity", xim == lam, key)
@@ -90,7 +92,7 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
             record("agreement", cim == xim == kim, skey)
             if is_core:
                 # The route conjugates strict cores without lifting them.
-                pair = splits[s]
+                pair = theta._theta(lam, e, (0, s))
                 up = (0, s + crystal._very_dominant_multiple(s, n, e) * e)
                 lifted = crystal._lift(lam, e, s)
             else:
@@ -98,6 +100,7 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
                 record("lift_first_nonempty", lifted[0] != (), skey)
                 # psi, the slow reference, checks the route's descent here and its lift below.
                 record("blockwise_lower", crystal._psi(nu, start, (0, e - s), e, words) == kappa, skey)
+            splits.append(pair)
             reference = crystal._psi(pair, (0, s), up, e, words)
             lifts[s] = lifted
             record("core_empty_lift", lifted[1] != () or is_core, skey)

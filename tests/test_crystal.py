@@ -1,6 +1,5 @@
 """Tests for charged-set membership and the charge-transport isomorphisms."""
 
-import itertools
 import random
 import re
 import time
@@ -27,7 +26,6 @@ from mullineux.core import (
 )
 
 from mullineux.crystal import (
-    _bent,
     _lift,
     _lower_pair,
     _psi,
@@ -743,7 +741,9 @@ def stepwise_lower_pair(pair, t, e):
 
     This is the loop `_lower_pair` ran before it skipped the rounds
     that move no box; it must return the same final pair and raise the same
-    errors.
+    errors.  It checks the whole shape of both components after every
+    round.  `_lower_pair` checks only nu1, at the rows it used, and leaves
+    nu2 to a proof, so this loop is the only witness of the whole check.
     """
     nu1, nu2 = list(pair[0]), list(pair[1])
     final_t = t % e
@@ -776,6 +776,18 @@ def stepwise_lower_pair(pair, t, e):
             break
         t -= e
     return tuple(p for p in nu1 if p > 0), tuple(nu2)
+
+
+@pytest.mark.parametrize(
+    "pair, shape",
+    [(((2, 2), (1,)), "[2, 3]"), (((2, 2), (2, 1)), "[3, 4]")],
+)
+def test_blockwise_lower_raises_when_a_round_bends_the_first_component(pair, shape):
+    # Public pairs that are no componentwise image reach the descent's one
+    # live guard: a used row of nu1 outgrows the row above it.
+    with pytest.raises(InternalError) as raised:
+        blockwise_lower(pair, 2, 1)
+    assert str(raised.value) == f"first component left a round malformed: {shape}"
 
 
 def outcome(engine, *args):
@@ -860,6 +872,9 @@ def stepwise_lift(lam, e, s):
 
     This is the loop `_lift` ran before its rounds checked only the rows
     they changed; it must return the same pair and raise the same errors.
+    `_lift` checks no shape and leaves lam1, lam2 and mu to the proofs in
+    its docstring, so the whole-shape checks after every round here, and
+    the end checks, are the only witness of those proofs.
     """
     lam1 = list(lam[: e - s])
     lam2 = list(lam[e - s :])
@@ -921,37 +936,6 @@ def test_lift_matches_stepwise_reference_on_larger_partitions(case):
     lam, e = case
     for s in range(e):
         assert outcome(_lift, lam, e, s) == outcome(stepwise_lift, lam, e, s), (lam, e, s)
-
-
-def test_bent_finds_a_break_exactly_when_the_whole_shape_check_does():
-    # One or two rows of a partition changed, the row below the last one
-    # included, and trailing zeros popped as `_lower_pair` pops them.
-    for n in range(8):
-        for lam in enumerate_partitions(n):
-            rows = range(1, len(lam) + 2)
-            for changed in [*itertools.combinations(rows, 1), *itertools.combinations(rows, 2)]:
-                for deltas in itertools.product((-2, -1, 1, 2), repeat=len(changed)):
-                    x = [*lam, 0]
-                    for i, d in zip(changed, deltas):
-                        x[i - 1] = max(0, x[i - 1] + d)
-                    while x and x[-1] == 0:
-                        x.pop()
-                    assert _bent(x, changed) == any(a < b for a, b in zip(x, x[1:])), (lam, changed, x)
-
-
-def test_a_junction_check_finds_a_break_exactly_when_the_whole_shape_check_does():
-    # Blocks are non-increasing runs, empty ones included, joined as `_lift`
-    # joins them: a break is recorded only where a block meets the rows
-    # collected before it.
-    runs = [run for n in range(6) for run in enumerate_partitions(n)]
-    for count in range(1, 4):
-        for blocks in itertools.product(runs, repeat=count):
-            mu, broken = [], False
-            for block in blocks:
-                if mu and block and mu[-1] < block[0]:
-                    broken = True
-                mu += block
-            assert broken == any(x < y for x, y in zip(mu, mu[1:])), blocks
 
 
 def route_levels(lam, e, s):
