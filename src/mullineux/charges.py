@@ -251,6 +251,11 @@ def transpose_charge(s):
     return tuple(-x for x in reversed(check_charge(s)))
 
 
+def _very_dominant_step(prev, r, n, e):
+    """The least value >= prev + n that is == r mod e: the very dominant rule, n the rank."""
+    return prev + n + (r - prev - n) % e
+
+
 def sharp_very_dominant(s, n, e):
     """The canonical very dominant charge with entries == -s_i mod e.
 
@@ -263,18 +268,16 @@ def sharp_very_dominant(s, n, e):
 def _sharp_very_dominant(s, n, e):
     """sharp_very_dominant of a checked charge for checked n and e."""
     out = [(-s[0]) % e]
-    for i in range(1, len(s)):
-        base = out[-1] + n
-        delta = (-s[i] - base) % e
-        out.append(base + delta)
+    for x in s[1:]:
+        out.append(_very_dominant_step(out[-1], -x, n, e))
     return tuple(out)
 
 
 def very_dominant_representative(s, n, e):
     """A very dominant charge in the orbit of s, built above F(s).
 
-    Keeps entry 1 of the fundamental representative and pushes each later
-    entry up by multiples of e until the gap exceeds n - 1.
+    Keeps entry 1 of the fundamental representative; each later entry is
+    the least value >= previous + n in the class of its entry there.
     """
     return _very_dominant_representative(check_charge(s), _int_arg("n", n, 0), _int_arg("e", e, 2))
 
@@ -283,7 +286,6 @@ def _very_dominant_representative(s, n, e):
     """very_dominant_representative of a checked charge for checked n and e."""
     f = _fundamental_representative(s, e)
     out = [f[0]]
-    for i in range(1, len(f)):
-        gap = n + ((f[i] - f[i - 1] - n) % e)
-        out.append(out[-1] + gap)
+    for x in f[1:]:
+        out.append(_very_dominant_step(out[-1], x, n, e))
     return tuple(out)

@@ -33,6 +33,7 @@ from .charges import (
     _fundamental_representative,
     _orbit_check,
     _path_word,
+    _very_dominant_step,
     check_charge,
     is_fundamental,
 )
@@ -286,11 +287,6 @@ def enumerate_phi(n, charge, e):
     return tuple(sorted(_psi(mp, f, s, e, words) for mp in members))
 
 
-def _very_dominant_multiple(offset, n, e):
-    """Least k >= 1 with offset + k*e very dominant over rank n at level 2."""
-    return max(1, (n - 1 - offset) // e + 1)
-
-
 def blockwise_lift(lam, e, s):
     """Box-moving lift of the two-block split of lam to a very dominant charge.
 
@@ -340,7 +336,8 @@ def _lift(lam, e, s):
     the first, t = s and D_{s+a} = lam_{e+a} - a <= lam_a - a.  (K): the row
     j that row a finds is at most t + a, or the skip rule stops row a; so a
     row the skip rule lets through has the boxes, as D_j >= D_{t+a} >= -a,
-    and `k > lam1[a-1]` holds only where the skip rule would stop row a too.
+    and the lift tests no k > lam1[a-1]: it holds only where the skip rule
+    stops row a.
     A target is at most lam2's addable row, so take row t + a inside lam2;
     it is no earlier target of the round, by (K) for the rows of lam1 above
     a, so its content is still D_{t+a} <= C_a.  If below C_a, it bounds j;
@@ -401,10 +398,10 @@ def _lift(lam, e, s):
             while j <= n2 and lam2[j - 1] - j + t >= c:
                 j += 1
             k = c - (lam2[j - 1] if j <= n2 else 0) + j - t
-            if k <= 0 or k > lam1[a - 1]:
-                continue  # no content is below c, or row a has too few boxes
+            if k <= 0:
+                continue  # no content is below c
             if j >= 2 and lam2[j - 2] - (j - 1) + t == c:
-                continue  # row j would outgrow row j - 1
+                continue  # row j would outgrow row j - 1; by (K), also any row without k boxes
             lam1[a - 1] -= k
             if j > n2:
                 lam2.append(k)
@@ -511,9 +508,10 @@ def _lower_pair(nu1, nu2, t, e):
 def blockwise_lower(pair, e, s):
     """Merged partition from the box-moving descent of a very dominant pair.
 
-    Places the pair at the canonical very dominant charge (0, -s + k*e) for
-    its rank, runs the descent `_lower_pair` down to (0, e - s), and merges
-    the two components into one partition.
+    Places the pair at the canonical very dominant charge for its rank n,
+    (0, t) with t the least value >= n that is == -s mod e (the charge
+    `ak_mullineux` lands at), runs the descent `_lower_pair` down to
+    (0, e - s), and merges the two components into one partition.
     """
     pair = check_multipartition(pair)
     if len(pair) != 2:
@@ -525,13 +523,13 @@ def blockwise_lower(pair, e, s):
 def _lower(pair, e, s):
     """blockwise_lower of a checked pair, e and s.
 
-    From the canonical start, above n - 1 for the rank n, the descent drops
+    From the canonical start, at least n for the rank n, the descent drops
     at once to the highest charge of its residue at or below
     nu1[0] - 1 + len(nu2) (`_lower_pair`).  So it starts instead from the
-    least charge k*e - s above that bound, k the very dominant multiple for
-    nu1[0] + len(nu2) in place of n, which lands on the same first round
-    and sums no rows.
+    same rule's value for nu1[0] + len(nu2) in place of n, the least charge
+    == -s mod e above that bound (`charges._very_dominant_step`), which
+    lands on the same first round and sums no rows.
     """
     nu1, nu2 = pair
-    k = _very_dominant_multiple(-s, (nu1[0] if nu1 else 0) + len(nu2), e)
-    return _concat(*_lower_pair(nu1, nu2, -s + k * e, e))
+    t = _very_dominant_step(0, -s, (nu1[0] if nu1 else 0) + len(nu2), e)
+    return _concat(*_lower_pair(nu1, nu2, t, e))

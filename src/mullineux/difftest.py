@@ -6,10 +6,11 @@ range of e and n, on a process pool when asked for more than one job.  A
 result maps each property to [passes, failures, smallest failing key], where
 a key is (e, n, partition) or (e, n, partition, s).
 
-The partitions come from the enumeration, and the lifts and descents from
-the crystal route's own steps, so the checks validate none of them again:
-they run the unchecked bodies the routes use, `crystal._psi`, `_lift` and
-`_flotw`, `multisegments._chi`, `core._concat` and `_is_strict_core`.  Each
+The partitions come from the enumeration, the lifts and descents from the
+crystal route's own steps, and one very dominant charge per (e, n, s) from
+`charges._very_dominant_representative`, so the checks validate none of them
+again: they run the unchecked bodies the routes use, `crystal._psi`, `_lift`
+and `_flotw`, `multisegments._chi`, `core._concat` and `_is_strict_core`.  Each
 split theta(λ, (0, s)), s in 0..e-1, is built once: for s > 0 and a λ that
 is no strict core it is the `split` state of the route's own trace, and
 otherwise `theta._theta` builds it.  The splits serve the lifts, `s_zero`
@@ -25,7 +26,7 @@ tracing wrapper, is what runs.
 import os
 from importlib import import_module
 
-from . import core, crystal, involution, multisegments
+from . import charges, core, crystal, involution, multisegments
 
 # The package binds the name `theta` to the function, so fetch the module.
 theta = import_module(f"{__package__}.theta")
@@ -72,6 +73,8 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
                 slot[2] = key
 
     images, words, columns = {}, {}, {}
+    # The route's lift charge for each split (0, s); ups[0] is s_zero's target.
+    ups = [charges._very_dominant_representative((0, s), n, e) for s in range(e)]
     for lam in sorted(core.enumerate_e_regular(n, e)):
         key = (e, n, lam)
         xim = involution.xu(lam, e)
@@ -93,20 +96,19 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
             if is_core:
                 # The route conjugates strict cores without lifting them.
                 pair = theta._theta(lam, e, (0, s))
-                up = (0, s + crystal._very_dominant_multiple(s, n, e) * e)
                 lifted = crystal._lift(lam, e, s)
             else:
-                (_, _, pair), (_, up, lifted), (_, start, nu), (_, _, kappa), _ = steps
+                (_, _, pair), (_, _, lifted), (_, start, nu), (_, _, kappa), _ = steps
                 record("lift_first_nonempty", lifted[0] != (), skey)
                 # psi, the slow reference, checks the route's descent here and its lift below.
                 record("blockwise_lower", crystal._psi(nu, start, (0, e - s), e, words) == kappa, skey)
             splits.append(pair)
-            reference = crystal._psi(pair, (0, s), up, e, words)
+            reference = crystal._psi(pair, (0, s), ups[s], e, words)
             lifts[s] = lifted
             record("core_empty_lift", lifted[1] != () or is_core, skey)
             record("blockwise_lift", lifted == reference, skey)
-            # The word to (0, up + e) is the word to `up` followed by sigma_1, tau.
-            relifted, _ = crystal._walk(reference, up, (("sigma", 1), ("tau",)), e)
+            # The word to ups[s] + (0, e) is the word to ups[s] followed by sigma_1, tau.
+            relifted, _ = crystal._walk(reference, ups[s], (("sigma", 1), ("tau",)), e)
             record("lift_k_stable", relifted == reference, skey)
         if lam:
             smaller, removed = involution.xu_strip(lam, e)
@@ -116,8 +118,7 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
                 column = columns[len(lam)] = involution.xu((len(lam),), e)
             expect = (column, core.remove_first_column(lam))
             record("first_column_lift", lifts[1] == expect, key)
-        k0 = crystal._very_dominant_multiple(0, n, e)
-        img0 = crystal._psi(splits[0], (0, 0), (0, k0 * e), e, words)
+        img0 = crystal._psi(splits[0], (0, 0), ups[0], e, words)
         record("s_zero", img0 == ((), lam), key)
         segments = multisegments._chi((lam,), (0,), e)
         for s, tl in enumerate(splits):

@@ -16,7 +16,8 @@
 mullineux_crystal checks its input once; `_crystal` then runs the unchecked
 bodies `crystal._lift`, `crystal._lower`, `core._is_strict_core` and
 `core._conjugate`, and its trace builds the split and descend states with
-`theta._theta`.
+`theta._theta` and takes the lift and image charges from `charges`: the
+very dominant pair `_ak_mullineux` lifts to and lands at.
 `_crystal` and `_kleshchev` keep the images they find in a table their caller
 owns: the public functions pass a new one on every call, and `difftest` its
 own, so nothing outlives the caller's table.
@@ -48,7 +49,7 @@ from .core import (
     check_partition,
     part,
 )
-from .crystal import _lift, _lower, _membership, _psi, _very_dominant_multiple
+from .crystal import _lift, _lower, _membership, _psi
 from .errors import InputError, InternalError, NoPathError
 from .multisegments import _chi, _is_aperiodic, check_multisegment
 from .theta import _theta
@@ -377,8 +378,8 @@ def _crystal(lam, e, s, images, steps=None):
     if _is_strict_core(lam, e):
         steps.append(("conjugate strict core" if lam else "empty", (0,), (img,)))
         return img
-    up = (0, s + _very_dominant_multiple(s, sum(lam), e) * e)
-    start = (0, -s + _very_dominant_multiple(-s, sum(lam), e) * e)
+    up = _very_dominant_representative((0, s), sum(lam), e)
+    start = _sharp_very_dominant(up, sum(lam), e)
     mu = lifts.get(lam) or _lift(lam, e, s)  # lam was in the caller's table already
     steps += [
         ("split", (0, s), _theta(lam, e, (0, s))),

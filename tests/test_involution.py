@@ -23,12 +23,13 @@ from mullineux.core import (
     enumerate_e_regular,
     enumerate_partitions,
     is_e_regular,
+    is_strict_e_core,
     rank,
 )
 
-from mullineux.charges import is_fundamental, transpose_charge
+from mullineux.charges import is_fundamental, sharp_very_dominant, transpose_charge, very_dominant_representative
 
-from mullineux.crystal import enumerate_phi
+from mullineux.crystal import enumerate_phi, psi
 
 from mullineux.errors import InputError, InternalError, NoPathError
 
@@ -511,6 +512,34 @@ def test_mullineux_crystal_trace_without_unfolding():
         (1, 1),
         [("conjugate strict core", (0,), ((1, 1),))],
     )
+
+
+def test_mullineux_crystal_trace_lifts_to_and_lands_at_the_charges_of_ak_mullineux():
+    """The trace's lift charge is very_dominant_representative((0, s), n, e)
+    and its componentwise image sits at sharp_very_dominant of that charge,
+    the pair ak_mullineux lifts to and lands at."""
+    for e in range(2, 7):
+        for n in range(13):
+            for lam in enumerate_e_regular(n, e):
+                if is_strict_e_core(lam, e):
+                    continue
+                for s in range(1, e):
+                    charges = {label: charge for label, charge, _ in mullineux_crystal_trace(lam, e, s)[1]}
+                    up = very_dominant_representative((0, s), n, e)
+                    assert charges["lift"] == up, (lam, e, s)
+                    assert charges["componentwise image"] == sharp_very_dominant(up, n, e), (lam, e, s)
+
+
+def test_strict_cores_of_rank_at_most_s_lift_alike_to_both_very_dominant_charges():
+    """Below rank s + 1, (0, s) is itself very dominant, and difftest lifts
+    a strict core's split there; one block of shifts more changes nothing."""
+    for e in range(2, 9):
+        for s in range(1, e):
+            for n in range(s + 1):
+                for lam in enumerate_e_regular(n, e):
+                    if is_strict_e_core(lam, e):
+                        pair = theta(lam, e, (0, s))
+                        assert psi(pair, (0, s), (0, s), e) == psi(pair, (0, s), (0, s + e), e), (lam, e, s)
 
 
 def test_three_routes_agree():
