@@ -12,6 +12,11 @@ Words are lists of generators ("sigma", c), ("tau",), ("tau_inv",) applied
 left to right.  The fundamental domain consists of the charges with
 s_1 <= s_2 <= ... <= s_l < s_1 + e.
 
+Orbits are residue multisets mod e, and every representative takes each
+entry by one rule, `_least_in_class`: the least value at or above a floor
+in the entry's class.  Residues are read only where they occur, so nothing
+here grows with e.
+
 Inside the package a path is built as a run-length word, whose tokens are
 ("sigma", c); ("wrap", k, r), the block tau_inv sigma_1 ... sigma_k repeated
 r times; its inverse ("unwrap", k, r), the block sigma_k ... sigma_1 tau
@@ -91,12 +96,9 @@ def is_fundamental(s, e):
         raise InputError(f"a multicharge must be a nonempty sequence of ints, got {s!r}") from exc
 
 
-def _residue_counts(s, e):
-    """How many entries of a checked charge fall in each residue class mod a checked e."""
-    counts = [0] * e
-    for x in s:
-        counts[x % e] += 1
-    return tuple(counts)
+def _least_in_class(floor, r, e):
+    """The least value >= floor that is == r mod e: the one residue rule of the charge layer."""
+    return floor + (r - floor) % e
 
 
 def same_orbit(s, t, e):
@@ -106,18 +108,21 @@ def same_orbit(s, t, e):
 
 def _same_orbit(s, t, e):
     """same_orbit of two checked charges for a checked e."""
-    return len(s) == len(t) and _residue_counts(s, e) == _residue_counts(t, e)
+    return sorted(x % e for x in s) == sorted(x % e for x in t)
 
 
 def fundamental_representative(s, e):
-    """The fundamental charge with the same residues, anchored at min(s)."""
+    """The fundamental charge with the same residues, anchored at min(s).
+
+    Each entry is the least value >= min(s) in its class (`_least_in_class`).
+    """
     return _fundamental_representative(check_charge(s), _int_arg("e", e, 2))
 
 
 def _fundamental_representative(s, e):
     """fundamental_representative of a checked charge for a checked e."""
     m = min(s)
-    return tuple(sorted(m + ((x - m) % e) for x in s))
+    return tuple(sorted(_least_in_class(m, x, e) for x in s))
 
 
 def _normalization_word(s, e):
@@ -251,25 +256,21 @@ def transpose_charge(s):
     return tuple(-x for x in reversed(check_charge(s)))
 
 
-def _very_dominant_step(prev, r, n, e):
-    """The least value >= prev + n that is == r mod e: the very dominant rule, n the rank."""
-    return prev + n + (r - prev - n) % e
-
-
 def sharp_very_dominant(s, n, e):
     """The canonical very dominant charge with entries == -s_i mod e.
 
-    Entry 1 is the representative of -s_1 in {0..e-1}; each later entry is
-    the least value >= previous + n in the class of -s_{i+1}.
+    Entry 1 is the least value >= 0 in the class of -s_1; each later entry
+    is the least value >= previous + n in the class of -s_{i+1}
+    (`_least_in_class`).
     """
     return _sharp_very_dominant(check_charge(s), _int_arg("n", n, 0), _int_arg("e", e, 2))
 
 
 def _sharp_very_dominant(s, n, e):
     """sharp_very_dominant of a checked charge for checked n and e."""
-    out = [(-s[0]) % e]
+    out = [_least_in_class(0, -s[0], e)]
     for x in s[1:]:
-        out.append(_very_dominant_step(out[-1], -x, n, e))
+        out.append(_least_in_class(out[-1] + n, -x, e))
     return tuple(out)
 
 
@@ -277,7 +278,8 @@ def very_dominant_representative(s, n, e):
     """A very dominant charge in the orbit of s, built above F(s).
 
     Keeps entry 1 of the fundamental representative; each later entry is
-    the least value >= previous + n in the class of its entry there.
+    the least value >= previous + n in the class of its entry there
+    (`_least_in_class`).
     """
     return _very_dominant_representative(check_charge(s), _int_arg("n", n, 0), _int_arg("e", e, 2))
 
@@ -287,5 +289,5 @@ def _very_dominant_representative(s, n, e):
     f = _fundamental_representative(s, e)
     out = [f[0]]
     for x in f[1:]:
-        out.append(_very_dominant_step(out[-1], x, n, e))
+        out.append(_least_in_class(out[-1] + n, x, e))
     return tuple(out)

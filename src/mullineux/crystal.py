@@ -31,9 +31,9 @@ import operator
 
 from .charges import (
     _fundamental_representative,
+    _least_in_class,
     _orbit_check,
     _path_word,
-    _very_dominant_step,
     check_charge,
     is_fundamental,
 )
@@ -442,8 +442,9 @@ def _lower_pair(nu1, nu2, t, e):
     with, at most nu1[0] - 1; and a <= len(nu2), b >= 0.  So a round at a
     charge above nu1[0] - 1 + len(nu2) moves no box and changes nothing,
     and the rounds below it start from the input again: t is first lowered
-    to that bound by a multiple of e.  An empty nu1 takes no boxes, and the
-    pair comes back as it is.
+    to the greatest value <= that bound in its class, the least one
+    >= bound - e + 1 (`charges._least_in_class`).  An empty nu1 takes no
+    boxes, and the pair comes back as it is.
 
     nu2 needs no shape check.  A donation leaves row a at p - k =
     a - t + c, which is at least nu2[a], the row below as it stands, by
@@ -476,7 +477,7 @@ def _lower_pair(nu1, nu2, t, e):
         return (), tuple(nu2)
     nu1, nu2, n1 = list(nu1), list(nu2), len(nu1)
     top = nu1[0] - 1 + len(nu2)
-    start = t if t <= top else t + (top - t) // e * e
+    start = min(t, _least_in_class(top - e + 1, t, e))
     for t in range(start, t % e - 1, -e):
         used = []
         c0 = nu1[-1] - n1
@@ -523,13 +524,13 @@ def blockwise_lower(pair, e, s):
 def _lower(pair, e, s):
     """blockwise_lower of a checked pair, e and s.
 
-    From the canonical start, at least n for the rank n, the descent drops
-    at once to the highest charge of its residue at or below
-    nu1[0] - 1 + len(nu2) (`_lower_pair`).  So it starts instead from the
-    same rule's value for nu1[0] + len(nu2) in place of n, the least charge
-    == -s mod e above that bound (`charges._very_dominant_step`), which
-    lands on the same first round and sums no rows.
+    From the canonical start, the least value >= n in the class of -s for
+    the rank n, the descent drops at once to the highest charge of its
+    residue at or below nu1[0] - 1 + len(nu2) (`_lower_pair`).  So it starts
+    instead from the least value >= nu1[0] + len(nu2) in that class
+    (`charges._least_in_class`, with that bound as the floor in place of
+    n), which lands on the same first round and sums no rows.
     """
     nu1, nu2 = pair
-    t = _very_dominant_step(0, -s, (nu1[0] if nu1 else 0) + len(nu2), e)
+    t = _least_in_class((nu1[0] if nu1 else 0) + len(nu2), -s, e)
     return _concat(*_lower_pair(nu1, nu2, t, e))

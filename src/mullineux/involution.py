@@ -175,35 +175,38 @@ def _xu(lam, e, steps):
 # ---------------------------------------------------------------------------
 
 def _removable_rows(lam, e):
-    """Rows of the uncancelled removable i-nodes of a checked lam, as a list of
-    row lists indexed by the residue i, each top to bottom.
+    """Rows of the uncancelled removable i-nodes of a checked lam, as a dict
+    from each residue i that has one to its rows, top to bottom.
 
     One pass over the corners: a block of equal parts has its addable node at
     its top row and its removable node at its bottom row.  Read top to
     bottom, a removable i-node cancels the nearest addable i-node above it
     not yet cancelled, so only the count of those addables is kept, per
-    residue.  What is left of the removables is the R^a of the reduced
-    i-signature R^a A^b, and the good removable i-node is its last R.  The
-    addable node in the row below lam has no removable below it to cancel.
+    residue that occurs.  What is left of the removables is the R^a of the
+    reduced i-signature R^a A^b, and the good removable i-node is its last R.
+    The addable node in the row below lam has no removable below it to
+    cancel.  Both dicts are keyed by the residues of lam's corners, so
+    neither grows with e.
     """
-    removable = [[] for _ in range(e)]
-    free = [0] * e
+    removable = {}
+    free = {}
     prev = None
     for r, p in enumerate(lam):
         if p != prev:
             if r:  # the block of parts prev ends in row r
                 i = (prev - r) % e
-                if free[i]:
+                if free.get(i):
                     free[i] -= 1
                 else:
-                    removable[i].append(r)
-            free[(p - r) % e] += 1  # a block of parts p starts in row r + 1
+                    removable.setdefault(i, []).append(r)
+            i = (p - r) % e  # a block of parts p starts in row r + 1
+            free[i] = free.get(i, 0) + 1
             prev = p
     if lam:  # the last block ends in the last row
         r = len(lam)
         i = (prev - r) % e
-        if not free[i]:
-            removable[i].append(r)
+        if not free.get(i):
+            removable.setdefault(i, []).append(r)
     return removable
 
 
@@ -249,16 +252,18 @@ def kleshchev_oracle(lam, e):
 def _kleshchev_peel(lam, e):
     """(i, k, e_i^k lam) for the least residue i with k = epsilon_i(lam) > 0.
 
-    Read top to bottom, the reduced i-signature is R^a A^b.  e_i removes the
-    lowest R, and that position becomes an A, so e_i^max removes all a of
-    them, and removing an i-node changes no other i-node's status.  The a
-    nodes lie in a distinct rows, one in each; only the last row can reach 0.
+    `_removable_rows` keys only the residues with a good removable node, so
+    i is its least key.  Read top to bottom, the reduced i-signature is
+    R^a A^b.  e_i removes the lowest R, and that position becomes an A, so
+    e_i^max removes all a of them, and removing an i-node changes no other
+    i-node's status.  The a nodes lie in a distinct rows, one in each; only
+    the last row can reach 0.
     """
-    for i, rows in enumerate(_removable_rows(lam, e)):
-        if rows:
-            break
-    else:
+    removable = _removable_rows(lam, e)
+    if not removable:
         raise InternalError(f"{lam} has no good removable node mod {e}")
+    i = min(removable)
+    rows = removable[i]
     out = list(lam)
     for r in rows:
         out[r - 1] -= 1

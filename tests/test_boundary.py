@@ -5,6 +5,7 @@ on segments and pairs, and the library's imports."""
 import ast
 import importlib
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -419,3 +420,26 @@ def test_library_modules_use_every_name_they_import():
         if path.name != "__init__.py" and (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+HUGE_E = 10**6
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kleshchev_oracle((5, 3, 1), HUGE_E),
+    lambda: xu((5, 3, 1), HUGE_E),
+    lambda: mullineux_crystal((5, 3, 1), HUGE_E),
+    lambda: im_sharp(((0, 1), (1, 2)), HUGE_E),
+    lambda: same_orbit((0, 1), (HUGE_E + 1, -HUGE_E), HUGE_E),
+    lambda: psi(((1,), ()), (0, 1), (0, HUGE_E + 1), HUGE_E),
+], ids=["kleshchev_oracle", "xu", "mullineux_crystal", "im_sharp", "same_orbit", "psi"])
+def test_routes_do_not_allocate_in_proportion_to_e(call):
+    # A table of length e would take 8 MB per list here; a call whose
+    # residues are read only where they occur stays far below that.
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak

@@ -14,9 +14,9 @@ from conftest import charge_tuples
 from mullineux.charges import (
     InputError,
     _expand,
+    _least_in_class,
     _normalization_word,
     _path_word,
-    _residue_counts,
     apply_word,
     check_charge,
     fundamental_representative,
@@ -103,16 +103,6 @@ def test_is_fundamental_table():
         assert is_fundamental(s, e) is expected, (s, e)
 
 
-def test_residue_counts():
-    for s, e, expected in (
-        ((0, 4), 3, (1, 1, 0)),
-        ((0, 1), 3, (1, 1, 0)),
-        ((2,), 4, (0, 0, 1, 0)),
-        ((0, 0), 2, (2, 0)),
-    ):
-        assert _residue_counts(s, e) == expected, (s, e)
-
-
 def test_same_orbit_table():
     for s, t, e, expected in (
         ((1, 0), (0, 4), 3, True),
@@ -120,8 +110,20 @@ def test_same_orbit_table():
         ((0, 1), (0, 2), 3, False),
         ((0,), (3,), 3, True),
         ((0, 0), (0, 1), 3, False),
+        ((0,), (0, 3), 3, False),
+        ((0, 1), (10**6, 1 - 10**6), 10**6, True),
+        ((0, 1), (0, 10**6 + 2), 10**6, False),
+        ((-1, 5, 10**6), (5, 0, 2 * 10**6 - 1), 10**6, True),
     ):
         assert same_orbit(s, t, e) is expected, (s, t, e)
+
+
+def test_least_in_class_exhaustively():
+    for e in range(2, 8):
+        for floor, r in itertools.product(range(-2 * e, 2 * e + 1), repeat=2):
+            v = _least_in_class(floor, r, e)
+            assert v >= floor and (v - r) % e == 0, (floor, r, e)
+            assert all((x - r) % e for x in range(floor, v)), (floor, r, e)
 
 
 def test_orbit_invariant_under_generators():
@@ -132,7 +134,6 @@ def test_orbit_invariant_under_generators():
         e = rng.randrange(2, 6)
         t = apply_word(s, random_word(rng, level, rng.randrange(0, 6)), e)
         assert same_orbit(s, t, e)
-        assert _residue_counts(s, e) == _residue_counts(t, e)
 
 
 def test_transpose_charge():
@@ -266,7 +267,7 @@ def test_unchecked_path_word_lands_exactly():
         for level, reach in ((1, 6), (2, 4), (3, 3)):
             orbits = {}
             for s in itertools.product(range(-reach, reach + 1), repeat=level):
-                orbits.setdefault(_residue_counts(s, e), []).append(s)
+                orbits.setdefault(tuple(sorted(x % e for x in s)), []).append(s)
             for orbit in orbits.values():
                 for s, t in itertools.product(orbit, repeat=2):
                     word = _expand(_path_word(s, t, e))
