@@ -12,7 +12,8 @@ once, at the boundary; internal kernels take the checked values.
 
 import operator
 from contextlib import contextmanager
-from itertools import chain
+from functools import cache
+from itertools import chain, combinations_with_replacement, product
 
 from .errors import InputError
 
@@ -215,7 +216,9 @@ def enumerate_e_regular(n, e):
 
 
 def enumerate_multipartitions(n, levels):
-    """Yield all `levels`-component multipartitions of total rank n."""
+    """Yield all `levels`-component multipartitions of total rank n, by their
+    rank compositions in lexicographic order, then with the first component
+    slowest and each component in decreasing lexicographic order."""
     levels = _int_arg("levels", levels)
     if levels < 1:
         raise InputError(f"need at least one component, got {levels}")
@@ -223,12 +226,11 @@ def enumerate_multipartitions(n, levels):
 
 
 def _multipartitions(n, levels):
-    """enumerate_multipartitions with a checked n and levels."""
-    if levels == 1:
-        for lam in _partitions(n, n):
-            yield (lam,)
-        return
-    for k in range(n + 1):
-        for first in _partitions(k, k):
-            for rest in _multipartitions(n - k, levels - 1):
-                yield (first,) + rest
+    """enumerate_multipartitions of a checked n and levels, ranks read off sorted cuts of n; the
+    last component streams, a head component's partitions are built once per rank."""
+    ranked = cache(lambda k: tuple(_partitions(k, k)))
+    for cuts in combinations_with_replacement(range(n + 1), levels - 1):
+        last = n - (0, *cuts)[-1]
+        for head in product(*(ranked(b - a) for a, b in zip((0, *cuts), cuts))):
+            for lam in _partitions(last, last):
+                yield head + (lam,)

@@ -19,8 +19,9 @@ with its target and raises InternalError on a miss.
 Every public function here that takes a charged multipartition, and
 `multisegments.chi`, checks it with `_charged_input`.  psi, membership and
 flotw_check then call unchecked bodies (`_psi`, `_membership`, `_flotw`),
-as blockwise_lift and blockwise_lower call `_lift` and `_lower`; the other
-modules call those bodies on values they have checked or built themselves.
+as blockwise_lift and blockwise_lower call `_lift` and `_lower` and
+enumerate_phi `core._multipartitions`; the other modules call those bodies
+on values they have checked or built themselves.
 
 `blockwise_lift` and `blockwise_lower` are direct box-moving versions of the
 level-2 isomorphisms between a fundamental charge and a very dominant one;
@@ -40,10 +41,10 @@ from .charges import (
 from .core import (
     _concat,
     _int_arg,
+    _multipartitions,
     _rank_arg,
     check_multipartition,
     check_partition,
-    enumerate_multipartitions,
 )
 from .errors import InputError, InternalError
 from .symbols import _match
@@ -283,7 +284,7 @@ def enumerate_phi(n, charge, e):
     """
     n, s, e = _rank_arg(n), check_charge(charge), _int_arg("e", e, 2)
     f, words = _fundamental_representative(s, e), {}
-    members = (mp for mp in enumerate_multipartitions(n, len(s)) if _flotw(mp, f, e))
+    members = (mp for mp in _multipartitions(n, len(s)) if _flotw(mp, f, e))
     return tuple(sorted(_psi(mp, f, s, e, words) for mp in members))
 
 

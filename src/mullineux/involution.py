@@ -110,7 +110,9 @@ def xu_strip(lam, e):
     Only the leftmost of them has no rim node to its left, so the truncated
     rim takes k_i - 1 nodes from row i, plus the seed from the last row when
     the rim size is not a multiple of e.  One pass over the parts counts
-    them; `truncated_e_rim` lists the same nodes.
+    them; `truncated_e_rim` lists the same nodes.  By that k_i, row i keeps
+    lam_{i+1} <= q_i = lam_i - k_i + 1 <= lam_i <= q_{i-1}, and the last row
+    keeps q >= 1 before the seed takes at most 1: a partition is left.
     """
     lam, e = check_partition(lam), _int_arg("e", e, 2)
     if not lam:
@@ -118,22 +120,15 @@ def xu_strip(lam, e):
     out = []
     size = 0
     n = len(lam)
-    top = lam[0]
     for r, p in enumerate(lam, 1):
         k = p - lam[r] + 1 if r < n else p  # max(lam_{r+1}, 1) is 1 only in the last row
         m = e - size % e
         if k > m:
             k = m
         size += k
-        q = p - k + 1
-        if q > top:
-            raise InternalError(f"stripping the truncated e-rim broke the shape: {[*out, q]}")
-        out.append(q)
-        top = q
+        out.append(p - k + 1)
     seed = 1 if size % e else 0
     out[-1] -= seed
-    if out[-1] < 0:
-        raise InternalError(f"stripping the truncated e-rim broke the shape: {out}")
     if not out[-1]:
         out.pop()
     return tuple(out), size - n + seed

@@ -422,6 +422,41 @@ def test_library_modules_use_every_name_they_import():
     assert found == {}
 
 
+def self_calls(source):
+    """The functions of a module that call themselves by name."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    }
+
+
+def test_only_allowed_functions_recurse():
+    # Recursion depth is bounded by Python's stack, so each function that
+    # calls itself must be one whose depth no answerable input can reach.
+    allowed = {
+        # One frame per part: a partition with about 1,000 parts comes only
+        # after an enumeration that no caller can finish.
+        "core._partitions",
+        # Pinned by the benchmark's crash fixture (kleshchev_oracle's
+        # RecursionError on the row 1000) until the benchmark changes
+        # (ROADMAP item 3).
+        "involution._kleshchev",
+    }
+    assert self_calls("def f(n):\n    return f(n - 1) if n else g()\ndef g():\n    return h()\n") == {"f"}
+    src = Path(mullineux.__file__).parent
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(src.glob("*.py"))
+        for name in self_calls(path.read_text(encoding="utf-8"))
+    }
+    assert found == allowed
+
+
 HUGE_E = 10**6
 
 

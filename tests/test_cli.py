@@ -321,6 +321,11 @@ def test_enumerate_members(capsys):
     assert out == "-|3\n1|1,1\n1|2\n2|1\n2,1|-\n3|-\n"
 
 
+def test_enumerate_members_at_level_1500(capsys):
+    code, out, err = run(capsys, "enumerate", "--e", "3", "--n", "1", "--charge", ",".join(["0"] * 1500))
+    assert (code, out, err) == (0, "1" + "|-" * 1499 + "\n", "")
+
+
 def test_enumerate_is_deterministic(capsys):
     first = run(capsys, "enumerate", "--e", "3", "--n", "4", "--charge", "0,1")
     second = run(capsys, "enumerate", "--e", "3", "--n", "4", "--charge", "0,1")

@@ -1,6 +1,7 @@
 """Tests for partition primitives: validation, conjugation, cores, enumeration."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -281,6 +282,60 @@ def test_enumerate_multipartitions():
 def test_enumerate_multipartitions_levels():
     assert list(enumerate_multipartitions(0, 3)) == [((), (), ())]
     assert len(list(enumerate_multipartitions(3, 1))) == PARTITION_COUNTS[3]
+
+
+def recursive_multipartitions(n, levels):
+    """Multipartitions by one recursion per level: the reference for the set
+    and, at levels 1 and 2, for the order."""
+    if levels == 1:
+        for lam in enumerate_partitions(n):
+            yield (lam,)
+        return
+    for k in range(n + 1):
+        for first in enumerate_partitions(k):
+            for rest in recursive_multipartitions(n - k, levels - 1):
+                yield (first,) + rest
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_enumerate_multipartitions_matches_the_recursive_reference(levels):
+    # Same set at every level; same order at levels 1 and 2, where the
+    # first component's rank is the composition's first entry.
+    for n in range(9):
+        flat = list(enumerate_multipartitions(n, levels))
+        reference = list(recursive_multipartitions(n, levels))
+        assert sorted(flat) == sorted(reference), (n, levels)
+        if levels <= 2:
+            assert flat == reference, (n, levels)
+
+
+def test_enumerate_multipartitions_orders_by_composition():
+    ranks = [tuple(map(sum, mp)) for mp in enumerate_multipartitions(4, 3)]
+    assert ranks == sorted(ranks)
+    assert list(enumerate_multipartitions(3, 3))[:4] == [
+        ((), (), (3,)), ((), (), (2, 1)), ((), (), (1, 1, 1)), ((), (1,), (2,))
+    ]
+
+
+def test_enumerate_multipartitions_answers_at_level_1500():
+    seen = list(enumerate_multipartitions(1, 1500))
+    assert len(seen) == len(set(seen)) == 1500
+    assert seen[0] == ((),) * 1499 + ((1,),)
+    assert all(multirank(mp) == 1 and len(mp) == 1500 for mp in seen)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_enumerate_multipartitions_yields_before_building_the_ranks(levels):
+    # The partitions of every rank up to 40 take about 30 MB as tuples; the
+    # first multipartition needs none of them stored.
+    tracemalloc.start()
+    try:
+        first = next(enumerate_multipartitions(40, levels))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == ((),) * (levels - 1) + ((40,),)
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3])
