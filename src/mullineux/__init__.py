@@ -36,17 +36,14 @@ from .crystal import (
 from .errors import (
     InputError,
     InternalError,
-    MalformedSymbolError,
     MullineuxError,
     NoPathError,
 )
 from .involution import (
     ak_mullineux,
-    e_rim,
     im_sharp,
     kleshchev_oracle,
     mullineux_crystal,
-    truncated_e_rim,
     xu,
     xu_strip,
 )
@@ -55,7 +52,6 @@ from .multisegments import (
     chi,
     is_aperiodic,
 )
-from .symbols import Symbol, build_symbol, decode_symbol, match_step
 from .theta import theta, theta_inverse, theta_l2
 
 __all__ = [name for name in dir() if not name.startswith("_")]

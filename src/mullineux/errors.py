@@ -1,9 +1,10 @@
 """Exception hierarchy.
 
-Everything raised on purpose by this package derives from MullineuxError.
-InputError (and its subclasses) marks bad user input and maps to exit code 2
-in the command line tool; InternalError marks a violated internal consistency
-guarantee and maps to exit code 3.
+Everything raised on purpose by this package derives from MullineuxError,
+and it has two branches.  InputError (and its subclass NoPathError) marks
+bad user input and maps to exit code 2 in the command line tool;
+InternalError marks a violated internal consistency guarantee and maps to
+exit code 3.
 """
 
 
@@ -17,14 +18,6 @@ class InputError(MullineuxError, ValueError):
 
 class NoPathError(InputError):
     """Two multicharges do not lie in the same orbit, so no path exists."""
-
-
-class MalformedSymbolError(MullineuxError):
-    """A two-row symbol does not decode to a pair of partitions.
-
-    This is *not* an InputError: it signals that `decode_symbol` was given a
-    symbol outside its domain.
-    """
 
 
 class InternalError(MullineuxError):

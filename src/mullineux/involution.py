@@ -4,7 +4,9 @@
   crystal isomorphisms (split, lift to a very dominant charge, recurse on
   the two components, descend, merge), run on the box-moving engines.
 * xu: the truncated-rim peeling algorithm (strip truncated e-rims down to
-  the empty partition, then put their sizes back as columns).
+  the empty partition, then put their sizes back as columns).  `xu_strip`
+  counts each strip off the parts; the node lists of the e-rim and the
+  truncated e-rim, its reference, live in the tests' conftest.
 * kleshchev_oracle: the branching-rule recursion, one i-string at a time
   (peel every uncancelled removable node of the least residue i carrying
   one, recurse, add that many of the highest uncancelled addable nodes of
@@ -47,7 +49,6 @@ from .core import (
     _regular_input,
     check_multipartition,
     check_partition,
-    part,
 )
 from .crystal import _lift, _lower, _membership, _psi
 from .errors import InputError, InternalError, NoPathError
@@ -59,49 +60,6 @@ from .theta import _theta
 # Rim truncation route
 # ---------------------------------------------------------------------------
 
-def e_rim(lam, e):
-    """Nodes of the e-rim in traversal order.
-
-    The rim is walked rightmost-first within each row from the top row down;
-    after every e-th node the walk jumps to the next row, skipping the rest
-    of the current one.
-    """
-    lam, e = check_partition(lam), _int_arg("e", e, 2)
-    if not lam:
-        raise InputError("the e-rim of the empty partition is undefined")
-    nodes = []
-    count = 0
-    depth = len(lam)
-    for i in range(1, depth + 1):
-        lo = max(part(lam, i + 1), 1)
-        for j in range(lam[i - 1], lo - 1, -1):
-            nodes.append((i, j))
-            count += 1
-            if count % e == 0:
-                break
-    return tuple(nodes)
-
-
-def truncated_e_rim(lam, e):
-    """Nodes of the truncated e-rim, in e-rim traversal order.
-
-    These are the e-rim nodes whose left neighbour is also in the e-rim,
-    plus, when the e-rim size is not a multiple of e, the seed: the leftmost
-    e-rim node of the last row, which is the walk's last node.  This is the
-    node-level reference for `xu_strip`.
-    """
-    rim = e_rim(lam, e)
-    members = set(rim)
-    chosen = [(i, j) for (i, j) in rim if (i, j - 1) in members]
-    if len(rim) % e != 0:
-        last_row = rim[-1][0]
-        extra = [(i, j) for (i, j) in rim if i == last_row and (i, j - 1) not in members]
-        if len(extra) != 1:
-            raise InternalError(f"expected one seed node in row {last_row}, got {extra}")
-        chosen += extra
-    return tuple(chosen)
-
-
 def xu_strip(lam, e):
     """Remove the truncated e-rim; returns (smaller partition, nodes removed).
 
@@ -110,9 +68,10 @@ def xu_strip(lam, e):
     Only the leftmost of them has no rim node to its left, so the truncated
     rim takes k_i - 1 nodes from row i, plus the seed from the last row when
     the rim size is not a multiple of e.  One pass over the parts counts
-    them; `truncated_e_rim` lists the same nodes.  By that k_i, row i keeps
-    lam_{i+1} <= q_i = lam_i - k_i + 1 <= lam_i <= q_{i-1}, and the last row
-    keeps q >= 1 before the seed takes at most 1: a partition is left.
+    them; `truncated_e_rim` in the tests' conftest lists the same nodes.
+    By that k_i, row i keeps lam_{i+1} <= q_i = lam_i - k_i + 1 <= lam_i <=
+    q_{i-1}, and the last row keeps q >= 1 before the seed takes at most 1:
+    a partition is left.
     """
     lam, e = check_partition(lam), _int_arg("e", e, 2)
     if not lam:

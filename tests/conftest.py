@@ -1,5 +1,7 @@
 """Shared hypothesis strategies, settings and enumerators for the test suite,
-and the node-by-node crystal reference `branching_image`."""
+the node-by-node crystal reference `branching_image`, the two-row symbol
+references `build_symbol`, `decode_symbol` and `match_step`, and the rim
+lists `e_rim` and `truncated_e_rim`."""
 
 import itertools
 
@@ -14,6 +16,8 @@ from mullineux.charges import transpose_charge
 from mullineux.core import enumerate_partitions, part, rank
 
 from mullineux.multisegments import canonical, is_aperiodic
+
+from mullineux.symbols import _match
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -143,3 +147,78 @@ def branching_image(mp, s, e, peel_order=None):
         assert node is not None, (mp, t, e, i)
         mp = moved(mp, node, 1)
     return mp
+
+
+def build_symbol(bp, charge):
+    """The minimal-depth symbol (charge, rows) of a bipartition charged (s1, s2).
+
+    At depth d, row c has length d + s_c - max(s1, s2) and holds the values
+    lam^c_j - j + s_c, ascending, so its j-th part is its j-th entry from the
+    right.  The minimal depth makes both rows just long enough to see every
+    nonzero part.
+    """
+    (lam1, lam2), (s1, s2) = bp, charge
+    top = max(s1, s2)
+    d = max(abs(s1 - s2), len(lam1) + top - s1, len(lam2) + top - s2)
+    rows = tuple(tuple(part(lam, j) - j + s for j in range(d + s - top, 0, -1)) for lam, s in zip(bp, charge))
+    return charge, rows
+
+
+def decode_symbol(symbol):
+    """The bipartition a symbol (charge, rows) encodes.
+
+    A row that is not strictly increasing, or that decodes to a negative
+    part, lies outside the β-sets: a ValueError.
+    """
+    charge, rows = symbol
+    out = []
+    for c, (row, s) in enumerate(zip(rows, charge), 1):
+        if any(a >= b for a, b in zip(row, row[1:])):
+            raise ValueError(f"row {c} not strictly increasing: {row}")
+        parts = [x + j - s for j, x in enumerate(reversed(row), 1)]
+        if any(p < 0 for p in parts):
+            raise ValueError(f"row {c} decodes to a negative part")
+        out.append(tuple(p for p in parts if p))
+    return tuple(out)
+
+
+def match_step(symbol):
+    """One matching step of a symbol charged (s1, s2): the symbol of the
+    image at (s2, s1), by the pairing `mullineux.symbols._match`."""
+    (s1, s2), rows = symbol
+    return (s2, s1), _match(s1, s2, *rows)
+
+
+def e_rim(lam, e):
+    """Nodes (row, column) of the e-rim of a nonempty partition, in walk order.
+
+    The rim is walked rightmost-first within each row from the top row down;
+    after every e-th node the walk jumps to the next row, skipping the rest
+    of the current one.
+    """
+    nodes = []
+    for i in range(1, len(lam) + 1):
+        for j in range(lam[i - 1], max(part(lam, i + 1), 1) - 1, -1):
+            nodes.append((i, j))
+            if len(nodes) % e == 0:
+                break
+    return tuple(nodes)
+
+
+def truncated_e_rim(lam, e):
+    """Nodes of the truncated e-rim, in e-rim walk order: the node-level
+    reference for `xu_strip`.
+
+    These are the e-rim nodes whose left neighbour is also in the e-rim,
+    plus, when the e-rim size is not a multiple of e, the seed: the leftmost
+    e-rim node of the last row, which is the walk's last node.
+    """
+    rim = e_rim(lam, e)
+    members = set(rim)
+    chosen = [(i, j) for (i, j) in rim if (i, j - 1) in members]
+    if len(rim) % e != 0:
+        last_row = rim[-1][0]
+        extra = [(i, j) for (i, j) in rim if i == last_row and (i, j - 1) not in members]
+        assert len(extra) == 1, f"expected one seed node in row {last_row}, got {extra}"
+        chosen += extra
+    return tuple(chosen)

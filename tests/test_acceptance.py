@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import aperiodic_multisegments, branching_image, fundamental_charges
+from conftest import aperiodic_multisegments, branching_image, build_symbol, decode_symbol, fundamental_charges
 
 from mullineux import difftest
 
@@ -32,8 +32,6 @@ from mullineux.involution import (
 )
 
 from mullineux.multisegments import chi, is_aperiodic
-
-from mullineux.symbols import build_symbol, decode_symbol
 
 from mullineux.theta import theta, theta_inverse
 

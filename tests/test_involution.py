@@ -16,7 +16,16 @@ from mullineux import difftest
 import pytest
 from hypothesis import given
 
-from conftest import branching_image, fundamental_charges, good_nodes, moved, partitions_up_to, reduced_signature
+from conftest import (
+    branching_image,
+    e_rim,
+    fundamental_charges,
+    good_nodes,
+    moved,
+    partitions_up_to,
+    reduced_signature,
+    truncated_e_rim,
+)
 
 from mullineux.core import (
     conjugate,
@@ -35,13 +44,11 @@ from mullineux.errors import InputError, InternalError, NoPathError
 
 from mullineux.involution import (
     ak_mullineux,
-    e_rim,
     im_sharp,
     kleshchev_oracle,
     kleshchev_trace,
     mullineux_crystal,
     mullineux_crystal_trace,
-    truncated_e_rim,
     xu,
     xu_strip,
     xu_trace,
@@ -105,8 +112,6 @@ def test_e_rim_examples():
         (4, 2),
         (4, 1),
     )
-    with pytest.raises(InputError):
-        e_rim((), 3)
 
 
 def test_truncated_e_rim_and_strip():
@@ -452,8 +457,6 @@ def test_kleshchev_matches_xu_on_larger_partitions(case):
         xu_trace,
         mullineux_crystal,
         mullineux_crystal_trace,
-        e_rim,
-        truncated_e_rim,
         xu_strip,
     ],
 )

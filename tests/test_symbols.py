@@ -1,4 +1,5 @@
-"""Tests for two-row symbols: building, decoding, and the matching step."""
+"""Tests for the two-row symbol references in conftest: building,
+decoding, and the matching step over the package's row pairing."""
 
 import itertools
 
@@ -8,22 +9,13 @@ from hypothesis import given
 
 import hypothesis.strategies as st
 
-from conftest import bipartitions
-
-from mullineux.errors import InputError
-
-from mullineux.symbols import (
-    MalformedSymbolError,
-    Symbol,
-    build_symbol,
-    decode_symbol,
-    match_step,
-)
+from conftest import bipartitions, build_symbol, decode_symbol, match_step
 
 
 def minimal_depth(bp, charge):
     """The depth of the minimal symbol: the length of its row at the larger charge."""
-    return len(build_symbol(bp, charge).rows[charge.index(max(charge))])
+    _, rows = build_symbol(bp, charge)
+    return len(rows[charge.index(max(charge))])
 
 
 def test_symbol_depth_table():
@@ -46,51 +38,7 @@ def test_build_symbol_table():
         (((), ()), (0, 1), ((), (0,))),
         (((2, 1), ()), (0, 1), ((-1, 1), (-2, -1, 0))),
     ):
-        sym = build_symbol(bp, charge)
-        assert sym.charge == charge, bp
-        assert sym.rows == rows, bp
-
-
-def test_symbol_is_frozen_and_validated():
-    sym = Symbol((0, 1), ((2,), (0, 3)))
-    with pytest.raises(Exception):
-        sym.charge = (1, 1)
-    with pytest.raises(InputError):
-        Symbol((0,), ((2,),))
-    with pytest.raises(InputError):
-        Symbol((0, 1, 2), ((), (), ()))
-    with pytest.raises(InputError):
-        sym._replace(rows=((2,),))
-    with pytest.raises(InputError):
-        Symbol._make(((0, 1), ((2,),)))
-    assert sym._replace(charge=(1, 0)) == Symbol((1, 0), ((2,), (0, 3)))
-
-
-def test_symbol_functions_reject_non_partitions():
-    for bp in (((1, 2), ()), ((), (1, 2))):
-        with pytest.raises(InputError):
-            build_symbol(bp, (0, 1))
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: build_symbol(((1,), ()), (0.5, 1)),
-        lambda: build_symbol(((1,), ()), (0, 1.5)),
-        lambda: build_symbol(((1,), ()), (0, 1, 2)),
-        lambda: build_symbol(((1,), ()), (0,)),
-        lambda: build_symbol(((1,), (), ()), (0, 1)),
-        lambda: build_symbol(((1,), ()), (0, 1), depth=2.5),
-        lambda: build_symbol(((1,), ()), (0, 1), depth="3"),
-    ],
-)
-def test_symbol_functions_check_charge_components_and_depth(call):
-    with pytest.raises(InputError):
-        call()
-
-
-def test_symbol_repr_names_its_fields():
-    assert repr(Symbol((0, 1), ((2,), (0, 3)))) == "Symbol(charge=(0, 1), rows=((2,), (0, 3)))"
+        assert build_symbol(bp, charge) == (charge, rows), bp
 
 
 def test_decode_symbol_table():
@@ -99,42 +47,29 @@ def test_decode_symbol_table():
         ((0, 1), ((2,), (0, 3)), ((3,), (3, 1))),
         ((0, 0), ((-2, -1), (0, 1)), ((), (2, 2))),
     ):
-        assert decode_symbol(Symbol(charge, rows)) == expected, (charge, rows)
+        assert decode_symbol((charge, rows)) == expected, (charge, rows)
 
 
 def test_decode_symbol_malformed():
-    for charge, rows in (
-        ((0, 1), ((2, 2), (0, 3))),
-        ((0, 1), ((3, 2), (0, 3))),
-        ((0, 0), ((-2,), (0,))),
+    for charge, rows, message in (
+        ((0, 1), ((2, 2), (0, 3)), r"^row 1 not strictly increasing: \(2, 2\)$"),
+        ((0, 1), ((3, 2), (0, 3)), r"^row 1 not strictly increasing: \(3, 2\)$"),
+        ((0, 0), ((-2,), (0,)), "^row 1 decodes to a negative part$"),
     ):
-        with pytest.raises(MalformedSymbolError):
-            decode_symbol(Symbol(charge, rows))
-
-
-def test_padding_is_invisible():
-    for bp, charge in (
-        (((3,), (3, 1)), (0, 1)),
-        (((2,), (1,)), (2, -1)),
-        (((), ()), (0, 0)),
-    ):
-        d = minimal_depth(bp, charge)
-        for extra in (1, 2, 5):
-            padded = build_symbol(bp, charge, depth=d + extra)
-            assert decode_symbol(padded) == bp, (bp, charge, extra)
+        with pytest.raises(ValueError, match=message):
+            decode_symbol((charge, rows))
 
 
 def test_match_step_table():
     # Matching swaps the two charges and redistributes the entries.
     sym = build_symbol(((3,), (3, 1)), (0, 1))
     matched = match_step(sym)
-    assert matched.charge == (1, 0)
-    assert matched.rows == ((2, 3), (0,))
+    assert matched == ((1, 0), ((2, 3), (0,)))
     assert decode_symbol(matched) == ((3, 3), (1,))
 
     sym = build_symbol(((2, 1), ()), (0, 1))
     matched = match_step(sym)
-    assert matched.charge == (1, 0)
+    assert matched[0] == (1, 0)
     assert decode_symbol(matched) == ((1,), (1, 1))
 
 
@@ -147,6 +82,27 @@ def all_bipartitions(max_rank):
 
     for n in range(max_rank + 1):
         yield from enumerate_multipartitions(n, 2)
+
+
+def padded(symbol, extra):
+    """The symbol with `extra` more entries below the common floor of its rows."""
+    charge, rows = symbol
+    top = max(charge)
+    floor = top - len(rows[charge.index(top)])
+    below = tuple(range(floor - extra, floor))
+    return charge, tuple(below + row for row in rows)
+
+
+def test_padding_is_invisible():
+    # crystal._sigma matches the minimal-depth rows; any deeper symbol
+    # decodes to the same bipartition and matches to the same image.
+    for bp in all_bipartitions(4):
+        for charge in small_charges():
+            sym = build_symbol(bp, charge)
+            for extra in (1, 2, 5):
+                deep = padded(sym, extra)
+                assert decode_symbol(deep) == bp, (bp, charge, extra)
+                assert match_step(deep) == padded(match_step(sym), extra), (bp, charge, extra)
 
 
 def test_build_decode_round_trip_exhaustive():
@@ -163,12 +119,10 @@ def test_build_decode_round_trip_random(bp, charge):
 
 @given(bipartitions(), st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
 def test_match_step_preserves_entry_multiset(bp, charge):
-    sym = build_symbol(bp, charge)
-    matched = match_step(sym)
-    assert matched.charge == (charge[1], charge[0])
-    assert sorted(sym.rows[0] + sym.rows[1]) == sorted(
-        matched.rows[0] + matched.rows[1]
-    )
+    _, rows = build_symbol(bp, charge)
+    new_charge, new_rows = match_step((charge, rows))
+    assert new_charge == (charge[1], charge[0])
+    assert sorted(rows[0] + rows[1]) == sorted(new_rows[0] + new_rows[1])
 
 
 def test_match_step_twice_is_identity_on_members():
