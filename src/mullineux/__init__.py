@@ -12,14 +12,12 @@ from .charges import (
     very_dominant_representative,
 )
 from .core import (
-    concat,
     conjugate,
     enumerate_e_regular,
     enumerate_multipartitions,
     enumerate_partitions,
     is_e_regular,
     is_strict_e_core,
-    max_hook_length,
     multirank,
     part,
     rank,

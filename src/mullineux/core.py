@@ -2,8 +2,7 @@
 
 A partition is stored as a tuple of weakly decreasing positive integers;
 the empty partition is ().  Parts beyond the last stored one are 0, which
-the accessor `part` makes explicit.  Nodes of the Young diagram are
-(row, column) pairs with 1-based indices.
+the accessor `part` makes explicit.
 
 The public functions of the package check `e`, split charges, residues,
 ranks, partition parts and charge entries with `_int_arg` and `_int_seq`,
@@ -148,15 +147,8 @@ def _conjugate(lam):
     return tuple(out)
 
 
-def max_hook_length(lam):
-    """Hook length of the node (1, 1): first part plus number of parts minus 1."""
-    with _reworded("max_hook_length needs a partition", lam):
-        lam = check_partition(lam)
-    return lam[0] + len(lam) - 1 if lam else 0
-
-
 def is_strict_e_core(lam, e):
-    """True when every hook length is < e, i.e. max_hook_length(lam) < e.
+    """True when every hook length is < e, i.e. the hook of (1, 1) is shorter than e.
 
     This is strictly stronger than having no hook of length exactly e.
     The empty partition is a strict core for every e.
@@ -169,14 +161,8 @@ def _is_strict_core(lam, e):
     return not lam or lam[0] + len(lam) <= e
 
 
-def concat(*partitions):
-    """Merge several partitions into one by sorting all parts decreasingly."""
-    with _reworded("concat needs partitions", partitions):
-        return _concat(*map(check_partition, partitions))
-
-
 def _concat(*partitions):
-    """concat of checked partitions, given as tuples."""
+    """Merge checked partitions, given as tuples, by sorting all parts decreasingly."""
     return tuple(sorted(chain.from_iterable(partitions), reverse=True))
 
 

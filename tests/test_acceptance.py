@@ -262,6 +262,21 @@ def test_a_split_with_its_components_reversed_fails_theta_roundtrip(monkeypatch)
         assert nfail > 0 and key is not None
 
 
+def test_an_empty_second_lift_component_fails_core_empty_lift(monkeypatch):
+    # The crystal route raises before it returns an empty lift component, so
+    # core_empty_lift reads psi's lift: a psi that empties the second
+    # component of (3, 1)'s lift at e = 3, s = 1 is recorded, not raised.
+    slow = difftest.crystal._psi
+
+    def emptied(mp, s, t, e, words=None):
+        image = slow(mp, s, t, e, words)
+        return (image[0], ()) if (mp, s) == (((3, 1), ()), (0, 1)) else image
+
+    monkeypatch.setattr(difftest.crystal, "_psi", emptied)
+    with criterion("exhaustive/empty-lift-is-checked"):
+        assert difftest.check(3, 4)["core_empty_lift"][1:] == [1, (3, 4, (3, 1), 1)]
+
+
 # --- 3. Round-trips ----------------------------------------------------------
 
 

@@ -21,7 +21,6 @@ from mullineux import (
     conjugate,
     difftest,
     canonical,
-    concat,
     enumerate_e_regular,
     enumerate_multipartitions,
     enumerate_partitions,
@@ -32,7 +31,6 @@ from mullineux import (
     is_e_regular,
     is_strict_e_core,
     kleshchev_oracle,
-    max_hook_length,
     membership,
     mullineux_crystal,
     multirank,
@@ -63,11 +61,11 @@ from mullineux.multisegments import check_multisegment
 PUBLIC_NAMES = [
     "InputError", "InternalError", "MullineuxError", "NoPathError",
     "ak_mullineux", "apply_word", "blockwise_lift", "blockwise_lower",
-    "canonical", "charges", "chi", "concat", "conjugate", "core", "crystal",
+    "canonical", "charges", "chi", "conjugate", "core", "crystal",
     "enumerate_e_regular", "enumerate_multipartitions", "enumerate_partitions",
     "enumerate_phi", "errors", "flotw_check", "fundamental_representative",
     "im_sharp", "involution", "is_aperiodic", "is_e_regular", "is_fundamental",
-    "is_strict_e_core", "kleshchev_oracle", "max_hook_length", "membership",
+    "is_strict_e_core", "kleshchev_oracle", "membership",
     "mullineux_crystal", "multirank", "multisegments", "part", "path_word",
     "psi", "rank", "remove_first_column", "same_orbit", "sharp_very_dominant",
     "symbols", "theta", "theta_inverse", "theta_l2", "transpose_charge",
@@ -272,10 +270,10 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
 # and collections and words are iterable; anything else is an InputError,
 # never an IndexError, a ValueError, a TypeError, an AttributeError, a
 # silently truncated read or an answer about a non-partition.  The core
-# helpers (rank, multirank, max_hook_length, concat, is_e_regular) check
-# their argument and name themselves in the message; the routes run their
-# unchecked bodies.  part and canonical, which run inside route loops, turn
-# what they already raise into an InputError and check no shape.
+# helpers (rank, multirank, is_e_regular) check their argument and name
+# themselves in the message; the routes run their unchecked bodies.  part
+# and canonical, which run inside route loops, turn what they already raise
+# into an InputError and check no shape.
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -321,8 +319,8 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: theta_inverse(((1,), (0.5,))), "parts must be ints: (0.5,)"),
         (lambda: rank(5), "rank needs a partition, got 5"),
         (lambda: multirank(5), "multirank needs a multipartition, got 5"),
-        (lambda: max_hook_length(5), "max_hook_length needs a partition, got 5"),
-        (lambda: concat(5), "concat needs partitions, got (5,)"),
+        (lambda: is_strict_e_core((1, -1), 3), "parts must be nonnegative: (1, -1)"),
+        (lambda: theta_inverse((5,)), "parts must be ints: 5"),
         (lambda: is_e_regular(5, 3), "is_e_regular needs a partition, got 5"),
         (lambda: canonical(5), "canonical needs (head, length) segments, got 5"),
         (lambda: canonical(((0, 1), "x")), "canonical needs (head, length) segments, got ((0, 1), 'x')"),
@@ -330,17 +328,17 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: apply_word(S, [("tau",), ("sigma",)], 3), "malformed generator ('sigma',)"),
         (lambda: rank((1, "x")), "rank needs a partition, got (1, 'x')"),
         (lambda: multirank(((1,), 5)), "multirank needs a multipartition, got ((1,), 5)"),
-        (lambda: max_hook_length(("x",)), "max_hook_length needs a partition, got ('x',)"),
-        (lambda: concat((2,), 5), "concat needs partitions, got ((2,), 5)"),
-        (lambda: concat((2,), (1, "x")), "concat needs partitions, got ((2,), (1, 'x'))"),
+        (lambda: is_strict_e_core(("x",), 3), "parts must be ints: ('x',)"),
+        (lambda: theta_inverse(((2,), 5)), "parts must be ints: 5"),
+        (lambda: theta_inverse(((2,), (1, "x"))), "parts must be ints: (1, 'x')"),
         (lambda: canonical(((0, 1), (0,))), "canonical needs (head, length) segments, got ((0, 1), (0,))"),
         (lambda: canonical(((0, "a"), (1, 2))), "canonical needs (head, length) segments, got ((0, 'a'), (1, 2))"),
-        (lambda: max_hook_length((1, 2)), "max_hook_length needs a partition, got (1, 2)"),
+        (lambda: theta_inverse(((1,), (1, -1))), "parts must be nonnegative: (1, -1)"),
         (lambda: is_e_regular((1, 2), 3), "is_e_regular needs a partition, got (1, 2)"),
         (lambda: rank((1.5,)), "rank needs a partition, got (1.5,)"),
         (lambda: multirank(((1, 2),)), "multirank needs a multipartition, got ((1, 2),)"),
         (lambda: multirank(()), "multirank needs a multipartition, got ()"),
-        (lambda: concat((1, 2)), "concat needs partitions, got ((1, 2),)"),
+        (lambda: theta_inverse(((1, 2),)), "parts must be weakly decreasing: (1, 2)"),
         (lambda: part(3, 5), "part needs a partition and an index, got 3 and 5"),
         (lambda: part((1,), "x"), "part needs a partition and an index, got (1,) and 'x'"),
         (lambda: part({1: 2}, 1), "part needs a partition and an index, got {1: 2} and 1"),
@@ -357,10 +355,10 @@ def test_malformed_segments_and_pairs_are_input_errors(call, message):
 # A core helper reads its argument as check_partition does: any iterable of
 # ints, trailing zeros dropped.  A dict is read as its keys.
 def test_core_helpers_read_their_argument_with_check_partition():
-    assert max_hook_length({1: 2}) == max_hook_length([1, 0]) == 1
+    assert is_strict_e_core({1: 2}, 3) and is_strict_e_core([1, 0], 2)
     assert rank([2, 1, 0]) == 3 and multirank([[2, 1, 0], []]) == 3
     assert is_e_regular([2, 1, 1, 0, 0, 0], 3)
-    assert concat([2, 0], (3, 1)) == (3, 2, 1)
+    assert theta_inverse([[2, 0], (3, 1)]) == (3, 2, 1)
 
 
 # Every route that takes one e-regular partition reads it through

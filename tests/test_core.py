@@ -13,20 +13,17 @@ from mullineux.core import (
     InputError,
     check_multipartition,
     check_partition,
-    concat,
     conjugate,
     enumerate_e_regular,
     enumerate_multipartitions,
     enumerate_partitions,
     is_e_regular,
     is_strict_e_core,
-    max_hook_length,
     multirank,
     part,
     rank,
     remove_first_column,
 )
-from mullineux.theta import theta_inverse
 
 # Number of partitions of n for n = 0..14 (OEIS A000041).
 PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135)
@@ -146,21 +143,25 @@ def test_conjugate_is_linear_on_long_inputs():
     assert time.perf_counter() - start < 0.1
 
 
-def test_max_hook_length_table():
-    for lam, expected in (
+def test_is_strict_e_core_hook_table():
+    # A strict e-core is a partition whose longest hook is shorter than e.
+    for lam, hook in (
         ((2,), 2),
         ((3,), 3),
         ((2, 1), 3),
         ((), 0),
         ((17, 9, 7, 6, 3, 3), 22),
     ):
-        assert max_hook_length(lam) == expected, lam
+        assert brute_max_hook(lam) == hook, lam
+        for e in range(2, 9):
+            assert is_strict_e_core(lam, e) == (hook < e), (lam, e)
 
 
-def test_max_hook_length_matches_nodewise_oracle():
+def test_is_strict_e_core_matches_nodewise_hook_oracle():
     for n in range(11):
         for lam in enumerate_partitions(n):
-            assert max_hook_length(lam) == brute_max_hook(lam), lam
+            for e in range(2, 9):
+                assert is_strict_e_core(lam, e) == (brute_max_hook(lam) < e), (lam, e)
 
 
 def test_is_strict_e_core_table():
@@ -182,31 +183,6 @@ def test_strict_core_implies_regular():
             for lam in enumerate_partitions(n):
                 if is_strict_e_core(lam, e):
                     assert is_e_regular(lam, e), (lam, e)
-
-
-def test_concat_table():
-    for lam, mu, expected in (
-        ((17,), (9, 7, 6, 3, 3), (17, 9, 7, 6, 3, 3)),
-        ((8, 8), (), (8, 8)),
-        ((), (), ()),
-        ((8, 8, 3, 2, 1, 1), (6, 6, 4, 3), (8, 8, 6, 6, 4, 3, 3, 2, 1, 1)),
-    ):
-        assert concat(lam, mu) == expected, (lam, mu)
-
-
-@given(partitions(), partitions())
-def test_concat_is_sorted_union(lam, mu):
-    out = concat(lam, mu)
-    assert out == tuple(sorted(lam + mu, reverse=True))
-    assert rank(out) == rank(lam) + rank(mu)
-
-
-def test_concat_joins_a_hundred_thousand_components_at_once():
-    rows = ((1,),) * 10**5
-    start = time.perf_counter()
-    assert theta_inverse(rows) == (1,) * 10**5
-    assert concat(*rows) == (1,) * 10**5
-    assert time.perf_counter() - start < 2
 
 
 def test_remove_first_column():

@@ -1,10 +1,13 @@
 """Tests for the splitting map theta and its inverse."""
 
+import time
+
 import pytest
+from hypothesis import given
 
-from conftest import fundamental_charges
+from conftest import fundamental_charges, partitions
 
-from mullineux.core import _concat, concat, enumerate_e_regular, multirank
+from mullineux.core import _concat, enumerate_e_regular, multirank, rank
 
 from mullineux.crystal import flotw_check
 
@@ -54,9 +57,28 @@ def test_theta_l2_matches_theta():
 
 
 def test_theta_inverse():
-    assert theta_inverse(((8, 8), (6, 6, 4, 3), (3, 2, 1, 1))) == LAM10
-    assert theta_inverse(((), ())) == ()
-    assert theta_inverse(((17,), (9, 7, 6, 3, 3))) == (17, 9, 7, 6, 3, 3)
+    for mp, expected in (
+        (((8, 8), (6, 6, 4, 3), (3, 2, 1, 1)), LAM10),
+        (((), ()), ()),
+        (((17,), (9, 7, 6, 3, 3)), (17, 9, 7, 6, 3, 3)),
+        (((8, 8), ()), (8, 8)),
+        (((8, 8, 3, 2, 1, 1), (6, 6, 4, 3)), LAM10),
+    ):
+        assert theta_inverse(mp) == expected, mp
+
+
+@given(partitions(), partitions())
+def test_theta_inverse_is_sorted_union(lam, mu):
+    out = theta_inverse((lam, mu))
+    assert out == tuple(sorted(lam + mu, reverse=True))
+    assert rank(out) == rank(lam) + rank(mu)
+
+
+def test_theta_inverse_joins_a_hundred_thousand_components_at_once():
+    rows = ((1,),) * 10**5
+    start = time.perf_counter()
+    assert theta_inverse(rows) == (1,) * 10**5
+    assert time.perf_counter() - start < 2
 
 
 def test_theta_round_trip_and_membership():
@@ -156,5 +178,5 @@ def test_theta_components_interleave():
             for lam in enumerate_e_regular(n, e):
                 for s in range(e):
                     pair = theta_l2(lam, e, s)
-                    merged = concat(pair[0], pair[1])
+                    merged = theta_inverse(pair)
                     assert merged == lam, (lam, s)
