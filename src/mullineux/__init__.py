@@ -2,10 +2,8 @@
 with the charged-multipartition and multisegment machinery around it."""
 
 from .charges import (
-    apply_word,
     fundamental_representative,
     is_fundamental,
-    path_word,
     same_orbit,
     sharp_very_dominant,
     transpose_charge,

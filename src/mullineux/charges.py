@@ -8,8 +8,7 @@ modulus e the group acting on charges is generated by
 * tau = z_l sigma_{l-1} ... sigma_1: rotate left and add e to the entry
   that wraps around, tau.s = (s_2, ..., s_l, s_1 + e).
 
-Words are lists of generators ("sigma", c), ("tau",), ("tau_inv",) applied
-left to right.  The fundamental domain consists of the charges with
+The fundamental domain consists of the charges with
 s_1 <= s_2 <= ... <= s_l < s_1 + e.
 
 Orbits are residue multisets mod e, and every representative takes each
@@ -26,15 +25,13 @@ stays sorted.  `_normalization_word` lowers a descending cluster, the
 entries above position k, in one token computed in closed form, so after
 its sort a normalization word has at most one wrap per position: at level 3,
 (0, 30001, 60002) normalizes in two tokens, and the length of a word does
-not grow with the distance between its charges.  `_expand` turns such a
-word into the plain list that path_word returns; crystal's walk reads it as
-it is.
+not grow with the distance between its charges.
 """
 
 from bisect import bisect_left
 
-from .core import _int_arg, _int_seq, _iter_arg
-from .errors import InputError, InternalError, NoPathError
+from .core import _int_arg, _int_seq
+from .errors import InputError, NoPathError
 
 
 def check_charge(s):
@@ -45,55 +42,18 @@ def check_charge(s):
     return t
 
 
-def _generator_arg(gen):
-    """gen read whole: ("sigma", c) with c an int, ("tau",) or ("tau_inv",)."""
-    try:
-        kind, *args = gen
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed generator {gen!r}") from exc
-    if kind not in ("sigma", "tau", "tau_inv"):
-        raise InputError(f"unknown generator {gen!r}")
-    if len(args) != (1 if kind == "sigma" else 0):
-        raise InputError(f"malformed generator {gen!r}")
-    return ("sigma", _int_arg("sigma index", args[0])) if args else (kind,)
-
-
-def _apply(s, gen, e):
-    """One checked generator applied to s, for a checked e."""
-    if gen[0] == "sigma":
-        c = gen[1]
-        if not 1 <= c < len(s):
-            raise InputError(f"sigma index {c} out of range for level {len(s)}")
-        t = list(s)
-        t[c - 1], t[c] = t[c], t[c - 1]
-        return tuple(t)
-    if gen[0] == "tau":
-        return tuple(s[1:]) + (s[0] + e,)
-    return (s[-1] - e,) + tuple(s[:-1])
-
-
-def apply_word(s, word, e):
-    """Apply a word of generators left to right."""
-    word = [_generator_arg(gen) for gen in _iter_arg("a word", word)]
-    return _apply_word(check_charge(s), word, _int_arg("e", e, 2))
-
-
-def _apply_word(s, word, e):
-    """apply_word with a checked e and sigma indices."""
-    t = tuple(s)
-    for gen in word:
-        t = _apply(t, gen, e)
-    return t
-
-
 def is_fundamental(s, e):
     """True when s_1 <= ... <= s_l < s_1 + e."""
     e = _int_arg("e", e, 2)
     try:
-        t = _int_seq("charge entries", s)
-        return all(a <= b for a, b in zip(t, t[1:])) and t[-1] < t[0] + e
+        return _is_fundamental(_int_seq("charge entries", s), e)
     except (IndexError, InputError) as exc:
         raise InputError(f"a multicharge must be a nonempty sequence of ints, got {s!r}") from exc
+
+
+def _is_fundamental(s, e):
+    """is_fundamental of a checked charge for a checked e."""
+    return all(a <= b for a, b in zip(s, s[1:])) and s[-1] < s[0] + e
 
 
 def _least_in_class(floor, r, e):
@@ -191,46 +151,6 @@ def _normalization_word(s, e):
     return word, tuple(t)
 
 
-def _expand(word):
-    """The generators of a run-length word, one by one.
-
-    ("wrap", k, r) is (tau_inv, sigma_1, ..., sigma_k) repeated r times,
-    ("unwrap", k, r) its inverse (sigma_k, ..., sigma_1, tau) repeated r
-    times, and ("tau", j) is tau^j for j of either sign.
-    """
-    out = []
-    for gen in word:
-        kind = gen[0]
-        if kind == "wrap":
-            out += ([("tau_inv",)] + [("sigma", c) for c in range(1, gen[1] + 1)]) * gen[2]
-        elif kind == "unwrap":
-            out += ([("sigma", c) for c in range(gen[1], 0, -1)] + [("tau",)]) * gen[2]
-        elif kind == "tau":
-            out += [("tau",)] * gen[1] if gen[1] >= 0 else [("tau_inv",)] * -gen[1]
-        else:
-            out.append(gen)
-    return out
-
-
-def path_word(s, t, e):
-    """A word taking s to t; raises NoPathError when they are not in one orbit.
-
-    Route: normalize s down to its fundamental representative, slide along
-    the orbit of fundamental representatives by powers of tau, then run the
-    normalization of t backwards.  The word is applied to s once more here,
-    and a miss raises InternalError; psi walks the same word in run-length
-    form from `_path_word` and checks only where its own walk ends.
-    """
-    s = check_charge(s)
-    t = check_charge(t)
-    e = _int_arg("e", e, 2)
-    _orbit_check(s, t, e)
-    word = _expand(_path_word(s, t, e))
-    if _apply_word(s, word, e) != t:
-        raise InternalError(f"path from {s} to {t} missed its target")
-    return word
-
-
 def _orbit_check(s, t, e):
     """NoPathError unless the checked charges s and t lie in one orbit."""
     if not _same_orbit(s, t, e):
@@ -238,7 +158,7 @@ def _orbit_check(s, t, e):
 
 
 def _path_word(s, t, e):
-    """Run-length path_word for checked charges of one orbit, built without checking it.
+    """Run-length path word for checked charges of one orbit, built without checking it.
 
     The normalization of s, the bridge ("tau", j) unless j is 0, and the
     normalization of t reversed, each wrap read as its unwrap.

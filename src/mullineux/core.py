@@ -10,6 +10,7 @@ once, at the boundary; internal kernels take the checked values.
 """
 
 import operator
+import sys
 from contextlib import contextmanager
 from functools import cache
 from itertools import chain, combinations_with_replacement, product
@@ -213,7 +214,14 @@ def enumerate_multipartitions(n, levels):
 
 def _multipartitions(n, levels):
     """enumerate_multipartitions of a checked n and levels, ranks read off sorted cuts of n; the
-    last component streams, a head component's partitions are built once per rank."""
+    last component streams, a head component's partitions are built once per rank.
+
+    The cuts come from a tuple of range(n + 1), which Python can build only
+    below sys.maxsize entries: a larger n is an InputError, raised at the
+    first item by both public callers.
+    """
+    if n >= sys.maxsize:
+        raise InputError(f"rank must be < {sys.maxsize} to enumerate multipartitions, got {n}")
     ranked = cache(lambda k: tuple(_partitions(k, k)))
     for cuts in combinations_with_replacement(range(n + 1), levels - 1):
         last = n - (0, *cuts)[-1]

@@ -32,11 +32,11 @@ import operator
 
 from .charges import (
     _fundamental_representative,
+    _is_fundamental,
     _least_in_class,
     _orbit_check,
     _path_word,
     check_charge,
-    is_fundamental,
 )
 from .core import (
     _concat,
@@ -72,7 +72,7 @@ def flotw_check(mp, charge, e):
         do not exhaust Z/eZ.
     """
     mp, s, e = _charged_input(mp, (charge,), e)
-    if not is_fundamental(s, e):
+    if not _is_fundamental(s, e):
         raise InputError(f"flotw_check needs a fundamental multicharge, got {s}")
     return _flotw(mp, s, e)
 
@@ -98,9 +98,9 @@ def _flotw(mp, s, e):
 def _walk(mp, s, word, e):
     """Transport a checked multipartition along a word: (image, end charge).
 
-    The word is a run-length word as `charges._path_word` builds it, or a
-    list of plain generators; ("tau",) and ("tau_inv",) are runs of length
-    one.  Each component travels as the partition it is, at a charge that
+    The word is a run-length word as `charges._path_word` builds it, of
+    tokens ("sigma", c), ("wrap", k, r), ("unwrap", k, r) and ("tau", j).
+    Each component travels as the partition it is, at a charge that
     the walk carries along.  So tau^j changes no row: row i moves to
     (i - j) mod l and its charge gains e*((j - i - 1)//l + 1), one rotation
     in O(l).
@@ -181,7 +181,7 @@ def _walk(mp, s, word, e):
                 s.append(a + e)
                 r -= 1
         else:
-            j = gen[1] if len(gen) > 1 else 1 if kind == "tau" else -1
+            j = gen[1]
             h = j % l
             s = [x + e * ((j - i - 1) // l + 1) for i, x in enumerate(s)]
             rows, s = rows[h:] + rows[:h], s[h:] + s[:h]

@@ -112,7 +112,7 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
             record("core_empty_lift", reference[1] != () or is_core, skey)
             record("blockwise_lift", lifted == reference, skey)
             # The word to ups[s] + (0, e) is the word to ups[s] followed by sigma_1, tau.
-            relifted, _ = crystal._walk(reference, ups[s], (("sigma", 1), ("tau",)), e)
+            relifted, _ = crystal._walk(reference, ups[s], (("sigma", 1), ("tau", 1)), e)
             record("lift_k_stable", relifted == reference, skey)
         if lam:
             smaller, removed = involution.xu_strip(lam, e)

@@ -11,7 +11,7 @@ component 1, then blocks of e rows alternate between the components.
 theta_inverse simply merges all components back into one partition.
 """
 
-from .charges import check_charge, is_fundamental
+from .charges import _is_fundamental, check_charge
 from .core import _concat, _int_arg, _regular_input, check_multipartition
 from .errors import InputError
 
@@ -20,7 +20,7 @@ def theta(lam, e, charge):
     """Split an e-regular partition over the components of a fundamental charge."""
     lam, e = _regular_input(lam, e, "theta")
     s = check_charge(charge)
-    if not is_fundamental(s, e):
+    if not _is_fundamental(s, e):
         raise InputError(f"theta needs a fundamental multicharge, got {s}")
     return _theta(lam, e, s)
 

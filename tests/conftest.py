@@ -1,5 +1,6 @@
 """Shared hypothesis strategies, settings and enumerators for the test suite,
-the node-by-node crystal reference `branching_image`, the two-row symbol
+the plain action of the charge group `expand` and `apply_word`, the
+node-by-node crystal reference `branching_image`, the two-row symbol
 references `build_symbol`, `decode_symbol` and `match_step`, and the rim
 lists `e_rim` and `truncated_e_rim`."""
 
@@ -70,6 +71,47 @@ def aperiodic_multisegments(n, e):
             ms = canonical(seg for group in combo for seg in group)
             if is_aperiodic(ms, e):
                 yield ms
+
+
+def expand(word):
+    """The run-length word as plain generators ("sigma", c) and ("tau", 1 or -1), one per step.
+
+    ("wrap", k, r) is (tau^-1, sigma_1, ..., sigma_k) repeated r times,
+    ("unwrap", k, r) its inverse (sigma_k, ..., sigma_1, tau) repeated r
+    times, and ("tau", j) is tau^j for j of either sign.  A plain word is a
+    run-length word whose runs all have length 1, so the package's walk
+    reads both.
+    """
+    out = []
+    for gen in word:
+        kind = gen[0]
+        if kind == "wrap":
+            out += ([("tau", -1)] + [("sigma", c) for c in range(1, gen[1] + 1)]) * gen[2]
+        elif kind == "unwrap":
+            out += ([("sigma", c) for c in range(gen[1], 0, -1)] + [("tau", 1)]) * gen[2]
+        elif kind == "tau":
+            out += [("tau", 1 if gen[1] > 0 else -1)] * abs(gen[1])
+        else:
+            out.append(gen)
+    return out
+
+
+def apply_word(s, word, e):
+    """The charge s moved along a word, one plain generator at a time, left to right; unchecked.
+
+    sigma_c swaps entries c and c+1, tau.s = (s_2, ..., s_l, s_1 + e) and
+    tau^-1 is its inverse.
+    """
+    t = tuple(s)
+    for gen in expand(word):
+        if gen[0] == "sigma":
+            c = gen[1]
+            t = t[: c - 1] + (t[c], t[c - 1]) + t[c + 1 :]
+        elif gen[1] == 1:
+            t = t[1:] + (t[0] + e,)
+        else:
+            t = (t[-1] - e,) + t[:-1]
+    return t
 
 
 def signature(mp, s, e, i):

@@ -45,10 +45,8 @@ from mullineux import (
     xu_strip,
 )
 from mullineux.charges import (
-    apply_word,
     fundamental_representative,
     is_fundamental,
-    path_word,
     same_orbit,
     sharp_very_dominant,
     transpose_charge,
@@ -60,13 +58,13 @@ from mullineux.multisegments import check_multisegment
 
 PUBLIC_NAMES = [
     "InputError", "InternalError", "MullineuxError", "NoPathError",
-    "ak_mullineux", "apply_word", "blockwise_lift", "blockwise_lower",
+    "ak_mullineux", "blockwise_lift", "blockwise_lower",
     "canonical", "charges", "chi", "conjugate", "core", "crystal",
     "enumerate_e_regular", "enumerate_multipartitions", "enumerate_partitions",
     "enumerate_phi", "errors", "flotw_check", "fundamental_representative",
     "im_sharp", "involution", "is_aperiodic", "is_e_regular", "is_fundamental",
     "is_strict_e_core", "kleshchev_oracle", "membership",
-    "mullineux_crystal", "multirank", "multisegments", "part", "path_word",
+    "mullineux_crystal", "multirank", "multisegments", "part",
     "psi", "rank", "remove_first_column", "same_orbit", "sharp_very_dominant",
     "symbols", "theta", "theta_inverse", "theta_l2", "transpose_charge",
     "very_dominant_representative", "xu", "xu_strip",
@@ -114,11 +112,9 @@ S = (0, 1)
 
 # One call per public function that takes e, valid at e = 3.
 E_CALLS = {
-    "charges.apply_word": lambda e: apply_word(S, [("tau",)], e),
     "charges.is_fundamental": lambda e: is_fundamental(S, e),
     "charges.same_orbit": lambda e: same_orbit(S, (0, 4), e),
     "charges.fundamental_representative": lambda e: fundamental_representative(S, e),
-    "charges.path_word": lambda e: path_word(S, (0, 4), e),
     "charges.sharp_very_dominant": lambda e: sharp_very_dominant(S, 3, e),
     "charges.very_dominant_representative": lambda e: very_dominant_representative(S, 3, e),
     "core.is_e_regular": lambda e: is_e_regular(LAM, e),
@@ -182,7 +178,6 @@ def test_bad_e_is_an_input_error(label, e):
         # A strict core never reaches the engines that read s.
         lambda: mullineux_crystal((2,), 3, 1.0),
         lambda: mullineux_crystal_trace((2,), 3, 1.0),
-        lambda: apply_word(S, [("sigma", 1.0)], 3),
         lambda: sharp_very_dominant(S, 2.5, 3),
         lambda: very_dominant_representative(S, 2.5, 3),
         lambda: list(enumerate_partitions(2.5)),
@@ -190,8 +185,6 @@ def test_bad_e_is_an_input_error(label, e):
         lambda: list(enumerate_multipartitions(2, 1.5)),
         lambda: enumerate_phi(2.5, (0, 1), 3),
         lambda: check_multisegment(((0.5, 1),), 3),
-        lambda: apply_word(S, [("tau",), ("sigma", 1.0)], 3),
-        lambda: apply_word(S, [("sigma", "a")], 3),
         lambda: difftest.run(2.0, 3, 4),
         lambda: difftest.run("2", 3, 4),
         lambda: difftest.run(2, 3.0, 4),
@@ -219,7 +212,6 @@ def test_non_integer_arguments_are_input_errors(call):
         (lambda: very_dominant_representative(S, -1, 3), "n must be >= 0, got -1"),
         (lambda: list(enumerate_partitions(-1)), "rank must be nonnegative, got -1"),
         (lambda: enumerate_phi(-1, (0, 1), 3), "rank must be nonnegative, got -1"),
-        (lambda: apply_word(S, [("tau",), ("sigma", 0)], 3), "sigma index 0 out of range for level 2"),
         (lambda: difftest.run(1, 3, 4), "lo must be >= 2, got 1"),
         (lambda: difftest.run(4, 3, 4), "hi must be >= 4, got 3"),
         (lambda: difftest.run(2, 3, -1), "max_n must be >= 0, got -1"),
@@ -264,10 +256,9 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
 
 
 # A segment is a (head, length) pair, blockwise_lower takes exactly two
-# components, a generator is exactly ("sigma", c), ("tau",) or ("tau_inv",),
-# a charge is a nonempty sequence of ints, the core helpers and
-# theta_inverse take partitions,
-# and collections and words are iterable; anything else is an InputError,
+# components, a charge is a nonempty sequence of ints, the core helpers and
+# theta_inverse take partitions, and collections are iterable; anything
+# else is an InputError,
 # never an IndexError, a ValueError, a TypeError, an AttributeError, a
 # silently truncated read or an answer about a non-partition.  The core
 # helpers (rank, multirank, is_e_regular) check their argument and name
@@ -284,11 +275,6 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: blockwise_lower(((1,),), 3, 1), "blockwise_lower needs two components, got 1"),
         (lambda: blockwise_lower(((1,), (1,), (5,)), 3, 1), "blockwise_lower needs two components, got 3"),
         (lambda: blockwise_lower(5, 3, 1), "a multipartition must be iterable, got 5"),
-        (lambda: apply_word(S, [("sigma",)], 3), "malformed generator ('sigma',)"),
-        (lambda: apply_word(S, [()], 3), "malformed generator ()"),
-        (lambda: apply_word(S, [("sigma", 1, 2)], 3), "malformed generator ('sigma', 1, 2)"),
-        (lambda: apply_word(S, [("tau", 1)], 3), "malformed generator ('tau', 1)"),
-        (lambda: apply_word(S, 5, 3), "a word must be iterable, got 5"),
         (lambda: psi(5, S, (0, 4), 3), "a multipartition must be iterable, got 5"),
         (lambda: check_multipartition(5), "a multipartition must be iterable, got 5"),
         (lambda: check_multisegment(5, 3), "a multisegment must be iterable, got 5"),
@@ -304,12 +290,8 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: same_orbit(5, (0,), 3), "charge entries must be ints: 5"),
         (lambda: same_orbit((0,), 5, 3), "charge entries must be ints: 5"),
         (lambda: same_orbit((0,), (0, 1), 0), "e must be >= 2, got 0"),
-        (lambda: apply_word((0.5, 1), [("tau",)], 3), "charge entries must be ints: (0.5, 1)"),
-        (lambda: apply_word(5, [("tau",)], 3), "charge entries must be ints: 5"),
         (lambda: transpose_charge((0.5,)), "charge entries must be ints: (0.5,)"),
         (lambda: transpose_charge(5), "charge entries must be ints: 5"),
-        (lambda: apply_word(S, [("foo",)], 3), "unknown generator ('foo',)"),
-        (lambda: apply_word(S, [5], 3), "malformed generator 5"),
         (lambda: conjugate(5), "parts must be ints: 5"),
         (lambda: conjugate((2.5,)), "parts must be ints: (2.5,)"),
         (lambda: conjugate((1, -1)), "parts must be nonnegative: (1, -1)"),
@@ -324,8 +306,6 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: is_e_regular(5, 3), "is_e_regular needs a partition, got 5"),
         (lambda: canonical(5), "canonical needs (head, length) segments, got 5"),
         (lambda: canonical(((0, 1), "x")), "canonical needs (head, length) segments, got ((0, 1), 'x')"),
-        (lambda: apply_word(S, [("tau_inv", 1)], 3), "malformed generator ('tau_inv', 1)"),
-        (lambda: apply_word(S, [("tau",), ("sigma",)], 3), "malformed generator ('sigma',)"),
         (lambda: rank((1, "x")), "rank needs a partition, got (1, 'x')"),
         (lambda: multirank(((1,), 5)), "multirank needs a multipartition, got ((1,), 5)"),
         (lambda: is_strict_e_core(("x",), 3), "parts must be ints: ('x',)"),
@@ -396,6 +376,60 @@ def test_theta_reports_the_earlier_of_two_faults(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+# theta and flotw_check read their charge with check_charge and then test the
+# checked charge with the unchecked charges._is_fundamental; a malformed
+# charge gets check_charge's message and a well-formed one outside the
+# fundamental domain gets the caller's own.
+@pytest.mark.parametrize(
+    "call, who",
+    [
+        (lambda s: theta(LAM, 3, s), "theta"),
+        (lambda s: flotw_check(BIP, s, 3), "flotw_check"),
+    ],
+)
+@pytest.mark.parametrize(
+    "charge, message",
+    [
+        ((), "a multicharge needs at least one entry"),
+        (5, "charge entries must be ints: 5"),
+        ((0.5, 1), "charge entries must be ints: (0.5, 1)"),
+        ([0, "1"], "charge entries must be ints: [0, '1']"),
+        ((1, 0), "{who} needs a fundamental multicharge, got (1, 0)"),
+        ((0, 3), "{who} needs a fundamental multicharge, got (0, 3)"),
+    ],
+)
+def test_theta_and_flotw_check_name_a_bad_charge(call, who, charge, message):
+    with pytest.raises(InputError) as info:
+        call(charge)
+    assert str(info.value) == message.format(who=who)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: theta(LAM, 3, [0, 1]), lambda: flotw_check(BIP, [0, 1], 3)],
+)
+def test_theta_and_flotw_check_read_their_charge_once(call, monkeypatch):
+    # The charge's entries are read once, by check_charge, and e is not read
+    # again by the charge layer after the caller has checked it.
+    import mullineux.charges as charges
+
+    seen = []
+
+    def counted(name):
+        real = getattr(charges, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_int_seq", "_int_arg"):
+        monkeypatch.setattr(charges, name, counted(name))
+    call()
+    assert seen == ["_int_seq"]
 
 
 def unused_imports(source):

@@ -9,26 +9,28 @@ from hypothesis import given
 
 import hypothesis.strategies as st
 
-from conftest import charge_tuples
+from conftest import apply_word, charge_tuples, expand
 
 from mullineux.charges import (
     InputError,
-    _expand,
+    _is_fundamental,
     _least_in_class,
     _normalization_word,
     _path_word,
-    apply_word,
     check_charge,
     fundamental_representative,
     is_fundamental,
-    path_word,
     same_orbit,
     sharp_very_dominant,
     transpose_charge,
     very_dominant_representative,
 )
 
-GENERATORS = ("sigma", "tau", "tau_inv")
+from mullineux.core import enumerate_multipartitions
+
+from mullineux.crystal import _walk
+
+GENERATORS = (("sigma",), ("tau", 1), ("tau", -1))
 
 
 def is_very_dominant(s, n):
@@ -39,25 +41,23 @@ def is_very_dominant(s, n):
 def random_word(rng, level, length):
     word = []
     for _ in range(length):
-        kind = rng.choice(GENERATORS)
-        if kind == "sigma" and level >= 2:
+        gen = rng.choice(GENERATORS)
+        if gen[0] == "tau":
+            word.append(gen)
+        elif level >= 2:
             word.append(("sigma", rng.randrange(1, level)))
-        elif kind == "tau":
-            word.append(("tau",))
-        elif kind == "tau_inv":
-            word.append(("tau_inv",))
     return word
 
 
 def test_generator_tables():
     for s, e, expected in (((0, 1), 3, (1, 3)), ((0, 4), 3, (4, 3)), ((5,), 2, (7,))):
-        assert apply_word(s, [("tau",)], e) == expected, (s, e)
+        assert apply_word(s, [("tau", 1)], e) == expected, (s, e)
     for s, c, expected in (((0, 1), 1, (1, 0)), ((3, 1, 2), 2, (3, 2, 1))):
         assert apply_word(s, [("sigma", c)], 3) == expected, (s, c)
-    assert apply_word((1, 3), [("tau_inv",)], 3) == (0, 1)
+    assert apply_word((1, 3), [("tau", -1)], 3) == (0, 1)
     # At level 2 the shift z_1 is tau then sigma_1, and z_2 is sigma_1 then tau.
-    assert apply_word((0, 1), [("tau",), ("sigma", 1)], 3) == (3, 1)
-    assert apply_word((0, 1), [("sigma", 1), ("tau",)], 3) == (0, 4)
+    assert apply_word((0, 1), [("tau", 1), ("sigma", 1)], 3) == (3, 1)
+    assert apply_word((0, 1), [("sigma", 1), ("tau", 1)], 3) == (0, 4)
 
 
 def test_tau_inverts_tau():
@@ -66,8 +66,8 @@ def test_tau_inverts_tau():
         level = rng.randrange(1, 5)
         s = tuple(rng.randrange(-8, 9) for _ in range(level))
         e = rng.randrange(2, 6)
-        assert apply_word(s, [("tau",), ("tau_inv",)], e) == s
-        assert apply_word(s, [("tau_inv",), ("tau",)], e) == s
+        assert apply_word(s, [("tau", 1), ("tau", -1)], e) == s
+        assert apply_word(s, [("tau", -1), ("tau", 1)], e) == s
 
 
 def test_tau_is_shift_after_cycle():
@@ -78,7 +78,7 @@ def test_tau_is_shift_after_cycle():
         s = tuple(rng.randrange(-8, 9) for _ in range(level))
         e = rng.randrange(2, 6)
         expected = s[1:] + (s[0] + e,)
-        assert apply_word(s, [("tau",)], e) == expected
+        assert apply_word(s, [("tau", 1)], e) == expected
 
 
 def test_check_charge():
@@ -101,6 +101,18 @@ def test_is_fundamental_table():
         ((0, 1, 4), 3, False),
     ):
         assert is_fundamental(s, e) is expected, (s, e)
+        assert _is_fundamental(s, e) is expected, (s, e)
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_unchecked_is_fundamental_agrees_with_the_definition(e):
+    # Every charge of levels 1..3 with entries in -5..5, and the same charge
+    # read from a list as check_charge's callers may hand it over.
+    for level in (1, 2, 3):
+        for s in itertools.product(range(-5, 6), repeat=level):
+            expected = list(s) == sorted(s) and s[-1] < s[0] + e
+            assert _is_fundamental(s, e) is expected, (s, e)
+            assert is_fundamental(list(s), e) is expected, (s, e)
 
 
 def test_same_orbit_table():
@@ -199,7 +211,7 @@ def test_normalization_word_lands_fundamental():
         s = tuple(rng.randrange(-8, 9) for _ in range(level))
         e = rng.randrange(2, 6)
         f = fundamental_representative(s, e)
-        word = path_word(s, f, e)
+        word = _path_word(s, f, e)
         assert is_fundamental(f, e), (s, f)
         assert apply_word(s, word, e) == f, (s, word)
 
@@ -208,8 +220,8 @@ def bubble_normalization_word(s, e):
     """The word from s to its fundamental representative, built as the
     package built it before it inserted the wrapped entry.
 
-    Alternates stable adjacent-swap sorting (strict swaps only) with tau_inv
-    whenever the sorted charge still spans e or more.
+    Alternates stable adjacent-swap sorting (strict swaps only) with tau^-1
+    whenever the sorted charge still spans e or more, as plain generators.
     """
     t = list(s)
     word = []
@@ -225,7 +237,7 @@ def bubble_normalization_word(s, e):
                     swapped = True
         if t[-1] < t[0] + e:
             return word
-        word.append(("tau_inv",))
+        word.append(("tau", -1))
         t = [t[-1] - e] + t[:-1]
 
 
@@ -234,12 +246,12 @@ def test_normalization_word_is_the_bubble_sort_word_exhaustively():
         for level in (1, 2, 3):
             for s in itertools.product(range(-6, 7), repeat=level):
                 f = fundamental_representative(s, e)
-                assert path_word(s, f, e) == bubble_normalization_word(s, e), (s, e)
+                assert expand(_path_word(s, f, e)) == bubble_normalization_word(s, e), (s, e)
 
 
 @given(st.integers(1, 5).flatmap(lambda level: charge_tuples(level, -20, 20)), st.integers(2, 7))
 def test_normalization_word_is_the_bubble_sort_word(s, e):
-    assert path_word(s, fundamental_representative(s, e), e) == bubble_normalization_word(s, e)
+    assert expand(_path_word(s, fundamental_representative(s, e), e)) == bubble_normalization_word(s, e)
 
 
 @given(st.integers(1, 6).flatmap(lambda level: charge_tuples(level, -10**6, 10**6)), st.integers(2, 7))
@@ -260,9 +272,9 @@ def test_a_descending_cluster_is_one_token():
     assert len(_path_word((0, 1, 2), (0, 30001, 60002), 3)) == 2
 
 
-def test_unchecked_path_word_lands_exactly():
-    # psi walks the run-length word of _path_word and checks only where the
-    # walk ends; expanded, that word is path_word's.
+def orbit_pairs():
+    """(s, t, e) for every pair of charges of one orbit, e in 2..4, with
+    entries in -6..6 at level 1, -4..4 at level 2 and -3..3 at level 3."""
     for e in range(2, 5):
         for level, reach in ((1, 6), (2, 4), (3, 3)):
             orbits = {}
@@ -270,15 +282,43 @@ def test_unchecked_path_word_lands_exactly():
                 orbits.setdefault(tuple(sorted(x % e for x in s)), []).append(s)
             for orbit in orbits.values():
                 for s, t in itertools.product(orbit, repeat=2):
-                    word = _expand(_path_word(s, t, e))
-                    assert word == path_word(s, t, e)
-                    assert apply_word(s, word, e) == t, (s, t, e)
+                    yield s, t, e
+
+
+def test_unchecked_path_word_lands_exactly():
+    # psi walks the run-length word of _path_word and checks only where the
+    # walk ends; the plain action of its expansion lands on t.
+    for s, t, e in orbit_pairs():
+        assert apply_word(s, expand(_path_word(s, t, e)), e) == t, (s, t, e)
+
+
+def is_token(gen, l):
+    """gen is one token of the grammar the walk reads, at level l."""
+    kind, *args = gen
+    if kind == "sigma":
+        return len(args) == 1 and 1 <= args[0] < l
+    if kind in ("wrap", "unwrap"):
+        return len(args) == 2 and 0 <= args[0] < l and args[1] >= 1
+    return kind == "tau" and len(args) == 1 and args[0] != 0
+
+
+def test_path_word_tokens_are_the_walks_grammar():
+    # _walk reads ("sigma", c), ("wrap", k, r), ("unwrap", k, r) and
+    # ("tau", j) and checks none of them; expanded to plain generators, each
+    # word walks a multipartition of rank 3, the next one at each pair, to
+    # the same rows and charge.
+    mps = {level: itertools.cycle(enumerate_multipartitions(3, level)) for level in (1, 2, 3)}
+    for s, t, e in orbit_pairs():
+        word = _path_word(s, t, e)
+        assert all(is_token(gen, len(s)) for gen in word), (s, t, e, word)
+        mp = next(mps[len(s)])
+        rows, end = _walk(mp, s, word, e)
+        assert end == t and _walk(mp, s, expand(word), e) == (rows, end), (mp, s, t, e)
 
 
 def inverse(word):
-    """The inverse word: reversed, with sigma self-inverse and tau <-> tau_inv."""
-    swap = {("tau",): ("tau_inv",), ("tau_inv",): ("tau",)}
-    return [swap.get(gen, gen) for gen in reversed(word)]
+    """The inverse plain word: reversed, with sigma self-inverse and tau^j inverted to tau^-j."""
+    return [("tau", -gen[1]) if gen[0] == "tau" else gen for gen in reversed(word)]
 
 
 def test_word_then_its_inverse_round_trips():
@@ -292,40 +332,20 @@ def test_word_then_its_inverse_round_trips():
         assert apply_word(t, inverse(word), e) == s
 
 
-# A generator is read whole from any sequence, and a word from any iterable.
-@pytest.mark.parametrize(
-    "word, expected",
-    [
-        ([["sigma", 1]], (1, 0)),
-        ([["tau"]], (1, 3)),
-        ([["tau_inv"]], (-2, 0)),
-        (iter([("tau",), ("sigma", 1)]), (3, 1)),
-    ],
-)
-def test_generators_read_from_any_sequence(word, expected):
-    assert apply_word((0, 1), word, 3) == expected
-
-
 def test_path_word_lands_exactly():
-    assert path_word((0, 1), (0, 1), 3) == []
+    assert _path_word((0, 1), (0, 1), 3) == []
     rng = random.Random(31)
     for _ in range(200):
         level = rng.randrange(1, 4)
         s = tuple(rng.randrange(-8, 9) for _ in range(level))
         e = rng.randrange(2, 6)
         t = apply_word(s, random_word(rng, level, rng.randrange(0, 8)), e)
-        word = path_word(s, t, e)
+        word = _path_word(s, t, e)
         assert apply_word(s, word, e) == t, (s, t, word)
 
 
 @given(charge_tuples(3, -8, 8), st.integers(2, 5))
 def test_path_word_to_fundamental(s, e):
     f = fundamental_representative(s, e)
-    assert apply_word(s, path_word(s, f, e), e) == f
+    assert apply_word(s, _path_word(s, f, e), e) == f
 
-
-def test_path_word_rejects_different_orbits():
-    from mullineux.charges import NoPathError
-
-    with pytest.raises(NoPathError):
-        path_word((0, 1), (0, 2), 3)

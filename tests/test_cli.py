@@ -483,6 +483,22 @@ def test_importing_the_cli_loads_neither_json_nor_difftest(module):
     assert loaded_by_importing_the_cli(module) is False
 
 
+@pytest.mark.parametrize("n", [sys.maxsize, 10**20])
+@pytest.mark.parametrize("charge", ["0", "0,1"])
+def test_enumerate_past_the_largest_sequence_exits_2_without_traceback(charge, n):
+    src = str(Path(mullineux.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mullineux.cli", "enumerate", "--e", "3", "--n", str(n), "--charge", charge],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: rank must be < {sys.maxsize} to enumerate multipartitions, got {n}\n"
+    assert "Traceback" not in proc.stderr
+
+
 def test_a_closed_stdout_ends_quietly():
     # enumerate writes 382,548 bytes here, more than a pipe buffer holds, so
     # the reader's close lands while the command is still writing.

@@ -1,5 +1,6 @@
 """Tests for partition primitives: validation, conjugation, cores, enumeration."""
 
+import sys
 import time
 import tracemalloc
 
@@ -291,6 +292,20 @@ def test_enumerate_multipartitions_orders_by_composition():
     assert list(enumerate_multipartitions(3, 3))[:4] == [
         ((), (), (3,)), ((), (), (2, 1)), ((), (), (1, 1, 1)), ((), (1,), (2,))
     ]
+
+
+@pytest.mark.parametrize("n", [sys.maxsize, 10**20, 2**200])
+@pytest.mark.parametrize("levels", [1, 2])
+def test_enumerate_past_the_largest_sequence_is_an_input_error(levels, n):
+    # The rank cuts are drawn from a tuple of range(n + 1), which has fewer
+    # than sys.maxsize entries; both enumerations over them say so.
+    from mullineux.crystal import enumerate_phi
+
+    message = f"^rank must be < {sys.maxsize} to enumerate multipartitions, got {n}$"
+    with pytest.raises(InputError, match=message):
+        next(enumerate_multipartitions(n, levels))
+    with pytest.raises(InputError, match=message):
+        enumerate_phi(n, (0,) * levels, 3)
 
 
 def test_enumerate_multipartitions_answers_at_level_1500():

@@ -12,16 +12,18 @@ import hypothesis.strategies as st
 
 from conftest import (
     aperiodic_multisegments,
+    apply_word,
     bipartitions,
     build_symbol,
     charge_tuples,
     decode_symbol,
+    expand,
     match_step,
     partitions,
     partitions_up_to,
 )
 
-from mullineux.charges import _path_word, apply_word, path_word, very_dominant_representative
+from mullineux.charges import _path_word, very_dominant_representative
 
 from mullineux.core import (
     enumerate_e_regular,
@@ -143,8 +145,8 @@ def test_membership_table():
 
 # The walk of sigma_1 then tau, which raises the second charge by e, and of
 # its inverse, tau inverse then sigma_1.
-SHIFT_UP = (("sigma", 1), ("tau",))
-SHIFT_DOWN = (("tau_inv",), ("sigma", 1))
+SHIFT_UP = (("sigma", 1), ("tau", 1))
+SHIFT_DOWN = (("tau", -1), ("sigma", 1))
 
 
 def test_sigma_walk_examples():
@@ -156,10 +158,23 @@ def test_sigma_walk_examples():
 
 
 def test_psi_tau_round_trip():
-    moved, charge = _walk(((1,), (2,)), (0, 1), (("tau",),), 3)
+    moved, charge = _walk(((1,), (2,)), (0, 1), (("tau", 1),), 3)
     assert (moved, charge) == (((2,), (1,)), (1, 3))
-    back, back_charge = _walk(moved, charge, (("tau_inv",),), 3)
+    back, back_charge = _walk(moved, charge, (("tau", -1),), 3)
     assert (back, back_charge) == (((1,), (2,)), (0, 1))
+
+
+@pytest.mark.parametrize("j", [-7, -4, -3, -2, -1, 1, 2, 3, 4, 7])
+def test_a_tau_run_walks_as_its_expansion(j):
+    # ("tau", j) is one rotation in closed form; it must agree with |j| single
+    # rotations, also when |j| passes the level and rows wrap more than once.
+    e = 3
+    for s in ((2,), (0, 1), (5, -1), (0, 1, 2), (4, 0, -3)):
+        for n in range(4):
+            for mp in enumerate_multipartitions(n, len(s)):
+                got = _walk(mp, s, (("tau", j),), e)
+                assert got == stepwise_walk(mp, s, (("tau", j),), e), (mp, s, j)
+                assert got[1] == apply_word(s, (("tau", j),), e), (mp, s, j)
 
 
 def test_shift_walk_examples():
@@ -233,7 +248,7 @@ def test_psi_is_the_walk_of_its_generators():
     e, s, t = 3, (0, 1), (0, 7)
 
     def walk(mp, charge, to):
-        for gen in path_word(charge, to, e):
+        for gen in expand(_path_word(charge, to, e)):
             mp, charge = _walk(mp, charge, (gen,), e)
         assert charge == to
         return mp
@@ -284,14 +299,14 @@ def stepwise_step(mp, s, gen, e):
     """One generator through the symbol references of conftest: the
     reference for the walk's steps.
 
-    tau and tau inverse rotate the components; sigma_c builds the
-    minimal-depth symbol of components c, c+1, runs match_step on it and
-    decodes the result back to partitions.
+    tau and tau inverse, ("tau", 1) and ("tau", -1), rotate the
+    components; sigma_c builds the minimal-depth symbol of components c,
+    c+1, runs match_step on it and decodes the result back to partitions.
     """
     t = apply_word(s, [gen], e)
-    if gen[0] == "tau":
+    if gen == ("tau", 1):
         return mp[1:] + mp[:1], t
-    if gen[0] == "tau_inv":
+    if gen == ("tau", -1):
         return mp[-1:] + mp[:-1], t
     c = gen[1]
     pair = decode_symbol(match_step(build_symbol(mp[c - 1 : c + 1], s[c - 1 : c + 1])))
@@ -299,8 +314,8 @@ def stepwise_step(mp, s, gen, e):
 
 
 def stepwise_walk(mp, s, word, e):
-    """Reference transport: one stepwise_step per generator of the word."""
-    for gen in word:
+    """Reference transport: one stepwise_step per plain generator of the word."""
+    for gen in expand(word):
         mp, s = stepwise_step(mp, s, gen, e)
     return mp, s
 
@@ -309,7 +324,7 @@ def stepwise_psi(mp, s, t, e):
     """Reference for psi on a checked multipartition and charges of one orbit."""
     if s == t:
         return mp
-    mp, end = stepwise_walk(mp, s, path_word(s, t, e), e)
+    mp, end = stepwise_walk(mp, s, _path_word(s, t, e), e)
     assert end == t
     return mp
 
@@ -328,7 +343,7 @@ def assert_transport_matches_stepwise(mp, s, targets, e):
     for t in targets:
         got = result_or_error(psi, mp, s, t, e)
         assert got == result_or_error(stepwise_psi, mp, s, t, e), (mp, s, t, e)
-    words = [[("sigma", c)] for c in range(1, len(s))] + [[("tau",)], [("tau_inv",)]]
+    words = [[("sigma", c)] for c in range(1, len(s))] + [[("tau", 1)], [("tau", -1)]]
     if len(s) == 2:
         words += [SHIFT_UP, SHIFT_DOWN]
     for word in words:
@@ -504,8 +519,8 @@ def test_enumerate_phi_builds_its_word_once(monkeypatch):
 
 
 def expanded_walk(mp, s, t, e):
-    """psi walked one generator per token, along the expanded path_word."""
-    return _walk(mp, s, path_word(s, t, e), e)[0]
+    """psi walked one generator per token, along the expanded path word."""
+    return _walk(mp, s, expand(_path_word(s, t, e)), e)[0]
 
 
 def test_a_matching_that_fails_inside_a_token_names_its_step(monkeypatch):
@@ -630,7 +645,7 @@ def test_the_walk_returns_the_rows_it_did_not_match():
     """At a very dominant charge the lift_k_stable word, sigma_1 then tau,
     only swaps and rotates, and hands back the input's own components; a
     sigma_1 that matches builds new ones."""
-    word = (("sigma", 1), ("tau",))
+    word = (("sigma", 1), ("tau", 1))
     for e in (2, 3, 5):
         for n in range(7):
             for mp in enumerate_multipartitions(n, 2):

@@ -129,7 +129,7 @@ def test_chi_invariant_under_rotation():
     e = 3
     for n in range(8):
         for mp in enumerate_phi(n, (0, 1), e):
-            moved, charge = _walk(mp, (0, 1), (("tau",),), e)
+            moved, charge = _walk(mp, (0, 1), (("tau", 1),), e)
             assert chi(moved, charge, e) == chi(mp, (0, 1), e), mp
 
 
