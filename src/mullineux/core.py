@@ -13,7 +13,7 @@ import operator
 import sys
 from contextlib import contextmanager
 from functools import cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, product
 
 from .errors import InputError
 
@@ -216,15 +216,25 @@ def _multipartitions(n, levels):
     """enumerate_multipartitions of a checked n and levels, ranks read off sorted cuts of n; the
     last component streams, a head component's partitions are built once per rank.
 
-    The cuts come from a tuple of range(n + 1), which Python can build only
-    below sys.maxsize entries: a larger n is an InputError, raised at the
-    first item by both public callers.
+    The cuts are the non-decreasing (levels - 1)-tuples over 0..n in
+    lexicographic order, stepped like an odometer in place: the rightmost cut
+    below n goes up by one and every cut after it takes its value.  Nothing
+    is built in proportion to n before the first item.  A rank of
+    sys.maxsize or more is an InputError, raised at the first item by both
+    public callers: no enumeration of that size could run to its end.
     """
     if n >= sys.maxsize:
         raise InputError(f"rank must be < {sys.maxsize} to enumerate multipartitions, got {n}")
     ranked = cache(lambda k: tuple(_partitions(k, k)))
-    for cuts in combinations_with_replacement(range(n + 1), levels - 1):
-        last = n - (0, *cuts)[-1]
-        for head in product(*(ranked(b - a) for a, b in zip((0, *cuts), cuts))):
+    bounds = [0] * levels  # 0, then the cuts
+    while True:
+        last = n - bounds[-1]
+        for head in product(*(ranked(b - a) for a, b in zip(bounds, bounds[1:]))):
             for lam in _partitions(last, last):
                 yield head + (lam,)
+        i = levels - 1
+        while i and bounds[i] == n:
+            i -= 1
+        if not i:
+            return
+        bounds[i:] = [bounds[i] + 1] * (levels - i)

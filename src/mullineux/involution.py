@@ -28,10 +28,15 @@ ak_mullineux transports the componentwise involution between charged
 multipartition sets along the crystal isomorphisms, and im_sharp conjugates
 it through the multisegment labelling, giving the involution on every
 aperiodic multisegment: its preimage is read off the segments directly, one
-row per segment at the charge of the sorted heads, with no search.  im_sharp
-checks its multisegment and then runs the unchecked bodies `_ak_mullineux`,
-`crystal._psi`, `multisegments._is_aperiodic` and `multisegments._chi` on
-values it built itself, and `_ak_mullineux` runs `core._is_e_regular`.
+row per segment at the charge of the sorted heads, with no search.
+`_ak_mullineux` lands the componentwise image at the sharp very dominant
+charge and returns it with that charge; ak_mullineux transports it from
+there to its target, and im_sharp hands it to `multisegments._chi`, whose
+own transport to the fundamental representative is the only one it needs,
+since chi is constant along the isomorphisms.  im_sharp checks its
+multisegment and then runs the unchecked bodies `_ak_mullineux`,
+`multisegments._is_aperiodic` and `multisegments._chi` on values it built
+itself, and `_ak_mullineux` runs `crystal._psi` and `core._is_e_regular`.
 """
 
 from .charges import (
@@ -39,7 +44,6 @@ from .charges import (
     _sharp_very_dominant,
     _very_dominant_representative,
     check_charge,
-    transpose_charge,
 )
 from .core import (
     _conjugate,
@@ -359,8 +363,9 @@ def ak_mullineux(mp, charge, to, e):
     """Componentwise Mullineux transported between charged sets.
 
     Lifts the member to a very dominant charge, applies the involution to
-    each component, lands at the matching very dominant charge with negated
-    residues, and transports to `to` (which must lie in that orbit).
+    each component, lands at the matching (sharp) very dominant charge with
+    negated residues, and transports from there to `to` (which must lie in
+    that orbit).
     """
     mp = check_multipartition(mp)
     s = check_charge(charge)
@@ -370,11 +375,15 @@ def ak_mullineux(mp, charge, to, e):
     e = _int_arg("e", e, 2)
     if not _membership(mp, s, e):
         raise InputError(f"{mp} is not a member at charge {s} mod {e}")
-    return _ak_mullineux(mp, s, t, e)
+    image, sharp = _ak_mullineux(mp, s, e)
+    if not _same_orbit(sharp, t, e):
+        raise NoPathError(f"target {t} is not in the orbit of the image charge {sharp}")
+    return _psi(image, sharp, t, e)
 
 
-def _ak_mullineux(mp, s, t, e):
-    """ak_mullineux of a checked member at s, towards a checked t of its level.
+def _ak_mullineux(mp, s, e):
+    """(image, sharp): the componentwise image of a checked member at s and
+    the sharp very dominant charge it lands on; the caller transports it on.
 
     The lift of a member is a member at a very dominant charge, whose
     components are e-regular; one that is not is an InternalError.
@@ -385,11 +394,7 @@ def _ak_mullineux(mp, s, t, e):
     for comp in lifted:
         if not _is_e_regular(comp, e):
             raise InternalError(f"the lift of {mp} to {vd} has a component that is not {e}-regular: {comp}")
-    image = tuple(_xu(comp, e, None) for comp in lifted)
-    sharp = _sharp_very_dominant(vd, n, e)
-    if not _same_orbit(sharp, t, e):
-        raise NoPathError(f"target {t} is not in the orbit of the image charge {sharp}")
-    return _psi(image, sharp, t, e)
+    return tuple(_xu(comp, e, None) for comp in lifted), _sharp_very_dominant(vd, n, e)
 
 
 def im_sharp(ms, e):
@@ -399,8 +404,10 @@ def im_sharp(ms, e):
     its sorted heads, each segment is a one-row component, and segments with
     equal heads are ordered by decreasing length.  FLOTW (1) and (2) then
     hold at once and (3) is aperiodicity, so every aperiodic multisegment
-    has this preimage.  ak_mullineux carries it towards the transposed
-    charge, and the result is read back as a multisegment.
+    has this preimage.  `_ak_mullineux` lands its image at the sharp very
+    dominant charge, and `_chi` reads it back as a multisegment from there,
+    transporting it to the fundamental representative itself: chi is
+    constant along the isomorphisms, so no other target is needed.
     """
     ms = check_multisegment(ms, e)
     if not ms:
@@ -409,6 +416,5 @@ def im_sharp(ms, e):
         raise InputError(f"{ms} is not aperiodic mod {e}")
     segs = sorted(ms, key=lambda seg: (seg[0], -seg[1]))
     s = tuple(head for head, _ in segs)
-    st = transpose_charge(s)
-    image = _ak_mullineux(tuple((length,) for _, length in segs), s, st, e)
-    return _chi(image, st, e)
+    image, sharp = _ak_mullineux(tuple((length,) for _, length in segs), s, e)
+    return _chi(image, sharp, e)

@@ -3,6 +3,7 @@
 import sys
 import time
 import tracemalloc
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -297,8 +298,8 @@ def test_enumerate_multipartitions_orders_by_composition():
 @pytest.mark.parametrize("n", [sys.maxsize, 10**20, 2**200])
 @pytest.mark.parametrize("levels", [1, 2])
 def test_enumerate_past_the_largest_sequence_is_an_input_error(levels, n):
-    # The rank cuts are drawn from a tuple of range(n + 1), which has fewer
-    # than sys.maxsize entries; both enumerations over them say so.
+    # Ranks from sys.maxsize up are refused; both enumerations over them
+    # say so at the first item.
     from mullineux.crystal import enumerate_phi
 
     message = f"^rank must be < {sys.maxsize} to enumerate multipartitions, got {n}$"
@@ -326,6 +327,34 @@ def test_enumerate_multipartitions_yields_before_building_the_ranks(levels):
     finally:
         tracemalloc.stop()
     assert first == ((),) * (levels - 1) + ((40,),)
+    assert peak < 1_000_000, peak
+
+
+def itertools_multipartitions(n, levels):
+    """Multipartitions with their rank cuts drawn by
+    combinations_with_replacement over range(n + 1): the reference for the
+    order of the cuts."""
+    for cuts in combinations_with_replacement(range(n + 1), levels - 1):
+        bounds = (0, *cuts, n)
+        yield from product(*(enumerate_partitions(b - a) for a, b in zip(bounds, bounds[1:])))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_enumerate_multipartitions_matches_the_itertools_order(levels):
+    for n in range(7):
+        assert list(enumerate_multipartitions(n, levels)) == list(itertools_multipartitions(n, levels)), (n, levels)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_enumerate_multipartitions_starts_at_rank_a_billion_in_little_memory(levels):
+    # No pool of n + 1 cut values: the first item comes before anything of size n.
+    tracemalloc.start()
+    try:
+        first = next(enumerate_multipartitions(10**9, levels))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == ((),) * (levels - 1) + ((10**9,),)
     assert peak < 1_000_000, peak
 
 

@@ -568,13 +568,15 @@ def test_a_matching_that_fails_inside_a_token_names_its_step(monkeypatch):
 
 def test_im_transports_match_stepwise_reference(monkeypatch):
     """psi on both transports of every im_sharp input with e <= 3 and rank
-    <= 6, fundamental -> very dominant and sharp -> transposed, against the
-    stepwise reference."""
+    <= 6, fundamental -> very dominant and sharp -> its fundamental
+    representative, against the stepwise reference."""
     import mullineux.involution as involution
+    import mullineux.multisegments as multisegments
 
     transports = []
     body = involution._psi
-    monkeypatch.setattr(involution, "_psi", lambda *args: transports.append(args) or body(*args))
+    for module in (involution, multisegments):
+        monkeypatch.setattr(module, "_psi", lambda *args: transports.append(args) or body(*args))
     inputs = 0
     for e in (2, 3):
         for n in range(1, 7):
