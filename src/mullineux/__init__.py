@@ -16,8 +16,6 @@ from .core import (
     enumerate_partitions,
     is_e_regular,
     is_strict_e_core,
-    multirank,
-    part,
     rank,
     remove_first_column,
 )

@@ -44,11 +44,7 @@ def check_charge(s):
 
 def is_fundamental(s, e):
     """True when s_1 <= ... <= s_l < s_1 + e."""
-    e = _int_arg("e", e, 2)
-    try:
-        return _is_fundamental(_int_seq("charge entries", s), e)
-    except (IndexError, InputError) as exc:
-        raise InputError(f"a multicharge must be a nonempty sequence of ints, got {s!r}") from exc
+    return _is_fundamental(check_charge(s), _int_arg("e", e, 2))
 
 
 def _is_fundamental(s, e):

@@ -217,7 +217,7 @@ def cmd_difftest(args):
     if lo < 2 or hi < lo:
         raise InputError(f"--e-range must satisfy 2 <= lo <= hi, got {args.e_range!r}")
     if args.max_n < 0:
-        raise InputError(f"--max-n must be nonnegative, got {args.max_n}")
+        raise InputError(f"--max-n must be >= 0, got {args.max_n}")
     if args.jobs is not None and args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     merged = difftest.run(lo, hi, args.max_n, args.jobs)

@@ -1,17 +1,16 @@
 """Integer partitions and their basic combinatorics.
 
 A partition is stored as a tuple of weakly decreasing positive integers;
-the empty partition is ().  Parts beyond the last stored one are 0, which
-the accessor `part` makes explicit.
+the empty partition is ().
 
 The public functions of the package check `e`, split charges, residues,
-ranks, partition parts and charge entries with `_int_arg` and `_int_seq`,
-once, at the boundary; internal kernels take the checked values.
+ranks, levels, partition parts and charge entries with `_int_arg` and
+`_int_seq`, once, at the boundary; internal kernels take the checked
+values.  Each bad argument is reported by the one checker that reads it.
 """
 
 import operator
 import sys
-from contextlib import contextmanager
 from functools import cache
 from itertools import chain, product
 
@@ -50,15 +49,6 @@ def _iter_arg(what, xs):
         raise InputError(f"{what} must be iterable, got {xs!r}") from exc
 
 
-@contextmanager
-def _reworded(what, x):
-    """Re-raise an InputError from the block as `what, got x`."""
-    try:
-        yield
-    except InputError as exc:
-        raise InputError(f"{what}, got {x!r}") from exc
-
-
 def check_partition(parts):
     """Normalize `parts` to a partition tuple, dropping trailing zeros.
 
@@ -86,34 +76,15 @@ def check_multipartition(mp):
     return comps
 
 
-def part(lam, i):
-    """The i-th part (1-based), 0 when i exceeds the number of parts; checks no shape."""
-    try:
-        i = operator.index(i)
-        if i < 1:
-            raise InputError(f"part index must be >= 1, got {i}")
-        return lam[i - 1] if i <= len(lam) else 0
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"part needs a partition and an index, got {lam!r} and {i!r}") from exc
-
-
 def rank(lam):
     """Sum of the parts."""
-    with _reworded("rank needs a partition", lam):
-        return sum(check_partition(lam))
-
-
-def multirank(mp):
-    """Total number of nodes of a multipartition."""
-    with _reworded("multirank needs a multipartition", mp):
-        return sum(map(sum, check_multipartition(mp)))
+    return sum(check_partition(lam))
 
 
 def is_e_regular(lam, e):
     """True when no part value occurs e or more times."""
     e = _int_arg("e", e, 2)
-    with _reworded("is_e_regular needs a partition", lam):
-        return _is_e_regular(check_partition(lam), e)
+    return _is_e_regular(check_partition(lam), e)
 
 
 def _is_e_regular(lam, e):
@@ -174,16 +145,8 @@ def remove_first_column(lam):
 
 def enumerate_partitions(n):
     """Yield all partitions of n in decreasing lexicographic order."""
-    n = _rank_arg(n)
+    n = _int_arg("rank", n, 0)
     yield from _partitions(n, n)
-
-
-def _rank_arg(n):
-    """A rank argument read with _int_arg; InputError when negative."""
-    n = _int_arg("rank", n)
-    if n < 0:
-        raise InputError(f"rank must be nonnegative, got {n}")
-    return n
 
 
 def _partitions(n, max_part):
@@ -198,7 +161,7 @@ def _partitions(n, max_part):
 
 def enumerate_e_regular(n, e):
     """Yield the e-regular partitions of rank exactly n, decreasing lex order."""
-    n, e = _rank_arg(n), _int_arg("e", e, 2)
+    n, e = _int_arg("rank", n, 0), _int_arg("e", e, 2)
     yield from (lam for lam in _partitions(n, n) if _is_e_regular(lam, e))
 
 
@@ -206,10 +169,8 @@ def enumerate_multipartitions(n, levels):
     """Yield all `levels`-component multipartitions of total rank n, by their
     rank compositions in lexicographic order, then with the first component
     slowest and each component in decreasing lexicographic order."""
-    levels = _int_arg("levels", levels)
-    if levels < 1:
-        raise InputError(f"need at least one component, got {levels}")
-    yield from _multipartitions(_rank_arg(n), levels)
+    levels = _int_arg("levels", levels, 1)
+    yield from _multipartitions(_int_arg("rank", n, 0), levels)
 
 
 def _multipartitions(n, levels):

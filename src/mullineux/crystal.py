@@ -17,11 +17,14 @@ not replayed on the charge: `_psi` compares the charge the walk ends at
 with its target and raises InternalError on a miss.
 
 Every public function here that takes a charged multipartition, and
-`multisegments.chi`, checks it with `_charged_input`.  psi, membership and
-flotw_check then call unchecked bodies (`_psi`, `_membership`, `_flotw`),
-as blockwise_lift and blockwise_lower call `_lift` and `_lower` and
-enumerate_phi `core._multipartitions`; the other modules call those bodies
-on values they have checked or built themselves.
+`multisegments.chi` and `involution.ak_mullineux`, checks it with
+`_charged_input`.  psi, membership and flotw_check then call unchecked
+bodies (`_psi`, `_membership`, `_flotw`), as blockwise_lift and
+blockwise_lower call `_lift` and `_lower` and enumerate_phi
+`core._multipartitions`; the other modules call those bodies on values
+they have checked or built themselves.
+FLOTW (3) is the aperiodicity of the rows read as chi's segments, so
+`_flotw` and `multisegments.is_aperiodic` share `_is_aperiodic`.
 
 `blockwise_lift` and `blockwise_lower` are direct box-moving versions of the
 level-2 isomorphisms between a fundamental charge and a very dominant one;
@@ -42,7 +45,6 @@ from .core import (
     _concat,
     _int_arg,
     _multipartitions,
-    _rank_arg,
     check_multipartition,
     check_partition,
 )
@@ -88,11 +90,17 @@ def _flotw(mp, s, e):
         # Parts past the end of mp[j] are 0, below every part of nxt.
         if len(mp[j]) < len(nxt) - gap or any(map(operator.lt, mp[j], nxt[gap:])):
             return False
-    residues = {}
-    for j in range(l):
-        for i, p in enumerate(mp[j], start=1):
-            residues.setdefault(p, set()).add((p - i + s[j]) % e)
-    return all(len(seen) < e for seen in residues.values())
+    # (3): row i of component j is chi's segment ((1 - i + s_j) % e, p); its tail is the row end's residue.
+    segments = (((1 - i + sj) % e, p) for lam, sj in zip(mp, s) for i, p in enumerate(lam, 1))
+    return _is_aperiodic(segments, e)
+
+
+def _is_aperiodic(ms, e):
+    """is_aperiodic of a checked multisegment: no length has segments at every tail residue mod e."""
+    tails = {}
+    for head, length in ms:
+        tails.setdefault(length, set()).add((head + length - 1) % e)
+    return all(len(seen) < e for seen in tails.values())
 
 
 def _walk(mp, s, word, e):
@@ -282,7 +290,7 @@ def enumerate_phi(n, charge, e):
     At a fundamental charge this filters all multipartitions of n through
     flotw_check; elsewhere it is the isomorphic image of the fundamental set.
     """
-    n, s, e = _rank_arg(n), check_charge(charge), _int_arg("e", e, 2)
+    n, s, e = _int_arg("rank", n, 0), check_charge(charge), _int_arg("e", e, 2)
     f, words = _fundamental_representative(s, e), {}
     members = (mp for mp in _multipartitions(n, len(s)) if _flotw(mp, f, e))
     return tuple(sorted(_psi(mp, f, s, e, words) for mp in members))

@@ -33,17 +33,19 @@ row per segment at the charge of the sorted heads, with no search.
 charge and returns it with that charge; ak_mullineux transports it from
 there to its target, and im_sharp hands it to `multisegments._chi`, whose
 own transport to the fundamental representative is the only one it needs,
-since chi is constant along the isomorphisms.  im_sharp checks its
-multisegment and then runs the unchecked bodies `_ak_mullineux`,
-`multisegments._is_aperiodic` and `multisegments._chi` on values it built
-itself, and `_ak_mullineux` runs `crystal._psi` and `core._is_e_regular`.
+since chi is constant along the isomorphisms.  ak_mullineux checks its
+multipartition and both charges with `crystal._charged_input`, as psi does,
+so a target at another level fails the orbit check with NoPathError.
+im_sharp checks its multisegment and then runs the unchecked bodies
+`_ak_mullineux`, `_is_aperiodic` (crystal's, which is also FLOTW (3)) and
+`multisegments._chi` on values it built itself, and `_ak_mullineux` runs
+`crystal._psi` and `core._is_e_regular`.
 """
 
 from .charges import (
     _same_orbit,
     _sharp_very_dominant,
     _very_dominant_representative,
-    check_charge,
 )
 from .core import (
     _conjugate,
@@ -51,10 +53,9 @@ from .core import (
     _is_e_regular,
     _is_strict_core,
     _regular_input,
-    check_multipartition,
     check_partition,
 )
-from .crystal import _lift, _lower, _membership, _psi
+from .crystal import _charged_input, _lift, _lower, _membership, _psi
 from .errors import InputError, InternalError, NoPathError
 from .multisegments import _chi, _is_aperiodic, check_multisegment
 from .theta import _theta
@@ -367,12 +368,7 @@ def ak_mullineux(mp, charge, to, e):
     negated residues, and transports from there to `to` (which must lie in
     that orbit).
     """
-    mp = check_multipartition(mp)
-    s = check_charge(charge)
-    t = check_charge(to)
-    if len(mp) != len(s) or len(s) != len(t):
-        raise InputError("multipartition, charge and target must share one level")
-    e = _int_arg("e", e, 2)
+    mp, s, t, e = _charged_input(mp, (charge, to), e)
     if not _membership(mp, s, e):
         raise InputError(f"{mp} is not a member at charge {s} mod {e}")
     image, sharp = _ak_mullineux(mp, s, e)

@@ -17,7 +17,7 @@ representative first.
 
 from .charges import _fundamental_representative
 from .core import _int_arg, _iter_arg
-from .crystal import _charged_input, _psi
+from .crystal import _charged_input, _is_aperiodic, _psi
 from .errors import InputError
 
 
@@ -45,14 +45,6 @@ def canonical(segments):
 def is_aperiodic(ms, e):
     """No length L has segments of that length realizing every tail residue."""
     return _is_aperiodic(check_multisegment(ms, e), _int_arg("e", e, 2))
-
-
-def _is_aperiodic(ms, e):
-    """is_aperiodic of a checked multisegment."""
-    tails = {}
-    for head, length in ms:
-        tails.setdefault(length, set()).add((head + length - 1) % e)
-    return all(len(seen) < e for seen in tails.values())
 
 
 def chi(mp, charge, e):

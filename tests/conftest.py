@@ -1,8 +1,9 @@
 """Shared hypothesis strategies, settings and enumerators for the test suite,
-the plain action of the charge group `expand` and `apply_word`, the
-node-by-node crystal reference `branching_image`, the two-row symbol
-references `build_symbol`, `decode_symbol` and `match_step`, and the rim
-lists `e_rim` and `truncated_e_rim`."""
+the unchecked part accessor `part`, the plain action of the charge group
+`expand` and `apply_word`, the node-by-node crystal reference
+`branching_image`, the two-row symbol references `build_symbol`,
+`decode_symbol` and `match_step`, and the rim lists `e_rim` and
+`truncated_e_rim`."""
 
 import itertools
 
@@ -14,7 +15,7 @@ import hypothesis.strategies as st
 
 from mullineux.charges import transpose_charge
 
-from mullineux.core import enumerate_partitions, part, rank
+from mullineux.core import enumerate_partitions, rank
 
 from mullineux.multisegments import canonical, is_aperiodic
 
@@ -22,6 +23,11 @@ from mullineux.symbols import _match
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+def part(lam, i):
+    """The i-th part (1-based) of a partition tuple, 0 past its end; checks nothing."""
+    return lam[i - 1] if i <= len(lam) else 0
 
 
 def partitions(max_part=8, max_len=6):

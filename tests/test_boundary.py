@@ -33,8 +33,6 @@ from mullineux import (
     kleshchev_oracle,
     membership,
     mullineux_crystal,
-    multirank,
-    part,
     psi,
     rank,
     remove_first_column,
@@ -64,8 +62,7 @@ PUBLIC_NAMES = [
     "enumerate_phi", "errors", "flotw_check", "fundamental_representative",
     "im_sharp", "involution", "is_aperiodic", "is_e_regular", "is_fundamental",
     "is_strict_e_core", "kleshchev_oracle", "membership",
-    "mullineux_crystal", "multirank", "multisegments", "part",
-    "psi", "rank", "remove_first_column", "same_orbit", "sharp_very_dominant",
+    "mullineux_crystal", "multisegments", "psi", "rank", "remove_first_column", "same_orbit", "sharp_very_dominant",
     "symbols", "theta", "theta_inverse", "theta_l2", "transpose_charge",
     "very_dominant_representative", "xu", "xu_strip",
 ]
@@ -210,8 +207,11 @@ def test_non_integer_arguments_are_input_errors(call):
         (lambda: check_multisegment(((0, 0),), 3), "segment length must be >= 1, got 0"),
         (lambda: sharp_very_dominant(S, -1, 3), "n must be >= 0, got -1"),
         (lambda: very_dominant_representative(S, -1, 3), "n must be >= 0, got -1"),
-        (lambda: list(enumerate_partitions(-1)), "rank must be nonnegative, got -1"),
-        (lambda: enumerate_phi(-1, (0, 1), 3), "rank must be nonnegative, got -1"),
+        (lambda: list(enumerate_partitions(-1)), "rank must be >= 0, got -1"),
+        (lambda: enumerate_phi(-1, (0, 1), 3), "rank must be >= 0, got -1"),
+        (lambda: list(enumerate_e_regular(-1, 3)), "rank must be >= 0, got -1"),
+        (lambda: list(enumerate_multipartitions(-1, 2)), "rank must be >= 0, got -1"),
+        (lambda: list(enumerate_multipartitions(2, 0)), "levels must be >= 1, got 0"),
         (lambda: difftest.run(1, 3, 4), "lo must be >= 2, got 1"),
         (lambda: difftest.run(4, 3, 4), "hi must be >= 4, got 3"),
         (lambda: difftest.run(2, 3, -1), "max_n must be >= 0, got -1"),
@@ -224,8 +224,9 @@ def test_out_of_range_arguments_name_their_range(call, message):
         call()
 
 
-# psi, membership, flotw_check, chi and ak_mullineux check their arguments and
-# then run unchecked bodies; each error is the one the checks always raised.
+# psi, membership, flotw_check, chi and ak_mullineux check their arguments with
+# crystal._charged_input and then run unchecked bodies; each error is the one
+# its checker raises, and a target at another level fails the orbit check.
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -243,8 +244,10 @@ def test_out_of_range_arguments_name_their_range(call, message):
         (lambda: flotw_check(BIP, (0, 4), 3), InputError, "flotw_check needs a fundamental multicharge, got (0, 4)"),
         (lambda: chi(BIP, (0, 1, 2), 3), InputError, "2 components vs 3 charges"),
         (lambda: chi(((0, 1),), (0,), 3), InputError, "parts must be weakly decreasing: (0, 1)"),
-        (lambda: ak_mullineux(BIP, S, (0, 1, 2), 3), InputError, "multipartition, charge and target must share one level"),
-        (lambda: ak_mullineux(BIP, S, (0, 1, 2), 1), InputError, "multipartition, charge and target must share one level"),
+        (lambda: ak_mullineux(BIP, S, (0, 1, 2), 3), NoPathError, "target (0, 1, 2) is not in the orbit of the image charge (0, 2)"),
+        (lambda: ak_mullineux(BIP, S, (0, 1, 2), 1), InputError, "e must be >= 2, got 1"),
+        (lambda: ak_mullineux(BIP, (0, 1, 2), S, 3), InputError, "2 components vs 3 charges"),
+        (lambda: ak_mullineux(BIP, S, (), 3), InputError, "a multicharge needs at least one entry"),
         (lambda: ak_mullineux(((1, 1), (1,)), S, (0, 5), 3), InputError, "((1, 1), (1,)) is not a member at charge (0, 1) mod 3"),
         (lambda: ak_mullineux(((), (3,)), (0, 4), (0, 3), 3), NoPathError, "target (0, 3) is not in the orbit of the image charge (0, 5)"),
     ],
@@ -260,11 +263,11 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
 # theta_inverse take partitions, and collections are iterable; anything
 # else is an InputError,
 # never an IndexError, a ValueError, a TypeError, an AttributeError, a
-# silently truncated read or an answer about a non-partition.  The core
-# helpers (rank, multirank, is_e_regular) check their argument and name
-# themselves in the message; the routes run their unchecked bodies.  part
-# and canonical, which run inside route loops, turn what they already raise
-# into an InputError and check no shape.
+# silently truncated read or an answer about a non-partition.  Each bad
+# argument is reported by the one checker that reads it, in its words: the
+# core helpers (rank, is_e_regular) by check_partition, is_fundamental by
+# check_charge.  canonical, which runs inside route loops, turns what
+# sorting already raises into an InputError and checks no shape.
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -279,8 +282,8 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: check_multipartition(5), "a multipartition must be iterable, got 5"),
         (lambda: check_multisegment(5, 3), "a multisegment must be iterable, got 5"),
         (lambda: im_sharp(5, 3), "a multisegment must be iterable, got 5"),
-        (lambda: is_fundamental((), 3), "a multicharge must be a nonempty sequence of ints, got ()"),
-        (lambda: is_fundamental((0.5, 1), 3), "a multicharge must be a nonempty sequence of ints, got (0.5, 1)"),
+        (lambda: is_fundamental((), 3), "a multicharge needs at least one entry"),
+        (lambda: is_fundamental((0.5, 1), 3), "charge entries must be ints: (0.5, 1)"),
         (lambda: conjugate((1, 2)), "parts must be weakly decreasing: (1, 2)"),
         (lambda: is_strict_e_core((1, 2), 3), "parts must be weakly decreasing: (1, 2)"),
         (lambda: remove_first_column((1, 3)), "parts must be weakly decreasing: (1, 3)"),
@@ -299,31 +302,22 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: is_strict_e_core((2, 1.5), 3), "parts must be ints: (2, 1.5)"),
         (lambda: remove_first_column(5), "parts must be ints: 5"),
         (lambda: theta_inverse(((1,), (0.5,))), "parts must be ints: (0.5,)"),
-        (lambda: rank(5), "rank needs a partition, got 5"),
-        (lambda: multirank(5), "multirank needs a multipartition, got 5"),
+        (lambda: rank(5), "parts must be ints: 5"),
         (lambda: is_strict_e_core((1, -1), 3), "parts must be nonnegative: (1, -1)"),
         (lambda: theta_inverse((5,)), "parts must be ints: 5"),
-        (lambda: is_e_regular(5, 3), "is_e_regular needs a partition, got 5"),
+        (lambda: is_e_regular(5, 3), "parts must be ints: 5"),
         (lambda: canonical(5), "canonical needs (head, length) segments, got 5"),
         (lambda: canonical(((0, 1), "x")), "canonical needs (head, length) segments, got ((0, 1), 'x')"),
-        (lambda: rank((1, "x")), "rank needs a partition, got (1, 'x')"),
-        (lambda: multirank(((1,), 5)), "multirank needs a multipartition, got ((1,), 5)"),
+        (lambda: rank((1, "x")), "parts must be ints: (1, 'x')"),
         (lambda: is_strict_e_core(("x",), 3), "parts must be ints: ('x',)"),
         (lambda: theta_inverse(((2,), 5)), "parts must be ints: 5"),
         (lambda: theta_inverse(((2,), (1, "x"))), "parts must be ints: (1, 'x')"),
         (lambda: canonical(((0, 1), (0,))), "canonical needs (head, length) segments, got ((0, 1), (0,))"),
         (lambda: canonical(((0, "a"), (1, 2))), "canonical needs (head, length) segments, got ((0, 'a'), (1, 2))"),
         (lambda: theta_inverse(((1,), (1, -1))), "parts must be nonnegative: (1, -1)"),
-        (lambda: is_e_regular((1, 2), 3), "is_e_regular needs a partition, got (1, 2)"),
-        (lambda: rank((1.5,)), "rank needs a partition, got (1.5,)"),
-        (lambda: multirank(((1, 2),)), "multirank needs a multipartition, got ((1, 2),)"),
-        (lambda: multirank(()), "multirank needs a multipartition, got ()"),
+        (lambda: is_e_regular((1, 2), 3), "parts must be weakly decreasing: (1, 2)"),
+        (lambda: rank((1.5,)), "parts must be ints: (1.5,)"),
         (lambda: theta_inverse(((1, 2),)), "parts must be weakly decreasing: (1, 2)"),
-        (lambda: part(3, 5), "part needs a partition and an index, got 3 and 5"),
-        (lambda: part((1,), "x"), "part needs a partition and an index, got (1,) and 'x'"),
-        (lambda: part({1: 2}, 1), "part needs a partition and an index, got {1: 2} and 1"),
-        (lambda: part((1,), 1.5), "part needs a partition and an index, got (1,) and 1.5"),
-        (lambda: part((1,), 2.5), "part needs a partition and an index, got (1,) and 2.5"),
     ],
 )
 def test_malformed_segments_and_pairs_are_input_errors(call, message):
@@ -336,7 +330,7 @@ def test_malformed_segments_and_pairs_are_input_errors(call, message):
 # ints, trailing zeros dropped.  A dict is read as its keys.
 def test_core_helpers_read_their_argument_with_check_partition():
     assert is_strict_e_core({1: 2}, 3) and is_strict_e_core([1, 0], 2)
-    assert rank([2, 1, 0]) == 3 and multirank([[2, 1, 0], []]) == 3
+    assert rank([2, 1, 0]) == 3
     assert is_e_regular([2, 1, 1, 0, 0, 0], 3)
     assert theta_inverse([[2, 0], (3, 1)]) == (3, 2, 1)
 

@@ -230,6 +230,22 @@ def test_a_lift_that_is_not_e_regular_exits_3(capsys, monkeypatch):
     assert err.startswith("internal error: the lift of ((1,), (2,)) to ")
 
 
+def test_methods_that_disagree_exit_3(capsys, monkeypatch):
+    # --method all compares the three routes; a route that answers wrongly
+    # is a fault of the program, reported in one line with every answer.
+    monkeypatch.setattr(involution, "xu", lambda lam, e: lam)
+    code, out, err = run(capsys, "mullineux", "--e", "3", "--partition", "2", "--method", "all")
+    assert (code, out) == (3, "")
+    assert err == "internal error: methods disagree: crystal=1,1, kleshchev=1,1, xu=2\n"
+
+
+def test_a_peel_without_a_good_node_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(involution, "_removable_rows", lambda lam, e: {})
+    code, out, err = run(capsys, "mullineux", "--e", "3", "--partition", "2", "--method", "kleshchev")
+    assert (code, out) == (3, "")
+    assert err == "internal error: (2,) has no good removable node mod 3\n"
+
+
 def test_crystal_iso_rejects_wrong_orbit(capsys):
     code, out, err = run(
         capsys,
@@ -336,8 +352,7 @@ def test_enumerate_is_deterministic(capsys):
 def test_enumerate_rejects_negative_rank(capsys, charge):
     argv = ["enumerate", "--e", "3", "--n", "-1"] + (["--charge", charge] if charge else [])
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert "rank must be nonnegative" in err
+    assert (code, out, err) == (2, "", "error: rank must be >= 0, got -1\n")
 
 
 def test_enumerate_json(capsys):
@@ -393,6 +408,11 @@ def test_difftest_rejects_bad_range(capsys):
     code, out, err = run(capsys, "difftest", "--e-range", "6..2", "--max-n", "3")
     assert code == 2
     assert "e-range" in err
+
+
+def test_difftest_rejects_negative_max_n(capsys):
+    code, out, err = run(capsys, "difftest", "--e-range", "2..2", "--max-n", "-1")
+    assert (code, out, err) == (2, "", "error: --max-n must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

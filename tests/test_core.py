@@ -21,8 +21,6 @@ from mullineux.core import (
     enumerate_partitions,
     is_e_regular,
     is_strict_e_core,
-    multirank,
-    part,
     rank,
     remove_first_column,
 )
@@ -74,22 +72,9 @@ def test_check_partition_rejects():
             check_partition(raw)
 
 
-def test_part_accessor():
-    for lam, i, expected in (
-        ((3, 1), 1, 3),
-        ((3, 1), 2, 1),
-        ((3, 1), 3, 0),
-        ((3, 1), 99, 0),
-        ((), 1, 0),
-    ):
-        assert part(lam, i) == expected, (lam, i)
-
-
-def test_rank_and_multirank():
+def test_rank():
     assert rank(()) == 0
     assert rank((17, 9, 7, 6, 3, 3)) == 45
-    assert multirank(((2, 1), (3,))) == 6
-    assert multirank(((), (), ())) == 0
 
 
 def test_is_e_regular_table():
@@ -254,7 +239,7 @@ def test_enumerate_multipartitions():
         assert len(set(seen)) == expected, n
         for mp in seen:
             assert check_multipartition(mp) == mp
-            assert multirank(mp) == n
+            assert sum(map(sum, mp)) == n
 
 
 def test_enumerate_multipartitions_levels():
@@ -313,7 +298,7 @@ def test_enumerate_multipartitions_answers_at_level_1500():
     seen = list(enumerate_multipartitions(1, 1500))
     assert len(seen) == len(set(seen)) == 1500
     assert seen[0] == ((),) * 1499 + ((1,),)
-    assert all(multirank(mp) == 1 and len(mp) == 1500 for mp in seen)
+    assert all(sum(map(sum, mp)) == 1 and len(mp) == 1500 for mp in seen)
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3])

@@ -19,6 +19,7 @@ from conftest import (
     decode_symbol,
     expand,
     match_step,
+    part,
     partitions,
     partitions_up_to,
 )
@@ -30,8 +31,6 @@ from mullineux.core import (
     enumerate_multipartitions,
     enumerate_partitions,
     is_strict_e_core,
-    multirank,
-    part,
     rank,
 )
 
@@ -229,7 +228,7 @@ def test_psi_round_trip_and_rank():
                 for mp in enumerate_phi(n, (0, s), e):
                     for to in targets:
                         out = psi(mp, (0, s), to, e)
-                        assert multirank(out) == n, (mp, to)
+                        assert sum(map(sum, out)) == n, (mp, to)
                         assert psi(out, to, (0, s), e) == mp, (mp, to)
 
 
@@ -434,7 +433,7 @@ def wide_gap_inputs(draw, max_rank=16):
     """(mp, s, targets, e) as transport_inputs, with very dominant charges
     and targets moved by up to +-12e."""
     mp, s, _, e = draw(transport_inputs(max_rank))
-    n = multirank(mp)
+    n = sum(map(sum, mp))
     if draw(st.booleans()):
         s = very_dominant_representative(s, n, e)
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -675,7 +674,7 @@ def test_im_shaped_lifts_match_stepwise_reference_at_levels_3_to_5():
                               key=lambda seg: (seg[0], -seg[1]))
                 s = tuple(head for head, _ in segs)
                 mp = tuple((length,) for _, length in segs)
-                up = very_dominant_representative(s, multirank(mp), e)
+                up = very_dominant_representative(s, sum(map(sum, mp)), e)
                 lifted = psi(mp, s, up, e)
                 assert lifted == stepwise_psi(mp, s, up, e), (mp, s, up, e)
                 assert psi(lifted, up, s, e) == stepwise_psi(lifted, up, s, e) == mp, (mp, s, up, e)
@@ -853,7 +852,7 @@ def descent_inputs(draw, max_rank=80):
                 kept.append(p)
                 budget -= p
         pair.append(tuple(kept))
-    t = draw(st.sampled_from(list(start_charges(multirank(pair), e))))
+    t = draw(st.sampled_from(list(start_charges(sum(map(sum, pair)), e))))
     return tuple(pair), t, e
 
 
@@ -882,7 +881,7 @@ def test_blockwise_lower_pair_from_three_million_answers_at_once():
     for e in (3, 4, 5):
         for pair in pairs:
             for s in range(1, e):
-                near = lift_charge_multiple(multirank(pair), e, -s) * e - s
+                near = lift_charge_multiple(sum(map(sum, pair)), e, -s) * e - s
                 far = 3 * 10**6 // e * e - s
                 start = time.perf_counter()
                 got = outcome(lower_pair, pair, far, e)
@@ -1074,7 +1073,7 @@ def test_blockwise_lower_matches_transport():
                 for s in range(1, e):
                     lifted = blockwise_lift(lam, e, s)
                     nu = (xu(lifted[0], e), xu(lifted[1], e))
-                    k = max(1, (multirank(nu) - 1 + s) // e + 1)
+                    k = max(1, (sum(map(sum, nu)) - 1 + s) // e + 1)
                     start = -s + k * e
                     target = psi(nu, (0, start), (0, e - s), e)
                     assert blockwise_lower(nu, e, s) == theta_inverse(target), (

@@ -699,12 +699,12 @@ def test_crystal_reference_does_not_depend_on_the_peeling_order(e, level, top):
 
 def test_im_sharp_validates_no_multipartition(monkeypatch):
     # im_sharp checks its multisegment and runs the unchecked bodies on the
-    # multipartitions it builds, so none of them is checked again.  chi checks
-    # its input with crystal's `_charged_input`, so two modules cover all three.
+    # multipartitions it builds, so none of them is checked again.  chi and
+    # ak_mullineux check their input with crystal's `_charged_input`, so one
+    # module covers all three.
     calls = []
-    for module in (crystal, involution):
-        check = module.check_multipartition
-        monkeypatch.setattr(module, "check_multipartition", lambda mp, check=check: calls.append(mp) or check(mp))
+    check = crystal.check_multipartition
+    monkeypatch.setattr(crystal, "check_multipartition", lambda mp: calls.append(mp) or check(mp))
     assert im_sharp(((0, 3), (1, 3), (0, 1)), 3) == ((2, 6), (0, 1))
     assert im_sharp(((0, 2), (1, 1), (1, 1)), 2) == ((0, 2), (1, 1), (1, 1))
     assert calls == []
@@ -718,6 +718,24 @@ def test_a_lift_that_is_not_e_regular_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(involution, "_psi", lambda *args: ((1, 1, 1), ()))
     with pytest.raises(InternalError, match=r"^the lift of \(\(1,\), \(2,\)\) to .* is not 3-regular: \(1, 1, 1\)$"):
         im_sharp(((0, 1), (1, 2)), 3)
+
+
+# The routes' own guards: each names a fault of the program, which no
+# well-formed input reaches, so a stand-in for the helper it guards trips it.
+@pytest.mark.parametrize(
+    "helper, stand_in, route, message",
+    [
+        ("_lift", lambda lam, e, s: ((), (1,)), mullineux_crystal, "lift of (3,) lost its first component"),
+        ("_lift", lambda lam, e, s: ((1,), ()), mullineux_crystal, "lift of non-core (3,) has an empty second component"),
+        ("_removable_rows", lambda lam, e: {}, kleshchev_oracle, "(3,) has no good removable node mod 3"),
+        ("_addable_rows", lambda lam, e, j: [], kleshchev_oracle, "() has 0 good addable nodes of residue 0, not 1"),
+    ],
+)
+def test_route_guards_raise_internal_errors(monkeypatch, helper, stand_in, route, message):
+    monkeypatch.setattr(involution, helper, stand_in)
+    with pytest.raises(InternalError) as info:
+        route((3,), 3)
+    assert type(info.value) is InternalError and str(info.value) == message
 
 
 def test_im_sharp_worked_example():
