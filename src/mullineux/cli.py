@@ -14,7 +14,8 @@ or "-" for the empty one; a multipartition joins components with "|"; a
 multicharge is comma-separated integers; a multisegment joins "head:length"
 items with ";" in canonical order (length descending, head ascending).
 
-Exit codes: 0 success, 2 invalid input, 3 internal inconsistency.
+Exit codes: 0 success, 2 invalid input, 3 internal inconsistency or out of
+memory.
 """
 
 import argparse
@@ -299,6 +300,11 @@ def main(argv=None):
     args = parser.parse_args(tokens)
     try:
         return args.func(args) or 0
+    except MemoryError:
+        # Reported after the try, once this handler has ended and freed the
+        # frames its traceback holds: until then nothing can be allocated,
+        # so it comes before the clause that builds a tuple.
+        pass
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -311,6 +317,8 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
+    print("internal error: out of memory", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -145,24 +145,39 @@ def remove_first_column(lam):
 
 def enumerate_partitions(n):
     """Yield all partitions of n in decreasing lexicographic order."""
-    n = _int_arg("rank", n, 0)
-    yield from _partitions(n, n)
+    yield from _partitions(_int_arg("rank", n, 0))
 
 
-def _partitions(n, max_part):
-    """Partitions of a checked n with parts at most max_part, decreasing lex order."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(max_part, n), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
+def _partitions(n):
+    """Partitions of a checked n in decreasing lexicographic order, built in one list.
+
+    ZS1 (Zoghbi and Stojmenović, 1998): the successor of a partition other
+    than (1, ..., 1) pops its trailing 1s, lowers its last part k + 1 to k,
+    and refills with ks and the remainder; h counts the parts above 1, so
+    the 1s are found without a search.  A rank of sys.maxsize or more is an
+    InputError, raised at the first item: no enumeration of that size could
+    run to its end.
+    """
+    if n >= sys.maxsize:
+        raise InputError(f"rank must be < {sys.maxsize} to enumerate partitions, got {n}")
+    lam, h = [n] if n else [], int(n > 1)
+    while True:
+        yield tuple(lam)
+        if not h:
+            return
+        k = lam[h - 1] - 1
+        q, r = divmod(len(lam) - h + k + 1, k)
+        del lam[h - 1 :]
+        lam += [k] * q
+        if r:
+            lam.append(r)
+        h = h - 1 if k == 1 else len(lam) - (r == 1)
 
 
 def enumerate_e_regular(n, e):
     """Yield the e-regular partitions of rank exactly n, decreasing lex order."""
     n, e = _int_arg("rank", n, 0), _int_arg("e", e, 2)
-    yield from (lam for lam in _partitions(n, n) if _is_e_regular(lam, e))
+    yield from (lam for lam in _partitions(n) if _is_e_regular(lam, e))
 
 
 def enumerate_multipartitions(n, levels):
@@ -180,18 +195,16 @@ def _multipartitions(n, levels):
     The cuts are the non-decreasing (levels - 1)-tuples over 0..n in
     lexicographic order, stepped like an odometer in place: the rightmost cut
     below n goes up by one and every cut after it takes its value.  Nothing
-    is built in proportion to n before the first item.  A rank of
-    sys.maxsize or more is an InputError, raised at the first item by both
-    public callers: no enumeration of that size could run to its end.
+    is built in proportion to n before the first item.  The first item
+    streams the last component at rank n, so `_partitions`' rank bound
+    refuses a rank of sys.maxsize or more there.
     """
-    if n >= sys.maxsize:
-        raise InputError(f"rank must be < {sys.maxsize} to enumerate multipartitions, got {n}")
-    ranked = cache(lambda k: tuple(_partitions(k, k)))
+    ranked = cache(lambda k: tuple(_partitions(k)))
     bounds = [0] * levels  # 0, then the cuts
     while True:
         last = n - bounds[-1]
         for head in product(*(ranked(b - a) for a, b in zip(bounds, bounds[1:]))):
-            for lam in _partitions(last, last):
+            for lam in _partitions(last):
                 yield head + (lam,)
         i = levels - 1
         while i and bounds[i] == n:

@@ -429,31 +429,48 @@ def _lift(lam, e, s):
     return tuple(lam1), tuple(mu)
 
 
-def _lower_pair(nu1, nu2, t, e):
-    """Box-moving descent of (nu1 at 0, nu2 at t) to a fundamental charge.
+def blockwise_lower(pair, e, s):
+    """Merged partition from the box-moving descent of a very dominant pair.
 
-    nu1 and nu2 are checked partitions, and t = k*e - s with 0 < s < e.
-    Rounds run at charges t, t - e, ..., down to t mod e, one per charge,
+    Places the pair at the canonical very dominant charge for its rank n,
+    (0, t) with t the least value >= n that is == -s mod e (the charge
+    `ak_mullineux` lands at), runs the box-moving descent down to
+    (0, e - s), and merges the two components into one partition (`_lower`).
+    """
+    pair = check_multipartition(pair)
+    if len(pair) != 2:
+        raise InputError(f"blockwise_lower needs two components, got {len(pair)}")
+    e = _int_arg("e", e, 2)
+    return _lower(pair, e, _int_arg("s", s, 1, e - 1))
+
+
+def _lower(pair, e, s):
+    """blockwise_lower of a checked pair, e and s.
+
+    The box-moving descent of (nu1 at 0, nu2 at t), t the canonical start,
+    to the fundamental charge (0, e - s), merged into one partition.
+    Rounds run at charges t, t - e, ..., down to -s mod e, one per charge,
     from the highest of them at which a box can move.  Each round scans nu2
     bottom-up; a row with rightmost content r donates its boxes above
     content c to the lowest nu1 row not yet used as a target this round
     whose rightmost content c is below r, falling back to the next row up
     whenever the donation would break nu2's shape.  nu1 never gains rows,
-    and its rows only gain boxes, so it never holds a zero and comes back
-    as it is.  The move must keep nu2 a partition at every moment; nu1 may
-    pass through non-partition shapes inside a round.  Returns the final
-    (nu1, nu2); a round that leaves nu1 out of shape raises InternalError.
+    and its rows only gain boxes, so it never holds a zero.  The move must
+    keep nu2 a partition at every moment; nu1 may pass through
+    non-partition shapes inside a round, and a round that leaves it out of
+    shape raises InternalError.
 
     The start: at t, row a of nu2 (part p, next part b) gives a nu1 row of
     content c its r - c = p - a + t - c boxes above c and keeps c + a - t,
     which must be at least b, so a move needs t <= c + a - b.  A nu1 row is
     a target at most once a round, with the content it started the round
     with, at most nu1[0] - 1; and a <= len(nu2), b >= 0.  So a round at a
-    charge above nu1[0] - 1 + len(nu2) moves no box and changes nothing,
-    and the rounds below it start from the input again: t is first lowered
-    to the greatest value <= that bound in its class, the least one
-    >= bound - e + 1 (`charges._least_in_class`).  An empty nu1 takes no
-    boxes, and the pair comes back as it is.
+    charge above nu1[0] - 1 + len(nu2) moves no box and changes nothing.
+    The canonical start, the least value >= n in the class of -s for the
+    rank n, lies above that bound, as n >= nu1[0] + len(nu2); so the rounds
+    start instead at the greatest value <= the bound in the class, the
+    least one >= nu1[0] + len(nu2) - e (`charges._least_in_class`), which
+    sums no rows.  An empty nu1 takes no boxes, and nu2 comes back as it is.
 
     nu2 needs no shape check.  A donation leaves row a at p - k =
     a - t + c, which is at least nu2[a], the row below as it stands, by
@@ -479,15 +496,14 @@ def _lower_pair(nu1, nu2, t, e):
 
     The final pair is in general *not* the image of the input under the
     symbol-route isomorphism (which lands inside the member set); only the
-    merged partition is guaranteed to agree, which is what blockwise_lower
-    returns.
+    merged partition is guaranteed to agree, which is what is returned.
     """
+    nu1, nu2 = pair
     if not nu1:
-        return (), tuple(nu2)
+        return nu2
     nu1, nu2, n1 = list(nu1), list(nu2), len(nu1)
-    top = nu1[0] - 1 + len(nu2)
-    start = min(t, _least_in_class(top - e + 1, t, e))
-    for t in range(start, t % e - 1, -e):
+    start = _least_in_class(nu1[0] + len(nu2) - e, -s, e)
+    for t in range(start, -s % e - 1, -e):
         used = []
         c0 = nu1[-1] - n1
         low = n2 = len(nu2)
@@ -512,34 +528,4 @@ def _lower_pair(nu1, nu2, t, e):
         for j in used:
             if j > 1 and nu1[j - 2] < nu1[j - 1]:
                 raise InternalError(f"first component left a round malformed: {nu1}")
-    return tuple(nu1), tuple(nu2)
-
-
-def blockwise_lower(pair, e, s):
-    """Merged partition from the box-moving descent of a very dominant pair.
-
-    Places the pair at the canonical very dominant charge for its rank n,
-    (0, t) with t the least value >= n that is == -s mod e (the charge
-    `ak_mullineux` lands at), runs the descent `_lower_pair` down to
-    (0, e - s), and merges the two components into one partition.
-    """
-    pair = check_multipartition(pair)
-    if len(pair) != 2:
-        raise InputError(f"blockwise_lower needs two components, got {len(pair)}")
-    e = _int_arg("e", e, 2)
-    return _lower(pair, e, _int_arg("s", s, 1, e - 1))
-
-
-def _lower(pair, e, s):
-    """blockwise_lower of a checked pair, e and s.
-
-    From the canonical start, the least value >= n in the class of -s for
-    the rank n, the descent drops at once to the highest charge of its
-    residue at or below nu1[0] - 1 + len(nu2) (`_lower_pair`).  So it starts
-    instead from the least value >= nu1[0] + len(nu2) in that class
-    (`charges._least_in_class`, with that bound as the floor in place of
-    n), which lands on the same first round and sums no rows.
-    """
-    nu1, nu2 = pair
-    t = _least_in_class((nu1[0] if nu1 else 0) + len(nu2), -s, e)
-    return _concat(*_lower_pair(nu1, nu2, t, e))
+    return _concat(nu1, nu2)

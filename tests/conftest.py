@@ -1,5 +1,6 @@
 """Shared hypothesis strategies, settings and enumerators for the test suite,
-the unchecked part accessor `part`, the plain action of the charge group
+the recursive partition enumerator `recursive_partitions`, the unchecked
+part accessor `part`, the plain action of the charge group
 `expand` and `apply_word`, the node-by-node crystal reference
 `branching_image`, the two-row symbol references `build_symbol`,
 `decode_symbol` and `match_step`, and the rim lists `e_rim` and
@@ -23,6 +24,21 @@ from mullineux.symbols import _match
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+def recursive_partitions(n, max_part):
+    """Partitions of n with parts at most max_part, decreasing lex order, one frame per part.
+
+    The reference for `core._partitions`: the first part runs down from
+    min(max_part, n), and the rest are the partitions of what is left with
+    parts at most the first.
+    """
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(max_part, n), 0, -1):
+        for rest in recursive_partitions(n - first, first):
+            yield (first,) + rest
 
 
 def part(lam, i):

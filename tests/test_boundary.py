@@ -469,10 +469,9 @@ def self_calls(source):
 def test_only_allowed_functions_recurse():
     # Recursion depth is bounded by Python's stack, so each function that
     # calls itself must be one whose depth no answerable input can reach.
+    # The enumerations all run on `core._partitions`, which steps one list
+    # in place (ZS1) and needs no frame per part.
     allowed = {
-        # One frame per part: a partition with about 1,000 parts comes only
-        # after an enumeration that no caller can finish.
-        "core._partitions",
         # Pinned by the benchmark's crash fixture (kleshchev_oracle's
         # RecursionError on the row 1000) until the benchmark changes
         # (ROADMAP item 3).

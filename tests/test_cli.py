@@ -239,6 +239,15 @@ def test_methods_that_disagree_exit_3(capsys, monkeypatch):
     assert err == "internal error: methods disagree: crystal=1,1, kleshchev=1,1, xu=2\n"
 
 
+def test_running_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(involution, "mullineux_crystal", exhausted)
+    code, out, err = run(capsys, "mullineux", "--e", "3", "--partition", "2")
+    assert (code, out, err) == (3, "", "internal error: out of memory\n")
+
+
 def test_a_peel_without_a_good_node_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(involution, "_removable_rows", lambda lam, e: {})
     code, out, err = run(capsys, "mullineux", "--e", "3", "--partition", "2", "--method", "kleshchev")
@@ -504,18 +513,19 @@ def test_importing_the_cli_loads_neither_json_nor_difftest(module):
 
 
 @pytest.mark.parametrize("n", [sys.maxsize, 10**20])
-@pytest.mark.parametrize("charge", ["0", "0,1"])
+@pytest.mark.parametrize("charge", [None, "0", "0,1"])
 def test_enumerate_past_the_largest_sequence_exits_2_without_traceback(charge, n):
     src = str(Path(mullineux.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-m", "mullineux.cli", "enumerate", "--e", "3", "--n", str(n), "--charge", charge],
+        [sys.executable, "-m", "mullineux.cli", "enumerate", "--e", "3", "--n", str(n)]
+        + ([] if charge is None else ["--charge", charge]),
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: rank must be < {sys.maxsize} to enumerate multipartitions, got {n}\n"
+    assert proc.stderr == f"error: rank must be < {sys.maxsize} to enumerate partitions, got {n}\n"
     assert "Traceback" not in proc.stderr
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import given
 
-from conftest import partitions
+from conftest import partitions, recursive_partitions
 
 from mullineux.core import (
     InputError,
@@ -272,6 +272,15 @@ def test_enumerate_multipartitions_matches_the_recursive_reference(levels):
             assert flat == reference, (n, levels)
 
 
+def test_enumerate_partitions_matches_the_recursive_reference():
+    for n in range(26):
+        expected = list(recursive_partitions(n, n))
+        assert list(enumerate_partitions(n)) == expected, n
+        for e in range(2, 7):
+            regular = [lam for lam in expected if is_e_regular(lam, e)]
+            assert list(enumerate_e_regular(n, e)) == regular, (n, e)
+
+
 def test_enumerate_multipartitions_orders_by_composition():
     ranks = [tuple(map(sum, mp)) for mp in enumerate_multipartitions(4, 3)]
     assert ranks == sorted(ranks)
@@ -283,15 +292,19 @@ def test_enumerate_multipartitions_orders_by_composition():
 @pytest.mark.parametrize("n", [sys.maxsize, 10**20, 2**200])
 @pytest.mark.parametrize("levels", [1, 2])
 def test_enumerate_past_the_largest_sequence_is_an_input_error(levels, n):
-    # Ranks from sys.maxsize up are refused; both enumerations over them
-    # say so at the first item.
+    # Ranks from sys.maxsize up are refused; all four enumerations over them
+    # say so at the first item, from the one partition kernel.
     from mullineux.crystal import enumerate_phi
 
-    message = f"^rank must be < {sys.maxsize} to enumerate multipartitions, got {n}$"
-    with pytest.raises(InputError, match=message):
-        next(enumerate_multipartitions(n, levels))
-    with pytest.raises(InputError, match=message):
-        enumerate_phi(n, (0,) * levels, 3)
+    message = f"^rank must be < {sys.maxsize} to enumerate partitions, got {n}$"
+    for first in (
+        lambda: next(enumerate_partitions(n)),
+        lambda: next(enumerate_e_regular(n, levels + 1)),
+        lambda: next(enumerate_multipartitions(n, levels)),
+        lambda: enumerate_phi(n, (0,) * levels, 3),
+    ):
+        with pytest.raises(InputError, match=message):
+            first()
 
 
 def test_enumerate_multipartitions_answers_at_level_1500():

@@ -36,7 +36,7 @@ from mullineux.core import (
 
 from mullineux.crystal import (
     _lift,
-    _lower_pair,
+    _lower,
     _psi,
     _walk,
     blockwise_lift,
@@ -743,31 +743,24 @@ def test_blockwise_lift_core_signals():
                         assert lifted[0] != (), (lam, e, s)
 
 
-def lower_pair(pair, t, e):
-    """The descent blockwise_lower runs, on a pair of partitions from start charge t."""
-    return _lower_pair(pair[0], pair[1], t, e)
-
-
 def test_blockwise_lower_pair_worked_examples():
-    # Two full descents checked round for round against hand computation.
-    assert lower_pair(((10,), (14, 7, 7, 3, 3, 1)), 19, 4) == (
-        (17,),
-        (9, 7, 6, 3, 3),
-    )
-    assert lower_pair(((6, 6), (15, 7, 5, 4, 1, 1)), 10, 4) == (
-        (17, 9),
-        (7, 6, 3, 3),
-    )
+    # Two full descents checked round for round against hand computation;
+    # the descent returns their merged pairs.
+    assert stepwise_lower_pair(((10,), (14, 7, 7, 3, 3, 1)), 19, 4) == ((17,), (9, 7, 6, 3, 3))
+    assert _lower(((10,), (14, 7, 7, 3, 3, 1)), 4, 1) == (17, 9, 7, 6, 3, 3)
+    assert stepwise_lower_pair(((6, 6), (15, 7, 5, 4, 1, 1)), 10, 4) == ((17, 9), (7, 6, 3, 3))
+    assert _lower(((6, 6), (15, 7, 5, 4, 1, 1)), 4, 2) == (17, 9, 7, 6, 3, 3)
 
 
 def stepwise_lower_pair(pair, t, e):
     """Reference descent: a round at every t, t - e, ..., t mod e, moving or not.
 
-    This is the loop `_lower_pair` ran before it skipped the rounds
-    that move no box; it must return the same final pair and raise the same
-    errors.  It checks the whole shape of both components after every
-    round.  `_lower_pair` checks only nu1, at the rows it used, and leaves
-    nu2 to a proof, so this loop is the only witness of the whole check.
+    This is the loop the descent ran before it skipped the rounds that
+    move no box; from a very dominant start its merged pair must be what
+    `_lower` returns, and it must raise the same errors.  It checks the
+    whole shape of both components after every round.  `_lower` checks
+    only nu1, at the rows it used, and leaves nu2 to a proof, so this loop
+    is the only witness of the whole check.
     """
     nu1, nu2 = list(pair[0]), list(pair[1])
     final_t = t % e
@@ -823,25 +816,31 @@ def outcome(engine, *args):
 
 
 def start_charges(n, e):
-    """Every start charge k*e - s, from k = 1 to 2 past the very dominant multiple."""
+    """Every (s, t) with t = k*e - s a very dominant start for rank n: from
+    the canonical one, the least t >= n, to two multiples of e above it."""
     for s in range(1, e):
-        for k in range(1, lift_charge_multiple(n, e, -s) + 3):
-            yield k * e - s
+        k = lift_charge_multiple(n, e, -s)
+        for t in range(k * e - s, (k + 3) * e - s, e):
+            yield s, t
+
+
+def stepwise_lower(pair, t, e):
+    """The stepwise reference descent from t, merged as blockwise_lower merges."""
+    return theta_inverse(stepwise_lower_pair(pair, t, e))
 
 
 def test_blockwise_lower_pair_matches_stepwise_reference_exhaustively():
     for e in range(2, 7):
         for n in range(9):
             for pair in enumerate_multipartitions(n, 2):
-                for t in start_charges(n, e):
-                    expected = outcome(stepwise_lower_pair, pair, t, e)
-                    got = outcome(lower_pair, pair, t, e)
-                    assert got == expected, (pair, t, e)
+                for s, t in start_charges(n, e):
+                    expected = outcome(stepwise_lower, pair, t, e)
+                    assert outcome(_lower, pair, e, s) == expected, (pair, t, e)
 
 
 @st.composite
 def descent_inputs(draw, max_rank=80):
-    """(pair, t, e): a pair of total rank at most max_rank and a start charge."""
+    """(pair, s, t, e): a pair of total rank at most max_rank and a very dominant start."""
     e = draw(st.integers(2, 6))
     budget = max_rank
     pair = []
@@ -852,42 +851,33 @@ def descent_inputs(draw, max_rank=80):
                 kept.append(p)
                 budget -= p
         pair.append(tuple(kept))
-    t = draw(st.sampled_from(list(start_charges(sum(map(sum, pair)), e))))
-    return tuple(pair), t, e
+    s, t = draw(st.sampled_from(list(start_charges(sum(map(sum, pair)), e))))
+    return tuple(pair), s, t, e
 
 
 @given(descent_inputs())
 def test_blockwise_lower_pair_matches_stepwise_reference_on_larger_pairs(case):
-    pair, t, e = case
-    assert outcome(lower_pair, pair, t, e) == outcome(stepwise_lower_pair, pair, t, e)
+    pair, s, t, e = case
+    assert outcome(_lower, pair, e, s) == outcome(stepwise_lower, pair, t, e)
 
 
-def test_blockwise_lower_pair_from_three_million_answers_at_once():
-    """A start charge near 3*10^6 drops at once to the highest charge at
-    which a box can move, so the descent returns what the stepwise reference
-    returns from the lowest very dominant start, a pair or the same
-    InternalError text, with or without an empty first component.
+def test_blockwise_lower_starts_at_the_pairs_bound_not_at_the_rank():
+    """A pair of rank 5001 whose bound nu1[0] + len(nu2) is 2 takes a round
+    or two, each a walk up nu1's 5000 rows, and answers as the
+    stepwise reference does from just above that bound, a pair or the same
+    InternalError text.
 
-    The time bound only guards against a missing start bound, which would
-    step through every charge from 3*10^6 down."""
-    pairs = [
-        ((10,), (14, 7, 7, 3, 3, 1)),
-        ((6, 6), (15, 7, 5, 4, 1, 1)),
-        ((3, 1), (9, 9, 2)),
-        ((), (5, 2, 2, 1)),
-        ((4, 4, 1), ()),
-    ]
+    The time bound only guards against a start read off the rank, which
+    would run a round at every charge from 5001 down, each the same walk."""
+    pair = ((1,) * 5000, (1,))
     elapsed = 0.0
-    for e in (3, 4, 5):
-        for pair in pairs:
-            for s in range(1, e):
-                near = lift_charge_multiple(sum(map(sum, pair)), e, -s) * e - s
-                far = 3 * 10**6 // e * e - s
-                start = time.perf_counter()
-                got = outcome(lower_pair, pair, far, e)
-                elapsed += time.perf_counter() - start
-                assert got == outcome(stepwise_lower_pair, pair, near, e), (pair, e, s)
-    assert lower_pair(((), (5, 2, 2, 1)), 3 * 10**6 - 1, 3) == ((), (5, 2, 2, 1))
+    for e in (3, 4):
+        for s in range(1, e):
+            start = time.perf_counter()
+            got = outcome(_lower, pair, e, s)
+            elapsed += time.perf_counter() - start
+            assert got == outcome(stepwise_lower, pair, 3 * e - s, e), (e, s)
+    assert _lower(((), (5, 2, 2, 1)), 3, 2) == (5, 2, 2, 1)
     assert elapsed < 0.5
 
 
@@ -990,9 +980,7 @@ def test_engines_match_stepwise_references_on_every_level_of_wide_shapes(n, e):
             assert outcome(_lift, cur, e, s) == lifted, (cur, e, s)
             pair = (xu(lifted[0], e), xu(lifted[1], e))
             t = lift_charge_multiple(rank(cur), e, -s) * e - s
-            expected = stepwise_lower_pair(pair, t, e)
-            assert outcome(lower_pair, pair, t, e) == expected, (pair, t, e)
-            assert blockwise_lower(pair, e, s) == theta_inverse(expected), (pair, e, s)
+            assert blockwise_lower(pair, e, s) == stepwise_lower(pair, t, e), (pair, e, s)
 
 
 def random_regular(n, e, rng):
