@@ -136,7 +136,7 @@ _METHODS = {
 def cmd_mullineux(args):
     lam = parse_partition(args.partition)
     e = core._int_arg("e", args.e, 2)
-    s = e - 1 if args.s is None else core._int_arg("s", args.s, 1, e - 1)
+    s = None if args.s is None else core._int_arg("s", args.s, 1, e - 1)
     names = tuple(_METHODS) if args.method == "all" else (args.method,)
     values = {}
     steps = []

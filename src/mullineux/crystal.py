@@ -23,8 +23,8 @@ bodies (`_psi`, `_membership`, `_flotw`), as blockwise_lift and
 blockwise_lower call `_lift` and `_lower` and enumerate_phi
 `core._multipartitions`; the other modules call those bodies on values
 they have checked or built themselves.
-FLOTW (3) is the aperiodicity of the rows read as chi's segments, so
-`_flotw` and `multisegments.is_aperiodic` share `_is_aperiodic`.
+FLOTW (3) is the aperiodicity of the rows read as chi's segments
+(`_segments`), so `_flotw` and `multisegments.is_aperiodic` share `_is_aperiodic`.
 
 `blockwise_lift` and `blockwise_lower` are direct box-moving versions of the
 level-2 isomorphisms between a fundamental charge and a very dominant one;
@@ -90,9 +90,12 @@ def _flotw(mp, s, e):
         # Parts past the end of mp[j] are 0, below every part of nxt.
         if len(mp[j]) < len(nxt) - gap or any(map(operator.lt, mp[j], nxt[gap:])):
             return False
-    # (3): row i of component j is chi's segment ((1 - i + s_j) % e, p); its tail is the row end's residue.
-    segments = (((1 - i + sj) % e, p) for lam, sj in zip(mp, s) for i, p in enumerate(lam, 1))
-    return _is_aperiodic(segments, e)
+    return _is_aperiodic(_segments(mp, s, e), e)
+
+
+def _segments(mp, s, e):
+    """Row i, part p, of component c of a checked mp at s as chi's segment ((1 - i + s_c) % e, p)."""
+    return (((1 - i + sc) % e, p) for lam, sc in zip(mp, s) for i, p in enumerate(lam, 1))
 
 
 def _is_aperiodic(ms, e):
@@ -434,8 +437,9 @@ def blockwise_lower(pair, e, s):
 
     Places the pair at the canonical very dominant charge for its rank n,
     (0, t) with t the least value >= n that is == -s mod e (the charge
-    `ak_mullineux` lands at), runs the box-moving descent down to
-    (0, e - s), and merges the two components into one partition (`_lower`).
+    `ak_mullineux` lands at), runs the box-moving descent toward (0, e - s)
+    until no row of the second component is above the first's last content
+    (later rounds only lower the second's), and merges them (`_lower`).
     """
     pair = check_multipartition(pair)
     if len(pair) != 2:
@@ -448,9 +452,9 @@ def _lower(pair, e, s):
     """blockwise_lower of a checked pair, e and s.
 
     The box-moving descent of (nu1 at 0, nu2 at t), t the canonical start,
-    to the fundamental charge (0, e - s), merged into one partition.
-    Rounds run at charges t, t - e, ..., down to -s mod e, one per charge,
-    from the highest of them at which a box can move.  Each round scans nu2
+    toward the fundamental charge (0, e - s), merged into one partition.
+    Rounds run at charges t, t - e, ..., down to -s mod e at most, one per
+    charge, from the highest at which a box can move.  Each round scans nu2
     bottom-up; a row with rightmost content r donates its boxes above
     content c to the lowest nu1 row not yet used as a target this round
     whose rightmost content c is below r, falling back to the next row up
@@ -482,8 +486,7 @@ def _lower(pair, e, s):
     `blockwise_lower(((2, 2), (1,)), 2, 1)` leaves nu1 at [2, 3].  Rows of
     nu1 only gain boxes inside a round, and an unused row keeps its own, so
     nu1 can break only where a used row outgrows the row above it, and the
-    check compares each used row with that row alone.  A round that uses
-    no row checks nothing.
+    check compares each used row with that row alone.
 
     A round starts at the lowest row of nu2 whose content is above
     c0, nu1's last: the contents fall with a, and the rows below come first,
@@ -492,7 +495,8 @@ def _lower(pair, e, s):
     when c >= t - a + b, a bound that grows going up, and unused rows of nu1
     keep their contents, which rise going up.  So one pointer walks nu1 up
     through the round, past rows used or too far for every later donor; the
-    round ends when it passes row 1.
+    round ends when it passes row 1.  With no row of nu2 above c0, the
+    descent ends: an idle round keeps c0, and each later one lowers nu2's.
 
     The final pair is in general *not* the image of the input under the
     symbol-route isomorphism (which lands inside the member set); only the
@@ -504,12 +508,13 @@ def _lower(pair, e, s):
     nu1, nu2, n1 = list(nu1), list(nu2), len(nu1)
     start = _least_in_class(nu1[0] + len(nu2) - e, -s, e)
     for t in range(start, -s % e - 1, -e):
-        used = []
         c0 = nu1[-1] - n1
         low = n2 = len(nu2)
         while low and nu2[low - 1] - low + t <= c0:
             low -= 1
-        j = n1
+        if not low:
+            break
+        j, used = n1, []
         for a in range(low, 0, -1):
             p = nu2[a - 1]
             lo = t - a + (nu2[a] if a < n2 else 0)

@@ -312,30 +312,29 @@ def _crystal(lam, e, s, images, steps=None):
     """Image of a checked lam, unfolded on an explicit work stack.
 
     Images go to `images`, the caller's table keyed on (partition, e, s).
-    A partition without one is lifted when it is first popped and goes back
-    on the stack under its two components, both of smaller rank; so when
-    it is popped again, both have images, and it is lowered.  When `steps`
-    is a list, the stages of the top level are appended to it.
+    A stack entry is a frame (partition, lift or None).  A partition with
+    no image is lifted when popped, and its frame goes back under its two
+    components, of smaller rank, the first on top (a row's is the core (s,)):
+    popped again, it is lowered and its lift dropped.  A `steps` list gets
+    the stages of the top level, whose lift is the first the loop makes.
     """
-    lifts = {}
-    todo = [lam]
+    top, todo = None, [(lam, None)]
     while todo:
-        cur = todo.pop()
-        if (cur, e, s) in images:
-            continue
-        mu = lifts.get(cur)
+        cur, mu = todo.pop()
         if mu:
             images[cur, e, s] = _lower((images[mu[0], e, s], images[mu[1], e, s]), e, s)
+        elif (cur, e, s) in images:
+            continue
         elif _is_strict_core(cur, e):
             images[cur, e, s] = _conjugate(cur)
         else:
-            lifts[cur] = mu = _lift(cur, e, s)
+            mu = _lift(cur, e, s)
             if not mu[0]:
                 raise InternalError(f"lift of {cur} lost its first component")
             if not mu[1]:
                 raise InternalError(f"lift of non-core {cur} has an empty second component")
-            todo.append(cur)
-            todo += mu
+            top = top or mu
+            todo += [(cur, mu), (mu[1], None), (mu[0], None)]
     img = images[lam, e, s]
     if steps is None:
         return img
@@ -344,7 +343,7 @@ def _crystal(lam, e, s, images, steps=None):
         return img
     up = _very_dominant_representative((0, s), sum(lam), e)
     start = _sharp_very_dominant(up, sum(lam), e)
-    mu = lifts.get(lam) or _lift(lam, e, s)  # lam was in the caller's table already
+    mu = top or _lift(lam, e, s)  # lam was in the caller's table already
     steps += [
         ("split", (0, s), _theta(lam, e, (0, s))),
         ("lift", up, mu),

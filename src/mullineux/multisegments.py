@@ -17,7 +17,7 @@ representative first.
 
 from .charges import _fundamental_representative
 from .core import _int_arg, _iter_arg
-from .crystal import _charged_input, _is_aperiodic, _psi
+from .crystal import _charged_input, _is_aperiodic, _psi, _segments
 from .errors import InputError
 
 
@@ -56,9 +56,5 @@ def chi(mp, charge, e):
 def _chi(mp, s, e):
     """chi of a checked multipartition at a checked charge of its level."""
     f = _fundamental_representative(s, e)
-    segs = []
-    for c, comp in enumerate(_psi(mp, s, f, e)):
-        for i, p in enumerate(comp, start=1):
-            segs.append(((1 - i + f[c]) % e, p))
-    return canonical(segs)
+    return canonical(_segments(_psi(mp, s, f, e), f, e))
 

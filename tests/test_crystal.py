@@ -881,6 +881,27 @@ def test_blockwise_lower_starts_at_the_pairs_bound_not_at_the_rank():
     assert elapsed < 0.5
 
 
+def test_blockwise_lower_stops_once_no_row_of_the_second_component_is_above_the_first():
+    """Pairs whose first component ends far up finish within a few rounds.
+
+    Once no row of nu2 lies above nu1's last content, no later round can
+    move a box; the descent down to -s mod e would run about a round per
+    e of nu1's last part (tens of seconds at this size).  The e = 5 images are
+    those of that full descent: its first rounds move boxes, then it idles."""
+    big = 10**8
+    start = time.perf_counter()
+    assert blockwise_lower(((big,), (1,)), 3, 1) == (big, 1)
+    expected = {
+        1: (big + 3, big - 2, 4, 2),
+        2: (big + 2, big - 3, 4, 3, 1),
+        3: (big + 6, big - 4, 4, 1),
+        4: (big + 5, big - 5, 4, 2, 1),
+    }
+    for s, image in expected.items():
+        assert blockwise_lower(((big, big - 7), (9, 4, 1)), 5, s) == image, s
+    assert time.perf_counter() - start < 1.0
+
+
 def stepwise_lift(lam, e, s):
     """Reference lift: `_lift`'s loop with a whole-shape check after every round.
 

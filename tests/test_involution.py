@@ -319,6 +319,29 @@ def test_a_trace_whose_input_is_already_in_the_table_is_the_fresh_trace():
     assert steps == mullineux_crystal_trace(FLAGSHIP, 4, 1)[1]
 
 
+def test_a_traced_call_lifts_each_level_once(monkeypatch):
+    # The trace reads the top level's lift where the loop made it.
+    calls = Counter()
+    lift = involution._lift
+
+    def counting(lam, e, s):
+        calls[lam, e, s] += 1
+        return lift(lam, e, s)
+
+    monkeypatch.setattr(involution, "_lift", counting)
+    for lam, e in ((FLAGSHIP, 4), ((60,), 3)):
+        for s in range(1, e):
+            involution._crystal(lam, e, s, {})
+            untraced = calls.copy()
+            calls.clear()
+            steps = []
+            involution._crystal(lam, e, s, {}, steps)
+            assert calls == untraced, (lam, e, s)
+            assert set(calls.values()) == {1}, (lam, e, s)
+            assert ("lift", steps[1][1], lift(lam, e, s)) == steps[1], (lam, e, s)
+            calls.clear()
+
+
 def test_difftest_run_equals_its_checks_on_fresh_tables():
     # The run's shared tables reuse images across ranks and change no result.
     units = [difftest.check(e, n) for e in range(2, 5) for n in range(9)]
