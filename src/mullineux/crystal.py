@@ -29,6 +29,12 @@ FLOTW (3) is the aperiodicity of the rows read as chi's segments
 `blockwise_lift` and `blockwise_lower` are direct box-moving versions of the
 level-2 isomorphisms between a fundamental charge and a very dominant one;
 the crystal route runs `_lift` and `_lower`, with psi as their reference.
+
+`_string_image` is the level-k string kernel: it peels a member down to the
+empty multipartition one whole crystal string at a time and regrows the
+strings at another charge with negated residues, reading each signature
+only at the corners of the multipartition (`_corners`, `_reduced`).
+`involution.im_sharp` runs it in place of a transport.
 """
 
 import operator
@@ -297,6 +303,128 @@ def enumerate_phi(n, charge, e):
     f, words = _fundamental_representative(s, e), {}
     members = (mp for mp in _multipartitions(n, len(s)) if _flotw(mp, f, e))
     return tuple(sorted(_psi(mp, f, s, e, words) for mp in members))
+
+
+def _corners(mp, s, e):
+    """The addable and removable nodes of a checked mp at a charge s of its
+    level, as a dict from each residue that occurs to its nodes.
+
+    A node (a, b) of component c has key b - a + s_c, and its residue is the
+    key mod e.  A block of parts p in rows r + 1 to q has its addable node
+    at the end of row r + 1, key p - r + s_c, and its removable node at the
+    end of row q, key p - q + s_c; the block of zeros below the partition
+    has only its addable node.  A node is stored as (-key, c, kind, row), kind "A" or
+    "R", so that sorting one residue's nodes gives the signature order:
+    keys decreasing, ties broken by increasing c.  No two corners of one
+    component share a key, so the sort never compares kinds.  One pass over
+    the blocks; only the residues that occur are keys, so nothing grows
+    with e.
+    """
+    buckets = {}
+    for c, (lam, sc) in enumerate(zip(mp, s)):
+        prev = None
+        for r, p in enumerate((*lam, 0)):  # the rows below lam are a block of zeros
+            if p != prev:
+                if r:  # the block of parts prev ends in row r
+                    key = prev - r + sc
+                    buckets.setdefault(key % e, []).append((-key, c, "R", r))
+                key = p - r + sc  # a block of parts p starts in row r + 1
+                buckets.setdefault(key % e, []).append((-key, c, "A", r + 1))
+                prev = p
+    return buckets
+
+
+def _reduced(nodes):
+    """(removable, addable): the reduced signature R^a A^b of one residue's
+    nodes from `_corners`, each part as a list of (component, row) in
+    signature order.
+
+    Read in signature order, a removable node cancels the nearest
+    uncancelled addable node before it.  Once an addable node is left, every
+    later removable node finds one to cancel, so the uncancelled addables
+    are a stack that each later removable pops.
+    """
+    removable, addable = [], []
+    for _, c, kind, r in sorted(nodes):
+        if kind == "A":
+            addable.append((c, r))
+        elif addable:
+            addable.pop()
+        else:
+            removable.append((c, r))
+    return removable, addable
+
+
+def _moved(mp, nodes, step):
+    """mp with `step`, 1 or -1, added at each (component, row) of `nodes`,
+    which lie in distinct rows.  A row one past its component's end is new,
+    and a last row brought to 0 is dropped; only touched components are
+    rebuilt."""
+    touched = {}
+    for c, r in nodes:
+        lam = touched.get(c)
+        if lam is None:
+            lam = touched[c] = [*mp[c], 0]
+        lam[r - 1] += step
+    out = list(mp)
+    for c, lam in touched.items():
+        while lam and not lam[-1]:
+            lam.pop()
+        out[c] = tuple(lam)
+    return tuple(out)
+
+
+def _peel(mp, s, e):
+    """(i, a, e_i^a mp) for the least residue i with a = epsilon_i(mp) > 0,
+    mp checked at s and not empty.
+
+    e_i removes the last R of the reduced i-signature R^a A^b; that node
+    becomes an A of the same key, and no other node of residue i changes,
+    so e_i^a removes all a of them at once.  Only the residues of mp's
+    corners are tried, in increasing order.
+    """
+    buckets = _corners(mp, s, e)
+    for i in sorted(buckets):
+        removable = _reduced(buckets[i])[0]
+        if removable:
+            return i, len(removable), _moved(mp, removable, -1)
+    raise InternalError(f"no residue has a good removable node in {mp} at {s} mod {e}")
+
+
+def _grow(mp, t, e, i, a):
+    """f_j^a mp for j = -i mod e, mp checked at t: mp with the first a
+    addable nodes of its reduced j-signature R^b A^c added.
+
+    f_j turns the first A into an R and changes no other node of residue j,
+    so f_j^a adds the first a at once.
+    """
+    j = -i % e
+    addable = _reduced(_corners(mp, t, e).get(j, ()))[1]
+    if len(addable) < a:
+        raise InternalError(
+            f"a {j}-string of length {a} does not regrow on {mp} at {t} mod {e}: {len(addable)} good addable nodes"
+        )
+    return _moved(mp, addable[:a], 1)
+
+
+def _string_image(mp, s, t, e):
+    """The crystal image at t of a checked member mp at s, with negated residues.
+
+    The map fixes the empty multipartition and sends f_i x to f_{-i} of the
+    image of x (Ford–Kleshchev's rule at level k, on the Fock space crystal
+    of Jimbo–Misra–Miwa–Okado and Uglov).  So mp is peeled down to the empty
+    multipartition one whole i-string at a time, least residue first, and
+    the strings are regrown at t with residue -i mod e, last string first.
+    The signatures are read only at mp's corners: the work does not grow
+    with e, and shares nothing with `_walk` or `_sigma`.
+    """
+    strings = []
+    while any(mp):
+        i, a, mp = _peel(mp, s, e)
+        strings.append((i, a))
+    for i, a in reversed(strings):
+        mp = _grow(mp, t, e, i, a)
+    return mp
 
 
 def blockwise_lift(lam, e, s):

@@ -19,33 +19,37 @@ mullineux_crystal checks its input once; `_crystal` then runs the unchecked
 bodies `crystal._lift`, `crystal._lower`, `core._is_strict_core` and
 `core._conjugate`, and its trace builds the split and descend states with
 `theta._theta` and takes the lift and image charges from `charges`: the
-very dominant pair `_ak_mullineux` lifts to and lands at.
+very dominant pair ak_mullineux lifts to and lands at.
 `_crystal` and `_kleshchev` keep the images they find in a table their caller
 owns: the public functions pass a new one on every call, and `difftest` its
 own, so nothing outlives the caller's table.
 
 ak_mullineux transports the componentwise involution between charged
-multipartition sets along the crystal isomorphisms, and im_sharp conjugates
-it through the multisegment labelling, giving the involution on every
-aperiodic multisegment: its preimage is read off the segments directly, one
-row per segment at the charge of the sorted heads, with no search.
-`_ak_mullineux` lands the componentwise image at the sharp very dominant
-charge and returns it with that charge; ak_mullineux transports it from
-there to its target, and im_sharp hands it to `multisegments._chi`, whose
-own transport to the fundamental representative is the only one it needs,
-since chi is constant along the isomorphisms.  ak_mullineux checks its
-multipartition and both charges with `crystal._charged_input`, as psi does,
-so a target at another level fails the orbit check with NoPathError.
-im_sharp checks its multisegment and then runs the unchecked bodies
-`_ak_mullineux`, `_is_aperiodic` (crystal's, which is also FLOTW (3)) and
-`multisegments._chi` on values it built itself, and `_ak_mullineux` runs
-`crystal._psi` and `core._is_e_regular`.
+multipartition sets along the crystal isomorphisms: it lifts its member to
+a very dominant charge with `crystal._psi`, takes `_xu` of each component,
+which `core._is_e_regular` vouches for, and transports the image from the
+sharp very dominant charge to its target.  It checks its multipartition and
+both charges with `crystal._charged_input`, as psi does, so a target at
+another level fails the orbit check with NoPathError.
+
+im_sharp gives the same involution on every aperiodic multisegment, read
+through the labelling chi, with no transport.  Its preimage is read off
+the segments directly, one row per segment at the fundamental charge s of
+the sorted heads.  ak_mullineux fixes the empty multipartition and sends
+f_i x to f_{-i} of the image, so `crystal._string_image` peels the preimage
+one whole i-string at a time and regrows the strings, residues negated, at
+t = transpose_charge(s), where ak_mullineux's image lands; t is
+fundamental, so `multisegments._chi` reads it there as it is.  im_sharp
+checks its multisegment and then runs the unchecked bodies `_is_aperiodic`
+(crystal's, which is also FLOTW (3)), `_string_image` and `_chi` on values
+it built itself.  chi(ak_mullineux(pre, s, t, e), t, e) is its reference.
 """
 
 from .charges import (
     _same_orbit,
     _sharp_very_dominant,
     _very_dominant_representative,
+    transpose_charge,
 )
 from .core import (
     _conjugate,
@@ -55,7 +59,7 @@ from .core import (
     _regular_input,
     check_partition,
 )
-from .crystal import _charged_input, _lift, _lower, _membership, _psi
+from .crystal import _charged_input, _lift, _lower, _membership, _psi, _string_image
 from .errors import InputError, InternalError, NoPathError
 from .multisegments import _chi, _is_aperiodic, check_multisegment
 from .theta import _theta
@@ -365,44 +369,37 @@ def ak_mullineux(mp, charge, to, e):
     Lifts the member to a very dominant charge, applies the involution to
     each component, lands at the matching (sharp) very dominant charge with
     negated residues, and transports from there to `to` (which must lie in
-    that orbit).
+    that orbit).  The lift of a member is a member at a very dominant
+    charge, whose components are e-regular; one that is not is an
+    InternalError.
     """
     mp, s, t, e = _charged_input(mp, (charge, to), e)
     if not _membership(mp, s, e):
         raise InputError(f"{mp} is not a member at charge {s} mod {e}")
-    image, sharp = _ak_mullineux(mp, s, e)
-    if not _same_orbit(sharp, t, e):
-        raise NoPathError(f"target {t} is not in the orbit of the image charge {sharp}")
-    return _psi(image, sharp, t, e)
-
-
-def _ak_mullineux(mp, s, e):
-    """(image, sharp): the componentwise image of a checked member at s and
-    the sharp very dominant charge it lands on; the caller transports it on.
-
-    The lift of a member is a member at a very dominant charge, whose
-    components are e-regular; one that is not is an InternalError.
-    """
     n = sum(map(sum, mp))
     vd = _very_dominant_representative(s, n, e)
+    sharp = _sharp_very_dominant(vd, n, e)
+    if not _same_orbit(sharp, t, e):
+        raise NoPathError(f"target {t} is not in the orbit of the image charge {sharp}")
     lifted = _psi(mp, s, vd, e)
     for comp in lifted:
         if not _is_e_regular(comp, e):
             raise InternalError(f"the lift of {mp} to {vd} has a component that is not {e}-regular: {comp}")
-    return tuple(_xu(comp, e, None) for comp in lifted), _sharp_very_dominant(vd, n, e)
+    return _psi(tuple(_xu(comp, e, None) for comp in lifted), sharp, t, e)
 
 
 def im_sharp(ms, e):
     """Involution on aperiodic multisegments.
 
-    The preimage is read off the multisegment: at the fundamental charge of
-    its sorted heads, each segment is a one-row component, and segments with
-    equal heads are ordered by decreasing length.  FLOTW (1) and (2) then
-    hold at once and (3) is aperiodicity, so every aperiodic multisegment
-    has this preimage.  `_ak_mullineux` lands its image at the sharp very
-    dominant charge, and `_chi` reads it back as a multisegment from there,
-    transporting it to the fundamental representative itself: chi is
-    constant along the isomorphisms, so no other target is needed.
+    The preimage is read off the multisegment: at the fundamental charge s
+    of its sorted heads, each segment is a one-row component, and segments
+    with equal heads are ordered by decreasing length.  FLOTW (1) and (2)
+    then hold at once and (3) is aperiodicity, so every aperiodic
+    multisegment has this preimage.  `crystal._string_image` peels it
+    string by string and regrows the strings at t = transpose_charge(s),
+    which gives ak_mullineux(pre, s, t, e), its reference: both fix the
+    empty multipartition and send f_i x to f_{-i} of the image.  t is
+    fundamental, so `_chi` reads the image there with no transport.
     """
     ms = check_multisegment(ms, e)
     if not ms:
@@ -411,5 +408,5 @@ def im_sharp(ms, e):
         raise InputError(f"{ms} is not aperiodic mod {e}")
     segs = sorted(ms, key=lambda seg: (seg[0], -seg[1]))
     s = tuple(head for head, _ in segs)
-    image, sharp = _ak_mullineux(tuple((length,) for _, length in segs), s, e)
-    return _chi(image, sharp, e)
+    t = transpose_charge(s)
+    return _chi(_string_image(tuple((length,) for _, length in segs), s, t, e), t, e)

@@ -10,7 +10,8 @@ component c with part p contributes the segment with head (1 - i + s_c) mod e
 and length p.  At a fundamental charge this labelling is injective on the
 members of each rank and lands on aperiodic multisegments of that rank, and
 every aperiodic multisegment is reached at some fundamental charge
-(`involution.im_sharp` reads its preimage off the segments); at other
+(`involution.im_sharp` reads its preimage off the segments, and reads its
+image back at the transposed charge, which is fundamental too); at other
 charges it is defined by transporting the multipartition to the fundamental
 representative first.
 """

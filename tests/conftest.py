@@ -1,10 +1,10 @@
 """Shared hypothesis strategies, settings and enumerators for the test suite,
 the recursive partition enumerator `recursive_partitions`, the unchecked
-part accessor `part`, the plain action of the charge group
-`expand` and `apply_word`, the node-by-node crystal reference
-`branching_image`, the two-row symbol references `build_symbol`,
-`decode_symbol` and `match_step`, and the rim lists `e_rim` and
-`truncated_e_rim`."""
+part accessor `part`, `im_sharp`'s preimage `im_preimage`, the plain
+action of the charge group `expand` and `apply_word`, the node-by-node
+crystal reference `branching_image`, the two-row symbol references
+`build_symbol`, `decode_symbol` and `match_step`, and the rim lists `e_rim`
+and `truncated_e_rim`."""
 
 import itertools
 
@@ -93,6 +93,14 @@ def aperiodic_multisegments(n, e):
             ms = canonical(seg for group in combo for seg in group)
             if is_aperiodic(ms, e):
                 yield ms
+
+
+def im_preimage(ms):
+    """(preimage, s): the one-row components of a canonical multisegment's
+    segments, sorted by (head, -length), at the charge s of their heads, as
+    im_sharp reads them."""
+    segs = sorted(ms, key=lambda seg: (seg[0], -seg[1]))
+    return tuple((length,) for _, length in segs), tuple(head for head, _ in segs)
 
 
 def expand(word):

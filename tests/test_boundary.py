@@ -5,6 +5,7 @@ on segments and pairs, and the library's imports."""
 import ast
 import importlib
 import inspect
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -490,21 +491,57 @@ def test_only_allowed_functions_recurse():
 HUGE_E = 10**6
 
 
-@pytest.mark.parametrize("call", [
-    lambda: kleshchev_oracle((5, 3, 1), HUGE_E),
-    lambda: xu((5, 3, 1), HUGE_E),
-    lambda: mullineux_crystal((5, 3, 1), HUGE_E),
-    lambda: im_sharp(((0, 1), (1, 2)), HUGE_E),
-    lambda: same_orbit((0, 1), (HUGE_E + 1, -HUGE_E), HUGE_E),
-    lambda: psi(((1,), ()), (0, 1), (0, HUGE_E + 1), HUGE_E),
-], ids=["kleshchev_oracle", "xu", "mullineux_crystal", "im_sharp", "same_orbit", "psi"])
-def test_routes_do_not_allocate_in_proportion_to_e(call):
+@pytest.mark.parametrize("call, expected", [
+    (lambda: kleshchev_oracle((5, 3, 1), HUGE_E), (3, 2, 2, 1, 1)),
+    (lambda: xu((5, 3, 1), HUGE_E), (3, 2, 2, 1, 1)),
+    (lambda: mullineux_crystal((5, 3, 1), HUGE_E), (3, 2, 2, 1, 1)),
+    (lambda: im_sharp(((0, 1), (1, 2)), HUGE_E), ((HUGE_E - 1, 2), (HUGE_E - 2, 1))),
+    (lambda: im_sharp(((HUGE_E - 3, 2), (HUGE_E - 1, 1)), HUGE_E), ((1, 2), (3, 1))),
+    (lambda: same_orbit((0, 1), (HUGE_E + 1, -HUGE_E), HUGE_E), True),
+    (lambda: psi(((1,), ()), (0, 1), (0, HUGE_E + 1), HUGE_E), ((1,), ())),
+], ids=["kleshchev_oracle", "xu", "mullineux_crystal", "im_sharp", "im_sharp_wrapping", "same_orbit", "psi"])
+def test_routes_do_not_allocate_in_proportion_to_e(call, expected):
     # A table of length e would take 8 MB per list here; a call whose
     # residues are read only where they occur stays far below that.
     tracemalloc.start()
     try:
-        call()
+        got = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+    assert got == expected
+
+
+def test_string_kernel_reduces_no_residue_that_is_not_at_a_corner(monkeypatch):
+    # The peel reduces the residues of the corners in increasing order up to
+    # the first with a good removable node, and the regrowth reduces one per
+    # string; so the reductions stay below the nodes moved plus the corners
+    # scanned, whatever e is.  A scan of every residue would pass e per string.
+    crystal = mullineux.crystal
+    counts = {}
+    corners, reduced = crystal._corners, crystal._reduced
+
+    def counted_corners(mp, s, e):
+        buckets = corners(mp, s, e)
+        counts["corners"] += sum(map(len, buckets.values()))
+        return buckets
+
+    def counted_reduced(nodes):
+        counts["reductions"] += 1
+        return reduced(nodes)
+
+    monkeypatch.setattr(crystal, "_corners", counted_corners)
+    monkeypatch.setattr(crystal, "_reduced", counted_reduced)
+    rng = random.Random(7)
+    inputs = [(((HUGE_E - 3, 2), (HUGE_E - 1, 1)), HUGE_E), (((0, 3), (1, 3), (0, 1)), 3)]
+    for e in (2, 5, 1000):
+        for _ in range(4):
+            ms = canonical((rng.randrange(e), rng.randint(1, 12)) for _ in range(rng.randint(1, 12)))
+            if is_aperiodic(ms, e):
+                inputs.append((ms, e))
+    for ms, e in inputs:
+        counts.update(corners=0, reductions=0)
+        out = im_sharp(ms, e)
+        nodes = sum(length for _, length in ms) + sum(length for _, length in out)
+        assert counts["reductions"] < nodes + counts["corners"], (ms, e, counts)

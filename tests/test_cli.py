@@ -223,11 +223,13 @@ def test_a_walk_that_ends_off_target_exits_3(capsys, monkeypatch):
     assert err == "internal error: isomorphism walk ended at (0, 0), wanted (0, 4)\n"
 
 
-def test_a_lift_that_is_not_e_regular_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(involution, "_psi", lambda *args: ((1, 1, 1), ()))
+def test_an_im_string_that_does_not_peel_exits_3(capsys, monkeypatch):
+    # im runs the string kernel; a reduction that finds no removable node is
+    # a fault of the program, reported in one line.
+    monkeypatch.setattr(crystal, "_reduced", lambda nodes: ([], []))
     code, out, err = run(capsys, "im", "--e", "3", "--multisegment", "0:1;1:2")
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: the lift of ((1,), (2,)) to ")
+    assert err == "internal error: no residue has a good removable node in ((1,), (2,)) at (0, 1) mod 3\n"
 
 
 def test_methods_that_disagree_exit_3(capsys, monkeypatch):

@@ -18,13 +18,14 @@ from conftest import (
     charge_tuples,
     decode_symbol,
     expand,
+    im_preimage,
     match_step,
     part,
     partitions,
     partitions_up_to,
 )
 
-from mullineux.charges import _path_word, very_dominant_representative
+from mullineux.charges import _path_word, transpose_charge, very_dominant_representative
 
 from mullineux.core import (
     enumerate_e_regular,
@@ -49,7 +50,7 @@ from mullineux.crystal import (
 
 from mullineux.errors import InputError, InternalError
 
-from mullineux.involution import im_sharp, mullineux_crystal, xu
+from mullineux.involution import ak_mullineux, mullineux_crystal, xu
 
 from mullineux.multisegments import chi
 
@@ -566,21 +567,22 @@ def test_a_matching_that_fails_inside_a_token_names_its_step(monkeypatch):
 
 
 def test_im_transports_match_stepwise_reference(monkeypatch):
-    """psi on both transports of every im_sharp input with e <= 3 and rank
-    <= 6, fundamental -> very dominant and sharp -> its fundamental
-    representative, against the stepwise reference."""
+    """psi on both transports of ak_mullineux on every im_sharp preimage
+    with e <= 3 and rank <= 6, fundamental -> very dominant and sharp ->
+    the transposed charge, against the stepwise reference.  These are the
+    transports of the reference route that im_sharp no longer runs."""
     import mullineux.involution as involution
-    import mullineux.multisegments as multisegments
 
     transports = []
     body = involution._psi
-    for module in (involution, multisegments):
-        monkeypatch.setattr(module, "_psi", lambda *args: transports.append(args) or body(*args))
+    monkeypatch.setattr(involution, "_psi", lambda *args: transports.append(args) or body(*args))
     inputs = 0
     for e in (2, 3):
         for n in range(1, 7):
             for ms in aperiodic_multisegments(n, e):
-                im_sharp(ms, e)
+                pre, s = im_preimage(ms)
+                t = transpose_charge(s)
+                chi(ak_mullineux(pre, s, t, e), t, e)
                 inputs += 1
     assert len(transports) == 2 * inputs
     for mp, s, t, e in transports:

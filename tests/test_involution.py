@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given
 
 from conftest import (
+    aperiodic_multisegments,
     branching_image,
     e_rim,
     fundamental_charges,
     good_nodes,
+    im_preimage,
     moved,
     partitions_up_to,
     reduced_signature,
@@ -38,7 +40,7 @@ from mullineux.core import (
 
 from mullineux.charges import is_fundamental, sharp_very_dominant, transpose_charge, very_dominant_representative
 
-from mullineux.crystal import enumerate_phi, psi
+from mullineux.crystal import _grow, _peel, _reduced, _string_image, enumerate_phi, psi
 
 from mullineux.errors import InputError, InternalError, NoPathError
 
@@ -54,7 +56,7 @@ from mullineux.involution import (
     xu_trace,
 )
 
-from mullineux.multisegments import chi
+from mullineux.multisegments import canonical, chi, is_aperiodic
 
 from mullineux.theta import theta, theta_inverse
 
@@ -720,6 +722,34 @@ def test_crystal_reference_does_not_depend_on_the_peeling_order(e, level, top):
                 assert branching_image(mp, s, e, range(e - 1, -1, -1)) == branching_image(mp, s, e), (mp, s, e)
 
 
+STRING_CASES = [(e, level, top) for e in range(2, 6) for level, top in ((1, 7), (2, 6), (3, 5), (4, 4))]
+
+
+@pytest.mark.parametrize("e, level, top", STRING_CASES)
+def test_string_kernel_matches_the_crystal_reference_node_by_node(e, level, top):
+    # Each string the kernel peels is the least residue with a good
+    # removable node, taken node by node until none is left; each string it
+    # regrows is that many good addable nodes of the negated residue.
+    for s in fundamental_charges(e, level):
+        t = transpose_charge(s)
+        for n in range(top + 1):
+            for mp in enumerate_phi(n, s, e):
+                cur, strings = mp, []
+                while any(cur):
+                    i, a, peeled = _peel(cur, s, e)
+                    assert i == min(j for j in range(e) if good_nodes(cur, s, e, j)[0]), (cur, s, e)
+                    for _ in range(a):
+                        cur = moved(cur, good_nodes(cur, s, e, i)[0], -1)
+                    assert good_nodes(cur, s, e, i)[0] is None and cur == peeled, (mp, s, e, i, a)
+                    strings.append((i, a))
+                for i, a in reversed(strings):
+                    grown = _grow(cur, t, e, i, a)
+                    for _ in range(a):
+                        cur = moved(cur, good_nodes(cur, t, e, -i % e)[1], 1)
+                    assert cur == grown, (mp, s, e, i, a)
+                assert cur == _string_image(mp, s, t, e) == branching_image(mp, s, e), (mp, s, e)
+
+
 def test_im_sharp_validates_no_multipartition(monkeypatch):
     # im_sharp checks its multisegment and runs the unchecked bodies on the
     # multipartitions it builds, so none of them is checked again.  chi and
@@ -735,12 +765,21 @@ def test_im_sharp_validates_no_multipartition(monkeypatch):
     assert calls == [((1,), (2,))]
 
 
+def test_im_sharp_walks_no_transport(monkeypatch):
+    # The strings regrow at the fundamental charge where chi reads them, so
+    # psi is never asked to move a multipartition.
+    monkeypatch.setattr(crystal, "_walk", lambda *args: pytest.fail(f"im_sharp walked {args}"))
+    for e in (2, 3, 4):
+        for ms in aperiodic_multisegments(6, e):
+            im_sharp(ms, e)
+
+
 def test_a_lift_that_is_not_e_regular_is_an_internal_error(monkeypatch):
     # The lift of a member has e-regular components; a lift without them is a
     # fault of the transport, not of the input.
     monkeypatch.setattr(involution, "_psi", lambda *args: ((1, 1, 1), ()))
     with pytest.raises(InternalError, match=r"^the lift of \(\(1,\), \(2,\)\) to .* is not 3-regular: \(1, 1, 1\)$"):
-        im_sharp(((0, 1), (1, 2)), 3)
+        ak_mullineux(((1,), (2,)), (0, 1), (0, 5), 3)
 
 
 # The routes' own guards: each names a fault of the program, which no
@@ -758,6 +797,26 @@ def test_route_guards_raise_internal_errors(monkeypatch, helper, stand_in, route
     monkeypatch.setattr(involution, helper, stand_in)
     with pytest.raises(InternalError) as info:
         route((3,), 3)
+    assert type(info.value) is InternalError and str(info.value) == message
+
+
+# The string kernel's guards, tripped the same way: a reduction with no
+# removable node starves the peel, and one with no addable node the regrowth.
+@pytest.mark.parametrize(
+    "stand_in, message",
+    [
+        (lambda nodes: ([], []), "no residue has a good removable node in ((1,), (2,)) at (0, 1) mod 3"),
+        (
+            lambda nodes: (_reduced(nodes)[0], []),
+            "a 2-string of length 1 does not regrow on ((), ()) at (-1, 0) mod 3: 0 good addable nodes",
+        ),
+    ],
+    ids=["peel", "regrow"],
+)
+def test_string_kernel_guards_raise_internal_errors(monkeypatch, stand_in, message):
+    monkeypatch.setattr(crystal, "_reduced", stand_in)
+    with pytest.raises(InternalError) as info:
+        im_sharp(((0, 1), (1, 2)), 3)
     assert type(info.value) is InternalError and str(info.value) == message
 
 
@@ -792,3 +851,37 @@ def test_im_sharp_involution_on_level_two_images():
                     out = im_sharp(ms, e)
                     assert sum(length for _, length in out) == n, (mp, s, e)
                     assert im_sharp(out, e) == ms, (mp, s, e)
+
+
+# The ranks at which im_sharp meets the transport route on every aperiodic
+# multisegment, per e: a few seconds in all.
+IM_REFERENCE_RANKS = {2: 9, 3: 7, 4: 6, 5: 5, 6: 5, 7: 5, 8: 5}
+
+
+def transported_im(ms, e):
+    """im_sharp's reference: its preimage carried by ak_mullineux to the
+    transposed charge, read there by chi."""
+    pre, s = im_preimage(ms)
+    t = transpose_charge(s)
+    return chi(ak_mullineux(pre, s, t, e), t, e)
+
+
+@pytest.mark.parametrize("e", sorted(IM_REFERENCE_RANKS))
+def test_im_sharp_matches_the_transport_route(e):
+    for n in range(1, IM_REFERENCE_RANKS[e] + 1):
+        for ms in aperiodic_multisegments(n, e):
+            assert im_sharp(ms, e) == transported_im(ms, e), (ms, e)
+
+
+def test_im_sharp_matches_the_transport_route_on_wide_multisegments():
+    # Seeded aperiodic multisegments of 20 and 40 segments, lengths 1..60.
+    rng = random.Random(43)
+    for e in (3, 5):
+        for k in (20, 40):
+            while True:
+                ms = canonical((rng.randrange(e), rng.randint(1, 60)) for _ in range(k))
+                if is_aperiodic(ms, e):
+                    break
+            out = im_sharp(ms, e)
+            assert out == transported_im(ms, e), (ms, e)
+            assert im_sharp(out, e) == ms, (ms, e)
