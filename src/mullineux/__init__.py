@@ -12,7 +12,6 @@ from .charges import (
 from .core import (
     conjugate,
     enumerate_e_regular,
-    enumerate_multipartitions,
     enumerate_partitions,
     is_e_regular,
     is_strict_e_core,

@@ -1,18 +1,19 @@
 """Integer partitions and their basic combinatorics.
 
 A partition is stored as a tuple of weakly decreasing positive integers;
-the empty partition is ().
+the empty partition is ().  A multipartition is a tuple of them, checked
+here but not enumerated: the members of a charged set grow along the
+crystal (`crystal.enumerate_phi`).
 
 The public functions of the package check `e`, split charges, residues,
-ranks, levels, partition parts and charge entries with `_int_arg` and
+ranks, partition parts and charge entries with `_int_arg` and
 `_int_seq`, once, at the boundary; internal kernels take the checked
 values.  Each bad argument is reported by the one checker that reads it.
 """
 
 import operator
 import sys
-from functools import cache
-from itertools import chain, product
+from itertools import chain
 
 from .errors import InputError
 
@@ -148,18 +149,23 @@ def enumerate_partitions(n):
     yield from _partitions(_int_arg("rank", n, 0))
 
 
+def _rank_bound(n):
+    """InputError when a checked rank n is sys.maxsize or more: no
+    enumeration of that size could run to its end."""
+    if n >= sys.maxsize:
+        raise InputError(f"rank must be < {sys.maxsize} to enumerate partitions, got {n}")
+
+
 def _partitions(n):
     """Partitions of a checked n in decreasing lexicographic order, built in one list.
 
     ZS1 (Zoghbi and Stojmenović, 1998): the successor of a partition other
     than (1, ..., 1) pops its trailing 1s, lowers its last part k + 1 to k,
     and refills with ks and the remainder; h counts the parts above 1, so
-    the 1s are found without a search.  A rank of sys.maxsize or more is an
-    InputError, raised at the first item: no enumeration of that size could
-    run to its end.
+    the 1s are found without a search.  `_rank_bound` refuses a rank of
+    sys.maxsize or more at the first item.
     """
-    if n >= sys.maxsize:
-        raise InputError(f"rank must be < {sys.maxsize} to enumerate partitions, got {n}")
+    _rank_bound(n)
     lam, h = [n] if n else [], int(n > 1)
     while True:
         yield tuple(lam)
@@ -178,37 +184,3 @@ def enumerate_e_regular(n, e):
     """Yield the e-regular partitions of rank exactly n, decreasing lex order."""
     n, e = _int_arg("rank", n, 0), _int_arg("e", e, 2)
     yield from (lam for lam in _partitions(n) if _is_e_regular(lam, e))
-
-
-def enumerate_multipartitions(n, levels):
-    """Yield all `levels`-component multipartitions of total rank n, by their
-    rank compositions in lexicographic order, then with the first component
-    slowest and each component in decreasing lexicographic order."""
-    levels = _int_arg("levels", levels, 1)
-    yield from _multipartitions(_int_arg("rank", n, 0), levels)
-
-
-def _multipartitions(n, levels):
-    """enumerate_multipartitions of a checked n and levels, ranks read off sorted cuts of n; the
-    last component streams, a head component's partitions are built once per rank.
-
-    The cuts are the non-decreasing (levels - 1)-tuples over 0..n in
-    lexicographic order, stepped like an odometer in place: the rightmost cut
-    below n goes up by one and every cut after it takes its value.  Nothing
-    is built in proportion to n before the first item.  The first item
-    streams the last component at rank n, so `_partitions`' rank bound
-    refuses a rank of sys.maxsize or more there.
-    """
-    ranked = cache(lambda k: tuple(_partitions(k)))
-    bounds = [0] * levels  # 0, then the cuts
-    while True:
-        last = n - bounds[-1]
-        for head in product(*(ranked(b - a) for a, b in zip(bounds, bounds[1:]))):
-            for lam in _partitions(last):
-                yield head + (lam,)
-        i = levels - 1
-        while i and bounds[i] == n:
-            i -= 1
-        if not i:
-            return
-        bounds[i:] = [bounds[i] + 1] * (levels - i)

@@ -20,9 +20,8 @@ Every public function here that takes a charged multipartition, and
 `multisegments.chi` and `involution.ak_mullineux`, checks it with
 `_charged_input`.  psi, membership and flotw_check then call unchecked
 bodies (`_psi`, `_membership`, `_flotw`), as blockwise_lift and
-blockwise_lower call `_lift` and `_lower` and enumerate_phi
-`core._multipartitions`; the other modules call those bodies on values
-they have checked or built themselves.
+blockwise_lower call `_lift` and `_lower`; the other modules call those
+bodies on values they have checked or built themselves.
 FLOTW (3) is the aperiodicity of the rows read as chi's segments
 (`_segments`), so `_flotw` and `multisegments.is_aperiodic` share `_is_aperiodic`.
 
@@ -34,7 +33,8 @@ the crystal route runs `_lift` and `_lower`, with psi as their reference.
 empty multipartition one whole crystal string at a time and regrows the
 strings at another charge with negated residues, reading each signature
 only at the corners of the multipartition (`_corners`, `_reduced`).
-`involution.im_sharp` runs it in place of a transport.
+`involution.im_sharp` runs it in place of a transport, and `enumerate_phi`
+grows the members from the empty multipartition with the same kernel.
 """
 
 import operator
@@ -50,7 +50,7 @@ from .charges import (
 from .core import (
     _concat,
     _int_arg,
-    _multipartitions,
+    _rank_bound,
     check_multipartition,
     check_partition,
 )
@@ -296,13 +296,23 @@ def _membership(mp, s, e):
 def enumerate_phi(n, charge, e):
     """All members of rank n at the given charge, sorted, as a tuple.
 
-    At a fundamental charge this filters all multipartitions of n through
-    flotw_check; elsewhere it is the isomorphic image of the fundamental set.
+    The members are the crystal component of the empty multipartition, at
+    any charge: rank k + 1 is every f_i x, x of rank k and i a residue whose
+    reduced signature has an addable node, the first of which f_i adds.  So
+    no transport runs, and only the residues of each member's corners are
+    read.
     """
     n, s, e = _int_arg("rank", n, 0), check_charge(charge), _int_arg("e", e, 2)
-    f, words = _fundamental_representative(s, e), {}
-    members = (mp for mp in _multipartitions(n, len(s)) if _flotw(mp, f, e))
-    return tuple(sorted(_psi(mp, f, s, e, words) for mp in members))
+    _rank_bound(n)
+    members = {((),) * len(s)}
+    for _ in range(n):
+        members = {
+            _moved(mp, addable[:1], 1)
+            for mp in members
+            for nodes in _corners(mp, s, e).values()
+            if (addable := _reduced(nodes)[1])
+        }
+    return tuple(sorted(members))
 
 
 def _corners(mp, s, e):

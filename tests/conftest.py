@@ -1,5 +1,6 @@
 """Shared hypothesis strategies, settings and enumerators for the test suite,
-the recursive partition enumerator `recursive_partitions`, the unchecked
+the recursive partition enumerator `recursive_partitions`, the
+multipartition enumerator `itertools_multipartitions`, the unchecked
 part accessor `part`, `im_sharp`'s preimage `im_preimage`, the plain
 action of the charge group `expand` and `apply_word`, the node-by-node
 crystal reference `branching_image`, the two-row symbol references
@@ -39,6 +40,15 @@ def recursive_partitions(n, max_part):
     for first in range(min(max_part, n), 0, -1):
         for rest in recursive_partitions(n - first, first):
             yield (first,) + rest
+
+
+def itertools_multipartitions(n, levels):
+    """All `levels`-component multipartitions of rank n: their rank cuts
+    drawn by combinations_with_replacement over range(n + 1), then the
+    first component slowest and each in decreasing lexicographic order."""
+    for cuts in itertools.combinations_with_replacement(range(n + 1), levels - 1):
+        bounds = (0, *cuts, n)
+        yield from itertools.product(*(enumerate_partitions(b - a) for a, b in zip(bounds, bounds[1:])))
 
 
 def part(lam, i):

@@ -12,13 +12,20 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import aperiodic_multisegments, branching_image, build_symbol, decode_symbol, fundamental_charges
+from conftest import (
+    aperiodic_multisegments,
+    branching_image,
+    build_symbol,
+    decode_symbol,
+    fundamental_charges,
+    itertools_multipartitions,
+)
 
 from mullineux import difftest
 
 from mullineux.charges import transpose_charge
 
-from mullineux.core import enumerate_e_regular, enumerate_multipartitions
+from mullineux.core import enumerate_e_regular
 
 from mullineux.crystal import _walk, blockwise_lift, enumerate_phi, flotw_check, psi
 
@@ -283,7 +290,7 @@ def test_an_empty_second_lift_component_fails_core_empty_lift(monkeypatch):
 def test_round_trip_symbols():
     with criterion("round-trip/symbol-build-decode"):
         for n in range(11):
-            for bp in enumerate_multipartitions(n, 2):
+            for bp in itertools_multipartitions(n, 2):
                 for charge in itertools.product(range(-4, 5), repeat=2):
                     assert decode_symbol(build_symbol(bp, charge)) == bp, (
                         bp,

@@ -23,7 +23,6 @@ from mullineux import (
     difftest,
     canonical,
     enumerate_e_regular,
-    enumerate_multipartitions,
     enumerate_partitions,
     enumerate_phi,
     flotw_check,
@@ -59,7 +58,7 @@ PUBLIC_NAMES = [
     "InputError", "InternalError", "MullineuxError", "NoPathError",
     "ak_mullineux", "blockwise_lift", "blockwise_lower",
     "canonical", "charges", "chi", "conjugate", "core", "crystal",
-    "enumerate_e_regular", "enumerate_multipartitions", "enumerate_partitions",
+    "enumerate_e_regular", "enumerate_partitions",
     "enumerate_phi", "errors", "flotw_check", "fundamental_representative",
     "im_sharp", "involution", "is_aperiodic", "is_e_regular", "is_fundamental",
     "is_strict_e_core", "kleshchev_oracle", "membership",
@@ -179,8 +178,6 @@ def test_bad_e_is_an_input_error(label, e):
         lambda: sharp_very_dominant(S, 2.5, 3),
         lambda: very_dominant_representative(S, 2.5, 3),
         lambda: list(enumerate_partitions(2.5)),
-        lambda: list(enumerate_multipartitions(2.5, 2)),
-        lambda: list(enumerate_multipartitions(2, 1.5)),
         lambda: enumerate_phi(2.5, (0, 1), 3),
         lambda: check_multisegment(((0.5, 1),), 3),
         lambda: difftest.run(2.0, 3, 4),
@@ -211,8 +208,6 @@ def test_non_integer_arguments_are_input_errors(call):
         (lambda: list(enumerate_partitions(-1)), "rank must be >= 0, got -1"),
         (lambda: enumerate_phi(-1, (0, 1), 3), "rank must be >= 0, got -1"),
         (lambda: list(enumerate_e_regular(-1, 3)), "rank must be >= 0, got -1"),
-        (lambda: list(enumerate_multipartitions(-1, 2)), "rank must be >= 0, got -1"),
-        (lambda: list(enumerate_multipartitions(2, 0)), "levels must be >= 1, got 0"),
         (lambda: difftest.run(1, 3, 4), "lo must be >= 2, got 1"),
         (lambda: difftest.run(4, 3, 4), "hi must be >= 4, got 3"),
         (lambda: difftest.run(2, 3, -1), "max_n must be >= 0, got -1"),
@@ -285,6 +280,9 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: im_sharp(5, 3), "a multisegment must be iterable, got 5"),
         (lambda: is_fundamental((), 3), "a multicharge needs at least one entry"),
         (lambda: is_fundamental((0.5, 1), 3), "charge entries must be ints: (0.5, 1)"),
+        (lambda: enumerate_phi(2, (), 3), "a multicharge needs at least one entry"),
+        (lambda: enumerate_phi(2, (0, 1.5), 3), "charge entries must be ints: (0, 1.5)"),
+        (lambda: enumerate_phi(2, 5, 3), "charge entries must be ints: 5"),
         (lambda: conjugate((1, 2)), "parts must be weakly decreasing: (1, 2)"),
         (lambda: is_strict_e_core((1, 2), 3), "parts must be weakly decreasing: (1, 2)"),
         (lambda: remove_first_column((1, 3)), "parts must be weakly decreasing: (1, 3)"),
@@ -499,7 +497,9 @@ HUGE_E = 10**6
     (lambda: im_sharp(((HUGE_E - 3, 2), (HUGE_E - 1, 1)), HUGE_E), ((1, 2), (3, 1))),
     (lambda: same_orbit((0, 1), (HUGE_E + 1, -HUGE_E), HUGE_E), True),
     (lambda: psi(((1,), ()), (0, 1), (0, HUGE_E + 1), HUGE_E), ((1,), ())),
-], ids=["kleshchev_oracle", "xu", "mullineux_crystal", "im_sharp", "im_sharp_wrapping", "same_orbit", "psi"])
+    (lambda: enumerate_phi(2, (0, 1), HUGE_E), (((), (2,)), ((1,), (1,)), ((1, 1), ()), ((2,), ()))),
+], ids=["kleshchev_oracle", "xu", "mullineux_crystal", "im_sharp", "im_sharp_wrapping", "same_orbit", "psi",
+        "enumerate_phi"])
 def test_routes_do_not_allocate_in_proportion_to_e(call, expected):
     # A table of length e would take 8 MB per list here; a call whose
     # residues are read only where they occur stays far below that.

@@ -9,7 +9,7 @@ from hypothesis import given
 
 import hypothesis.strategies as st
 
-from conftest import apply_word, charge_tuples, expand
+from conftest import apply_word, charge_tuples, expand, itertools_multipartitions
 
 from mullineux.charges import (
     InputError,
@@ -25,8 +25,6 @@ from mullineux.charges import (
     transpose_charge,
     very_dominant_representative,
 )
-
-from mullineux.core import enumerate_multipartitions
 
 from mullineux.crystal import _walk
 
@@ -307,7 +305,7 @@ def test_path_word_tokens_are_the_walks_grammar():
     # ("tau", j) and checks none of them; expanded to plain generators, each
     # word walks a multipartition of rank 3, the next one at each pair, to
     # the same rows and charge.
-    mps = {level: itertools.cycle(enumerate_multipartitions(3, level)) for level in (1, 2, 3)}
+    mps = {level: itertools.cycle(itertools_multipartitions(3, level)) for level in (1, 2, 3)}
     for s, t, e in orbit_pairs():
         word = _path_word(s, t, e)
         assert all(is_token(gen, len(s)) for gen in word), (s, t, e, word)

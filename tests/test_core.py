@@ -2,14 +2,12 @@
 
 import sys
 import time
-import tracemalloc
-from itertools import combinations_with_replacement, product
 
 import pytest
 
 from hypothesis import given
 
-from conftest import partitions, recursive_partitions
+from conftest import itertools_multipartitions, partitions, recursive_partitions
 
 from mullineux.core import (
     InputError,
@@ -17,7 +15,6 @@ from mullineux.core import (
     check_partition,
     conjugate,
     enumerate_e_regular,
-    enumerate_multipartitions,
     enumerate_partitions,
     is_e_regular,
     is_strict_e_core,
@@ -221,8 +218,19 @@ def test_enumerate_e_regular_is_filter():
             assert list(enumerate_e_regular(n, e)) == expected, (e, n)
 
 
-def test_enumerate_multipartitions():
-    assert sorted(enumerate_multipartitions(2, 2)) == [
+def test_enumerate_partitions_matches_the_recursive_reference():
+    for n in range(26):
+        expected = list(recursive_partitions(n, n))
+        assert list(enumerate_partitions(n)) == expected, n
+        for e in range(2, 7):
+            regular = [lam for lam in expected if is_e_regular(lam, e)]
+            assert list(enumerate_e_regular(n, e)) == regular, (n, e)
+
+
+# Every test that draws multipartitions draws them from the conftest
+# reference itertools_multipartitions; these pin its set and its order.
+def test_reference_multipartitions():
+    assert sorted(itertools_multipartitions(2, 2)) == [
         ((), (1, 1)),
         ((), (2,)),
         ((1,), (1,)),
@@ -234,7 +242,7 @@ def test_enumerate_multipartitions():
         expected = sum(
             PARTITION_COUNTS[k] * PARTITION_COUNTS[n - k] for k in range(n + 1)
         )
-        seen = list(enumerate_multipartitions(n, 2))
+        seen = list(itertools_multipartitions(n, 2))
         assert len(seen) == expected, n
         assert len(set(seen)) == expected, n
         for mp in seen:
@@ -242,9 +250,9 @@ def test_enumerate_multipartitions():
             assert sum(map(sum, mp)) == n
 
 
-def test_enumerate_multipartitions_levels():
-    assert list(enumerate_multipartitions(0, 3)) == [((), (), ())]
-    assert len(list(enumerate_multipartitions(3, 1))) == PARTITION_COUNTS[3]
+def test_reference_multipartitions_levels():
+    assert list(itertools_multipartitions(0, 3)) == [((), (), ())]
+    assert len(list(itertools_multipartitions(3, 1))) == PARTITION_COUNTS[3]
 
 
 def recursive_multipartitions(n, levels):
@@ -261,30 +269,21 @@ def recursive_multipartitions(n, levels):
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
-def test_enumerate_multipartitions_matches_the_recursive_reference(levels):
+def test_reference_multipartitions_match_the_recursive_reference(levels):
     # Same set at every level; same order at levels 1 and 2, where the
     # first component's rank is the composition's first entry.
     for n in range(9):
-        flat = list(enumerate_multipartitions(n, levels))
+        flat = list(itertools_multipartitions(n, levels))
         reference = list(recursive_multipartitions(n, levels))
         assert sorted(flat) == sorted(reference), (n, levels)
         if levels <= 2:
             assert flat == reference, (n, levels)
 
 
-def test_enumerate_partitions_matches_the_recursive_reference():
-    for n in range(26):
-        expected = list(recursive_partitions(n, n))
-        assert list(enumerate_partitions(n)) == expected, n
-        for e in range(2, 7):
-            regular = [lam for lam in expected if is_e_regular(lam, e)]
-            assert list(enumerate_e_regular(n, e)) == regular, (n, e)
-
-
-def test_enumerate_multipartitions_orders_by_composition():
-    ranks = [tuple(map(sum, mp)) for mp in enumerate_multipartitions(4, 3)]
+def test_reference_multipartitions_order_by_composition():
+    ranks = [tuple(map(sum, mp)) for mp in itertools_multipartitions(4, 3)]
     assert ranks == sorted(ranks)
-    assert list(enumerate_multipartitions(3, 3))[:4] == [
+    assert list(itertools_multipartitions(3, 3))[:4] == [
         ((), (), (3,)), ((), (), (2, 1)), ((), (), (1, 1, 1)), ((), (1,), (2,))
     ]
 
@@ -292,74 +291,18 @@ def test_enumerate_multipartitions_orders_by_composition():
 @pytest.mark.parametrize("n", [sys.maxsize, 10**20, 2**200])
 @pytest.mark.parametrize("levels", [1, 2])
 def test_enumerate_past_the_largest_sequence_is_an_input_error(levels, n):
-    # Ranks from sys.maxsize up are refused; all four enumerations over them
-    # say so at the first item, from the one partition kernel.
+    # Ranks from sys.maxsize up are refused; the partition enumerations say
+    # so at the first item and enumerate_phi at its call, from one rank bound.
     from mullineux.crystal import enumerate_phi
 
     message = f"^rank must be < {sys.maxsize} to enumerate partitions, got {n}$"
     for first in (
         lambda: next(enumerate_partitions(n)),
         lambda: next(enumerate_e_regular(n, levels + 1)),
-        lambda: next(enumerate_multipartitions(n, levels)),
         lambda: enumerate_phi(n, (0,) * levels, 3),
     ):
         with pytest.raises(InputError, match=message):
             first()
-
-
-def test_enumerate_multipartitions_answers_at_level_1500():
-    seen = list(enumerate_multipartitions(1, 1500))
-    assert len(seen) == len(set(seen)) == 1500
-    assert seen[0] == ((),) * 1499 + ((1,),)
-    assert all(sum(map(sum, mp)) == 1 and len(mp) == 1500 for mp in seen)
-
-
-@pytest.mark.parametrize("levels", [1, 2, 3])
-def test_enumerate_multipartitions_yields_before_building_the_ranks(levels):
-    # The partitions of every rank up to 40 take about 30 MB as tuples; the
-    # first multipartition needs none of them stored.
-    tracemalloc.start()
-    try:
-        first = next(enumerate_multipartitions(40, levels))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert first == ((),) * (levels - 1) + ((40,),)
-    assert peak < 1_000_000, peak
-
-
-def itertools_multipartitions(n, levels):
-    """Multipartitions with their rank cuts drawn by
-    combinations_with_replacement over range(n + 1): the reference for the
-    order of the cuts."""
-    for cuts in combinations_with_replacement(range(n + 1), levels - 1):
-        bounds = (0, *cuts, n)
-        yield from product(*(enumerate_partitions(b - a) for a, b in zip(bounds, bounds[1:])))
-
-
-@pytest.mark.parametrize("levels", [1, 2, 3, 4])
-def test_enumerate_multipartitions_matches_the_itertools_order(levels):
-    for n in range(7):
-        assert list(enumerate_multipartitions(n, levels)) == list(itertools_multipartitions(n, levels)), (n, levels)
-
-
-@pytest.mark.parametrize("levels", [1, 2, 3])
-def test_enumerate_multipartitions_starts_at_rank_a_billion_in_little_memory(levels):
-    # No pool of n + 1 cut values: the first item comes before anything of size n.
-    tracemalloc.start()
-    try:
-        first = next(enumerate_multipartitions(10**9, levels))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert first == ((),) * (levels - 1) + ((10**9,),)
-    assert peak < 1_000_000, peak
-
-
-@pytest.mark.parametrize("levels", [1, 2, 3])
-def test_enumerate_multipartitions_rejects_negative_rank(levels):
-    with pytest.raises(InputError):
-        list(enumerate_multipartitions(-1, levels))
 
 
 def test_check_multipartition_rejects():

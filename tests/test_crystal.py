@@ -1,5 +1,6 @@
 """Tests for charged-set membership and the charge-transport isomorphisms."""
 
+import itertools
 import random
 import re
 import time
@@ -19,17 +20,17 @@ from conftest import (
     decode_symbol,
     expand,
     im_preimage,
+    itertools_multipartitions,
     match_step,
     part,
     partitions,
     partitions_up_to,
 )
 
-from mullineux.charges import _path_word, transpose_charge, very_dominant_representative
+from mullineux.charges import _path_word, fundamental_representative, transpose_charge, very_dominant_representative
 
 from mullineux.core import (
     enumerate_e_regular,
-    enumerate_multipartitions,
     enumerate_partitions,
     is_strict_e_core,
     rank,
@@ -119,16 +120,79 @@ def test_enumerate_phi_sets():
     assert set(enumerate_phi(3, (1, 0), 3)) == PHI_3_10
 
 
-def test_enumerate_phi_fundamental_is_filter():
-    for e in (2, 3):
-        for s in range(e):
-            for n in range(7):
-                expected = {
-                    mp
-                    for mp in enumerate_multipartitions(n, 2)
-                    if flotw_check(mp, (0, s), e)
-                }
-                assert set(enumerate_phi(n, (0, s), e)) == expected, (e, s, n)
+def filtered_phi(n, s, e):
+    """The members of rank n at s by filter and transport: every
+    multipartition that meets FLOTW at the fundamental representative,
+    carried to s by psi, sorted."""
+    f = fundamental_representative(s, e)
+    return tuple(sorted(psi(mp, f, s, e) for mp in itertools_multipartitions(n, len(s)) if flotw_check(mp, f, e)))
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_enumerate_phi_is_the_filter_and_transport(e):
+    # Every charge with entries in -2..2e-1, fundamental or not, at levels
+    # 1 to 3.
+    for level, top in ((1, 6), (2, 6), (3, 4)):
+        for s in itertools.product(range(-2, 2 * e), repeat=level):
+            for n in range(top + 1):
+                assert enumerate_phi(n, s, e) == filtered_phi(n, s, e), (n, s, e)
+
+
+def seeded_phi_charges():
+    """Three seeded charges for each e in 2..4 at each of levels 4, 5 and 6,
+    as (level, e, s), drawn from one seeded generator."""
+    rng = random.Random(61)
+    return [
+        (level, e, tuple(rng.randint(-2 * e, 3 * e) for _ in range(level)))
+        for level in (4, 5, 6)
+        for e in (2, 3, 4)
+        for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize("level, top", [(4, 4), (5, 3), (6, 3)])
+def test_enumerate_phi_is_the_filter_and_transport_at_seeded_charges(level, top):
+    for at, e, s in seeded_phi_charges():
+        if at == level:
+            for n in range(top + 1):
+                assert enumerate_phi(n, s, e) == filtered_phi(n, s, e), (n, s, e)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_enumerate_phi_at_level_1_is_the_e_regular_partitions(e):
+    # The level-1 component of the empty partition is the e-regular
+    # partitions (Misra-Miwa), at every charge.
+    for s in range(-1, e + 1):
+        for n in range(13):
+            members = enumerate_phi(n, (s,), e)
+            assert members == tuple(sorted((lam,) for lam in enumerate_e_regular(n, e))), (n, s, e)
+
+
+def padded_1500(*comps):
+    """A level-1500 multipartition: the given components, then empty ones."""
+    return comps + ((),) * (1500 - len(comps))
+
+
+@pytest.mark.parametrize("n, expected", [
+    (1, (padded_1500((1,)),)),
+    (2, (padded_1500((1,), (1,)), padded_1500((1, 1)), padded_1500((2,)))),
+    (3, (
+        padded_1500((1,), (1,), (1,)),
+        padded_1500((1, 1), (1,)),
+        padded_1500((2,), (1,)),
+        padded_1500((2, 1)),
+        padded_1500((3,)),
+    )),
+])
+def test_enumerate_phi_at_level_1500(n, expected):
+    # Each member is a few small components followed by empty ones.
+    assert enumerate_phi(n, (0,) * 1500, 3) == expected
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_enumerate_phi_rejects_negative_rank(levels):
+    with pytest.raises(InputError, match="^rank must be >= 0, got -1$"):
+        enumerate_phi(-1, (0,) * levels, 3)
 
 
 def test_membership_table():
@@ -171,7 +235,7 @@ def test_a_tau_run_walks_as_its_expansion(j):
     e = 3
     for s in ((2,), (0, 1), (5, -1), (0, 1, 2), (4, 0, -3)):
         for n in range(4):
-            for mp in enumerate_multipartitions(n, len(s)):
+            for mp in itertools_multipartitions(n, len(s)):
                 got = _walk(mp, s, (("tau", j),), e)
                 assert got == stepwise_walk(mp, s, (("tau", j),), e), (mp, s, j)
                 assert got[1] == apply_word(s, (("tau", j),), e), (mp, s, j)
@@ -365,7 +429,7 @@ def test_transport_matches_stepwise_reference_exhaustively():
                 s = tuple(rng.randint(-e, 2 * e) for _ in range(level))
                 targets = [orbit_charge(rng, s, e) for _ in range(2)]
                 for n in range(7):
-                    for mp in enumerate_multipartitions(n, level):
+                    for mp in itertools_multipartitions(n, level):
                         assert_transport_matches_stepwise(mp, s, targets, e)
 
 
@@ -423,7 +487,7 @@ def test_wide_gap_transport_matches_stepwise_reference_exhaustively():
                     for t in targets:
                         runs = [gen[2] for gen in _path_word(src, t, e) if gen[0] in ("wrap", "unwrap")]
                         longest_run = max([longest_run, *runs])
-                        for mp in enumerate_multipartitions(n, level):
+                        for mp in itertools_multipartitions(n, level):
                             got = result_or_error(psi, mp, src, t, e)
                             assert got == result_or_error(stepwise_psi, mp, src, t, e), (mp, src, t, e)
     assert longest_run > 12
@@ -458,7 +522,7 @@ def test_psi_across_three_million_answers_at_once():
     e, far, low = 3, (0, 3 * 10**6 + 1), (0, 1)
     for n in range(7):
         near = (0, 1 + e * (n + 2))
-        for mp in enumerate_multipartitions(n, 2):
+        for mp in itertools_multipartitions(n, 2):
             image = psi(mp, far, low, e)
             assert image == stepwise_psi(mp, near, low, e), mp
             assert psi(image, low, far, e) == mp, mp
@@ -479,7 +543,7 @@ def test_psi_across_three_million_answers_at_once_at_level_3():
     e, far, low = 3, (0, 3 * 10**6 + 1, 6 * 10**6 + 2), (0, 1, 2)
     for n in range(6):
         near = (0, 1 + e * (n + 2), 2 + 2 * e * (n + 2))
-        for mp in enumerate_multipartitions(n, 3):
+        for mp in itertools_multipartitions(n, 3):
             image = psi(mp, far, low, e)
             assert image == stepwise_psi(mp, near, low, e), mp
             assert psi(image, low, far, e) == mp, mp
@@ -501,21 +565,24 @@ def test_psi_with_a_word_table_is_psi_without_one():
             for t in [s, very_dominant_representative(s, 6, e)] + [orbit_charge(rng, s, e, spread=12) for _ in range(2)]:
                 pairs |= {(s, t), (t, s)} - {(s, s)}
                 for n in range(5):
-                    for mp in enumerate_multipartitions(n, level):
+                    for mp in itertools_multipartitions(n, level):
                         assert _psi(mp, s, t, e, words) == _psi(mp, s, t, e), (mp, s, t, e)
                         assert _psi(mp, t, s, e, words) == _psi(mp, t, s, e), (mp, t, s, e)
         assert set(words) == pairs
         assert all(words[s, t] == _path_word(s, t, e) for s, t in pairs)
 
 
-def test_enumerate_phi_builds_its_word_once(monkeypatch):
+def test_enumerate_phi_walks_no_transport(monkeypatch):
+    # The members grow along the crystal at the charge itself, so no
+    # multipartition is carried from the fundamental representative.
     import mullineux.crystal as crystal
 
-    built = []
-    body = crystal._path_word
-    monkeypatch.setattr(crystal, "_path_word", lambda s, t, e: built.append((s, t)) or body(s, t, e))
-    assert len(enumerate_phi(6, (0, 30001, 60002), 3)) > 1
-    assert built == [((0, 1, 2), (0, 30001, 60002))]
+    s = (0, 30001, 60002)
+    expected = filtered_phi(6, s, 3)
+    monkeypatch.setattr(crystal, "_psi", lambda *args: pytest.fail(f"enumerate_phi transported {args}"))
+    monkeypatch.setattr(crystal, "_walk", lambda *args: pytest.fail(f"enumerate_phi walked {args}"))
+    assert len(expected) == 60
+    assert enumerate_phi(6, s, 3) == expected
 
 
 def expanded_walk(mp, s, t, e):
@@ -618,7 +685,7 @@ def test_sigma_swap_matches_the_full_matching():
     for e in range(2, 6):
         for n in range(9):
             reach = n + 2 * e
-            for mp in enumerate_multipartitions(n, 2):
+            for mp in itertools_multipartitions(n, 2):
                 for gap in range(-reach, reach + 1):
                     s = (e - 4, e - 4 + gap)
                     got = _walk(mp, s, (("sigma", 1),), e)
@@ -633,7 +700,7 @@ def test_sigma_swaps_exactly_from_the_containment_threshold(monkeypatch):
     monkeypatch.setattr("mullineux.crystal._match", lambda *rows: calls.append(rows) or _match(*rows))
     for e in range(2, 6):
         for n in range(1, 9):
-            for lam, mu in enumerate_multipartitions(n, 2):
+            for lam, mu in itertools_multipartitions(n, 2):
                 up, down = part(lam, 1) + len(mu), part(mu, 1) + len(lam)
                 for gap, matched in ((up, False), (up - 1, True), (-down, False), (1 - down, True)):
                     calls.clear()
@@ -651,7 +718,7 @@ def test_the_walk_returns_the_rows_it_did_not_match():
     word = (("sigma", 1), ("tau", 1))
     for e in (2, 3, 5):
         for n in range(7):
-            for mp in enumerate_multipartitions(n, 2):
+            for mp in itertools_multipartitions(n, 2):
                 for s in range(e):
                     up = very_dominant_representative((0, s), n, e)
                     got, end = _walk(mp, up, word, e)
@@ -685,7 +752,7 @@ def test_im_shaped_lifts_match_stepwise_reference_at_levels_3_to_5():
 def test_psi_preserves_membership():
     for e in (2, 3):
         for n in range(7):
-            for mp in enumerate_multipartitions(n, 2):
+            for mp in itertools_multipartitions(n, 2):
                 for s in range(e):
                     ok = membership(mp, (0, s), e)
                     if ok:
@@ -834,7 +901,7 @@ def stepwise_lower(pair, t, e):
 def test_blockwise_lower_pair_matches_stepwise_reference_exhaustively():
     for e in range(2, 7):
         for n in range(9):
-            for pair in enumerate_multipartitions(n, 2):
+            for pair in itertools_multipartitions(n, 2):
                 for s, t in start_charges(n, e):
                     expected = outcome(stepwise_lower, pair, t, e)
                     assert outcome(_lower, pair, e, s) == expected, (pair, t, e)

@@ -9,7 +9,7 @@ from hypothesis import given
 
 import hypothesis.strategies as st
 
-from conftest import bipartitions, build_symbol, decode_symbol, match_step
+from conftest import bipartitions, build_symbol, decode_symbol, itertools_multipartitions, match_step
 
 
 def minimal_depth(bp, charge):
@@ -78,10 +78,8 @@ def small_charges():
 
 
 def all_bipartitions(max_rank):
-    from mullineux.core import enumerate_multipartitions
-
     for n in range(max_rank + 1):
-        yield from enumerate_multipartitions(n, 2)
+        yield from itertools_multipartitions(n, 2)
 
 
 def padded(symbol, extra):
