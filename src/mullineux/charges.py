@@ -169,7 +169,12 @@ def _path_word(s, t, e):
 
 def transpose_charge(s):
     """(-s_l, ..., -s_1); fundamental whenever s is."""
-    return tuple(-x for x in reversed(check_charge(s)))
+    return _transpose(check_charge(s))
+
+
+def _transpose(s):
+    """transpose_charge of a checked charge."""
+    return tuple(-x for x in reversed(s))
 
 
 def sharp_very_dominant(s, n, e):

@@ -41,15 +41,16 @@ one whole i-string at a time and regrows the strings, residues negated, at
 t = transpose_charge(s), where ak_mullineux's image lands; t is
 fundamental, so `multisegments._chi` reads it there as it is.  im_sharp
 checks its multisegment and then runs the unchecked bodies `_is_aperiodic`
-(crystal's, which is also FLOTW (3)), `_string_image` and `_chi` on values
-it built itself.  chi(ak_mullineux(pre, s, t, e), t, e) is its reference.
+(crystal's, which is also FLOTW (3)), `charges._transpose`, `_string_image`
+and `_chi` on values it built itself.  Its reference is
+chi(ak_mullineux(pre, s, t, e), t, e).
 """
 
 from .charges import (
     _same_orbit,
     _sharp_very_dominant,
+    _transpose,
     _very_dominant_representative,
-    transpose_charge,
 )
 from .core import (
     _conjugate,
@@ -408,5 +409,5 @@ def im_sharp(ms, e):
         raise InputError(f"{ms} is not aperiodic mod {e}")
     segs = sorted(ms, key=lambda seg: (seg[0], -seg[1]))
     s = tuple(head for head, _ in segs)
-    t = transpose_charge(s)
+    t = _transpose(s)
     return _chi(_string_image(tuple((length,) for _, length in segs), s, t, e), t, e)

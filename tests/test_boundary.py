@@ -514,25 +514,21 @@ def test_routes_do_not_allocate_in_proportion_to_e(call, expected):
 
 
 def test_string_kernel_reduces_no_residue_that_is_not_at_a_corner(monkeypatch):
-    # The peel reduces the residues of the corners in increasing order up to
-    # the first with a good removable node, and the regrowth reduces one per
-    # string; so the reductions stay below the nodes moved plus the corners
-    # scanned, whatever e is.  A scan of every residue would pass e per string.
+    # The peel reduces the residues of the corners in one sorted pass per
+    # string, and the regrowth one pass over one residue's corners; so the
+    # passes stay below the nodes moved plus the corners scanned, whatever e
+    # is.  A pass per residue would make e of them per string.
     crystal = mullineux.crystal
     counts = {}
-    corners, reduced = crystal._corners, crystal._reduced
+    corners = crystal._corners
 
-    def counted_corners(mp, s, e):
-        buckets = corners(mp, s, e)
-        counts["corners"] += sum(map(len, buckets.values()))
-        return buckets
-
-    def counted_reduced(nodes):
+    def counted_corners(mp, s, e, j=None):
+        nodes = corners(mp, s, e, j)
+        counts["corners"] += len(nodes)
         counts["reductions"] += 1
-        return reduced(nodes)
+        return nodes
 
     monkeypatch.setattr(crystal, "_corners", counted_corners)
-    monkeypatch.setattr(crystal, "_reduced", counted_reduced)
     rng = random.Random(7)
     inputs = [(((HUGE_E - 3, 2), (HUGE_E - 1, 1)), HUGE_E), (((0, 3), (1, 3), (0, 1)), 3)]
     for e in (2, 5, 1000):

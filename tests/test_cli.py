@@ -224,9 +224,9 @@ def test_a_walk_that_ends_off_target_exits_3(capsys, monkeypatch):
 
 
 def test_an_im_string_that_does_not_peel_exits_3(capsys, monkeypatch):
-    # im runs the string kernel; a reduction that finds no removable node is
-    # a fault of the program, reported in one line.
-    monkeypatch.setattr(crystal, "_reduced", lambda nodes: ([], []))
+    # im runs the string kernel; a peel that finds no removable node is a
+    # fault of the program, reported in one line.
+    monkeypatch.setattr(crystal, "_corners", lambda mp, s, e, j=None: [])
     code, out, err = run(capsys, "im", "--e", "3", "--multisegment", "0:1;1:2")
     assert (code, out) == (3, "")
     assert err == "internal error: no residue has a good removable node in ((1,), (2,)) at (0, 1) mod 3\n"

@@ -5,6 +5,7 @@ import importlib
 import pkgutil
 import random
 import sys
+from bisect import bisect_left
 from collections import Counter
 
 import mullineux
@@ -26,6 +27,7 @@ from conftest import (
     moved,
     partitions_up_to,
     reduced_signature,
+    signature,
     truncated_e_rim,
 )
 
@@ -40,7 +42,7 @@ from mullineux.core import (
 
 from mullineux.charges import is_fundamental, sharp_very_dominant, transpose_charge, very_dominant_representative
 
-from mullineux.crystal import _grow, _peel, _reduced, _string_image, enumerate_phi, psi
+from mullineux.crystal import _corners, _good_addables, _grow, _peel, _string_image, enumerate_phi, psi
 
 from mullineux.errors import InputError, InternalError, NoPathError
 
@@ -750,17 +752,50 @@ def test_string_kernel_matches_the_crystal_reference_node_by_node(e, level, top)
                 assert cur == _string_image(mp, s, t, e) == branching_image(mp, s, e), (mp, s, e)
 
 
+@pytest.mark.parametrize("e, level, top", STRING_CASES)
+def test_one_pass_reductions_match_the_reference_signatures(e, level, top):
+    # `_corners` sorts the corners once, by residue and each residue's run in
+    # signature order; `_grow` builds residue j's run alone.  The peel reduces
+    # the runs in increasing residue order and stops after the first with a
+    # good removable node; `_good_addables` reduces every run.  Members with
+    # empty components and residues with no corner are among the cases.
+    for s in fundamental_charges(e, level):
+        for n in range(top + 1):
+            for mp in enumerate_phi(n, s, e):
+                nodes = _corners(mp, s, e)
+                assert nodes == sorted(nodes), (mp, s, e)
+                for i in range(e):
+                    run = nodes[bisect_left(nodes, (i,)) : bisect_left(nodes, (i + 1,))]
+                    assert [("A" if kind else "R", c, r) for _, _, c, r, kind in run] == signature(mp, s, e, i)
+                    assert _corners(mp, s, e, i) == run, (mp, s, e, i)
+                firsts = [good_nodes(mp, s, e, i)[1] for i in range(e)]
+                assert _good_addables(mp, s, e) == [node for node in firsts if node], (mp, s, e)
+                if not any(mp):
+                    continue
+                removables = [[(c, r) for kind, c, r in reduced_signature(mp, s, e, i) if kind == "R"] for i in range(e)]
+                i = next(i for i, removable in enumerate(removables) if removable)
+                peeled = mp
+                for node in removables[i]:
+                    peeled = moved(peeled, node, -1)
+                assert _peel(mp, s, e) == (i, len(removables[i]), peeled), (mp, s, e)
+
+
 def test_im_sharp_validates_no_multipartition(monkeypatch):
     # im_sharp checks its multisegment and runs the unchecked bodies on the
-    # multipartitions it builds, so none of them is checked again.  chi and
-    # ak_mullineux check their input with crystal's `_charged_input`, so one
-    # module covers all three.
-    calls = []
+    # multipartitions and charges it builds, so none of them is checked
+    # again.  chi and ak_mullineux check their input with crystal's
+    # `_charged_input`, so one module covers all three; a charge is checked
+    # by whichever module's `check_charge` its caller imported.
+    calls, charge_calls = [], []
     check = crystal.check_multipartition
     monkeypatch.setattr(crystal, "check_multipartition", lambda mp: calls.append(mp) or check(mp))
+    check_charge = mullineux.charges.check_charge
+    for module in vars(mullineux).values():
+        if getattr(module, "check_charge", None) is check_charge:
+            monkeypatch.setattr(module, "check_charge", lambda s: charge_calls.append(s) or check_charge(s))
     assert im_sharp(((0, 3), (1, 3), (0, 1)), 3) == ((2, 6), (0, 1))
     assert im_sharp(((0, 2), (1, 1), (1, 1)), 2) == ((0, 2), (1, 1), (1, 1))
-    assert calls == []
+    assert calls == [] and charge_calls == []
     ak_mullineux(((1,), (2,)), (0, 1), (0, 5), 3)
     assert calls == [((1,), (2,))]
 
@@ -800,21 +835,22 @@ def test_route_guards_raise_internal_errors(monkeypatch, helper, stand_in, route
     assert type(info.value) is InternalError and str(info.value) == message
 
 
-# The string kernel's guards, tripped the same way: a reduction with no
-# removable node starves the peel, and one with no addable node the regrowth.
+# The string kernel's guards, tripped the same way: a peel that finds no
+# corner has no removable node, and a regrowth that finds no corner of its
+# residue (`_corners` with j given) has no addable node.
 @pytest.mark.parametrize(
     "stand_in, message",
     [
-        (lambda nodes: ([], []), "no residue has a good removable node in ((1,), (2,)) at (0, 1) mod 3"),
+        (lambda mp, s, e, j=None: [], "no residue has a good removable node in ((1,), (2,)) at (0, 1) mod 3"),
         (
-            lambda nodes: (_reduced(nodes)[0], []),
+            lambda mp, s, e, j=None: _corners(mp, s, e) if j is None else [],
             "a 2-string of length 1 does not regrow on ((), ()) at (-1, 0) mod 3: 0 good addable nodes",
         ),
     ],
     ids=["peel", "regrow"],
 )
 def test_string_kernel_guards_raise_internal_errors(monkeypatch, stand_in, message):
-    monkeypatch.setattr(crystal, "_reduced", stand_in)
+    monkeypatch.setattr(crystal, "_corners", stand_in)
     with pytest.raises(InternalError) as info:
         im_sharp(((0, 1), (1, 2)), 3)
     assert type(info.value) is InternalError and str(info.value) == message
