@@ -33,11 +33,12 @@ the crystal route runs `_lift` and `_lower`, with psi as their reference.
 empty multipartition one whole crystal string at a time and regrows the
 strings at another charge with negated residues, reading the signatures
 only at the corners of the multipartition.  `_corners` sorts the corners
-once, by residue and each residue's run in signature order; a peel reduces
-the runs in one pass up to the least residue with a good removable node
-(`_peel`), a regrowth sorts only its residue's corners (`_grow`), and
-`enumerate_phi` reads every residue's first good addable node in one pass
-(`_good_addables`).  `involution.im_sharp` runs the kernel in place of a
+once, by residue and each residue's run in signature order.  A peel
+reduces the runs in one pass up to the least residue with a good removable
+node (`_peel`); `_addables` keeps each run's uncancelled addable nodes as a
+stack, for every residue or for one.  `_grow(mp, t, e, j, a)` is f_j^a, and
+only `_string_image` negates residues; `enumerate_phi` adds the first node
+of each stack.  `involution.im_sharp` runs the kernel in place of a
 transport, and `enumerate_phi` grows the members from the empty
 multipartition with it.
 """
@@ -305,13 +306,13 @@ def enumerate_phi(n, charge, e):
     any charge: rank k + 1 is every f_i x, x of rank k and i a residue whose
     reduced signature has an addable node, the first of which f_i adds.  So
     no transport runs, and each member's corners are read in one pass
-    (`_good_addables`).
+    (`_addables`).
     """
     n, s, e = _int_arg("rank", n, 0), check_charge(charge), _int_arg("e", e, 2)
     _rank_bound(n)
     members = {((),) * len(s)}
     for _ in range(n):
-        members = {_moved(mp, (node,), 1) for mp in members for node in _good_addables(mp, s, e)}
+        members = {_moved(mp, (stack[0],), 1) for mp in members for stack in _addables(mp, s, e).values() if stack}
     return tuple(sorted(members))
 
 
@@ -363,31 +364,26 @@ def _corners(mp, s, e, j=None):
     return nodes
 
 
-def _good_addables(mp, s, e):
-    """The first addable node of every residue's reduced signature R^a A^b
-    with b > 0, as (component, row), by increasing residue.
+def _addables(mp, s, e, j=None):
+    """{residue: the addable nodes of its reduced signature R^a A^b, as
+    (component, row) in signature order}, from one pass over `_corners`;
+    only residue j's entry when j is given.
 
     Read in signature order, a removable node cancels the nearest
     uncancelled addable node before it, so the uncancelled addables are a
-    stack that each later removable pops.  Its bottom is the first addable
-    pushed onto it empty; so one pass over `_corners` keeps, per residue,
-    only the stack's height and bottom.  `_peel` keeps its own pass, which
-    stops early: one pass shared by both cost the kernel about a tenth.
+    stack that each later removable pops.  A residue with no corner has no
+    entry.  `_peel` keeps its own pass, which stops early: one pass shared
+    by both cost the kernel about a tenth.
     """
-    out, cur, b, first = [], None, 0, None
-    for i, _, c, r, kind in _corners(mp, s, e):
+    out, cur = {}, None
+    for i, _, c, r, kind in _corners(mp, s, e, j):
         if i != cur:
-            if b:
-                out.append(first)
-            cur, b = i, 0
+            cur = i
+            stack = out[i] = []
         if kind:
-            if not b:
-                first = (c, r)
-            b += 1
-        elif b:
-            b -= 1
-    if b:
-        out.append(first)
+            stack.append((c, r))
+        elif stack:
+            stack.pop()
     return out
 
 
@@ -438,22 +434,16 @@ def _peel(mp, s, e):
     return cur, len(removable), _moved(mp, removable, -1)
 
 
-def _grow(mp, t, e, i, a):
-    """f_j^a mp for j = -i mod e, mp checked at t: mp with the first a
-    addable nodes of its reduced j-signature R^b A^c added.
+def _grow(mp, t, e, j, a):
+    """f_j^a mp, mp checked at t: mp with the first a addable nodes of its
+    reduced j-signature R^b A^c added.
 
     f_j turns the first A into an R and changes no other node of residue j,
     so f_j^a adds the first a at once.  Only residue j's corners are built
-    and sorted, and its uncancelled addables are kept as a stack that each
-    later removable pops.
+    and reduced (`_addables`).  The residue is the one given: a caller that
+    regrows along Ford–Kleshchev's rule negates it itself.
     """
-    j = -i % e
-    addable = []
-    for _, _, c, r, kind in _corners(mp, t, e, j):
-        if kind:
-            addable.append((c, r))
-        elif addable:
-            addable.pop()
+    addable = _addables(mp, t, e, j).get(j, [])
     if len(addable) < a:
         raise InternalError(
             f"a {j}-string of length {a} does not regrow on {mp} at {t} mod {e}: {len(addable)} good addable nodes"
@@ -468,17 +458,18 @@ def _string_image(mp, s, t, e):
     image of x (Ford–Kleshchev's rule at level k, on the Fock space crystal
     of Jimbo–Misra–Miwa–Okado and Uglov).  So mp is peeled down to the empty
     multipartition one whole i-string at a time, least residue first, and
-    the strings are regrown at t with residue -i mod e, last string first.
-    Each peel is one sorted pass over mp's corners and each regrowth one
-    over residue -i's: the work does not grow with e, and shares nothing
-    with `_walk` or `_sigma`.
+    the strings are regrown at t with residue -i mod e, last string first:
+    the negation is here, and `_grow` adds the residue it is given.  Each
+    peel is one sorted pass over mp's corners and each regrowth one over
+    residue -i's: the work does not grow with e, and shares nothing with
+    `_walk` or `_sigma`.
     """
     strings = []
     while any(mp):
         i, a, mp = _peel(mp, s, e)
         strings.append((i, a))
     for i, a in reversed(strings):
-        mp = _grow(mp, t, e, i, a)
+        mp = _grow(mp, t, e, -i % e, a)
     return mp
 
 

@@ -27,7 +27,13 @@ from conftest import (
     partitions_up_to,
 )
 
-from mullineux.charges import _path_word, fundamental_representative, transpose_charge, very_dominant_representative
+from mullineux.charges import (
+    _path_word,
+    fundamental_representative,
+    is_fundamental,
+    transpose_charge,
+    very_dominant_representative,
+)
 
 from mullineux.core import (
     enumerate_e_regular,
@@ -37,8 +43,10 @@ from mullineux.core import (
 )
 
 from mullineux.crystal import (
+    _grow,
     _lift,
     _lower,
+    _peel,
     _psi,
     _walk,
     blockwise_lift,
@@ -758,6 +766,72 @@ def test_psi_preserves_membership():
                     if ok:
                         out = psi(mp, (0, s), (0, s + e), e)
                         assert membership(out, (0, s + e), e), (mp, s)
+
+
+def regrown_strings(mp, s, t, e):
+    """mp peeled at s down to the empty multipartition one string (i, a) at
+    a time by the string kernel, and the strings regrown at t with their
+    residues unchanged, last string first."""
+    strings = []
+    while any(mp):
+        i, a, mp = _peel(mp, s, e)
+        strings.append((i, a))
+    for i, a in reversed(strings):
+        mp = _grow(mp, t, e, i, a)
+    return mp
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_psi_is_the_regrowth_of_the_members_strings(e):
+    # A crystal isomorphism fixes the empty multipartition and commutes with
+    # every f_i, so psi is the regrowth of a member's own strings at the
+    # target.  The kernel shares no code with `_walk`, `_sigma` or `_match`,
+    # so this is psi's one check that does not rerun its matching.  The
+    # charges have entries in -2..2e-1, most of them not fundamental; the
+    # targets are the fundamental and very dominant representatives, the
+    # reversed charge and the charge shifted by e.  An unwrap far bound one
+    # short in `_walk` fails here.
+    cases = 0
+    for level, top in ((2, 4), (3, 2)):
+        for s in itertools.product(range(-2, 2 * e), repeat=level):
+            for n in range(top + 1):
+                f, vd = fundamental_representative(s, e), very_dominant_representative(s, n, e)
+                for mp in enumerate_phi(n, s, e):
+                    for t in {f, vd, s[::-1], tuple(x + e for x in s)}:
+                        assert psi(mp, s, t, e) == regrown_strings(mp, s, t, e), (mp, s, t, e)
+                        cases += 1
+    assert cases == {2: 6037, 3: 19953, 4: 41936}[e]
+
+
+def peels_to_empty(mp, s, e):
+    """Whether the string kernel peels mp at s down to the empty multipartition."""
+    try:
+        while any(mp):
+            mp = _peel(mp, s, e)[2]
+    except InternalError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_membership_is_peeling_to_the_empty_multipartition(e):
+    # The members are the crystal component of the empty multipartition, so
+    # a member peels down to it; any other multipartition stops at a
+    # nonempty one with no good removable node, where the peel raises.
+    # Every multipartition of small rank, at charges that are not
+    # fundamental, so membership transports each one first.
+    cases = members = 0
+    for level, top in ((1, 5), (2, 3), (3, 2)):
+        for s in itertools.product(range(-2, 2 * e), repeat=level):
+            if is_fundamental(s, e):
+                continue
+            for n in range(top + 1):
+                for mp in itertools_multipartitions(n, level):
+                    member = membership(mp, s, e)
+                    assert member == peels_to_empty(mp, s, e), (mp, s, e)
+                    cases += 1
+                    members += member
+    assert (cases, members) == {2: (3050, 1305), 3: (6910, 4321), 4: (13148, 9284)}[e]
 
 
 def test_blockwise_lift_flagship():

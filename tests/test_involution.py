@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import itertools
 import pkgutil
 import random
 import sys
@@ -40,9 +41,15 @@ from mullineux.core import (
     rank,
 )
 
-from mullineux.charges import is_fundamental, sharp_very_dominant, transpose_charge, very_dominant_representative
+from mullineux.charges import (
+    fundamental_representative,
+    is_fundamental,
+    sharp_very_dominant,
+    transpose_charge,
+    very_dominant_representative,
+)
 
-from mullineux.crystal import _corners, _good_addables, _grow, _peel, _string_image, enumerate_phi, psi
+from mullineux.crystal import _addables, _corners, _grow, _peel, _string_image, enumerate_phi, psi
 
 from mullineux.errors import InputError, InternalError, NoPathError
 
@@ -745,7 +752,7 @@ def test_string_kernel_matches_the_crystal_reference_node_by_node(e, level, top)
                     assert good_nodes(cur, s, e, i)[0] is None and cur == peeled, (mp, s, e, i, a)
                     strings.append((i, a))
                 for i, a in reversed(strings):
-                    grown = _grow(cur, t, e, i, a)
+                    grown = _grow(cur, t, e, -i % e, a)
                     for _ in range(a):
                         cur = moved(cur, good_nodes(cur, t, e, -i % e)[1], 1)
                     assert cur == grown, (mp, s, e, i, a)
@@ -755,10 +762,11 @@ def test_string_kernel_matches_the_crystal_reference_node_by_node(e, level, top)
 @pytest.mark.parametrize("e, level, top", STRING_CASES)
 def test_one_pass_reductions_match_the_reference_signatures(e, level, top):
     # `_corners` sorts the corners once, by residue and each residue's run in
-    # signature order; `_grow` builds residue j's run alone.  The peel reduces
-    # the runs in increasing residue order and stops after the first with a
-    # good removable node; `_good_addables` reduces every run.  Members with
-    # empty components and residues with no corner are among the cases.
+    # signature order, or builds residue j's run alone.  The peel reduces the
+    # runs in increasing residue order and stops after the first with a good
+    # removable node; `_addables` keeps every run's whole stack of addable
+    # nodes, or residue j's alone.  Members with empty components and
+    # residues with no corner are among the cases.
     for s in fundamental_charges(e, level):
         for n in range(top + 1):
             for mp in enumerate_phi(n, s, e):
@@ -768,8 +776,12 @@ def test_one_pass_reductions_match_the_reference_signatures(e, level, top):
                     run = nodes[bisect_left(nodes, (i,)) : bisect_left(nodes, (i + 1,))]
                     assert [("A" if kind else "R", c, r) for _, _, c, r, kind in run] == signature(mp, s, e, i)
                     assert _corners(mp, s, e, i) == run, (mp, s, e, i)
-                firsts = [good_nodes(mp, s, e, i)[1] for i in range(e)]
-                assert _good_addables(mp, s, e) == [node for node in firsts if node], (mp, s, e)
+                addables = _addables(mp, s, e)
+                assert sorted(addables) == sorted({i for i, *_ in nodes}), (mp, s, e)
+                for i in range(e):
+                    stack = [(c, r) for kind, c, r in reduced_signature(mp, s, e, i) if kind == "A"]
+                    assert addables.get(i, []) == stack, (mp, s, e, i)
+                    assert _addables(mp, s, e, i) == ({i: stack} if i in addables else {}), (mp, s, e, i)
                 if not any(mp):
                     continue
                 removables = [[(c, r) for kind, c, r in reduced_signature(mp, s, e, i) if kind == "R"] for i in range(e)]
@@ -778,6 +790,28 @@ def test_one_pass_reductions_match_the_reference_signatures(e, level, top):
                 for node in removables[i]:
                     peeled = moved(peeled, node, -1)
                 assert _peel(mp, s, e) == (i, len(removables[i]), peeled), (mp, s, e)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_ak_mullineux_is_the_string_kernel_on_the_sharp_orbit(e):
+    # ak_mullineux lifts, runs xu on each component and transports; the
+    # kernel peels and regrows the strings with negated residues.  Both fix
+    # the empty multipartition and send f_i x to f_{-i} of the image, so
+    # they agree at every target in the orbit where ak_mullineux lands: its
+    # sharp very dominant charge, the transposed charge, that charge's
+    # fundamental representative, and the representative shifted by e.
+    cases = 0
+    for level, top in ((2, 3), (3, 2)):
+        for s in itertools.product(range(-1, e + 1), repeat=level):
+            f = fundamental_representative(transpose_charge(s), e)
+            for n in range(top + 1):
+                sharp = sharp_very_dominant(very_dominant_representative(s, n, e), n, e)
+                targets = {sharp, transpose_charge(s), f, tuple(x + e for x in f)}
+                for mp in enumerate_phi(n, s, e):
+                    for t in targets:
+                        assert ak_mullineux(mp, s, t, e) == _string_image(mp, s, t, e), (mp, s, t, e)
+                        cases += 1
+    assert cases == {2: 1777, 3: 4791, 4: 9048}[e]
 
 
 def test_im_sharp_validates_no_multipartition(monkeypatch):
