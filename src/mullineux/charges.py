@@ -16,14 +16,15 @@ entry by one rule, `_least_in_class`: the least value at or above a floor
 in the entry's class.  Residues are read only where they occur, so nothing
 here grows with e.
 
-Inside the package a path is built as a run-length word, whose tokens are
+Inside the package a path is built as a run-length word of three tokens:
 ("sigma", c); ("wrap", k, r), the block tau_inv sigma_1 ... sigma_k repeated
-r times; its inverse ("unwrap", k, r), the block sigma_k ... sigma_1 tau
-repeated r times; and ("tau", j), tau^j for j of either sign.  A wrap or
-unwrap moves one entry across the k entries below it while the charge
-stays sorted.  `_normalization_word` lowers a descending cluster, the
-entries above position k, in one token computed in closed form, so after
-its sort a normalization word has at most one wrap per position: at level 3,
+r times; and its inverse ("unwrap", k, r), the block sigma_k ... sigma_1 tau
+repeated r times.  A wrap or unwrap moves one entry across the k entries
+below it while the charge stays sorted; at k = 0 there are none, so
+("unwrap", 0, j) is tau^j and ("wrap", 0, j) is tau^-j.
+`_normalization_word` lowers a descending cluster, the entries above
+position k, in one token computed in closed form, so after its sort a
+normalization word has at most one wrap per position: at level 3,
 (0, 30001, 60002) normalizes in two tokens, and the length of a word does
 not grow with the distance between its charges.
 """
@@ -113,14 +114,7 @@ def _normalization_word(s, e):
     (b, b + e].  So the phase has r = 1 + sum((c - b - 1) // e for c in C)
     lowerings, and the next one, if any, has a smaller k: its entry drops
     to b or below.  Each k is used at most once and the word has at most l
-    wrap tokens.
-
-    As C is sorted and spans at most e, its least entry x drops
-    d = (x - b - 1) // e times and every other entry d or d + 1 times:
-    d + 1 from y = b + 1 + (d + 1)*e up.  Those end below all the others,
-    so the new cluster is C - d*e with its entries from y rotated to the
-    front, one e lower still; the code finds y by bisection and sorts
-    nothing.
+    wrap tokens.  The code emits that r and puts the sorted ends in C's place.
     """
     t = list(s)
     word = []
@@ -137,13 +131,8 @@ def _normalization_word(s, e):
         k = bisect_left(t, x)
         t.insert(k, x)
         b = t[k - 1] if k else x - 1
-        d = (x - b - 1) // e
-        j = bisect_left(t, b + 1 + (d + 1) * e, k)
-        word.append(("wrap", k, 1 + (len(t) - k) * d + len(t) - j))
-        if d:
-            t[k:] = [c - d * e for c in t[k:]]
-        if j < len(t):
-            t[k:] = [c - e for c in t[j:]] + t[k:j]
+        word.append(("wrap", k, 1 + sum((c - b - 1) // e for c in t[k:])))
+        t[k:] = sorted(b + 1 + (c - b - 1) % e for c in t[k:])
     return word, tuple(t)
 
 
@@ -156,13 +145,14 @@ def _orbit_check(s, t, e):
 def _path_word(s, t, e):
     """Run-length path word for checked charges of one orbit, built without checking it.
 
-    The normalization of s, the bridge ("tau", j) unless j is 0, and the
-    normalization of t reversed, each wrap read as its unwrap.
+    The normalization of s, the bridge tau^j as ("unwrap", 0, j) or
+    ("wrap", 0, -j) unless j is 0, and the normalization of t reversed,
+    each wrap read as its unwrap.
     """
     ws, fs = _normalization_word(s, e)
     wt, ft = _normalization_word(t, e)
     j = (sum(ft) - sum(fs)) // e
-    bridge = [("tau", j)] if j else []
+    bridge = [("unwrap", 0, j)] if j > 0 else [("wrap", 0, -j)] if j else []
     back = [("unwrap", gen[1], gen[2]) if gen[0] == "wrap" else gen for gen in reversed(wt)]
     return ws + bridge + back
 

@@ -4,8 +4,9 @@ Membership (the FLOTW conditions) is defined at fundamental multicharges and
 transported elsewhere along the isomorphisms.  The isomorphism psi follows a
 run-length word in the charge group (`charges._path_word`), with each
 component carried as the partition it is, at a charge the walk keeps
-alongside (`_walk`).  tau^j, a wrap and an unwrap then change no row, only
-the order of the rows and their charges.  sigma_c only swaps components
+alongside (`_walk`).  The word's tokens are sigma_c and runs of wrap and
+unwrap blocks; at k = 0 those are tau^-r and tau^r, which change no row,
+only the order of the rows and their charges.  sigma_c only swaps components
 c, c+1 when the charged β-set of one lies below the other's floor, which
 it reads from a first part and a length; otherwise it builds the two β-sets
 and runs the two-row symbol matching on them (`_sigma`).  In a wrap or
@@ -122,11 +123,12 @@ def _walk(mp, s, word, e):
     """Transport a checked multipartition along a word: (image, end charge).
 
     The word is a run-length word as `charges._path_word` builds it, of
-    tokens ("sigma", c), ("wrap", k, r), ("unwrap", k, r) and ("tau", j).
-    Each component travels as the partition it is, at a charge that
-    the walk carries along.  So tau^j changes no row: row i moves to
-    (i - j) mod l and its charge gains e*((j - i - 1)//l + 1), one rotation
-    in O(l).
+    tokens ("sigma", c), ("wrap", k, r) and ("unwrap", k, r); unwrap is
+    the last branch, so any other token fails at its unpacking.  Each
+    component travels as the partition it is, at a charge that the walk
+    carries along.  At k = 0 a wrap or unwrap passes no row:
+    ("unwrap", 0, r) is tau^r and ("wrap", 0, r) is tau^-r, which only
+    rotate the rows and shift their charges.
 
     sigma_c is `_sigma` on the rows of components c, c+1.  A plain swap
     returns the two rows it was given, so a row that no matching touched
@@ -151,7 +153,8 @@ def _walk(mp, s, word, e):
     the charges fall and the far cycles come first: the first q are far
     while s[k] - q*e - s[k-1] >= n.  For an unwrap they rise and the far
     cycles come last, from the first rep at which s[k] - s[k-1] >= n.
-    With k = 0 nothing lies below and every cycle is far.  Either way the q
+    With k = 0 nothing lies below and every cycle is far, so tau^r costs
+    one charge update and fewer than l reps.  Either way the q
     cycles are one charge update, and the rest of the run goes rep by rep,
     its far reps cheap and its near reps at most about m*(n/e + 1), so the
     cost does not grow with r.
@@ -185,7 +188,7 @@ def _walk(mp, s, word, e):
                     i += 1
                 rows.insert(k, row)
                 s.insert(k, a)
-        elif kind == "unwrap":
+        else:
             _, k, r = gen
             m = l - k
             while r:
@@ -203,11 +206,6 @@ def _walk(mp, s, word, e):
                 rows.append(row)
                 s.append(a + e)
                 r -= 1
-        else:
-            j = gen[1]
-            h = j % l
-            s = [x + e * ((j - i - 1) // l + 1) for i, x in enumerate(s)]
-            rows, s = rows[h:] + rows[:h], s[h:] + s[:h]
     return tuple(rows), tuple(s)
 
 

@@ -111,8 +111,9 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
                 record("lift_first_nonempty", reference[0] != (), skey)
             record("core_empty_lift", reference[1] != () or is_core, skey)
             record("blockwise_lift", lifted == reference, skey)
-            # The word to ups[s] + (0, e) is the word to ups[s] followed by sigma_1, tau.
-            relifted, _ = crystal._walk(reference, ups[s], (("sigma", 1), ("tau", 1)), e)
+            # The word to ups[s] + (0, e) is the word to ups[s] followed by
+            # sigma_1, tau; tau is the k = 0 unwrap.
+            relifted, _ = crystal._walk(reference, ups[s], (("sigma", 1), ("unwrap", 0, 1)), e)
             record("lift_k_stable", relifted == reference, skey)
         if lam:
             smaller, removed = involution.xu_strip(lam, e)

@@ -402,6 +402,7 @@ def im_sharp(ms, e):
     empty multipartition and send f_i x to f_{-i} of the image.  t is
     fundamental, so `_chi` reads the image there with no transport.
     """
+    e = _int_arg("e", e, 2)
     ms = check_multisegment(ms, e)
     if not ms:
         return ()

@@ -45,7 +45,8 @@ def canonical(segments):
 
 def is_aperiodic(ms, e):
     """No length L has segments of that length realizing every tail residue."""
-    return _is_aperiodic(check_multisegment(ms, e), _int_arg("e", e, 2))
+    e = _int_arg("e", e, 2)
+    return _is_aperiodic(check_multisegment(ms, e), e)
 
 
 def chi(mp, charge, e):

@@ -116,11 +116,10 @@ def im_preimage(ms):
 def expand(word):
     """The run-length word as plain generators ("sigma", c) and ("tau", 1 or -1), one per step.
 
-    ("wrap", k, r) is (tau^-1, sigma_1, ..., sigma_k) repeated r times,
+    ("wrap", k, r) is (tau^-1, sigma_1, ..., sigma_k) repeated r times and
     ("unwrap", k, r) its inverse (sigma_k, ..., sigma_1, tau) repeated r
-    times, and ("tau", j) is tau^j for j of either sign.  A plain word is a
-    run-length word whose runs all have length 1, so the package's walk
-    reads both.
+    times; plain generators pass through.  The package's walk reads no tau
+    token: `walkable` writes a plain word in its tokens.
     """
     out = []
     for gen in word:
@@ -129,11 +128,15 @@ def expand(word):
             out += ([("tau", -1)] + [("sigma", c) for c in range(1, gen[1] + 1)]) * gen[2]
         elif kind == "unwrap":
             out += ([("sigma", c) for c in range(gen[1], 0, -1)] + [("tau", 1)]) * gen[2]
-        elif kind == "tau":
-            out += [("tau", 1 if gen[1] > 0 else -1)] * abs(gen[1])
         else:
             out.append(gen)
     return out
+
+
+def walkable(word):
+    """A plain word in the walk's tokens: tau as ("unwrap", 0, 1), tau^-1 as ("wrap", 0, 1)."""
+    tokens = {("tau", 1): ("unwrap", 0, 1), ("tau", -1): ("wrap", 0, 1)}
+    return [tokens.get(gen, gen) for gen in word]
 
 
 def apply_word(s, word, e):

@@ -19,6 +19,7 @@ from conftest import (
     decode_symbol,
     fundamental_charges,
     itertools_multipartitions,
+    walkable,
 )
 
 from mullineux import difftest
@@ -304,8 +305,8 @@ def test_round_trip_shift_pairs():
             for s in range(e):
                 for n in range(9):
                     for mp in enumerate_phi(n, (0, s), e):
-                        up, up_charge = _walk(mp, (0, s), (("sigma", 1), ("tau", 1)), e)
-                        down, down_charge = _walk(up, up_charge, (("tau", -1), ("sigma", 1)), e)
+                        up, up_charge = _walk(mp, (0, s), walkable([("sigma", 1), ("tau", 1)]), e)
+                        down, down_charge = _walk(up, up_charge, walkable([("tau", -1), ("sigma", 1)]), e)
                         assert (down, down_charge) == (mp, (0, s)), (mp, s, e)
 
 

@@ -160,6 +160,22 @@ def test_sample_call_is_valid_at_e_3(label):
     E_CALLS[label](3)
 
 
+class IndexInt:
+    """An integer type that is not int: it defines only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# e is read once with operator.index at the boundary, and the int goes down.
+@pytest.mark.parametrize("label", sorted(E_CALLS))
+def test_an_index_type_e_answers_as_its_int(label):
+    assert E_CALLS[label](IndexInt(3)) == E_CALLS[label](3)
+
+
 # A string or None is an InputError too, never a TypeError from a comparison.
 @pytest.mark.parametrize("e", [0, 1, 2.5, 3.0, "3", None])
 @pytest.mark.parametrize("label", sorted(E_CALLS))

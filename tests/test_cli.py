@@ -514,6 +514,23 @@ def test_importing_the_cli_loads_neither_json_nor_difftest(module):
     assert loaded_by_importing_the_cli(module) is False
 
 
+def test_difftest_prints_the_same_bytes_with_a_process_pool():
+    # difftest runs on min(jobs, tasks, cpus) processes, so on a one-cpu
+    # machine --jobs 2 runs in process too and both runs take the same branch.
+    src = str(Path(mullineux.__file__).resolve().parent.parent)
+
+    def output(jobs):
+        return subprocess.run(
+            [sys.executable, "-m", "mullineux.cli", "difftest", "--e-range", "2..3", "--max-n", "8", "--jobs", jobs],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            check=True,
+            timeout=60,
+        ).stdout
+
+    assert output("2") == output("1")
+
+
 @pytest.mark.parametrize("n", [sys.maxsize, 10**20])
 @pytest.mark.parametrize("charge", [None, "0", "0,1"])
 def test_enumerate_past_the_largest_sequence_exits_2_without_traceback(charge, n):

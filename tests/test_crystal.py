@@ -25,6 +25,7 @@ from conftest import (
     part,
     partitions,
     partitions_up_to,
+    walkable,
 )
 
 from mullineux.charges import (
@@ -216,9 +217,9 @@ def test_membership_table():
 
 
 # The walk of sigma_1 then tau, which raises the second charge by e, and of
-# its inverse, tau inverse then sigma_1.
-SHIFT_UP = (("sigma", 1), ("tau", 1))
-SHIFT_DOWN = (("tau", -1), ("sigma", 1))
+# its inverse, tau inverse then sigma_1; tau^±1 are the k = 0 unwrap and wrap.
+SHIFT_UP = (("sigma", 1), ("unwrap", 0, 1))
+SHIFT_DOWN = (("wrap", 0, 1), ("sigma", 1))
 
 
 def test_sigma_walk_examples():
@@ -230,23 +231,25 @@ def test_sigma_walk_examples():
 
 
 def test_psi_tau_round_trip():
-    moved, charge = _walk(((1,), (2,)), (0, 1), (("tau", 1),), 3)
+    moved, charge = _walk(((1,), (2,)), (0, 1), walkable([("tau", 1)]), 3)
     assert (moved, charge) == (((2,), (1,)), (1, 3))
-    back, back_charge = _walk(moved, charge, (("tau", -1),), 3)
+    back, back_charge = _walk(moved, charge, walkable([("tau", -1)]), 3)
     assert (back, back_charge) == (((1,), (2,)), (0, 1))
 
 
 @pytest.mark.parametrize("j", [-7, -4, -3, -2, -1, 1, 2, 3, 4, 7])
 def test_a_tau_run_walks_as_its_expansion(j):
-    # ("tau", j) is one rotation in closed form; it must agree with |j| single
-    # rotations, also when |j| passes the level and rows wrap more than once.
+    # tau^j is the k = 0 unwrap (j > 0) or wrap (j < 0), whose whole cycles
+    # are one charge update; it must agree with |j| single rotations, also
+    # when |j| passes the level and rows wrap more than once.
     e = 3
+    word = (("unwrap", 0, j),) if j > 0 else (("wrap", 0, -j),)
     for s in ((2,), (0, 1), (5, -1), (0, 1, 2), (4, 0, -3)):
         for n in range(4):
             for mp in itertools_multipartitions(n, len(s)):
-                got = _walk(mp, s, (("tau", j),), e)
-                assert got == stepwise_walk(mp, s, (("tau", j),), e), (mp, s, j)
-                assert got[1] == apply_word(s, (("tau", j),), e), (mp, s, j)
+                got = _walk(mp, s, word, e)
+                assert got == stepwise_walk(mp, s, word, e), (mp, s, j)
+                assert got[1] == apply_word(s, word, e), (mp, s, j)
 
 
 def test_shift_walk_examples():
@@ -320,7 +323,7 @@ def test_psi_is_the_walk_of_its_generators():
     e, s, t = 3, (0, 1), (0, 7)
 
     def walk(mp, charge, to):
-        for gen in expand(_path_word(charge, to, e)):
+        for gen in walkable(expand(_path_word(charge, to, e))):
             mp, charge = _walk(mp, charge, (gen,), e)
         assert charge == to
         return mp
@@ -419,7 +422,7 @@ def assert_transport_matches_stepwise(mp, s, targets, e):
     if len(s) == 2:
         words += [SHIFT_UP, SHIFT_DOWN]
     for word in words:
-        assert _walk(mp, s, word, e) == stepwise_walk(mp, s, word, e), (mp, s, word, e)
+        assert _walk(mp, s, walkable(word), e) == stepwise_walk(mp, s, word, e), (mp, s, word, e)
 
 
 def orbit_charge(rng, s, e, spread=2):
@@ -595,7 +598,7 @@ def test_enumerate_phi_walks_no_transport(monkeypatch):
 
 def expanded_walk(mp, s, t, e):
     """psi walked one generator per token, along the expanded path word."""
-    return _walk(mp, s, expand(_path_word(s, t, e)), e)[0]
+    return _walk(mp, s, walkable(expand(_path_word(s, t, e))), e)[0]
 
 
 def test_a_matching_that_fails_inside_a_token_names_its_step(monkeypatch):
@@ -720,10 +723,10 @@ def test_sigma_swaps_exactly_from_the_containment_threshold(monkeypatch):
 
 
 def test_the_walk_returns_the_rows_it_did_not_match():
-    """At a very dominant charge the lift_k_stable word, sigma_1 then tau,
-    only swaps and rotates, and hands back the input's own components; a
-    sigma_1 that matches builds new ones."""
-    word = (("sigma", 1), ("tau", 1))
+    """At a very dominant charge the lift_k_stable word, sigma_1 then tau
+    (the k = 0 unwrap), only swaps and rotates, and hands back the input's
+    own components; a sigma_1 that matches builds new ones."""
+    word = (("sigma", 1), ("unwrap", 0, 1))
     for e in (2, 3, 5):
         for n in range(7):
             for mp in itertools_multipartitions(n, 2):

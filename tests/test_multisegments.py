@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import walkable
+
 from mullineux.core import enumerate_e_regular
 
 from mullineux.crystal import _walk, enumerate_phi
@@ -129,7 +131,7 @@ def test_chi_invariant_under_rotation():
     e = 3
     for n in range(8):
         for mp in enumerate_phi(n, (0, 1), e):
-            moved, charge = _walk(mp, (0, 1), (("tau", 1),), e)
+            moved, charge = _walk(mp, (0, 1), walkable([("tau", 1)]), e)
             assert chi(moved, charge, e) == chi(mp, (0, 1), e), mp
 
 
