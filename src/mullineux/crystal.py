@@ -33,15 +33,17 @@ the crystal route runs `_lift` and `_lower`, with psi as their reference.
 `_string_image` is the level-k string kernel: it peels a member down to the
 empty multipartition one whole crystal string at a time and regrows the
 strings at another charge with negated residues, reading the signatures
-only at the corners of the multipartition.  `_corners` sorts the corners
-once, by residue and each residue's run in signature order.  A peel
-reduces the runs in one pass up to the least residue with a good removable
-node (`_peel`); `_addables` keeps each run's uncancelled addable nodes as a
-stack, for every residue or for one.  `_grow(mp, t, e, j, a)` is f_j^a, and
-only `_string_image` negates residues; `enumerate_phi` adds the first node
-of each stack.  `involution.im_sharp` runs the kernel in place of a
-transport, and `enumerate_phi` grows the members from the empty
-multipartition with it.
+only at the corners of the multipartition.  It copies the member once into
+a list of row lists and peels and regrows that list in place (`_move`).
+`_corners` sorts the corners once, by residue and each residue's run in
+signature order.  A peel reduces the runs in one pass up to the least
+residue with a good removable node and returns that string's nodes
+(`_peel`); `_addables` keeps each run's uncancelled addable nodes as a
+stack, for every residue or for one.  `_grow(rows, t, e, j, a)` returns the
+a nodes that f_j^a adds, and only `_string_image` negates residues;
+`enumerate_phi` adds the first node of each stack, rebuilding only its
+component.  `involution.im_sharp` runs the kernel in place of a transport,
+and `enumerate_phi` grows the members from the empty multipartition with it.
 """
 
 import operator
@@ -304,13 +306,21 @@ def enumerate_phi(n, charge, e):
     any charge: rank k + 1 is every f_i x, x of rank k and i a residue whose
     reduced signature has an addable node, the first of which f_i adds.  So
     no transport runs, and each member's corners are read in one pass
-    (`_addables`).
+    (`_addables`).  f_i adds one node, so only its component is rebuilt.
     """
     n, s, e = _int_arg("rank", n, 0), check_charge(charge), _int_arg("e", e, 2)
     _rank_bound(n)
     members = {((),) * len(s)}
     for _ in range(n):
-        members = {_moved(mp, (stack[0],), 1) for mp in members for stack in _addables(mp, s, e).values() if stack}
+        grown = set()
+        for mp in members:
+            for stack in _addables(mp, s, e).values():
+                if stack:
+                    c, r = stack[0]
+                    lam = mp[c]
+                    lam = lam + (1,) if r > len(lam) else lam[: r - 1] + (lam[r - 1] + 1,) + lam[r:]
+                    grown.add(mp[:c] + (lam,) + mp[c + 1 :])
+        members = grown
     return tuple(sorted(members))
 
 
@@ -385,38 +395,36 @@ def _addables(mp, s, e, j=None):
     return out
 
 
-def _moved(mp, nodes, step):
-    """mp with `step`, 1 or -1, added at each (component, row) of `nodes`,
-    which lie in distinct rows.  A row one past its component's end is new,
-    and a last row brought to 0 is dropped; only touched components are
-    rebuilt."""
-    touched = {}
+def _move(rows, nodes, step):
+    """Add `step`, 1 or -1, in place at each (component, row) of `nodes` in
+    `rows`, a list of row lists; the nodes lie in distinct rows.  A row one
+    past its component's end is appended, and a last row brought to 0 is
+    popped: a removable node can empty only its component's last row."""
     for c, r in nodes:
-        lam = touched.get(c)
-        if lam is None:
-            lam = touched[c] = [*mp[c], 0]
-        lam[r - 1] += step
-    out = list(mp)
-    for c, lam in touched.items():
-        while lam and not lam[-1]:
+        lam = rows[c]
+        if r > len(lam):
+            lam.append(step)
+        elif lam[r - 1] + step:
+            lam[r - 1] += step
+        else:
             lam.pop()
-        out[c] = tuple(lam)
-    return tuple(out)
 
 
-def _peel(mp, s, e):
-    """(i, a, e_i^a mp) for the least residue i with a = epsilon_i(mp) > 0,
-    mp checked at s and not empty.
+def _peel(rows, s, e):
+    """(i, nodes): the least residue i with epsilon_i > 0 and the a =
+    epsilon_i removable nodes that e_i^a takes off, as (component, row), of
+    rows checked at s and not empty.
 
     e_i removes the last R of the reduced i-signature R^a A^b; that node
     becomes an A of the same key, and no other node of residue i changes,
     so e_i^a removes all a of them at once.  One pass over `_corners` reads
     the residues in increasing order, each keeping only the count of
     uncancelled addables that a later removable cancels, and stops at the
-    end of the first residue that leaves a removable uncancelled.
+    end of the first residue that leaves a removable uncancelled.  The
+    caller takes the nodes off (`_move`).
     """
     removable, cur, b = [], None, 0
-    for i, _, c, r, kind in _corners(mp, s, e):
+    for i, _, c, r, kind in _corners(rows, s, e):
         if i != cur:
             if removable:
                 break
@@ -428,25 +436,27 @@ def _peel(mp, s, e):
         else:
             removable.append((c, r))
     if not removable:
-        raise InternalError(f"no residue has a good removable node in {mp} at {s} mod {e}")
-    return cur, len(removable), _moved(mp, removable, -1)
+        raise InternalError(f"no residue has a good removable node in {tuple(map(tuple, rows))} at {s} mod {e}")
+    return cur, removable
 
 
-def _grow(mp, t, e, j, a):
-    """f_j^a mp, mp checked at t: mp with the first a addable nodes of its
-    reduced j-signature R^b A^c added.
+def _grow(rows, t, e, j, a):
+    """The nodes that f_j^a adds to rows checked at t, as (component, row):
+    the first a addable nodes of the reduced j-signature R^b A^c.
 
     f_j turns the first A into an R and changes no other node of residue j,
     so f_j^a adds the first a at once.  Only residue j's corners are built
     and reduced (`_addables`).  The residue is the one given: a caller that
-    regrows along Ford–Kleshchev's rule negates it itself.
+    regrows along Ford–Kleshchev's rule negates it itself.  The caller adds
+    the nodes (`_move`).
     """
-    addable = _addables(mp, t, e, j).get(j, [])
+    addable = _addables(rows, t, e, j).get(j, [])
     if len(addable) < a:
         raise InternalError(
-            f"a {j}-string of length {a} does not regrow on {mp} at {t} mod {e}: {len(addable)} good addable nodes"
+            f"a {j}-string of length {a} does not regrow on {tuple(map(tuple, rows))} at {t} mod {e}: "
+            f"{len(addable)} good addable nodes"
         )
-    return _moved(mp, addable[:a], 1)
+    return addable[:a]
 
 
 def _string_image(mp, s, t, e):
@@ -460,15 +470,19 @@ def _string_image(mp, s, t, e):
     the negation is here, and `_grow` adds the residue it is given.  Each
     peel is one sorted pass over mp's corners and each regrowth one over
     residue -i's: the work does not grow with e, and shares nothing with
-    `_walk` or `_sigma`.
+    `_walk` or `_sigma`.  mp is copied once into a list of row lists, which
+    every string peels and regrows in place (`_move`), and is made a tuple
+    of tuples again only at the end.
     """
+    rows = [list(lam) for lam in mp]
     strings = []
-    while any(mp):
-        i, a, mp = _peel(mp, s, e)
-        strings.append((i, a))
+    while any(rows):
+        i, nodes = _peel(rows, s, e)
+        _move(rows, nodes, -1)
+        strings.append((i, len(nodes)))
     for i, a in reversed(strings):
-        mp = _grow(mp, t, e, -i % e, a)
-    return mp
+        _move(rows, _grow(rows, t, e, -i % e, a), 1)
+    return tuple(map(tuple, rows))
 
 
 def blockwise_lift(lam, e, s):

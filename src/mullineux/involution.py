@@ -39,10 +39,11 @@ the sorted heads.  ak_mullineux fixes the empty multipartition and sends
 f_i x to f_{-i} of the image, so `crystal._string_image` peels the preimage
 one whole i-string at a time and regrows the strings, residues negated, at
 t = transpose_charge(s), where ak_mullineux's image lands; t is
-fundamental, so `multisegments._chi` reads it there as it is.  im_sharp
-checks its multisegment and then runs the unchecked bodies `_is_aperiodic`
-(crystal's, which is also FLOTW (3)), `charges._transpose`, `_string_image`
-and `_chi` on values it built itself.  Its reference is
+fundamental, so chi is the image's rows read as segments at t
+(`crystal._segments`), with no transport.  im_sharp checks its multisegment
+and then runs the unchecked bodies `_is_aperiodic` (crystal's, which is
+also FLOTW (3)), `charges._transpose`, `_string_image` and `_segments` on
+values it built itself.  Its reference is
 chi(ak_mullineux(pre, s, t, e), t, e).
 """
 
@@ -60,9 +61,9 @@ from .core import (
     _regular_input,
     check_partition,
 )
-from .crystal import _charged_input, _lift, _lower, _membership, _psi, _string_image
+from .crystal import _charged_input, _lift, _lower, _membership, _psi, _segments, _string_image
 from .errors import InputError, InternalError, NoPathError
-from .multisegments import _chi, _is_aperiodic, check_multisegment
+from .multisegments import _is_aperiodic, canonical, check_multisegment
 from .theta import _theta
 
 
@@ -400,7 +401,8 @@ def im_sharp(ms, e):
     string by string and regrows the strings at t = transpose_charge(s),
     which gives ak_mullineux(pre, s, t, e), its reference: both fix the
     empty multipartition and send f_i x to f_{-i} of the image.  t is
-    fundamental, so `_chi` reads the image there with no transport.
+    fundamental, so chi of the image is its rows read as segments at t,
+    with no transport.
     """
     e = _int_arg("e", e, 2)
     ms = check_multisegment(ms, e)
@@ -411,4 +413,4 @@ def im_sharp(ms, e):
     segs = sorted(ms, key=lambda seg: (seg[0], -seg[1]))
     s = tuple(head for head, _ in segs)
     t = _transpose(s)
-    return _chi(_string_image(tuple((length,) for _, length in segs), s, t, e), t, e)
+    return canonical(_segments(_string_image(tuple((length,) for _, length in segs), s, t, e), t, e))

@@ -47,6 +47,7 @@ from mullineux.crystal import (
     _grow,
     _lift,
     _lower,
+    _move,
     _peel,
     _psi,
     _walk,
@@ -774,14 +775,15 @@ def test_psi_preserves_membership():
 def regrown_strings(mp, s, t, e):
     """mp peeled at s down to the empty multipartition one string (i, a) at
     a time by the string kernel, and the strings regrown at t with their
-    residues unchanged, last string first."""
-    strings = []
-    while any(mp):
-        i, a, mp = _peel(mp, s, e)
-        strings.append((i, a))
+    residues unchanged, last string first, on one list of rows in place."""
+    rows, strings = [list(lam) for lam in mp], []
+    while any(rows):
+        i, nodes = _peel(rows, s, e)
+        _move(rows, nodes, -1)
+        strings.append((i, len(nodes)))
     for i, a in reversed(strings):
-        mp = _grow(mp, t, e, i, a)
-    return mp
+        _move(rows, _grow(rows, t, e, i, a), 1)
+    return tuple(map(tuple, rows))
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])
@@ -808,9 +810,10 @@ def test_psi_is_the_regrowth_of_the_members_strings(e):
 
 def peels_to_empty(mp, s, e):
     """Whether the string kernel peels mp at s down to the empty multipartition."""
+    rows = [list(lam) for lam in mp]
     try:
-        while any(mp):
-            mp = _peel(mp, s, e)[2]
+        while any(rows):
+            _move(rows, _peel(rows, s, e)[1], -1)
     except InternalError:
         return False
     return True

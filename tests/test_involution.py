@@ -49,7 +49,7 @@ from mullineux.charges import (
     very_dominant_representative,
 )
 
-from mullineux.crystal import _addables, _corners, _grow, _peel, _string_image, enumerate_phi, psi
+from mullineux.crystal import _addables, _corners, _grow, _move, _peel, _string_image, enumerate_phi, psi
 
 from mullineux.errors import InputError, InternalError, NoPathError
 
@@ -737,25 +737,34 @@ STRING_CASES = [(e, level, top) for e in range(2, 6) for level, top in ((1, 7), 
 @pytest.mark.parametrize("e, level, top", STRING_CASES)
 def test_string_kernel_matches_the_crystal_reference_node_by_node(e, level, top):
     # Each string the kernel peels is the least residue with a good
-    # removable node, taken node by node until none is left; each string it
-    # regrows is that many good addable nodes of the negated residue.
+    # removable node, taken node by node until none is left: the peel's
+    # nodes, last first.  Each string it regrows is that many good addable
+    # nodes of the negated residue, in the order the regrowth lists them.
     for s in fundamental_charges(e, level):
         t = transpose_charge(s)
         for n in range(top + 1):
             for mp in enumerate_phi(n, s, e):
-                cur, strings = mp, []
+                rows, cur, strings = [list(lam) for lam in mp], mp, []
                 while any(cur):
-                    i, a, peeled = _peel(cur, s, e)
+                    i, nodes = _peel(rows, s, e)
                     assert i == min(j for j in range(e) if good_nodes(cur, s, e, j)[0]), (cur, s, e)
-                    for _ in range(a):
-                        cur = moved(cur, good_nodes(cur, s, e, i)[0], -1)
-                    assert good_nodes(cur, s, e, i)[0] is None and cur == peeled, (mp, s, e, i, a)
-                    strings.append((i, a))
+                    taken = []
+                    for _ in nodes:
+                        taken.append(good_nodes(cur, s, e, i)[0])
+                        cur = moved(cur, taken[-1], -1)
+                    assert taken == nodes[::-1] and good_nodes(cur, s, e, i)[0] is None, (mp, s, e, i, nodes)
+                    _move(rows, nodes, -1)
+                    assert tuple(map(tuple, rows)) == cur, (mp, s, e, i, nodes)
+                    strings.append((i, len(nodes)))
                 for i, a in reversed(strings):
-                    grown = _grow(cur, t, e, -i % e, a)
+                    nodes = _grow(rows, t, e, -i % e, a)
+                    taken = []
                     for _ in range(a):
-                        cur = moved(cur, good_nodes(cur, t, e, -i % e)[1], 1)
-                    assert cur == grown, (mp, s, e, i, a)
+                        taken.append(good_nodes(cur, t, e, -i % e)[1])
+                        cur = moved(cur, taken[-1], 1)
+                    assert taken == nodes, (mp, s, e, i, a)
+                    _move(rows, nodes, 1)
+                    assert tuple(map(tuple, rows)) == cur, (mp, s, e, i, a)
                 assert cur == _string_image(mp, s, t, e) == branching_image(mp, s, e), (mp, s, e)
 
 
@@ -789,7 +798,49 @@ def test_one_pass_reductions_match_the_reference_signatures(e, level, top):
                 peeled = mp
                 for node in removables[i]:
                     peeled = moved(peeled, node, -1)
-                assert _peel(mp, s, e) == (i, len(removables[i]), peeled), (mp, s, e)
+                rows = [list(lam) for lam in mp]
+                assert _peel(rows, s, e) == (i, removables[i]), (mp, s, e)
+                _move(rows, removables[i], -1)
+                assert tuple(map(tuple, rows)) == peeled, (mp, s, e)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_move_is_the_reference_move_of_every_kernel_string(e):
+    # The kernel peels and regrows one list of rows in place (`_move`); the
+    # reference rebuilds a tuple of tuples per node (`moved`).  Every string
+    # that `_string_image` peels or regrows at levels 1-4 is moved both ways,
+    # the reference node by node, and the image comes back as hashable
+    # tuples.  Among the moves are components emptied to () and rows
+    # appended one past a component's end.
+    emptied = appended = 0
+    for level, top in ((1, 6), (2, 5), (3, 4), (4, 3)):
+        for s in fundamental_charges(e, level):
+            t = transpose_charge(s)
+            for n in range(top + 1):
+                for mp in enumerate_phi(n, s, e):
+                    rows, strings, moves = [list(lam) for lam in mp], [], []
+                    while any(rows):
+                        i, nodes = _peel(rows, s, e)
+                        moves.append((nodes, -1))
+                        strings.append((i, len(nodes)))
+                        _move(rows, nodes, -1)
+                    for i, a in reversed(strings):
+                        moves.append((_grow(rows, t, e, -i % e, a), 1))
+                        _move(rows, moves[-1][0], 1)
+                    cur = mp
+                    for nodes, step in moves:
+                        before = cur
+                        for node in nodes:
+                            cur = moved(cur, node, step)
+                        rows = [list(lam) for lam in before]
+                        _move(rows, nodes, step)
+                        assert tuple(map(tuple, rows)) == cur, (mp, s, e, nodes, step)
+                        emptied += sum(1 for c in range(level) if before[c] and not cur[c])
+                        appended += sum(1 for c, r in nodes if r == len(before[c]) + 1)
+                    image = _string_image(mp, s, t, e)
+                    assert image == cur and type(image) is tuple, (mp, s, e)
+                    assert all(type(lam) is tuple for lam in image) and hash(image) == hash(cur), (mp, s, e)
+    assert emptied and appended
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])
