@@ -10,10 +10,11 @@
 * kleshchev_oracle: the branching-rule recursion, one i-string at a time
   (peel every uncancelled removable node of the least residue i carrying
   one, recurse, add that many of the highest uncancelled addable nodes of
-  residue -i).  Each step is one pass over the corners of the partition,
-  the top and bottom rows of its blocks of equal parts: a peel keeps the
+  residue -i).  `_kleshchev_peel` (e_i^max) and `_kleshchev_grow` (f_j^k,
+  given j = -i) each make one pass over the corners of the partition, the
+  top and bottom rows of its blocks of equal parts: the peel keeps the
   uncancelled removable rows of every residue and only counts the addables
-  that cancel them, a regrow keeps the addable rows of residue -i alone.
+  that cancel them, the regrow keeps the addable rows of residue j alone.
   The recursion goes one call deeper per string, not per node.
 mullineux_crystal checks its input once; `_crystal` then runs the unchecked
 bodies `crystal._lift`, `crystal._lower`, `core._is_strict_core` and
@@ -139,68 +140,6 @@ def _xu(lam, e, steps):
 # Branching-rule route
 # ---------------------------------------------------------------------------
 
-def _removable_rows(lam, e):
-    """Rows of the uncancelled removable i-nodes of a checked lam, as a dict
-    from each residue i that has one to its rows, top to bottom.
-
-    One pass over the corners: a block of equal parts has its addable node at
-    its top row and its removable node at its bottom row.  Read top to
-    bottom, a removable i-node cancels the nearest addable i-node above it
-    not yet cancelled, so only the count of those addables is kept, per
-    residue that occurs.  What is left of the removables is the R^a of the
-    reduced i-signature R^a A^b, and the good removable i-node is its last R.
-    The addable node in the row below lam has no removable below it to
-    cancel.  Both dicts are keyed by the residues of lam's corners, so
-    neither grows with e.
-    """
-    removable = {}
-    free = {}
-    prev = None
-    for r, p in enumerate(lam):
-        if p != prev:
-            if r:  # the block of parts prev ends in row r
-                i = (prev - r) % e
-                if free.get(i):
-                    free[i] -= 1
-                else:
-                    removable.setdefault(i, []).append(r)
-            i = (p - r) % e  # a block of parts p starts in row r + 1
-            free[i] = free.get(i, 0) + 1
-            prev = p
-    if lam:  # the last block ends in the last row
-        r = len(lam)
-        i = (prev - r) % e
-        if not free.get(i):
-            removable.setdefault(i, []).append(r)
-    return removable
-
-
-def _addable_rows(lam, e, j):
-    """Rows of the uncancelled addable j-nodes of a checked lam, top to bottom.
-
-    The same pass as `_removable_rows`, for the one residue j: the addable
-    j-nodes are kept as a stack that each removable j-node below them pops.
-    What is left is the A^b of the reduced j-signature R^a A^b, and the good
-    addable j-node is its first A.  The row below lam is the top of a block
-    of zeros, after the bottom row of lam's last block.
-    """
-    rows = []
-    prev = None
-    for r, p in enumerate(lam):
-        if p != prev:
-            if r and rows and (prev - r) % e == j:  # the block of parts prev ends in row r
-                rows.pop()
-            if (p - r) % e == j:  # a block of parts p starts in row r + 1
-                rows.append(r + 1)
-            prev = p
-    r = len(lam)
-    if r and rows and (prev - r) % e == j:
-        rows.pop()
-    if -r % e == j:
-        rows.append(r + 1)
-    return rows
-
-
 def kleshchev_oracle(lam, e):
     """Mullineux image by the branching recursion, one i-string at a time.
 
@@ -217,14 +156,36 @@ def kleshchev_oracle(lam, e):
 def _kleshchev_peel(lam, e):
     """(i, k, e_i^k lam) for the least residue i with k = epsilon_i(lam) > 0.
 
-    `_removable_rows` keys only the residues with a good removable node, so
-    i is its least key.  Read top to bottom, the reduced i-signature is
-    R^a A^b.  e_i removes the lowest R, and that position becomes an A, so
-    e_i^max removes all a of them, and removing an i-node changes no other
-    i-node's status.  The a nodes lie in a distinct rows, one in each; only
-    the last row can reach 0.
+    One pass over the corners of a checked lam: a block of equal parts has
+    its addable node at its top row and its removable node at its bottom
+    row.  Read top to bottom, a removable i-node cancels the nearest
+    uncancelled addable i-node above it, so `free` counts only those
+    addables; the addable node in the row below lam has no removable below
+    it to cancel.  `removable` keeps the rows of what is left, the R^a of
+    each reduced i-signature R^a A^b, whose last R is the good removable
+    i-node, and only for the residues that have one, so i is its least key.
+    Both dicts are keyed by the residues of lam's corners, so neither grows
+    with e.  e_i removes the lowest R, which becomes an A, and changes no
+    other i-node's status, so e_i^max removes all a of them.  They lie in a
+    distinct rows, one in each; only the last row can reach 0.
     """
-    removable = _removable_rows(lam, e)
+    removable, free, prev = {}, {}, None
+    for r, p in enumerate(lam):
+        if p != prev:
+            if r:  # the block of parts prev ends in row r
+                i = (prev - r) % e
+                if free.get(i):
+                    free[i] -= 1
+                else:
+                    removable.setdefault(i, []).append(r)
+            i = (p - r) % e  # a block of parts p starts in row r + 1
+            free[i] = free.get(i, 0) + 1
+            prev = p
+    if lam:  # the last block ends in the last row
+        r = len(lam)
+        i = (prev - r) % e
+        if not free.get(i):
+            removable.setdefault(i, []).append(r)
     if not removable:
         raise InternalError(f"{lam} has no good removable node mod {e}")
     i = min(removable)
@@ -237,15 +198,32 @@ def _kleshchev_peel(lam, e):
     return i, len(rows), tuple(out)
 
 
-def _kleshchev_grow(lam, e, i, k):
-    """f_j^k lam for j = -i mod e: lam with its k highest uncancelled addable j-nodes added.
+def _kleshchev_grow(lam, e, j, k):
+    """f_j^k lam: a checked lam with its k highest uncancelled addable j-nodes added.
 
-    f_j turns the highest A of the reduced j-signature R^a A^b into an R,
-    and adding a j-node changes no other j-node's status, so f_j^k adds the
-    k highest.  They lie in distinct rows; only the row below lam can be new.
+    The residue is the one given: the callers, which regrow along
+    Ford–Kleshchev's rule, negate it themselves.  The pass of
+    `_kleshchev_peel` for the one residue j: the addable j-nodes are a stack
+    that each removable j-node below them pops, and the row below lam is the
+    top of a block of zeros, after the bottom row of lam's last block.  What
+    is left is the A^b of the reduced j-signature R^a A^b.  f_j turns its
+    first A, the good addable j-node, into an R and changes no other
+    j-node's status, so f_j^k adds the k highest.  They lie in distinct
+    rows; only the row below lam can be new.
     """
-    j = -i % e
-    rows = _addable_rows(lam, e, j)
+    rows, prev = [], None
+    for r, p in enumerate(lam):
+        if p != prev:
+            if r and rows and (prev - r) % e == j:  # the block of parts prev ends in row r
+                rows.pop()
+            if (p - r) % e == j:  # a block of parts p starts in row r + 1
+                rows.append(r + 1)
+            prev = p
+    r = len(lam)
+    if r and rows and (prev - r) % e == j:
+        rows.pop()
+    if -r % e == j:
+        rows.append(r + 1)
     if len(rows) < k:
         raise InternalError(f"{lam} has {len(rows)} good addable nodes of residue {j}, not {k}")
     out = [*lam, 0]
@@ -263,7 +241,7 @@ def _kleshchev(lam, e, images):
     img = images.get((lam, e))
     if img is None:
         i, k, peeled = _kleshchev_peel(lam, e)
-        img = images[lam, e] = _kleshchev_grow(_kleshchev(peeled, e, images), e, i, k)
+        img = images[lam, e] = _kleshchev_grow(_kleshchev(peeled, e, images), e, -i % e, k)
     return img
 
 
@@ -282,8 +260,9 @@ def kleshchev_trace(lam, e):
     steps = [(_string_label("peel", i, k), (0,), (state,)) for i, k, state in peels]
     img = ()
     for i, k, _ in reversed(peels):
-        img = _kleshchev_grow(img, e, i, k)
-        steps.append((_string_label("grow", -i % e, k), (0,), (img,)))
+        j = -i % e
+        img = _kleshchev_grow(img, e, j, k)
+        steps.append((_string_label("grow", j, k), (0,), (img,)))
     return img, steps
 
 

@@ -251,10 +251,12 @@ def test_running_out_of_memory_exits_3(capsys, monkeypatch):
 
 
 def test_a_peel_without_a_good_node_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(involution, "_removable_rows", lambda lam, e: {})
+    # A peel handed the empty partition trips its own guard.
+    peel = involution._kleshchev_peel
+    monkeypatch.setattr(involution, "_kleshchev_peel", lambda lam, e: peel((), e))
     code, out, err = run(capsys, "mullineux", "--e", "3", "--partition", "2", "--method", "kleshchev")
     assert (code, out) == (3, "")
-    assert err == "internal error: (2,) has no good removable node mod 3\n"
+    assert err == "internal error: () has no good removable node mod 3\n"
 
 
 def test_crystal_iso_rejects_wrong_orbit(capsys):

@@ -447,18 +447,36 @@ def test_kleshchev_matches_the_crystal_reference_on_larger_partitions(case):
 
 def test_good_nodes_cancelation():
     # The highest addable and lowest removable survive the pairing for (3,3).
-    removable = involution._removable_rows((3, 3), 3)
-    assert removable.get(1, []) == [2]
-    assert removable.get(0, []) == []
-    assert involution._addable_rows((3, 3), 3, 0) == [1]
+    assert involution._kleshchev_peel((3, 3), 3) == (1, 1, (3, 2))
+    assert involution._kleshchev_grow((3, 3), 3, 0, 1) == (4, 3)
+    # (1,1)'s one removable node is cancelled by the addable node above it.
+    with pytest.raises(InternalError):
+        involution._kleshchev_peel((1, 1), 2)
 
 
-def assert_signatures_match_reference(lam, e):
-    removable = involution._removable_rows(lam, e)
+def assert_steps_match_reference(lam, e):
+    # The regrowth of residue i adds the A rows of its reduced signature and
+    # no more; the peel takes the R rows of the least residue that has one.
+    removables = []
     for i in range(e):
         reduced = reduced_signature((lam,), (0,), e, i)
-        assert removable.get(i, []) == [r for kind, _, r in reduced if kind == "R"], (lam, e, i)
-        assert involution._addable_rows(lam, e, i) == [r for kind, _, r in reduced if kind == "A"], (lam, e, i)
+        removables.append([r for kind, _, r in reduced if kind == "R"])
+        addable = [r for kind, _, r in reduced if kind == "A"]
+        grown = (lam,)
+        for r in addable:
+            grown = moved(grown, (0, r), 1)
+        assert involution._kleshchev_grow(lam, e, i, len(addable)) == grown[0], (lam, e, i)
+        with pytest.raises(InternalError):
+            involution._kleshchev_grow(lam, e, i, len(addable) + 1)
+    i = next((i for i, rows in enumerate(removables) if rows), None)
+    if i is None:
+        with pytest.raises(InternalError):
+            involution._kleshchev_peel(lam, e)
+        return
+    peeled = (lam,)
+    for r in removables[i]:
+        peeled = moved(peeled, (0, r), -1)
+    assert involution._kleshchev_peel(lam, e) == (i, len(removables[i]), peeled[0]), (lam, e)
 
 
 def test_signatures_match_row_by_row_reference_exhaustively():
@@ -467,12 +485,59 @@ def test_signatures_match_row_by_row_reference_exhaustively():
     for e in range(2, 7):
         for n in range(13):
             for lam in enumerate_partitions(n):
-                assert_signatures_match_reference(lam, e)
+                assert_steps_match_reference(lam, e)
 
 
 @given(partitions_up_to(300, 60, regular=False))
 def test_signatures_match_row_by_row_reference_on_larger_partitions(case):
-    assert_signatures_match_reference(*case)
+    assert_steps_match_reference(*case)
+
+
+def kernel_peel(lam, e):
+    """`crystal._peel` and `_move` at the level-1 charge (0,), as (i, k, e_i^k lam)."""
+    rows = [list(lam)]
+    i, nodes = _peel(rows, (0,), e)
+    _move(rows, nodes, -1)
+    return i, len(nodes), tuple(rows[0])
+
+
+def kernel_grow(lam, e, j, k):
+    """`crystal._grow` and `_move` at the level-1 charge (0,): f_j^k lam."""
+    rows = [list(lam)]
+    _move(rows, _grow(rows, (0,), e, j, k), 1)
+    return tuple(rows[0])
+
+
+def outcome(step, *args):
+    try:
+        return step(*args)
+    except InternalError:
+        return InternalError
+
+
+def check_steps_are_the_kernel(es, top):
+    """Compare the branching route's steps with the string kernel at (0,) on
+    every partition of rank at most `top`, e-regular or not, at each e in
+    `es`; returns the number of (partition, e) pairs.  Both sides must
+    raise InternalError on the same inputs.  The CI runs it on a wider range.
+    """
+    pairs = 0
+    for e in es:
+        for n in range(top + 1):
+            for lam in enumerate_partitions(n):
+                assert outcome(involution._kleshchev_peel, lam, e) == outcome(kernel_peel, lam, e), (lam, e)
+                for j in range(e):
+                    for k in (1, 2, 3):
+                        grown = outcome(involution._kleshchev_grow, lam, e, j, k)
+                        assert grown == outcome(kernel_grow, lam, e, j, k), (lam, e, j, k)
+                pairs += 1
+    return pairs
+
+
+def test_level_one_steps_are_the_string_kernel_at_charge_zero():
+    # The level-1 copy of the branching rule and the level-k string kernel
+    # take the same strings: what a swap of one for the other relies on.
+    assert check_steps_are_the_kernel(range(2, 7), 16) == 4575
 
 
 @given(partitions_up_to(600, 120, regular=True))
@@ -909,8 +974,6 @@ def test_a_lift_that_is_not_e_regular_is_an_internal_error(monkeypatch):
     [
         ("_lift", lambda lam, e, s: ((), (1,)), mullineux_crystal, "lift of (3,) lost its first component"),
         ("_lift", lambda lam, e, s: ((1,), ()), mullineux_crystal, "lift of non-core (3,) has an empty second component"),
-        ("_removable_rows", lambda lam, e: {}, kleshchev_oracle, "(3,) has no good removable node mod 3"),
-        ("_addable_rows", lambda lam, e, j: [], kleshchev_oracle, "() has 0 good addable nodes of residue 0, not 1"),
     ],
 )
 def test_route_guards_raise_internal_errors(monkeypatch, helper, stand_in, route, message):
@@ -938,6 +1001,23 @@ def test_string_kernel_guards_raise_internal_errors(monkeypatch, stand_in, messa
     monkeypatch.setattr(crystal, "_corners", stand_in)
     with pytest.raises(InternalError) as info:
         im_sharp(((0, 1), (1, 2)), 3)
+    assert type(info.value) is InternalError and str(info.value) == message
+
+
+# The branching route's steps guard their own corners, so a call on an
+# input that no route passes trips each guard: the empty partition has no
+# removable node, and one addable node of residue 0 mod 3.
+@pytest.mark.parametrize(
+    "step, args, message",
+    [
+        (involution._kleshchev_peel, ((), 3), "() has no good removable node mod 3"),
+        (involution._kleshchev_grow, ((), 3, 0, 2), "() has 1 good addable nodes of residue 0, not 2"),
+    ],
+    ids=["peel", "grow"],
+)
+def test_kleshchev_step_guards_raise_internal_errors(step, args, message):
+    with pytest.raises(InternalError) as info:
+        step(*args)
     assert type(info.value) is InternalError and str(info.value) == message
 
 
