@@ -33,17 +33,19 @@ the crystal route runs `_lift` and `_lower`, with psi as their reference.
 `_string_image` is the level-k string kernel: it peels a member down to the
 empty multipartition one whole crystal string at a time and regrows the
 strings at another charge with negated residues, reading the signatures
-only at the corners of the multipartition.  It copies the member once into
-a list of row lists and peels and regrows that list in place (`_move`).
+only at the corners of the multipartition.  It works in place on the
+caller's list of row lists, in two loops that each move their own nodes.
 `_corners` sorts the corners once, by residue and each residue's run in
-signature order.  A peel reduces the runs in one pass up to the least
-residue with a good removable node and returns that string's nodes
-(`_peel`); `_addables` keeps each run's uncancelled addable nodes as a
-stack, for every residue or for one.  `_grow(rows, t, e, j, a)` returns the
-a nodes that f_j^a adds, and only `_string_image` negates residues;
-`enumerate_phi` adds the first node of each stack, rebuilding only its
-component.  `involution.im_sharp` runs the kernel in place of a transport,
-and `enumerate_phi` grows the members from the empty multipartition with it.
+signature order.  `_strings(rows, s, e)` peels whole strings, one pass
+each up to the least residue with a good removable node, and stops at a
+highest-weight vertex; `_regrow(rows, strings, t, e)` regrows (j, a)
+pairs, last first, as f_j^a, one pass over residue j's corners each.
+`_addables` keeps each residue's uncancelled addable nodes as a stack, for
+every residue or for one: `_regrow` adds the first a of residue j's, and
+`enumerate_phi` the first of each, rebuilding only its component.  Only
+`_string_image` negates residues.  `involution.im_sharp` runs the kernel
+in place of a transport, and `enumerate_phi` grows the members from the
+empty multipartition with it.
 """
 
 import operator
@@ -380,8 +382,8 @@ def _addables(mp, s, e, j=None):
     Read in signature order, a removable node cancels the nearest
     uncancelled addable node before it, so the uncancelled addables are a
     stack that each later removable pops.  A residue with no corner has no
-    entry.  `_peel` keeps its own pass, which stops early: one pass shared
-    by both cost the kernel about a tenth.
+    entry.  `_strings` keeps its own pass, which stops early: one pass
+    shared by both cost the kernel about a tenth.
     """
     out, cur = {}, None
     for i, _, c, r, kind in _corners(mp, s, e, j):
@@ -395,94 +397,96 @@ def _addables(mp, s, e, j=None):
     return out
 
 
-def _move(rows, nodes, step):
-    """Add `step`, 1 or -1, in place at each (component, row) of `nodes` in
-    `rows`, a list of row lists; the nodes lie in distinct rows.  A row one
-    past its component's end is appended, and a last row brought to 0 is
-    popped: a removable node can empty only its component's last row."""
-    for c, r in nodes:
-        lam = rows[c]
-        if r > len(lam):
-            lam.append(step)
-        elif lam[r - 1] + step:
-            lam[r - 1] += step
-        else:
-            lam.pop()
+def _strings(rows, s, e):
+    """Peel rows, a list of row lists checked at s, in place down to a
+    highest-weight vertex, one whole string at a time; returns the strings
+    (i, a) in peel order.
 
-
-def _peel(rows, s, e):
-    """(i, nodes): the least residue i with epsilon_i > 0 and the a =
-    epsilon_i removable nodes that e_i^a takes off, as (component, row), of
-    rows checked at s and not empty.
-
+    Each string is e_i^a for the least residue i with a = epsilon_i > 0.
     e_i removes the last R of the reduced i-signature R^a A^b; that node
     becomes an A of the same key, and no other node of residue i changes,
     so e_i^a removes all a of them at once.  One pass over `_corners` reads
-    the residues in increasing order, each keeping only the count of
-    uncancelled addables that a later removable cancels, and stops at the
-    end of the first residue that leaves a removable uncancelled.  The
-    caller takes the nodes off (`_move`).
+    the residues in increasing order, each keeping only the count b of
+    uncancelled addables that a later removable cancels.  A removable that
+    finds b = 0 is uncancelled for good, since only a removable cancels,
+    and only an addable before it: it is taken off as it is read, and the
+    pass stops at the end of the first residue that took one.  The nodes
+    lie in distinct rows, and a removable node can empty only its
+    component's last row, which is popped.  The rank is counted down, so
+    no pass runs at the empty multipartition; a pass that takes no node
+    leaves rows at a nonempty highest-weight vertex, a non-member's.
     """
-    removable, cur, b = [], None, 0
-    for i, _, c, r, kind in _corners(rows, s, e):
-        if i != cur:
-            if removable:
-                break
-            cur, b = i, 0
-        if kind:
-            b += 1
-        elif b:
-            b -= 1
-        else:
-            removable.append((c, r))
-    if not removable:
-        raise InternalError(f"no residue has a good removable node in {tuple(map(tuple, rows))} at {s} mod {e}")
-    return cur, removable
+    strings = []
+    n = sum(map(sum, rows))
+    while n:
+        cur, a = None, 0
+        for i, _, c, r, kind in _corners(rows, s, e):
+            if i != cur:
+                if a:
+                    break
+                cur, b = i, 0
+            if kind:
+                b += 1
+            elif b:
+                b -= 1
+            else:
+                lam = rows[c]
+                p = lam[r - 1]
+                if p > 1:
+                    lam[r - 1] = p - 1
+                else:
+                    lam.pop()
+                a += 1
+        if not a:
+            break
+        strings.append((cur, a))
+        n -= a
+    return strings
 
 
-def _grow(rows, t, e, j, a):
-    """The nodes that f_j^a adds to rows checked at t, as (component, row):
-    the first a addable nodes of the reduced j-signature R^b A^c.
+def _regrow(rows, strings, t, e):
+    """Regrow `strings`, (j, a) pairs in peel order, in place on rows, a list
+    of row lists checked at t: last string first, each as f_j^a.
 
-    f_j turns the first A into an R and changes no other node of residue j,
-    so f_j^a adds the first a at once.  Only residue j's corners are built
-    and reduced (`_addables`).  The residue is the one given: a caller that
-    regrows along Ford–Kleshchev's rule negates it itself.  The caller adds
-    the nodes (`_move`).
+    f_j turns the first A of the reduced j-signature R^b A^c into an R and
+    changes no other node of residue j, so f_j^a adds the first a addable
+    nodes of residue j's stack (`_addables`) at once.  The residue is the
+    one given: `_string_image` negates it.  The nodes lie in distinct rows,
+    and a node one row past its component's end starts a new row.
     """
-    addable = _addables(rows, t, e, j).get(j, [])
-    if len(addable) < a:
-        raise InternalError(
-            f"a {j}-string of length {a} does not regrow on {tuple(map(tuple, rows))} at {t} mod {e}: "
-            f"{len(addable)} good addable nodes"
-        )
-    return addable[:a]
+    for j, a in reversed(strings):
+        stack = _addables(rows, t, e, j).get(j, [])
+        if len(stack) < a:
+            raise InternalError(
+                f"a {j}-string of length {a} does not regrow on {tuple(map(tuple, rows))} at {t} mod {e}: "
+                f"{len(stack)} good addable nodes"
+            )
+        for c, r in stack[:a]:
+            lam = rows[c]
+            if r > len(lam):
+                lam.append(1)
+            else:
+                lam[r - 1] += 1
 
 
-def _string_image(mp, s, t, e):
-    """The crystal image at t of a checked member mp at s, with negated residues.
+def _string_image(rows, s, t, e):
+    """Replace rows, a member at s as a list of row lists, in place by its
+    crystal image at t with negated residues.
 
     The map fixes the empty multipartition and sends f_i x to f_{-i} of the
     image of x (Ford–Kleshchev's rule at level k, on the Fock space crystal
-    of Jimbo–Misra–Miwa–Okado and Uglov).  So mp is peeled down to the empty
-    multipartition one whole i-string at a time, least residue first, and
-    the strings are regrown at t with residue -i mod e, last string first:
-    the negation is here, and `_grow` adds the residue it is given.  Each
-    peel is one sorted pass over mp's corners and each regrowth one over
-    residue -i's: the work does not grow with e, and shares nothing with
-    `_walk` or `_sigma`.  mp is copied once into a list of row lists, which
-    every string peels and regrows in place (`_move`), and is made a tuple
-    of tuples again only at the end.
+    of Jimbo–Misra–Miwa–Okado and Uglov).  So rows is peeled down to the
+    empty multipartition one whole i-string at a time, least residue first
+    (`_strings`), and the strings are regrown at t with residue -i mod e,
+    last string first (`_regrow`).  Each peel is one sorted pass over the
+    corners and each regrowth one over residue -i's: the work does not grow
+    with e, and shares nothing with `_walk` or `_sigma`.  A member peels to
+    the empty multipartition; a stop anywhere else raises InternalError.
     """
-    rows = [list(lam) for lam in mp]
-    strings = []
-    while any(rows):
-        i, nodes = _peel(rows, s, e)
-        _move(rows, nodes, -1)
-        strings.append((i, len(nodes)))
-    for i, a in reversed(strings):
-        _move(rows, _grow(rows, t, e, -i % e, a), 1)
-    return tuple(map(tuple, rows))
+    strings = _strings(rows, s, e)
+    if any(rows):
+        raise InternalError(f"no residue has a good removable node in {tuple(map(tuple, rows))} at {s} mod {e}")
+    _regrow(rows, [(-i % e, a) for i, a in strings], t, e)
 
 
 def blockwise_lift(lam, e, s):

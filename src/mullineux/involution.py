@@ -41,11 +41,13 @@ f_i x to f_{-i} of the image, so `crystal._string_image` peels the preimage
 one whole i-string at a time and regrows the strings, residues negated, at
 t = transpose_charge(s), where ak_mullineux's image lands; t is
 fundamental, so chi is the image's rows read as segments at t
-(`crystal._segments`), with no transport.  im_sharp checks its multisegment
+(`crystal._segments`), with no transport.  im_sharp checks e once, reads
+its segments with `multisegments._segment_list`, check_multisegment's body,
 and then runs the unchecked bodies `_is_aperiodic` (crystal's, which is
 also FLOTW (3)), `charges._transpose`, `_string_image` and `_segments` on
-values it built itself.  Its reference is
-chi(ak_mullineux(pre, s, t, e), t, e).
+values it built itself: one list of row lists, one row per segment, which
+the kernel peels and regrows in place and which is read back as segments.
+Its reference is chi(ak_mullineux(pre, s, t, e), t, e).
 """
 
 from .charges import (
@@ -64,7 +66,7 @@ from .core import (
 )
 from .crystal import _charged_input, _lift, _lower, _membership, _psi, _segments, _string_image
 from .errors import InputError, InternalError, NoPathError
-from .multisegments import _is_aperiodic, canonical, check_multisegment
+from .multisegments import _head, _is_aperiodic, _length, _segment_list, canonical
 from .theta import _theta
 
 
@@ -381,15 +383,19 @@ def im_sharp(ms, e):
     which gives ak_mullineux(pre, s, t, e), its reference: both fix the
     empty multipartition and send f_i x to f_{-i} of the image.  t is
     fundamental, so chi of the image is its rows read as segments at t,
-    with no transport.
+    with no transport.  The preimage order is two stable sorts on one
+    field each, like `canonical`'s, so no sort key is built per segment.
     """
     e = _int_arg("e", e, 2)
-    ms = check_multisegment(ms, e)
-    if not ms:
+    segs = _segment_list(ms, e)
+    if not segs:
         return ()
-    if not _is_aperiodic(ms, e):
-        raise InputError(f"{ms} is not aperiodic mod {e}")
-    segs = sorted(ms, key=lambda seg: (seg[0], -seg[1]))
-    s = tuple(head for head, _ in segs)
+    if not _is_aperiodic(segs, e):
+        raise InputError(f"{canonical(segs)} is not aperiodic mod {e}")
+    segs.sort(key=_length, reverse=True)
+    segs.sort(key=_head)
+    s = tuple(map(_head, segs))
     t = _transpose(s)
-    return canonical(_segments(_string_image(tuple((length,) for _, length in segs), s, t, e), t, e))
+    rows = [[length] for _, length in segs]
+    _string_image(rows, s, t, e)
+    return canonical(_segments(rows, t, e))

@@ -16,15 +16,24 @@ charges it is defined by transporting the multipartition to the fundamental
 representative first.
 """
 
+from operator import itemgetter
+
 from .charges import _fundamental_representative
 from .core import _int_arg, _iter_arg
 from .crystal import _charged_input, _is_aperiodic, _psi, _segments
 from .errors import InputError
 
+_head, _length = itemgetter(0), itemgetter(1)
+
 
 def check_multisegment(ms, e):
     """Normalize to the canonical tuple of (head, length) pairs."""
-    e = _int_arg("e", e, 2)
+    return canonical(_segment_list(ms, _int_arg("e", e, 2)))
+
+
+def _segment_list(ms, e):
+    """check_multisegment at a checked e, before the sort: the checked
+    (head mod e, length) pairs as a list, in the order ms gives them."""
     segs = []
     for seg in _iter_arg("a multisegment", ms):
         try:
@@ -32,13 +41,19 @@ def check_multisegment(ms, e):
         except (TypeError, ValueError) as exc:
             raise InputError(f"a segment must be a (head, length) pair, got {seg!r}") from exc
         segs.append((_int_arg("segment head", head) % e, _int_arg("segment length", length, 1)))
-    return canonical(segs)
+    return segs
 
 
 def canonical(segments):
-    """Canonical order: length descending, then head ascending."""
+    """Canonical order: length descending, then head ascending.
+
+    Two stable sorts on one field each, the minor field first, so no sort
+    key is built per segment.
+    """
     try:
-        return tuple(sorted(segments, key=lambda seg: (-seg[1], seg[0])))
+        out = sorted(segments, key=_head)
+        out.sort(key=_length, reverse=True)
+        return tuple(out)
     except (IndexError, TypeError) as exc:
         raise InputError(f"canonical needs (head, length) segments, got {segments!r}") from exc
 

@@ -219,6 +219,10 @@ def test_non_integer_arguments_are_input_errors(call):
         (lambda: blockwise_lower(PAIR, 3, 0), "s must be in 1..2, got 0"),
         (lambda: mullineux_crystal((2,), 3, 3), "s must be in 1..2, got 3"),
         (lambda: check_multisegment(((0, 0),), 3), "segment length must be >= 1, got 0"),
+        (lambda: im_sharp(((0, 0),), 3), "segment length must be >= 1, got 0"),
+        # im_sharp reads e before its segments, so a bad e is reported first.
+        (lambda: im_sharp(5, 1), "e must be >= 2, got 1"),
+        (lambda: im_sharp(((0, 0),), 0), "e must be >= 2, got 0"),
         (lambda: sharp_very_dominant(S, -1, 3), "n must be >= 0, got -1"),
         (lambda: very_dominant_representative(S, -1, 3), "n must be >= 0, got -1"),
         (lambda: list(enumerate_partitions(-1)), "rank must be >= 0, got -1"),
@@ -262,6 +266,12 @@ def test_out_of_range_arguments_name_their_range(call, message):
         (lambda: ak_mullineux(BIP, S, (), 3), InputError, "a multicharge needs at least one entry"),
         (lambda: ak_mullineux(((1, 1), (1,)), S, (0, 5), 3), InputError, "((1, 1), (1,)) is not a member at charge (0, 1) mod 3"),
         (lambda: ak_mullineux(((), (3,)), (0, 4), (0, 3), 3), NoPathError, "target (0, 3) is not in the orbit of the image charge (0, 5)"),
+        # im_sharp names a periodic multisegment in canonical form, whatever
+        # the order and the heads it was given in.
+        (lambda: im_sharp(((0, 1), (1, 1)), 2), InputError, "((0, 1), (1, 1)) is not aperiodic mod 2"),
+        (lambda: im_sharp(((1, 1), (0, 1)), 2), InputError, "((0, 1), (1, 1)) is not aperiodic mod 2"),
+        (lambda: im_sharp(((0, 1), (3, 1)), 2), InputError, "((0, 1), (1, 1)) is not aperiodic mod 2"),
+        (lambda: im_sharp([(2, 1), (0, 2), (1, 1), (0, 1)], 3), InputError, "((0, 2), (0, 1), (1, 1), (2, 1)) is not aperiodic mod 3"),
     ],
 )
 def test_checked_wrappers_raise_their_errors(call, error, message):
@@ -294,6 +304,7 @@ def test_checked_wrappers_raise_their_errors(call, error, message):
         (lambda: check_multipartition(5), "a multipartition must be iterable, got 5"),
         (lambda: check_multisegment(5, 3), "a multisegment must be iterable, got 5"),
         (lambda: im_sharp(5, 3), "a multisegment must be iterable, got 5"),
+        (lambda: im_sharp(((0.5, 1),), 3), "segment head must be an int, got 0.5"),
         (lambda: is_fundamental((), 3), "a multicharge needs at least one entry"),
         (lambda: is_fundamental((0.5, 1), 3), "charge entries must be ints: (0.5, 1)"),
         (lambda: enumerate_phi(2, (), 3), "a multicharge needs at least one entry"),

@@ -25,6 +25,7 @@ from conftest import (
     part,
     partitions,
     partitions_up_to,
+    reduced_signature,
     walkable,
 )
 
@@ -44,12 +45,11 @@ from mullineux.core import (
 )
 
 from mullineux.crystal import (
-    _grow,
     _lift,
     _lower,
-    _move,
-    _peel,
     _psi,
+    _regrow,
+    _strings,
     _walk,
     blockwise_lift,
     blockwise_lower,
@@ -774,15 +774,13 @@ def test_psi_preserves_membership():
 
 def regrown_strings(mp, s, t, e):
     """mp peeled at s down to the empty multipartition one string (i, a) at
-    a time by the string kernel, and the strings regrown at t with their
-    residues unchanged, last string first, on one list of rows in place."""
-    rows, strings = [list(lam) for lam in mp], []
-    while any(rows):
-        i, nodes = _peel(rows, s, e)
-        _move(rows, nodes, -1)
-        strings.append((i, len(nodes)))
-    for i, a in reversed(strings):
-        _move(rows, _grow(rows, t, e, i, a), 1)
+    a time by the string kernel (`_strings`), and the strings regrown at t
+    with their residues unchanged (`_regrow`), last string first, on one
+    list of rows in place."""
+    rows = [list(lam) for lam in mp]
+    strings = _strings(rows, s, e)
+    assert not any(rows), (mp, s, e)
+    _regrow(rows, strings, t, e)
     return tuple(map(tuple, rows))
 
 
@@ -808,22 +806,19 @@ def test_psi_is_the_regrowth_of_the_members_strings(e):
     assert cases == {2: 6037, 3: 19953, 4: 41936}[e]
 
 
-def peels_to_empty(mp, s, e):
-    """Whether the string kernel peels mp at s down to the empty multipartition."""
+def peeled_vertex(mp, s, e):
+    """The vertex where the string kernel (`_strings`) stops peeling mp at s."""
     rows = [list(lam) for lam in mp]
-    try:
-        while any(rows):
-            _move(rows, _peel(rows, s, e)[1], -1)
-    except InternalError:
-        return False
-    return True
+    _strings(rows, s, e)
+    return tuple(map(tuple, rows))
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])
 def test_membership_is_peeling_to_the_empty_multipartition(e):
     # The members are the crystal component of the empty multipartition, so
     # a member peels down to it; any other multipartition stops at a
-    # nonempty one with no good removable node, where the peel raises.
+    # nonempty one with no good removable node.  Either way the kernel stops
+    # at a highest-weight vertex: no residue's reduced signature keeps an R.
     # Every multipartition of small rank, at charges that are not
     # fundamental, so membership transports each one first.
     cases = members = 0
@@ -834,7 +829,10 @@ def test_membership_is_peeling_to_the_empty_multipartition(e):
             for n in range(top + 1):
                 for mp in itertools_multipartitions(n, level):
                     member = membership(mp, s, e)
-                    assert member == peels_to_empty(mp, s, e), (mp, s, e)
+                    vertex = peeled_vertex(mp, s, e)
+                    assert member == (not any(vertex)), (mp, s, e)
+                    for i in range(e):
+                        assert all(kind == "A" for kind, *_ in reduced_signature(vertex, s, e, i)), (mp, s, e, i)
                     cases += 1
                     members += member
     assert (cases, members) == {2: (3050, 1305), 3: (6910, 4321), 4: (13148, 9284)}[e]

@@ -49,7 +49,7 @@ from mullineux.charges import (
     very_dominant_representative,
 )
 
-from mullineux.crystal import _addables, _corners, _grow, _move, _peel, _string_image, enumerate_phi, psi
+from mullineux.crystal import _addables, _corners, _regrow, _string_image, _strings, enumerate_phi, psi
 
 from mullineux.errors import InputError, InternalError, NoPathError
 
@@ -493,18 +493,30 @@ def test_signatures_match_row_by_row_reference_on_larger_partitions(case):
     assert_steps_match_reference(*case)
 
 
-def kernel_peel(lam, e):
-    """`crystal._peel` and `_move` at the level-1 charge (0,), as (i, k, e_i^k lam)."""
+def kleshchev_chain(lam, e):
+    """`_kleshchev_peel` iterated on lam until it empties lam or raises: the
+    strings (i, k) it took and the partition it stopped at."""
+    strings = []
+    while lam:
+        try:
+            i, k, lam = involution._kleshchev_peel(lam, e)
+        except InternalError:
+            break
+        strings.append((i, k))
+    return strings, lam
+
+
+def kernel_chain(lam, e):
+    """`crystal._strings` at the level-1 charge (0,): its strings and the vertex it stops at."""
     rows = [list(lam)]
-    i, nodes = _peel(rows, (0,), e)
-    _move(rows, nodes, -1)
-    return i, len(nodes), tuple(rows[0])
+    strings = _strings(rows, (0,), e)
+    return strings, tuple(rows[0])
 
 
 def kernel_grow(lam, e, j, k):
-    """`crystal._grow` and `_move` at the level-1 charge (0,): f_j^k lam."""
+    """`crystal._regrow` of the one string (j, k) at the level-1 charge (0,): f_j^k lam."""
     rows = [list(lam)]
-    _move(rows, _grow(rows, (0,), e, j, k), 1)
+    _regrow(rows, [(j, k)], (0,), e)
     return tuple(rows[0])
 
 
@@ -518,14 +530,16 @@ def outcome(step, *args):
 def check_steps_are_the_kernel(es, top):
     """Compare the branching route's steps with the string kernel at (0,) on
     every partition of rank at most `top`, e-regular or not, at each e in
-    `es`; returns the number of (partition, e) pairs.  Both sides must
-    raise InternalError on the same inputs.  The CI runs it on a wider range.
+    `es`; returns the number of (partition, e) pairs.  The peel's whole
+    chain must take the kernel's strings and stop where it stops, and each
+    regrowth of one string must match, both sides raising InternalError on
+    the same inputs.  The CI runs it on a wider range.
     """
     pairs = 0
     for e in es:
         for n in range(top + 1):
             for lam in enumerate_partitions(n):
-                assert outcome(involution._kleshchev_peel, lam, e) == outcome(kernel_peel, lam, e), (lam, e)
+                assert kleshchev_chain(lam, e) == kernel_chain(lam, e), (lam, e)
                 for j in range(e):
                     for k in (1, 2, 3):
                         grown = outcome(involution._kleshchev_grow, lam, e, j, k)
@@ -799,48 +813,87 @@ def test_crystal_reference_does_not_depend_on_the_peeling_order(e, level, top):
 STRING_CASES = [(e, level, top) for e in range(2, 6) for level, top in ((1, 7), (2, 6), (3, 5), (4, 4))]
 
 
+def string_image(mp, s, t, e):
+    """`crystal._string_image` of a member mp, on a list of its rows."""
+    rows = [list(lam) for lam in mp]
+    _string_image(rows, s, t, e)
+    return tuple(map(tuple, rows))
+
+
+def kernel_peel_passes(monkeypatch, mp, s, e):
+    """`crystal._strings` run on mp at s: its strings, the rows each of its
+    corner passes read, and the vertex it stops at."""
+    passes = []
+
+    def recorded(rows, s, e, j=None):
+        passes.append(tuple(map(tuple, rows)))
+        return _corners(rows, s, e, j)
+
+    rows = [list(lam) for lam in mp]
+    with monkeypatch.context() as m:
+        m.setattr(crystal, "_corners", recorded)
+        strings = _strings(rows, s, e)
+    return strings, passes, tuple(map(tuple, rows))
+
+
+def reference_peel(mp, s, e):
+    """(i, a, e_i^a mp) for the least residue i with a good removable node of
+    mp at s, its good removable i-nodes taken off one at a time."""
+    i = min(j for j in range(e) if good_nodes(mp, s, e, j)[0])
+    a = 0
+    while (node := good_nodes(mp, s, e, i)[0]) is not None:
+        mp = moved(mp, node, -1)
+        a += 1
+    return i, a, mp
+
+
+def reference_grow(mp, t, e, j, a):
+    """f_j^a mp at t, the good addable j-node added a times, and how many of
+    those nodes started a row one past their component's end."""
+    appended = 0
+    for _ in range(a):
+        c, r = good_nodes(mp, t, e, j)[1]
+        appended += r == len(mp[c]) + 1
+        mp = moved(mp, (c, r), 1)
+    return mp, appended
+
+
 @pytest.mark.parametrize("e, level, top", STRING_CASES)
-def test_string_kernel_matches_the_crystal_reference_node_by_node(e, level, top):
-    # Each string the kernel peels is the least residue with a good
-    # removable node, taken node by node until none is left: the peel's
-    # nodes, last first.  Each string it regrows is that many good addable
-    # nodes of the negated residue, in the order the regrowth lists them.
+def test_string_kernel_matches_the_crystal_reference_node_by_node(e, level, top, monkeypatch):
+    # Each string the kernel peels (`_strings`) is the least residue with a
+    # good removable node, taken node by node until none is left: its corner
+    # passes read the states the reference passes through, one per string
+    # and none at the empty multipartition.  Each string it regrows, as a
+    # single-string `_regrow`, is that many good addable nodes of the
+    # negated residue.
     for s in fundamental_charges(e, level):
         t = transpose_charge(s)
         for n in range(top + 1):
             for mp in enumerate_phi(n, s, e):
-                rows, cur, strings = [list(lam) for lam in mp], mp, []
+                cur, states, expected = mp, [], []
                 while any(cur):
-                    i, nodes = _peel(rows, s, e)
-                    assert i == min(j for j in range(e) if good_nodes(cur, s, e, j)[0]), (cur, s, e)
-                    taken = []
-                    for _ in nodes:
-                        taken.append(good_nodes(cur, s, e, i)[0])
-                        cur = moved(cur, taken[-1], -1)
-                    assert taken == nodes[::-1] and good_nodes(cur, s, e, i)[0] is None, (mp, s, e, i, nodes)
-                    _move(rows, nodes, -1)
-                    assert tuple(map(tuple, rows)) == cur, (mp, s, e, i, nodes)
-                    strings.append((i, len(nodes)))
-                for i, a in reversed(strings):
-                    nodes = _grow(rows, t, e, -i % e, a)
-                    taken = []
-                    for _ in range(a):
-                        taken.append(good_nodes(cur, t, e, -i % e)[1])
-                        cur = moved(cur, taken[-1], 1)
-                    assert taken == nodes, (mp, s, e, i, a)
-                    _move(rows, nodes, 1)
+                    states.append(cur)
+                    i, a, cur = reference_peel(cur, s, e)
+                    expected.append((i, a))
+                assert kernel_peel_passes(monkeypatch, mp, s, e) == (expected, states, cur), (mp, s, e)
+                rows = [list(lam) for lam in cur]
+                for i, a in reversed(expected):
+                    cur = reference_grow(cur, t, e, -i % e, a)[0]
+                    _regrow(rows, [(-i % e, a)], t, e)
                     assert tuple(map(tuple, rows)) == cur, (mp, s, e, i, a)
-                assert cur == _string_image(mp, s, t, e) == branching_image(mp, s, e), (mp, s, e)
+                assert cur == string_image(mp, s, t, e) == branching_image(mp, s, e), (mp, s, e)
 
 
 @pytest.mark.parametrize("e, level, top", STRING_CASES)
 def test_one_pass_reductions_match_the_reference_signatures(e, level, top):
     # `_corners` sorts the corners once, by residue and each residue's run in
-    # signature order, or builds residue j's run alone.  The peel reduces the
-    # runs in increasing residue order and stops after the first with a good
-    # removable node; `_addables` keeps every run's whole stack of addable
-    # nodes, or residue j's alone.  Members with empty components and
-    # residues with no corner are among the cases.
+    # signature order, or builds residue j's run alone.  `_strings` reduces
+    # the runs in increasing residue order and stops each pass after the
+    # first with a good removable node: run from mp and from the reference
+    # e_i^max mp, it takes that one string first and then the same strings.
+    # `_addables` keeps every run's whole stack of addable nodes, or residue
+    # j's alone.  Members with empty components and residues with no corner
+    # are among the cases.
     for s in fundamental_charges(e, level):
         for n in range(top + 1):
             for mp in enumerate_phi(n, s, e):
@@ -863,48 +916,41 @@ def test_one_pass_reductions_match_the_reference_signatures(e, level, top):
                 peeled = mp
                 for node in removables[i]:
                     peeled = moved(peeled, node, -1)
-                rows = [list(lam) for lam in mp]
-                assert _peel(rows, s, e) == (i, removables[i]), (mp, s, e)
-                _move(rows, removables[i], -1)
-                assert tuple(map(tuple, rows)) == peeled, (mp, s, e)
+                rows, rest = [list(lam) for lam in mp], [list(lam) for lam in peeled]
+                assert _strings(rows, s, e) == [(i, len(removables[i])), *_strings(rest, s, e)], (mp, s, e)
+                assert rows == rest, (mp, s, e)
 
 
 @pytest.mark.parametrize("e", [2, 3, 4, 5])
-def test_move_is_the_reference_move_of_every_kernel_string(e):
-    # The kernel peels and regrows one list of rows in place (`_move`); the
-    # reference rebuilds a tuple of tuples per node (`moved`).  Every string
-    # that `_string_image` peels or regrows at levels 1-4 is moved both ways,
-    # the reference node by node, and the image comes back as hashable
-    # tuples.  Among the moves are components emptied to () and rows
-    # appended one past a component's end.
+def test_move_is_the_reference_move_of_every_kernel_string(e, monkeypatch):
+    # The kernel peels and regrows one list of rows in place; the reference
+    # rebuilds a tuple of tuples per node (`moved`).  Every string that
+    # `_string_image` peels or regrows at levels 1-4 is moved both ways,
+    # the reference node by node: a peel is checked against the rows that
+    # `_strings`' next corner pass reads, a regrowth against a single-string
+    # `_regrow`.  Among the moves are components emptied to () and rows
+    # appended one past a component's end, and the image's rows stay lists
+    # of positive parts, which `_segments` reads as segments.
     emptied = appended = 0
     for level, top in ((1, 6), (2, 5), (3, 4), (4, 3)):
         for s in fundamental_charges(e, level):
             t = transpose_charge(s)
             for n in range(top + 1):
                 for mp in enumerate_phi(n, s, e):
-                    rows, strings, moves = [list(lam) for lam in mp], [], []
-                    while any(rows):
-                        i, nodes = _peel(rows, s, e)
-                        moves.append((nodes, -1))
-                        strings.append((i, len(nodes)))
-                        _move(rows, nodes, -1)
+                    strings, passes, cur = kernel_peel_passes(monkeypatch, mp, s, e)
+                    assert len(passes) == len(strings) and not any(cur), (mp, s, e)
+                    for (i, a), before, after in zip(strings, passes, [*passes[1:], cur]):
+                        assert reference_peel(before, s, e) == (i, a, after), (mp, s, e, i, a)
+                        emptied += sum(1 for c in range(level) if before[c] and not after[c])
+                    rows = [list(lam) for lam in cur]
                     for i, a in reversed(strings):
-                        moves.append((_grow(rows, t, e, -i % e, a), 1))
-                        _move(rows, moves[-1][0], 1)
-                    cur = mp
-                    for nodes, step in moves:
-                        before = cur
-                        for node in nodes:
-                            cur = moved(cur, node, step)
-                        rows = [list(lam) for lam in before]
-                        _move(rows, nodes, step)
-                        assert tuple(map(tuple, rows)) == cur, (mp, s, e, nodes, step)
-                        emptied += sum(1 for c in range(level) if before[c] and not cur[c])
-                        appended += sum(1 for c, r in nodes if r == len(before[c]) + 1)
-                    image = _string_image(mp, s, t, e)
-                    assert image == cur and type(image) is tuple, (mp, s, e)
-                    assert all(type(lam) is tuple for lam in image) and hash(image) == hash(cur), (mp, s, e)
+                        cur, new = reference_grow(cur, t, e, -i % e, a)
+                        appended += new
+                        _regrow(rows, [(-i % e, a)], t, e)
+                        assert tuple(map(tuple, rows)) == cur, (mp, s, e, i, a)
+                    image = [list(lam) for lam in mp]
+                    _string_image(image, s, t, e)
+                    assert image == rows and all(type(lam) is list and all(lam) for lam in image), (mp, s, e)
     assert emptied and appended
 
 
@@ -925,7 +971,7 @@ def test_ak_mullineux_is_the_string_kernel_on_the_sharp_orbit(e):
                 targets = {sharp, transpose_charge(s), f, tuple(x + e for x in f)}
                 for mp in enumerate_phi(n, s, e):
                     for t in targets:
-                        assert ak_mullineux(mp, s, t, e) == _string_image(mp, s, t, e), (mp, s, t, e)
+                        assert ak_mullineux(mp, s, t, e) == string_image(mp, s, t, e), (mp, s, t, e)
                         cases += 1
     assert cases == {2: 1777, 3: 4791, 4: 9048}[e]
 
@@ -957,6 +1003,27 @@ def test_im_sharp_walks_no_transport(monkeypatch):
     for e in (2, 3, 4):
         for ms in aperiodic_multisegments(6, e):
             im_sharp(ms, e)
+
+
+def test_an_im_call_makes_one_corner_pass_per_string(monkeypatch):
+    # The peel counts the rank down, so it reads the corners once per string
+    # it takes and never at the empty multipartition it ends at; the
+    # regrowth reads one residue's corners once per string.  On the
+    # benchmark's im inputs that is 11,918 passes.
+    passes = []
+    monkeypatch.setattr(
+        crystal, "_corners", lambda mp, s, e, j=None: passes.append((j, any(mp))) or _corners(mp, s, e, j)
+    )
+    inputs = [(ms, e) for e, rank in ((2, 8), (3, 8), (4, 6)) for ms in aperiodic_multisegments(rank, e)]
+    total = 0
+    for ms, e in inputs:
+        passes.clear()
+        im_sharp(ms, e)
+        peels = [nonempty for j, nonempty in passes if j is None]
+        assert all(peels) and len(peels) == len(passes) - len(peels), (ms, e, passes)
+        assert passes[: len(peels)] == [(None, True)] * len(peels), (ms, e, passes)
+        total += len(passes)
+    assert (len(inputs), total) == (1353, 11918)
 
 
 def test_a_lift_that_is_not_e_regular_is_an_internal_error(monkeypatch):
