@@ -10,18 +10,22 @@ The partitions come from the enumeration, the lifts and descents from the
 crystal route's own steps (but `core_empty_lift` and `lift_first_nonempty`
 read the lift `psi` gives), and one very dominant charge per (e, n, s) from
 `charges._very_dominant_representative`, so the checks validate none of them
-again: they run the unchecked bodies the routes use, `crystal._psi`, `_lift`
-and `_flotw`, `multisegments._chi`, `core._concat` and `_is_strict_core`.  Each
-split theta(λ, (0, s)), s in 0..e-1, is built once: for s > 0 and a λ that
-is no strict core it is the `split` state of the route's own trace, and
-otherwise `theta._theta` builds it.  The splits serve the lifts, `s_zero`
-and `theta_roundtrip`.  Each (e, n) keeps one table of transport words
-keyed (s, t), which its three `psi` references share, and one of xu's
-images of the rows (len(λ),).  The calls to `xu`, `xu_strip`,
-`remove_first_column` and `conjugate`, and the checks on xu's image, stay
-public.  Library functions are called through their modules
-(`crystal._psi`, ...), so a rebinding of a module attribute, such as a
-tracing wrapper, is what runs.
+again: they run the unchecked bodies the routes use, `involution._xu`,
+`crystal._psi`, `_lift` and `_flotw`, `core._concat` and `_is_strict_core`.
+Each split theta(λ, (0, s)), s in 0..e-1, is built once: for s > 0 and a λ
+that is no strict core it is the `split` state of the route's own trace,
+and otherwise `theta._theta` builds it.  The splits serve the lifts,
+`s_zero` and `theta_roundtrip`.  Each (e, n) keeps one table of transport
+words keyed (s, t), which its three `psi` references share.  xu keeps its
+images, of the enumerated partitions and of the rows (len(λ),) that
+`first_column_lift` reads, in a table keyed (λ, e), as the other two routes
+do, so a partition is stripped once per table.  chi is read at the fundamental
+charges (0,) and (0, s) only, where it is the rows read as segments
+(`crystal._segments`), with no transport.  The calls to `xu_strip`,
+`remove_first_column`, `conjugate` and `rank`, which checks xu's image
+before `core._is_e_regular` tests it, stay public.  Library functions are
+called through their modules (`crystal._psi`, ...), so a rebinding of a
+module attribute, such as a tracing wrapper, is what runs.
 """
 
 import os
@@ -50,18 +54,19 @@ PROPERTIES = (
 )
 
 
-def check(e, n, crystal_images=None, kleshchev_images=None):
+def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
     """All property checks for the e-regular partitions of rank n.
 
     The crystal route runs once per (partition, s), traced: its lifts and
     descents, from the box-moving engines, are checked against `psi`, and
     involutivity looks the image up in this (e, n)'s table of images.
-    `crystal_images` and `kleshchev_images` are the tables in which
-    `involution._crystal` and `_kleshchev` keep their images; each defaults
-    to a new empty one.
+    `crystal_images`, `kleshchev_images` and `xu_images` are the tables in
+    which `involution._crystal`, `_kleshchev` and `_xu` keep their images;
+    each defaults to a new empty one.
     """
     crystal_images = {} if crystal_images is None else crystal_images
     kleshchev_images = {} if kleshchev_images is None else kleshchev_images
+    xu_images = {} if xu_images is None else xu_images
     results = {name: [0, 0, None] for name in PROPERTIES}
 
     def record(name, ok, key):
@@ -73,16 +78,16 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
             if slot[2] is None or key < slot[2]:
                 slot[2] = key
 
-    images, words, columns = {}, {}, {}
+    images, words = {}, {}
     # The route's lift charge for each split (0, s); ups[0] is s_zero's target.
     ups = [charges._very_dominant_representative((0, s), n, e) for s in range(e)]
     for lam in sorted(core.enumerate_e_regular(n, e)):
         key = (e, n, lam)
-        xim = involution.xu(lam, e)
+        xim = involution._xu(lam, e, None, xu_images)
         kim = involution._kleshchev(lam, e, kleshchev_images)
         is_core = core._is_strict_core(lam, e)
         splits = [theta._theta(lam, e, (0, 0))]
-        record("rank_regular", core.rank(xim) == n and core.is_e_regular(xim, e), key)
+        record("rank_regular", core.rank(xim) == n and core._is_e_regular(xim, e), key)
         if e == 2:
             record("m2_identity", xim == lam, key)
         if is_core:
@@ -118,21 +123,19 @@ def check(e, n, crystal_images=None, kleshchev_images=None):
         if lam:
             smaller, removed = involution.xu_strip(lam, e)
             record("rim_strip_lift", lifts[e - 1] == ((removed,), smaller), key)
-            column = columns.get(len(lam))
-            if column is None:
-                column = columns[len(lam)] = involution.xu((len(lam),), e)
-            expect = (column, core.remove_first_column(lam))
+            expect = (involution._xu((len(lam),), e, None, xu_images), core.remove_first_column(lam))
             record("first_column_lift", lifts[1] == expect, key)
         img0 = crystal._psi(splits[0], (0, 0), ups[0], e, words)
         record("s_zero", img0 == ((), lam), key)
-        segments = multisegments._chi((lam,), (0,), e)
+        # At the fundamental charges (0,) and (0, s), chi is the rows read as segments.
+        segments = multisegments.canonical(crystal._segments((lam,), (0,), e))
         for s, tl in enumerate(splits):
             # Members of a rank at a fundamental charge have distinct chi,
             # so membership and chi pin tl down.
             ok = (
                 core._concat(*tl) == lam
                 and crystal._flotw(tl, (0, s), e)
-                and multisegments._chi(tl, (0, s), e) == segments
+                and multisegments.canonical(crystal._segments(tl, (0, s), e)) == segments
             )
             record("theta_roundtrip", ok, (e, n, lam, s))
     for (lam, s), cim in images.items():
@@ -157,8 +160,9 @@ def run(lo, hi, max_n, jobs=None):
     """Merged checks over e in lo..hi and n in 0..max_n.
 
     The work runs on min(jobs, tasks, cpus) processes (`jobs` defaults to
-    the number of cpus).  When that is 1 it runs here, and one pair of image
-    tables serves every rank; each pool task starts from empty tables.
+    the number of cpus).  When that is 1 it runs here, and one set of image
+    tables, one per route, serves every rank; each pool task starts from
+    empty tables.
     InputError unless lo >= 2, hi >= lo, max_n >= 0 and jobs is None or
     at least 1, each an int.
     """
@@ -174,5 +178,5 @@ def run(lo, hi, max_n, jobs=None):
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return merge(pool.map(check, *zip(*tasks)))
-    crystal_images, kleshchev_images = {}, {}
-    return merge(check(e, n, crystal_images, kleshchev_images) for e, n in tasks)
+    crystal_images, kleshchev_images, xu_images = {}, {}, {}
+    return merge(check(e, n, crystal_images, kleshchev_images, xu_images) for e, n in tasks)

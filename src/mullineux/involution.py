@@ -19,11 +19,14 @@
 mullineux_crystal checks its input once; `_crystal` then runs the unchecked
 bodies `crystal._lift`, `crystal._lower`, `core._is_strict_core` and
 `core._conjugate`, and its trace builds the split and descend states with
-`theta._theta` and takes the lift and image charges from `charges`: the
-very dominant pair ak_mullineux lifts to and lands at.
-`_crystal` and `_kleshchev` keep the images they find in a table their caller
-owns: the public functions pass a new one on every call, and `difftest` its
-own, so nothing outlives the caller's table.
+`theta._theta` and reads the lift and image charges, the very dominant pair
+ak_mullineux lifts to and lands at, with `charges._least_in_class`: the
+split charge (0, s) is fundamental already.
+All three routes keep the images they find in a table their caller owns,
+so nothing outlives the caller's table.  The public `mullineux_crystal` and
+`kleshchev_oracle` pass a new one on every call.  The public `xu` and
+`xu_trace` pass none, since every partition a single call strips is new;
+`difftest` passes one table per route, shared across ranks.
 
 ak_mullineux transports the componentwise involution between charged
 multipartition sets along the crystal isomorphisms: it lifts its member to
@@ -51,6 +54,7 @@ Its reference is chi(ak_mullineux(pre, s, t, e), t, e).
 """
 
 from .charges import (
+    _least_in_class,
     _same_orbit,
     _sharp_very_dominant,
     _transpose,
@@ -118,21 +122,30 @@ def xu_trace(lam, e):
     return _xu(*_regular_input(lam, e, "xu"), steps), steps
 
 
-def _xu(lam, e, steps):
+def _xu(lam, e, steps, images=None):
     """Strip truncated e-rims off a checked e-regular lam down to the empty
     partition, then put their sizes back as columns, last strip first; a
     `steps` list receives each stage.
+
+    With an `images` table, owned by the caller and keyed on (lam, e), the
+    strips stop at the first partition already in it, and each partition
+    stripped on the way down has its image filed on the way up.
     """
     cur = lam
     chain = []
-    while cur:
+    stripped = []  # filled only with a table: without one, each partition is dropped once stripped
+    while cur and (images is None or (cur, e) not in images):
+        if images is not None:
+            stripped.append(cur)
         cur, removed = xu_strip(cur, e)
         chain.append(removed)
         if steps is not None:
             steps.append((f"strip {removed} nodes", (0,), (cur,)))
-    img = ()
+    img = images[cur, e] if cur else ()
     for removed in reversed(chain):
         img = tuple(p + 1 for p in img[:removed]) + (1,) * (removed - len(img)) + img[removed:]
+        if images is not None:
+            images[stripped.pop(), e] = img
         if steps is not None:
             steps.append((f"add column of length {removed}", (0,), (img,)))
     return img
@@ -328,13 +341,15 @@ def _crystal(lam, e, s, images, steps=None):
     if _is_strict_core(lam, e):
         steps.append(("conjugate strict core" if lam else "empty", (0,), (img,)))
         return img
-    up = _very_dominant_representative((0, s), sum(lam), e)
-    start = _sharp_very_dominant(up, sum(lam), e)
+    # (0, s) is fundamental, so each level-2 charge is one `_least_in_class`.
+    n = sum(lam)
+    up = (0, _least_in_class(n, s, e))
+    start = (0, _least_in_class(n, -s, e))
     mu = top or _lift(lam, e, s)  # lam was in the caller's table already
     steps += [
         ("split", (0, s), _theta(lam, e, (0, s))),
         ("lift", up, mu),
-        ("componentwise image", start, tuple(images[c, e, s] for c in mu)),
+        ("componentwise image", start, (images[mu[0], e, s], images[mu[1], e, s])),
         # psi's descent lands on the member at (0, e - s) that merges to img.
         ("descend", (0, e - s), _theta(img, e, (0, e - s))),
         ("merge", (0,), (img,)),

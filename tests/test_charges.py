@@ -202,6 +202,17 @@ def test_very_dominant_representative():
         assert same_orbit(s, v, e), (s, v)
 
 
+def test_the_level_2_split_charges_are_one_least_value_each():
+    # The crystal route's trace reads its lift and image charges at the
+    # fundamental split charge (0, s) as one `_least_in_class` value each.
+    for e in range(2, 8):
+        for s in range(1, e):
+            for n in range(40):
+                up = very_dominant_representative((0, s), n, e)
+                assert up == (0, _least_in_class(n, s, e)), (e, s, n)
+                assert sharp_very_dominant(up, n, e) == (0, _least_in_class(n, -s, e)), (e, s, n)
+
+
 def test_normalization_word_lands_fundamental():
     rng = random.Random(13)
     for _ in range(150):

@@ -472,7 +472,7 @@ def test_difftest_caps_workers_at_tasks_and_cpus(capsys, monkeypatch):
 
 def test_difftest_reports_the_smallest_counterexample(capsys, monkeypatch):
     # An xu that returns its input is wrong first on (1, 1), whose image mod 3 is (2,).
-    monkeypatch.setattr(difftest.involution, "xu", lambda lam, e: tuple(lam))
+    monkeypatch.setattr(difftest.involution, "_xu", lambda lam, e, steps, images=None: tuple(lam))
     argv = ("difftest", "--e-range", "3..3", "--max-n", "3", "--jobs", "1")
     code, out, err = run(capsys, *argv)
     assert code == 3

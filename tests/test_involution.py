@@ -267,32 +267,62 @@ def test_the_crystal_route_checks_its_input_once(lam, e):
 
 
 def test_difftest_validates_only_route_outputs():
-    # difftest runs the unchecked bodies on the partitions it enumerates and
-    # on the pairs the crystal route's steps hold; only the public xu calls
-    # check their input, once each.
+    # difftest runs the unchecked bodies on the partitions it enumerates, on
+    # the rows (len(λ),) and on the pairs the crystal route's steps hold: it
+    # makes no public xu call, so no route input is checked again.
     more = (crystal._charged_input, core._regular_input, involution.xu)
     counts = check_calls(lambda: difftest.run(2, 4, 8, jobs=1), *more)
     assert counts["_charged_input"] == 0
     assert counts["check_multipartition"] == 0
-    assert counts["xu"] > 0
-    assert counts["_regular_input"] == counts["xu"]
+    assert counts["xu"] == 0
+    assert counts["_regular_input"] == 0
+
+
+class FiledOnce(dict):
+    """An images table that fails when a key is filed twice and records each new key."""
+
+    def __init__(self):
+        super().__init__()
+        self.filed = []
+
+    def __setitem__(self, key, value):
+        assert key not in self, key
+        self.filed.append(key)
+        super().__setitem__(key, value)
 
 
 def test_difftest_builds_each_transport_word_and_column_image_once(monkeypatch):
-    # One check owns a table of words keyed (s, t) and a table of xu's
-    # images of the rows (len(λ),): no word and no row image is made twice.
-    built, rows = [], []
-    path_word, xu = crystal._path_word, involution.xu
+    # Each transport word and each xu image is built once per check. One
+    # check owns a table of words keyed (s, t). xu's table, shared across
+    # ranks as difftest.run shares it, gets each image of a partition or a
+    # row (len(λ),) filed once, one for each strip that `_xu` makes.
+    built, strips = [], []
+    path_word, xu_strip = crystal._path_word, involution.xu_strip
     monkeypatch.setattr(crystal, "_path_word", lambda s, t, e: built.append((s, t)) or path_word(s, t, e))
-    monkeypatch.setattr(involution, "xu", lambda lam, e: rows.append(lam) or xu(lam, e))
+    monkeypatch.setattr(involution, "xu_strip", lambda lam, e: strips.append(lam) or xu_strip(lam, e))
     for e in range(2, 6):
+        xu_images = FiledOnce()
         for n in range(10):
-            del built[:], rows[:]
-            difftest.check(e, n)
+            del built[:], strips[:], xu_images.filed[:]
+            difftest.check(e, n, xu_images=xu_images)
             partitions = list(enumerate_e_regular(n, e))
             assert len(built) == len(set(built)) <= 2 * (e - 1) + 1, (e, n)
-            assert len(rows) == len(partitions) + len({len(lam) for lam in partitions if lam}), (e, n)
+            # rim_strip_lift strips each nonempty partition once more, itself.
+            assert len(strips) == len(xu_images.filed) + len([lam for lam in partitions if lam]), (e, n)
+            rows = {((len(lam),), e) for lam in partitions if lam}
+            assert {(lam, e) for lam in partitions if lam} | rows <= xu_images.keys(), (e, n)
     assert built
+
+
+def test_xu_with_a_table_shared_over_ascending_ranks_is_xu_without_one():
+    checked = 0
+    for e in range(2, 7):
+        images = {}
+        for n in range(15):
+            for lam in enumerate_e_regular(n, e):
+                assert involution._xu(lam, e, None, images) == involution._xu(lam, e, None), (lam, e)
+                checked += 1
+    assert checked == 1531
 
 
 def module_containers():
