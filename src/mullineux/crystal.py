@@ -23,8 +23,10 @@ Every public function here that takes a charged multipartition, and
 bodies (`_psi`, `_membership`, `_flotw`), as blockwise_lift and
 blockwise_lower call `_lift` and `_lower`; the other modules call those
 bodies on values they have checked or built themselves.
-FLOTW (3) is the aperiodicity of the rows read as chi's segments
-(`_segments`), so `_flotw` and `multisegments.is_aperiodic` share `_is_aperiodic`.
+`_flotw` runs `_flotw_rows`, which tests FLOTW (1) and (2) on the rows, and
+then FLOTW (3): the aperiodicity of the rows read as chi's segments
+(`_segments`).  So `_flotw` and `multisegments.is_aperiodic` share
+`_is_aperiodic`.
 
 `blockwise_lift` and `blockwise_lower` are direct box-moving versions of the
 level-2 isomorphisms between a fundamental charge and a very dominant one;
@@ -98,6 +100,11 @@ def flotw_check(mp, charge, e):
 
 def _flotw(mp, s, e):
     """flotw_check of a checked multipartition at a checked fundamental charge."""
+    return _flotw_rows(mp, s, e) and _is_aperiodic(_segments(mp, s, e), e)
+
+
+def _flotw_rows(mp, s, e):
+    """FLOTW (1) and (2) of a checked multipartition at a checked fundamental charge."""
     l = len(mp)
     for j in range(l):
         if j + 1 < l:
@@ -107,7 +114,7 @@ def _flotw(mp, s, e):
         # Parts past the end of mp[j] are 0, below every part of nxt.
         if len(mp[j]) < len(nxt) - gap or any(map(operator.lt, mp[j], nxt[gap:])):
             return False
-    return _is_aperiodic(_segments(mp, s, e), e)
+    return True
 
 
 def _segments(mp, s, e):

@@ -11,7 +11,7 @@ crystal route's own steps (but `core_empty_lift` and `lift_first_nonempty`
 read the lift `psi` gives), and one very dominant charge per (e, n, s) from
 `charges._very_dominant_representative`, so the checks validate none of them
 again: they run the unchecked bodies the routes use, `involution._xu`,
-`crystal._psi`, `_lift` and `_flotw`, `core._concat` and `_is_strict_core`.
+`crystal._psi`, `_lift` and `_flotw_rows`, and `core._is_strict_core`.
 Each split theta(λ, (0, s)), s in 0..e-1, is built once: for s > 0 and a λ
 that is no strict core it is the `split` state of the route's own trace,
 and otherwise `theta._theta` builds it.  The splits serve the lifts,
@@ -21,17 +21,19 @@ images, of the enumerated partitions and of the rows (len(λ),) that
 `first_column_lift` reads, in a table keyed (λ, e), as the other two routes
 do, so a partition is stripped once per table.  chi is read at the fundamental
 charges (0,) and (0, s) only, where it is the rows read as segments
-(`crystal._segments`), with no transport.  The calls to `xu_strip`,
-`remove_first_column`, `conjugate` and `rank`, which checks xu's image
-before `core._is_e_regular` tests it, stay public.  Library functions are
-called through their modules (`crystal._psi`, ...), so a rebinding of a
-module attribute, such as a tracing wrapper, is what runs.
+(`crystal._segments`), with no transport: `theta_roundtrip` reads each
+split's segments once, and one sorted list of them settles the merge back
+to λ, chi and FLOTW (3).  The calls to `xu_strip`, `remove_first_column`,
+`conjugate` and `rank`, which checks xu's image before `core._is_e_regular`
+tests it, stay public.  Library functions are called through their modules
+(`crystal._psi`, ...), so a rebinding of a module attribute, such as a
+tracing wrapper, is what runs.
 """
 
 import os
 from importlib import import_module
 
-from . import charges, core, crystal, involution, multisegments
+from . import charges, core, crystal, involution
 
 # The package binds the name `theta` to the function, so fetch the module.
 theta = import_module(f"{__package__}.theta")
@@ -127,15 +129,20 @@ def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
             record("first_column_lift", lifts[1] == expect, key)
         img0 = crystal._psi(splits[0], (0, 0), ups[0], e, words)
         record("s_zero", img0 == ((), lam), key)
-        # At the fundamental charges (0,) and (0, s), chi is the rows read as segments.
-        segments = multisegments.canonical(crystal._segments((lam,), (0,), e))
+        # At the fundamental charges (0,) and (0, s), chi is the rows read as
+        # segments. theta_roundtrip asks that tl merge back to λ, be a member
+        # at (0, s) and have λ's chi; members of a rank at a fundamental charge
+        # have distinct chi, so that pins tl down. Equal (head, length)
+        # multisets settle all but FLOTW (1) and (2): the lengths are the
+        # parts, so tl merges back to λ; chi is equal; and each length has
+        # the same tails, so FLOTW (3) at (0, s) is λ's aperiodicity at (0,).
+        segments = sorted(crystal._segments((lam,), (0,), e))
+        aperiodic = crystal._is_aperiodic(segments, e)
         for s, tl in enumerate(splits):
-            # Members of a rank at a fundamental charge have distinct chi,
-            # so membership and chi pin tl down.
             ok = (
-                core._concat(*tl) == lam
-                and crystal._flotw(tl, (0, s), e)
-                and multisegments.canonical(crystal._segments(tl, (0, s), e)) == segments
+                sorted(crystal._segments(tl, (0, s), e)) == segments
+                and aperiodic
+                and crystal._flotw_rows(tl, (0, s), e)
             )
             record("theta_roundtrip", ok, (e, n, lam, s))
     for (lam, s), cim in images.items():

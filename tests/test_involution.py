@@ -314,6 +314,82 @@ def test_difftest_builds_each_transport_word_and_column_image_once(monkeypatch):
     assert built
 
 
+def test_difftest_reads_each_split_as_segments_once(monkeypatch):
+    # theta_roundtrip reads λ's segments and each of its e splits' once, and
+    # tests λ's aperiodicity once: neither `_flotw` nor a canonical sort runs.
+    passes = []
+    segments = crystal._segments
+    monkeypatch.setattr(crystal, "_segments", lambda mp, s, e: passes.append(mp) or segments(mp, s, e))
+    for e in range(2, 6):
+        for n in range(10):
+            del passes[:]
+            counts = check_calls(lambda: difftest.check(e, n), crystal._is_aperiodic, crystal._flotw, canonical)
+            partitions = len(list(enumerate_e_regular(n, e)))
+            assert len(passes) == (e + 1) * partitions, (e, n)
+            assert counts["_is_aperiodic"] == partitions, (e, n)
+            assert counts["_flotw"] == counts["canonical"] == 0, (e, n)
+
+
+def one_pass_roundtrip(lam, tl, s, e):
+    """theta_roundtrip's test of the split tl of lam at (0, s), as difftest makes it."""
+    segments = sorted(crystal._segments((lam,), (0,), e))
+    aperiodic = crystal._is_aperiodic(segments, e)
+    return sorted(crystal._segments(tl, (0, s), e)) == segments and aperiodic and crystal._flotw_rows(tl, (0, s), e)
+
+
+def three_part_roundtrip(lam, tl, s, e):
+    """The same test in three parts: tl merges back to lam, is a member at
+    (0, s) and has lam's chi."""
+    return (
+        core._concat(*tl) == lam
+        and crystal._flotw(tl, (0, s), e)
+        and canonical(crystal._segments(tl, (0, s), e)) == canonical(crystal._segments((lam,), (0,), e))
+    )
+
+
+def split_mutations(tl, s, e):
+    """The split tl at charge (0, s), and six near misses: its components
+    swapped; tl at the next charge; the last box of one component's last row
+    moved to the other's first row, each way; one component's last row moved
+    to the other, each way.  A move from an empty component is skipped."""
+    yield tl, s
+    yield tl[::-1], s
+    yield tl, (s + 1) % e
+    for c in (0, 1):
+        give, take = tl[c], tl[1 - c]
+        if not give:
+            continue
+        less = give[:-1] + (give[-1] - 1,) if give[-1] > 1 else give[:-1]
+        more = (take[0] + 1,) + take[1:] if take else (1,)
+        for a, b in ((less, more), (give[:-1], tuple(sorted(take + give[-1:], reverse=True)))):
+            yield ((a, b) if c == 0 else (b, a)), s
+
+
+def check_roundtrip_reads_each_split_once(es, top):
+    """Compare theta_roundtrip's one-pass test with the three-part test on
+    every split theta(λ, (0, s)) of an e-regular λ of rank at most `top`, at
+    each e in `es`, and on each split's mutations; returns the numbers of
+    cases and of failing cases.  The CI runs it on a wider range.
+    """
+    cases = failing = 0
+    for e in es:
+        for n in range(top + 1):
+            for lam in enumerate_e_regular(n, e):
+                for s in range(e):
+                    for tl, t in split_mutations(theta(lam, e, (0, s)), s, e):
+                        ok = one_pass_roundtrip(lam, tl, t, e)
+                        assert ok == three_part_roundtrip(lam, tl, t, e), (lam, tl, t, e)
+                        cases += 1
+                        failing += not ok
+    return cases, failing
+
+
+def test_theta_roundtrip_in_one_pass_is_the_three_part_test():
+    # Equal (head, length) multisets settle the merge, chi and FLOTW (3);
+    # the mutations are splits that theta never makes, and most fail.
+    assert check_roundtrip_reads_each_split_once(range(2, 7), 12) == (23742, 18645)
+
+
 def test_xu_with_a_table_shared_over_ascending_ranks_is_xu_without_one():
     checked = 0
     for e in range(2, 7):
