@@ -68,10 +68,10 @@ def format_charge(s):
 
 def parse_multisegment(text, e):
     text = text.strip()
-    if text in ("-", ""):
-        return ()
+    # The empty multisegment goes through the check too, so e always does.
+    items = () if text in ("-", "") else text.split(";")
     segs = []
-    for item in text.split(";"):
+    for item in items:
         item = item.strip()
         head, _, length = item.partition(":")
         try:
@@ -190,7 +190,7 @@ def cmd_theta(args):
 
 def cmd_im(args):
     ms = parse_multisegment(args.multisegment, args.e)
-    image = format_multisegment(involution.im_sharp(ms, args.e))
+    image = format_multisegment(involution._im_sharp(list(ms), args.e))
     _emit(args, [image], e=args.e, input=format_multisegment(ms), method="im", result=image)
 
 

@@ -16,11 +16,15 @@ Each split theta(λ, (0, s)), s in 0..e-1, is built once: for s > 0 and a λ
 that is no strict core it is the `split` state of the route's own trace,
 and otherwise `theta._theta` builds it.  The splits serve the lifts,
 `s_zero` and `theta_roundtrip`.  Each (e, n) keeps one table of transport
-words keyed (s, t), which its three `psi` references share.  xu keeps its
-images, of the enumerated partitions and of the rows (len(λ),) that
-`first_column_lift` reads, in a table keyed (λ, e), as the other two routes
-do, so a partition is stripped once per table.  chi is read at the fundamental
-charges (0,) and (0, s) only, where it is the rows read as segments
+words keyed (s, t), which its two `psi` references share: the lift of each
+split to `ups[s]`, filed in a table of lift references keyed (λ, s), and
+`s_zero`'s.  psi is a bijection, so `blockwise_lower` walks nothing down:
+the route's descent is right when the lift reference of its image's split
+is the componentwise image it lowered.  xu keeps its images, of the
+enumerated partitions and of the rows (len(λ),) that `first_column_lift`
+reads, in a table keyed (λ, e), as the other two routes do, so a partition
+is stripped once per table.  chi is read at the fundamental charges (0,)
+and (0, s) only, where it is the rows read as segments
 (`crystal._segments`), with no transport: `theta_roundtrip` reads each
 split's segments once, and one sorted list of them settles the merge back
 to λ, chi and FLOTW (3).  The calls to `xu_strip`, `remove_first_column`,
@@ -80,7 +84,7 @@ def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
             if slot[2] is None or key < slot[2]:
                 slot[2] = key
 
-    images, words = {}, {}
+    images, words, references, descents = {}, {}, {}, []
     # The route's lift charge for each split (0, s); ups[0] is s_zero's target.
     ups = [charges._very_dominant_representative((0, s), n, e) for s in range(e)]
     for lam in sorted(core.enumerate_e_regular(n, e)):
@@ -107,10 +111,10 @@ def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
                 lifted = crystal._lift(lam, e, s)
             else:
                 (_, _, pair), (_, _, lifted), (_, start, nu), (_, _, kappa), _ = steps
-                # psi, the slow reference, checks the route's descent here and its lift below.
-                record("blockwise_lower", crystal._psi(nu, start, (0, e - s), e, words) == kappa, skey)
+                descents.append((skey, cim, e - s, start, nu, kappa))
             splits.append(pair)
-            reference = crystal._psi(pair, (0, s), ups[s], e, words)
+            # psi, the slow reference, checks the route's lift here and its descent below.
+            reference = references[lam, s] = crystal._psi(pair, (0, s), ups[s], e, words)
             lifts[s] = lifted
             # The route raises on an empty lift component before it returns,
             # so these two read psi's lift, which has no such guard.
@@ -147,6 +151,16 @@ def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
             record("theta_roundtrip", ok, (e, n, lam, s))
     for (lam, s), cim in images.items():
         record("involution", images.get((cim, s)) == lam, (e, n, lam, s))
+    # psi is a bijection, so it lowers nu from start to kappa, the split of
+    # the image at (0, e - s), exactly when it lifts kappa back to nu. The
+    # route lands at start = ups[e - s], where that lift is the image's lift
+    # reference; an image or charge that is not in the table has kappa
+    # transported here.
+    for skey, cim, t, start, nu, kappa in descents:
+        reference = references.get((cim, t)) if start == ups[t] else None
+        if reference is None:
+            reference = crystal._psi(kappa, (0, t), start, e, words)
+        record("blockwise_lower", reference == nu, skey)
     return results
 
 

@@ -44,13 +44,14 @@ f_i x to f_{-i} of the image, so `crystal._string_image` peels the preimage
 one whole i-string at a time and regrows the strings, residues negated, at
 t = transpose_charge(s), where ak_mullineux's image lands; t is
 fundamental, so chi is the image's rows read as segments at t
-(`crystal._segments`), with no transport.  im_sharp checks e once, reads
-its segments with `multisegments._segment_list`, check_multisegment's body,
-and then runs the unchecked bodies `_is_aperiodic` (crystal's, which is
-also FLOTW (3)), `charges._transpose`, `_string_image` and `_segments` on
-values it built itself: one list of row lists, one row per segment, which
-the kernel peels and regrows in place and which is read back as segments.
-Its reference is chi(ak_mullineux(pre, s, t, e), t, e).
+(`crystal._segments`), with no transport.  im_sharp checks e once and
+reads its segments with `multisegments._segment_list`, check_multisegment's
+body.  Its body `_im_sharp`, which `cli im` runs on the multisegment it has
+checked already, then runs the unchecked bodies `_is_aperiodic` (crystal's,
+which is also FLOTW (3)), `charges._transpose`, `_string_image` and
+`_segments` on values it built itself: one list of row lists, one row per
+segment, which the kernel peels and regrows in place and which is read back
+as segments.  Its reference is chi(ak_mullineux(pre, s, t, e), t, e).
 """
 
 from .charges import (
@@ -402,7 +403,12 @@ def im_sharp(ms, e):
     field each, like `canonical`'s, so no sort key is built per segment.
     """
     e = _int_arg("e", e, 2)
-    segs = _segment_list(ms, e)
+    return _im_sharp(_segment_list(ms, e), e)
+
+
+def _im_sharp(segs, e):
+    """im_sharp of a list of checked segments at a checked e; the list is
+    sorted in place."""
     if not segs:
         return ()
     if not _is_aperiodic(segs, e):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mullineux
-from mullineux import crystal, difftest, involution
+from mullineux import crystal, difftest, involution, multisegments
 from mullineux.cli import main
 
 
@@ -327,6 +327,23 @@ def test_im_subcommand(capsys):
     # The output parses back and the involution returns.
     code, out, err = run(capsys, "im", "--e", "3", "--multisegment", out.strip())
     assert (code, out) == (0, "0:3;1:3;0:1\n")
+
+
+def test_im_reads_its_multisegment_once(capsys, monkeypatch):
+    # im checks the multisegment as it parses it, then runs im_sharp's body
+    # on the checked segments: no second read of them.
+    reads = []
+    segment_list = multisegments._segment_list
+    for module in (multisegments, involution):
+        monkeypatch.setattr(module, "_segment_list", lambda ms, e: reads.append(ms) or segment_list(ms, e))
+    code, out, err = run(capsys, "im", "--e", "3", "--multisegment", "0:1;1:2")
+    assert (code, out, err) == (0, "2:3\n", "")
+    assert len(reads) == 1
+
+
+def test_im_checks_e_on_the_empty_multisegment(capsys):
+    code, out, err = run(capsys, "im", "--e", "1", "--multisegment", "-")
+    assert (code, out, err) == (2, "", "error: e must be >= 2, got 1\n")
 
 
 def test_im_rejects_periodic(capsys):

@@ -2,10 +2,12 @@
 
 import copy
 import importlib
+import inspect
 import itertools
 import pkgutil
 import random
 import sys
+import textwrap
 from bisect import bisect_left
 from collections import Counter
 
@@ -293,20 +295,24 @@ class FiledOnce(dict):
 
 def test_difftest_builds_each_transport_word_and_column_image_once(monkeypatch):
     # Each transport word and each xu image is built once per check. One
-    # check owns a table of words keyed (s, t). xu's table, shared across
+    # check owns a table of words keyed (s, t): psi only lifts, each split
+    # (0, s) to ups[s], once per split, and each descent is checked against
+    # the lift reference of its image's split. xu's table, shared across
     # ranks as difftest.run shares it, gets each image of a partition or a
     # row (len(λ),) filed once, one for each strip that `_xu` makes.
-    built, strips = [], []
-    path_word, xu_strip = crystal._path_word, involution.xu_strip
+    built, strips, walks = [], [], []
+    path_word, xu_strip, psi_body = crystal._path_word, involution.xu_strip, crystal._psi
     monkeypatch.setattr(crystal, "_path_word", lambda s, t, e: built.append((s, t)) or path_word(s, t, e))
     monkeypatch.setattr(involution, "xu_strip", lambda lam, e: strips.append(lam) or xu_strip(lam, e))
+    monkeypatch.setattr(crystal, "_psi", lambda mp, s, t, e, words=None: walks.append(mp) or psi_body(mp, s, t, e, words))
     for e in range(2, 6):
         xu_images = FiledOnce()
         for n in range(10):
-            del built[:], strips[:], xu_images.filed[:]
+            del built[:], strips[:], walks[:], xu_images.filed[:]
             difftest.check(e, n, xu_images=xu_images)
             partitions = list(enumerate_e_regular(n, e))
-            assert len(built) == len(set(built)) <= 2 * (e - 1) + 1, (e, n)
+            assert len(built) == len(set(built)) <= e, (e, n)
+            assert len(walks) == e * len(partitions), (e, n)
             # rim_strip_lift strips each nonempty partition once more, itself.
             assert len(strips) == len(xu_images.filed) + len([lam for lam in partitions if lam]), (e, n)
             rows = {((len(lam),), e) for lam in partitions if lam}
@@ -328,6 +334,63 @@ def test_difftest_reads_each_split_as_segments_once(monkeypatch):
             assert len(passes) == (e + 1) * partitions, (e, n)
             assert counts["_is_aperiodic"] == partitions, (e, n)
             assert counts["_flotw"] == counts["canonical"] == 0, (e, n)
+
+
+def split_round_trips(es, top):
+    """Lift every split theta(λ, (0, s)) of an e-regular λ of rank at most
+    `top`, s in 0..e-1, to ups[s], the very dominant charge difftest lifts
+    it to, and walk it back; returns the numbers of splits and of splits
+    that do not come back.  The walk back runs psi's wrap runs, which
+    difftest, lifting only, does not."""
+    splits = failing = 0
+    for e in es:
+        for n in range(top + 1):
+            ups = [very_dominant_representative((0, s), n, e) for s in range(e)]
+            for lam in enumerate_e_regular(n, e):
+                for s in range(e):
+                    pair = theta(lam, e, (0, s))
+                    back = crystal._psi(crystal._psi(pair, (0, s), ups[s], e), ups[s], (0, s), e)
+                    splits += 1
+                    failing += back != pair
+    return splits, failing
+
+
+def mutated(function, old, new):
+    """`function` rebuilt from its source with the one `old` in it replaced
+    by `new`, over a copy of its module's globals."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(sys.modules[function.__module__]))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
+
+
+def test_psi_walks_every_split_back_from_its_lift():
+    assert split_round_trips(range(2, 7), 8) == (1076, 0)
+
+
+def test_a_fault_in_the_far_wrap_cycles_fails_the_split_round_trip(monkeypatch):
+    # Where s[k] - s[k - 1] - n + 1 is a multiple of e, the fault takes one
+    # more wrap cycle as far and skips it: its rows pass a row at charge
+    # distance n - 1 unmatched.
+    faulty = mutated(crystal._walk, "(s[k] - s[k - 1] - n) // e", "(s[k] - s[k - 1] - n + 1) // e")
+    monkeypatch.setattr(crystal, "_walk", faulty)
+    assert split_round_trips(range(2, 7), 8) == (1076, 25)
+
+
+@pytest.mark.parametrize("wrong", [(3, 2, 1), (3, 2, 1, 1)], ids=["in-table", "out-of-table"])
+def test_a_wrong_descent_fails_blockwise_lower_at_its_key(monkeypatch, wrong):
+    # The route merges the descent of (4, 2) at e = 3, s = 1 into a wrong
+    # partition: one of the same rank, whose lift reference difftest has,
+    # or one of rank 7, whose split difftest transports on the spot.
+    e, n, lam, s = 3, 6, (4, 2), 1
+    pair = tuple(involution._crystal(mu, e, s, {}) for mu in involution._lift(lam, e, s))
+    assert involution._lower(pair, e, s) == (2, 2, 1, 1) != wrong
+    lower = involution._lower
+    monkeypatch.setattr(involution, "_lower", lambda p, e_, s_: wrong if (p, e_, s_) == (pair, e, s) else lower(p, e_, s_))
+    results = difftest.check(e, n)
+    assert results["blockwise_lower"] == [13, 1, (e, n, lam, s)]
+    assert results["agreement"] == [13, 1, (e, n, lam, s)]
 
 
 def one_pass_roundtrip(lam, tl, s, e):
