@@ -32,7 +32,7 @@ not grow with the distance between its charges.
 from bisect import bisect_left
 
 from .core import _int_arg, _int_seq
-from .errors import InputError, NoPathError
+from .errors import InputError
 
 
 def check_charge(s):
@@ -134,12 +134,6 @@ def _normalization_word(s, e):
         word.append(("wrap", k, 1 + sum((c - b - 1) // e for c in t[k:])))
         t[k:] = sorted(b + 1 + (c - b - 1) % e for c in t[k:])
     return word, tuple(t)
-
-
-def _orbit_check(s, t, e):
-    """NoPathError unless the checked charges s and t lie in one orbit."""
-    if not _same_orbit(s, t, e):
-        raise NoPathError(f"{s} and {t} have different residue multisets mod {e}")
 
 
 def _path_word(s, t, e):

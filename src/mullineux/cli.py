@@ -82,9 +82,10 @@ def parse_multisegment(text, e):
 
 
 def format_multisegment(ms):
+    """A canonical multisegment, printed in its own order."""
     if not ms:
         return "-"
-    return ";".join(f"{head}:{length}" for head, length in multisegments.canonical(ms))
+    return ";".join(f"{head}:{length}" for head, length in ms)
 
 
 def _emit(args, lines, **payload):

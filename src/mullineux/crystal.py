@@ -56,8 +56,8 @@ from .charges import (
     _fundamental_representative,
     _is_fundamental,
     _least_in_class,
-    _orbit_check,
     _path_word,
+    _same_orbit,
     check_charge,
 )
 from .core import (
@@ -67,7 +67,7 @@ from .core import (
     check_multipartition,
     check_partition,
 )
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, NoPathError
 from .symbols import _match
 
 
@@ -268,7 +268,8 @@ def psi(mp, charge, to, e):
     walk that ends anywhere but `to` raises InternalError.
     """
     mp, s, t, e = _charged_input(mp, (charge, to), e)
-    _orbit_check(s, t, e)
+    if not _same_orbit(s, t, e):
+        raise NoPathError(f"{s} and {t} have different residue multisets mod {e}")
     return _psi(mp, s, t, e)
 
 

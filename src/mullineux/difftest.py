@@ -15,23 +15,22 @@ again: they run the unchecked bodies the routes use, `involution._xu`,
 Each split theta(λ, (0, s)), s in 0..e-1, is built once: for s > 0 and a λ
 that is no strict core it is the `split` state of the route's own trace,
 and otherwise `theta._theta` builds it.  The splits serve the lifts,
-`s_zero` and `theta_roundtrip`.  Each (e, n) keeps one table of transport
-words keyed (s, t), which its two `psi` references share: the lift of each
-split to `ups[s]`, filed in a table of lift references keyed (λ, s), and
-`s_zero`'s.  psi is a bijection, so `blockwise_lower` walks nothing down:
-the route's descent is right when the lift reference of its image's split
-is the componentwise image it lowered.  xu keeps its images, of the
-enumerated partitions and of the rows (len(λ),) that `first_column_lift`
-reads, in a table keyed (λ, e), as the other two routes do, so a partition
-is stripped once per table.  chi is read at the fundamental charges (0,)
-and (0, s) only, where it is the rows read as segments
-(`crystal._segments`), with no transport: `theta_roundtrip` reads each
-split's segments once, and one sorted list of them settles the merge back
-to λ, chi and FLOTW (3).  The calls to `xu_strip`, `remove_first_column`,
-`conjugate` and `rank`, which checks xu's image before `core._is_e_regular`
-tests it, stay public.  Library functions are called through their modules
-(`crystal._psi`, ...), so a rebinding of a module attribute, such as a
-tracing wrapper, is what runs.
+`s_zero` and `theta_roundtrip`, and `psi` runs once on each, with one table
+of transport words keyed (s, t): to `ups[0]` for `s_zero`, and for s > 0 to
+`ups[s]`, filed as the lift reference keyed (λ, s).  `involution` and
+`blockwise_lower` run after the partitions, on the crystal route's own
+table and the lift references.  xu keeps its images, of the enumerated
+partitions and of the rows (len(λ),) that `first_column_lift` reads, in a
+table keyed (λ, e), as the other two routes do, so a partition is stripped
+once per table.  chi is read at the fundamental charges (0,) and (0, s)
+only, where it is the rows read as segments (`crystal._segments`), with no
+transport: `theta_roundtrip` reads each split's segments once, and one
+sorted list of them settles the merge back to λ, chi and FLOTW (3).  The
+calls to `xu_strip`, `remove_first_column`, `conjugate` and `rank`, which
+checks xu's image before `core._is_e_regular` tests it, stay public.
+Library functions are called through their modules (`crystal._psi`, ...),
+so a rebinding of a module attribute, such as a tracing wrapper, is what
+runs.
 """
 
 import os
@@ -63,12 +62,12 @@ PROPERTIES = (
 def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
     """All property checks for the e-regular partitions of rank n.
 
-    The crystal route runs once per (partition, s), traced: its lifts and
-    descents, from the box-moving engines, are checked against `psi`, and
-    involutivity looks the image up in this (e, n)'s table of images.
-    `crystal_images`, `kleshchev_images` and `xu_images` are the tables in
-    which `involution._crystal`, `_kleshchev` and `_xu` keep their images;
-    each defaults to a new empty one.
+    The crystal route runs once per (partition, s), traced: its lift is
+    checked against `psi`, its descent against the lift reference of its
+    image, and involutivity reads the image of the image in the route's own
+    table.  `crystal_images`, `kleshchev_images` and `xu_images` are the
+    tables in which `involution._crystal`, `_kleshchev` and `_xu` keep their
+    images; each defaults to a new empty one.
     """
     crystal_images = {} if crystal_images is None else crystal_images
     kleshchev_images = {} if kleshchev_images is None else kleshchev_images
@@ -84,7 +83,8 @@ def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
             if slot[2] is None or key < slot[2]:
                 slot[2] = key
 
-    images, words, references, descents = {}, {}, {}, []
+    # routed holds (key, image, componentwise image or None for a strict core).
+    words, references, routed = {}, {}, []
     # The route's lift charge for each split (0, s); ups[0] is s_zero's target.
     ups = [charges._very_dominant_representative((0, s), n, e) for s in range(e)]
     for lam in sorted(core.enumerate_e_regular(n, e)):
@@ -98,24 +98,22 @@ def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
             record("m2_identity", xim == lam, key)
         if is_core:
             record("core_conjugate", xim == core.conjugate(lam), key)
-        lifts = {}
         for s in range(1, e):
             skey = (e, n, lam, s)
             steps = []
             cim = involution._crystal(lam, e, s, crystal_images, steps)
-            images[lam, s] = cim
             record("agreement", cim == xim == kim, skey)
             if is_core:
                 # The route conjugates strict cores without lifting them.
                 pair = theta._theta(lam, e, (0, s))
                 lifted = crystal._lift(lam, e, s)
+                nu = None
             else:
-                (_, _, pair), (_, _, lifted), (_, start, nu), (_, _, kappa), _ = steps
-                descents.append((skey, cim, e - s, start, nu, kappa))
+                (_, _, pair), (_, _, lifted), (_, _, nu), _, _ = steps
+            routed.append((skey, cim, nu))
             splits.append(pair)
             # psi, the slow reference, checks the route's lift here and its descent below.
             reference = references[lam, s] = crystal._psi(pair, (0, s), ups[s], e, words)
-            lifts[s] = lifted
             # The route raises on an empty lift component before it returns,
             # so these two read psi's lift, which has no such guard.
             if not is_core:
@@ -126,11 +124,12 @@ def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
             # sigma_1, tau; tau is the k = 0 unwrap.
             relifted, _ = crystal._walk(reference, ups[s], (("sigma", 1), ("unwrap", 0, 1)), e)
             record("lift_k_stable", relifted == reference, skey)
-        if lam:
-            smaller, removed = involution.xu_strip(lam, e)
-            record("rim_strip_lift", lifts[e - 1] == ((removed,), smaller), key)
-            expect = (involution._xu((len(lam),), e, None, xu_images), core.remove_first_column(lam))
-            record("first_column_lift", lifts[1] == expect, key)
+            if lam and s == e - 1:
+                smaller, removed = involution.xu_strip(lam, e)
+                record("rim_strip_lift", lifted == ((removed,), smaller), key)
+            if lam and s == 1:
+                expect = (involution._xu((len(lam),), e, None, xu_images), core.remove_first_column(lam))
+                record("first_column_lift", lifted == expect, key)
         img0 = crystal._psi(splits[0], (0, 0), ups[0], e, words)
         record("s_zero", img0 == ((), lam), key)
         # At the fundamental charges (0,) and (0, s), chi is the rows read as
@@ -149,18 +148,15 @@ def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
                 and crystal._flotw_rows(tl, (0, s), e)
             )
             record("theta_roundtrip", ok, (e, n, lam, s))
-    for (lam, s), cim in images.items():
-        record("involution", images.get((cim, s)) == lam, (e, n, lam, s))
-    # psi is a bijection, so it lowers nu from start to kappa, the split of
-    # the image at (0, e - s), exactly when it lifts kappa back to nu. The
-    # route lands at start = ups[e - s], where that lift is the image's lift
-    # reference; an image or charge that is not in the table has kappa
-    # transported here.
-    for skey, cim, t, start, nu, kappa in descents:
-        reference = references.get((cim, t)) if start == ups[t] else None
-        if reference is None:
-            reference = crystal._psi(kappa, (0, t), start, e, words)
-        record("blockwise_lower", reference == nu, skey)
+    # psi is a bijection, so it lowers nu from the route's image charge
+    # ups[e - s] to the split of the image at (0, e - s) exactly when it
+    # lifts that split back to nu: the image's lift reference.  An image
+    # with no reference is no e-regular partition of rank n, and fails.
+    for skey, cim, nu in routed:
+        lam, s = skey[2:]
+        record("involution", crystal_images.get((cim, e, s)) == lam, skey)
+        if nu is not None:
+            record("blockwise_lower", references.get((cim, e - s)) == nu, skey)
     return results
 
 

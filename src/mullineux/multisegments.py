@@ -67,11 +67,6 @@ def is_aperiodic(ms, e):
 def chi(mp, charge, e):
     """Multisegment of a charged multipartition (rows read as segments)."""
     mp, s, e = _charged_input(mp, (charge,), e)
-    return _chi(mp, s, e)
-
-
-def _chi(mp, s, e):
-    """chi of a checked multipartition at a checked charge of its level."""
     f = _fundamental_representative(s, e)
     return canonical(_segments(_psi(mp, s, f, e), f, e))
 

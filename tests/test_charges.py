@@ -211,6 +211,9 @@ def test_the_level_2_split_charges_are_one_least_value_each():
                 up = very_dominant_representative((0, s), n, e)
                 assert up == (0, _least_in_class(n, s, e)), (e, s, n)
                 assert sharp_very_dominant(up, n, e) == (0, _least_in_class(n, -s, e)), (e, s, n)
+                # The route's image charge is the lift charge of the split at
+                # (0, e - s), so difftest reads the image's lift reference there.
+                assert very_dominant_representative((0, e - s), n, e) == sharp_very_dominant(up, n, e), (e, s, n)
 
 
 def test_normalization_word_lands_fundamental():

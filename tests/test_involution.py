@@ -382,15 +382,20 @@ def test_a_fault_in_the_far_wrap_cycles_fails_the_split_round_trip(monkeypatch):
 def test_a_wrong_descent_fails_blockwise_lower_at_its_key(monkeypatch, wrong):
     # The route merges the descent of (4, 2) at e = 3, s = 1 into a wrong
     # partition: one of the same rank, whose lift reference difftest has,
-    # or one of rank 7, whose split difftest transports on the spot.
+    # or one of rank 7, which has none.  Either way psi runs once per split,
+    # e * |P(e, n)| times, and walks no descent.
     e, n, lam, s = 3, 6, (4, 2), 1
     pair = tuple(involution._crystal(mu, e, s, {}) for mu in involution._lift(lam, e, s))
     assert involution._lower(pair, e, s) == (2, 2, 1, 1) != wrong
     lower = involution._lower
     monkeypatch.setattr(involution, "_lower", lambda p, e_, s_: wrong if (p, e_, s_) == (pair, e, s) else lower(p, e_, s_))
+    psi, calls = crystal._psi, []
+    monkeypatch.setattr(crystal, "_psi", lambda *args: calls.append(args) or psi(*args))
     results = difftest.check(e, n)
+    assert len(calls) == e * len(list(core.enumerate_e_regular(n, e))) == 21
     assert results["blockwise_lower"] == [13, 1, (e, n, lam, s)]
     assert results["agreement"] == [13, 1, (e, n, lam, s)]
+    assert results["involution"] == [12, 2, (3, 6, (2, 2, 1, 1), 1)]
 
 
 def one_pass_roundtrip(lam, tl, s, e):
