@@ -6,23 +6,23 @@ range of e and n, on a process pool when asked for more than one job.  A
 result maps each property to [passes, failures, smallest failing key], where
 a key is (e, n, partition) or (e, n, partition, s).
 
-The partitions come from the enumeration, the lifts and descents from the
-crystal route's own steps (but `core_empty_lift` and `lift_first_nonempty`
-read the lift `psi` gives), and one very dominant charge per (e, n, s) from
-`charges._very_dominant_representative`, so the checks validate none of them
-again: they run the unchecked bodies the routes use, `involution._xu`,
+The crystal route runs untraced, as `mullineux_crystal` runs it.  The
+partitions come from the enumeration, each split theta(λ, (0, s)), s in
+0..e-1, from one `theta._theta` call, the lift from `crystal._lift`, which
+the route calls (but `core_empty_lift` and `lift_first_nonempty` read the
+lift `psi` gives), the componentwise image from the route's table at that
+lift's components, and one very dominant charge per (e, n, s) from
+`charges._very_dominant_representative`, so the checks validate none of
+them again: they run the unchecked bodies the routes use, `involution._xu`,
 `crystal._psi`, `_lift` and `_flotw_rows`, and `core._is_strict_core`.
-Each split theta(λ, (0, s)), s in 0..e-1, is built once: for s > 0 and a λ
-that is no strict core it is the `split` state of the route's own trace,
-and otherwise `theta._theta` builds it.  The splits serve the lifts,
-`s_zero` and `theta_roundtrip`, and `psi` runs once on each, with one table
-of transport words keyed (s, t): to `ups[0]` for `s_zero`, and for s > 0 to
-`ups[s]`, filed as the lift reference keyed (λ, s).  `involution` and
-`blockwise_lower` run after the partitions, on the crystal route's own
-table and the lift references.  xu keeps its images, of the enumerated
-partitions and of the rows (len(λ),) that `first_column_lift` reads, in a
-table keyed (λ, e), as the other two routes do, so a partition is stripped
-once per table.  chi is read at the fundamental charges (0,) and (0, s)
+The splits serve the lifts, `s_zero` and `theta_roundtrip`, and `psi` runs
+once on each, with one table of transport words keyed (s, t): to `ups[0]`
+for `s_zero`, and for s > 0 to `ups[s]`, filed as the lift reference keyed
+(λ, s).  `involution` and `blockwise_lower` run after the partitions, on
+the crystal route's own table and the lift references.  xu keeps its
+images, of the enumerated partitions and of the rows (len(λ),) that
+`first_column_lift` reads, in a table keyed (λ, e), as the other two routes
+do, so a partition is stripped once per table.  chi is read at the fundamental charges (0,) and (0, s)
 only, where it is the rows read as segments (`crystal._segments`), with no
 transport: `theta_roundtrip` reads each split's segments once, and one
 sorted list of them settles the merge back to λ, chi and FLOTW (3).  The
@@ -62,12 +62,13 @@ PROPERTIES = (
 def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
     """All property checks for the e-regular partitions of rank n.
 
-    The crystal route runs once per (partition, s), traced: its lift is
-    checked against `psi`, its descent against the lift reference of its
-    image, and involutivity reads the image of the image in the route's own
-    table.  `crystal_images`, `kleshchev_images` and `xu_images` are the
-    tables in which `involution._crystal`, `_kleshchev` and `_xu` keep their
-    images; each defaults to a new empty one.
+    The crystal route runs once per (partition, s), untraced: its lift is
+    checked against `psi`, the images it lowered, read from its table at
+    that lift's components, against the lift reference of its image, and
+    involutivity reads the image of the image in the route's own table.
+    `crystal_images`, `kleshchev_images` and `xu_images` are the tables in
+    which `involution._crystal`, `_kleshchev` and `_xu` keep their images;
+    each defaults to a new empty one.
     """
     crystal_images = {} if crystal_images is None else crystal_images
     kleshchev_images = {} if kleshchev_images is None else kleshchev_images
@@ -100,16 +101,14 @@ def check(e, n, crystal_images=None, kleshchev_images=None, xu_images=None):
             record("core_conjugate", xim == core.conjugate(lam), key)
         for s in range(1, e):
             skey = (e, n, lam, s)
-            steps = []
-            cim = involution._crystal(lam, e, s, crystal_images, steps)
+            cim = involution._crystal(lam, e, s, crystal_images)
             record("agreement", cim == xim == kim, skey)
-            if is_core:
-                # The route conjugates strict cores without lifting them.
-                pair = theta._theta(lam, e, (0, s))
-                lifted = crystal._lift(lam, e, s)
-                nu = None
-            else:
-                (_, _, pair), (_, _, lifted), (_, _, nu), _, _ = steps
+            pair = theta._theta(lam, e, (0, s))
+            lifted = crystal._lift(lam, e, s)
+            # The route lowers the images it filed at its lift's components.
+            nu = None
+            if not is_core:
+                nu = crystal_images.get((lifted[0], e, s)), crystal_images.get((lifted[1], e, s))
             routed.append((skey, cim, nu))
             splits.append(pair)
             # psi, the slow reference, checks the route's lift here and its descent below.

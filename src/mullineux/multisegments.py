@@ -61,7 +61,7 @@ def canonical(segments):
 def is_aperiodic(ms, e):
     """No length L has segments of that length realizing every tail residue."""
     e = _int_arg("e", e, 2)
-    return _is_aperiodic(check_multisegment(ms, e), e)
+    return _is_aperiodic(_segment_list(ms, e), e)
 
 
 def chi(mp, charge, e):

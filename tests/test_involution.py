@@ -51,7 +51,7 @@ from mullineux.charges import (
     very_dominant_representative,
 )
 
-from mullineux.crystal import _addables, _corners, _regrow, _string_image, _strings, enumerate_phi, psi
+from mullineux.crystal import _addables, _corners, _regrow, _string_image, _strings, blockwise_lift, enumerate_phi, psi
 
 from mullineux.errors import InputError, InternalError, NoPathError
 
@@ -270,8 +270,9 @@ def test_the_crystal_route_checks_its_input_once(lam, e):
 
 def test_difftest_validates_only_route_outputs():
     # difftest runs the unchecked bodies on the partitions it enumerates, on
-    # the rows (len(λ),) and on the pairs the crystal route's steps hold: it
-    # makes no public xu call, so no route input is checked again.
+    # the rows (len(λ),), on their splits and lifts and on the images the
+    # crystal route filed: it makes no public xu call, so no route input is
+    # checked again.
     more = (crystal._charged_input, core._regular_input, involution.xu)
     counts = check_calls(lambda: difftest.run(2, 4, 8, jobs=1), *more)
     assert counts["_charged_input"] == 0
@@ -323,17 +324,21 @@ def test_difftest_builds_each_transport_word_and_column_image_once(monkeypatch):
 def test_difftest_reads_each_split_as_segments_once(monkeypatch):
     # theta_roundtrip reads λ's segments and each of its e splits' once, and
     # tests λ's aperiodicity once: neither `_flotw` nor a canonical sort runs.
+    # Each split is built once, by one `_theta` call (counted by code object,
+    # so the route's calls count too), and the route builds none.
     passes = []
     segments = crystal._segments
     monkeypatch.setattr(crystal, "_segments", lambda mp, s, e: passes.append(mp) or segments(mp, s, e))
+    more = (crystal._is_aperiodic, crystal._flotw, canonical, difftest.theta._theta)
     for e in range(2, 6):
         for n in range(10):
             del passes[:]
-            counts = check_calls(lambda: difftest.check(e, n), crystal._is_aperiodic, crystal._flotw, canonical)
+            counts = check_calls(lambda: difftest.check(e, n), *more)
             partitions = len(list(enumerate_e_regular(n, e)))
             assert len(passes) == (e + 1) * partitions, (e, n)
             assert counts["_is_aperiodic"] == partitions, (e, n)
             assert counts["_flotw"] == counts["canonical"] == 0, (e, n)
+            assert counts["_theta"] == e * partitions, (e, n)
 
 
 def split_round_trips(es, top):
@@ -396,6 +401,25 @@ def test_a_wrong_descent_fails_blockwise_lower_at_its_key(monkeypatch, wrong):
     assert results["blockwise_lower"] == [13, 1, (e, n, lam, s)]
     assert results["agreement"] == [13, 1, (e, n, lam, s)]
     assert results["involution"] == [12, 2, (3, 6, (2, 2, 1, 1), 1)]
+
+
+@pytest.mark.parametrize("wrong", [((2,), (2, 2)), ((2, 2, 1), (1,))], ids=["in-table", "out-of-table"])
+def test_a_wrong_lift_fails_blockwise_lift_at_its_key(monkeypatch, wrong):
+    # difftest lifts (4, 2) at e = 4, s = 2 to a wrong pair: its components
+    # swapped, whose images the route filed, or a pair it never lifted to,
+    # which has none.  The route lifts with its own binding and stays right;
+    # blockwise_lift fails at the key, and blockwise_lower, which reads the
+    # route's images at the components of the wrong lift, fails there too.
+    # s = 2 is neither 1 nor e - 1, so no other property reads the lift.
+    e, n, lam, s = 4, 6, (4, 2), 2
+    key = (e, n, lam, s)
+    lift = crystal._lift
+    assert lift(lam, e, s) == ((2, 2), (2,)) != wrong
+    monkeypatch.setattr(crystal, "_lift", lambda mu, e_, s_: wrong if (mu, e_, s_) == (lam, e, s) else lift(mu, e_, s_))
+    results = difftest.check(e, n)
+    assert results["blockwise_lift"] == [26, 1, key]
+    assert results["blockwise_lower"] == [26, 1, key]
+    assert all(results[name][1] == 0 for name in difftest.PROPERTIES if name not in ("blockwise_lift", "blockwise_lower"))
 
 
 def one_pass_roundtrip(lam, tl, s, e):
@@ -807,17 +831,27 @@ def test_mullineux_crystal_trace_without_unfolding():
 def test_mullineux_crystal_trace_lifts_to_and_lands_at_the_charges_of_ak_mullineux():
     """The trace's lift charge is very_dominant_representative((0, s), n, e)
     and its componentwise image sits at sharp_very_dominant of that charge,
-    the pair ak_mullineux lifts to and lands at."""
+    the pair ak_mullineux lifts to and lands at.  Its states are the split,
+    the blockwise lift, xu of each lifted component, and the split of the
+    image at (0, e - s) that merges to it."""
     for e in range(2, 7):
         for n in range(13):
             for lam in enumerate_e_regular(n, e):
                 if is_strict_e_core(lam, e):
                     continue
                 for s in range(1, e):
-                    charges = {label: charge for label, charge, _ in mullineux_crystal_trace(lam, e, s)[1]}
+                    img, steps = mullineux_crystal_trace(lam, e, s)
+                    charges = {label: charge for label, charge, _ in steps}
+                    states = {label: state for label, _, state in steps}
                     up = very_dominant_representative((0, s), n, e)
                     assert charges["lift"] == up, (lam, e, s)
                     assert charges["componentwise image"] == sharp_very_dominant(up, n, e), (lam, e, s)
+                    mu1, mu2 = states["lift"]
+                    assert states["split"] == theta(lam, e, (0, s)), (lam, e, s)
+                    assert states["lift"] == blockwise_lift(lam, e, s), (lam, e, s)
+                    assert states["componentwise image"] == (xu(mu1, e), xu(mu2, e)), (lam, e, s)
+                    assert states["descend"] == theta(img, e, (0, e - s)), (lam, e, s)
+                    assert states["merge"] == (img,), (lam, e, s)
 
 
 def test_strict_cores_of_rank_at_most_s_lift_alike_to_both_very_dominant_charges():
